@@ -1,12 +1,14 @@
 """Command-line pipeline: build-dag, candidates, run, eval, synth.
 
-Every default that has a counterpart in the training protocol (learning rate
-1e-3, 20 epochs, minibatch 1024 pairs, 10 layers, one-hop lag) is wired here.
+The defaults of the training protocol (learning rate 1e-3, 20 epochs,
+minibatch 1024 pairs, 10 layers, one-hop lag) are declared once, in
+``train.TrainConfig``; ``RunConfig`` takes them from there.
 All randomness flows from one seed recorded in the run manifest; reruns with
 the same config and seed produce byte-identical score files regardless of
 worker count.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal error.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal error
+(any other exception, logged as one line without a traceback).
 """
 from __future__ import annotations
 
@@ -17,11 +19,11 @@ import logging
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__, baselines, evaluate, graph, preprocess, score, synth, train
-from .errors import ConfigError, DataError, DagrangerError, ParseError
+from .errors import ConfigError, DataError, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -30,7 +32,10 @@ METHODS = ("dagranger", "pearson", "pseudocell", "var-granger")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything cmd_run needs; echoed verbatim into the manifest."""
+    """Everything cmd_run needs; echoed verbatim into the manifest.
+
+    The training fields share their names and defaults with TrainConfig.
+    """
 
     x_matrix: str
     y_matrix: str
@@ -42,14 +47,14 @@ class RunConfig:
     k: int = 15
     method: str = "dagranger"
     workers: int = 1
-    learning_rate: float = 1e-3
-    max_epochs: int = 20
-    minibatch_pairs: int = 1024
-    n_layers: int = 10
-    lag_hops: int = 1
-    convergence_numerator: float = 0.1
-    seed: int = 0
-    link: str = "identity"
+    learning_rate: float = train.TrainConfig.learning_rate
+    max_epochs: int = train.TrainConfig.max_epochs
+    minibatch_pairs: int = train.TrainConfig.minibatch_pairs
+    n_layers: int = train.TrainConfig.n_layers
+    lag_hops: int = train.TrainConfig.lag_hops
+    convergence_numerator: float = train.TrainConfig.convergence_numerator
+    seed: int = train.TrainConfig.seed
+    link: str = train.TrainConfig.link
     rank_mode: str = "f"
     var_max_lag: int = 1
     pseudocell_neighborhood: int = 50
@@ -162,7 +167,7 @@ def _read_pairs_file(path, x_names, y_names) -> list[tuple[int, int]]:
     return pairs
 
 
-def _build_dag_for_run(cfg: RunConfig, n_nodes: int):
+def _build_dag_for_run(cfg: RunConfig, n_nodes: int, pt):
     """Returns (dag, neighbor_edges, coords).
 
     ``neighbor_edges`` feed the pseudocell baseline: the pre-orientation kNN
@@ -175,7 +180,6 @@ def _build_dag_for_run(cfg: RunConfig, n_nodes: int):
         neighbor_edges = dag.edges
     else:
         emb_matrix = preprocess.read_matrix(cfg.embedding)
-        pt = preprocess.read_pseudotime(cfg.pseudotime)
         embedding = preprocess.Embedding(coords=emb_matrix.values, pseudotime=pt)
         neighbor_edges = preprocess.knn_graph(embedding, cfg.k)
         dag = preprocess.orient_by_pseudotime(neighbor_edges, pt)
@@ -268,7 +272,8 @@ def cmd_run(cfg: RunConfig) -> int:
         xm = preprocess.read_matrix(cfg.x_matrix)
         ym = preprocess.read_matrix(cfg.y_matrix)
         if xm.values.shape[0] != ym.values.shape[0]:
-            raise DataError("x and y matrices disagree on the node count")
+            raise DataError(f"{cfg.x_matrix} has {xm.values.shape[0]} rows but "
+                            f"{cfg.y_matrix} has {ym.values.shape[0]}")
         pairs = _read_pairs_file(cfg.pairs, xm.var_names, ym.var_names)
         dataset = train.Dataset(
             x_values=xm.values, y_values=ym.values,
@@ -276,25 +281,22 @@ def cmd_run(cfg: RunConfig) -> int:
             pairs=tuple(pairs),
         )
         pt = preprocess.read_pseudotime(cfg.pseudotime) if cfg.pseudotime else None
+        if pt is not None and pt.shape[0] != dataset.n_nodes:
+            raise DataError(f"{cfg.pseudotime}: {pt.shape[0]} pseudotime values but "
+                            f"the matrices have {dataset.n_nodes} rows")
 
     with manifest.stage("dag"):
-        dag, neighbor_edges, coords = _build_dag_for_run(cfg, dataset.n_nodes)
+        dag, neighbor_edges, coords = _build_dag_for_run(cfg, dataset.n_nodes, pt)
         ops = graph.lagged_operators(dag)
 
     methods = list(METHODS) if cfg.method == "all" else [cfg.method]
     for method in methods:
         with manifest.stage(method) as st:
             if method == "dagranger":
-                tcfg = train.TrainConfig(
-                    learning_rate=cfg.learning_rate,
-                    max_epochs=cfg.max_epochs,
-                    minibatch_pairs=cfg.minibatch_pairs,
-                    n_layers=cfg.n_layers,
-                    lag_hops=cfg.lag_hops,
-                    convergence_numerator=cfg.convergence_numerator,
-                    seed=cfg.seed,
-                    link=cfg.link,
-                )
+                tcfg = train.TrainConfig(**{
+                    f.name: getattr(cfg, f.name)
+                    for f in fields(train.TrainConfig) if hasattr(cfg, f.name)
+                })
                 results = train.train_all(dataset, ops, tcfg, workers=cfg.workers)
                 records = _score_records_dagranger(dataset, results, cfg)
             else:
@@ -494,34 +496,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config_from_args(args) -> RunConfig:
+    """Flags over config-file values over the RunConfig defaults."""
     file_config = _read_config_file(args.config) if args.config else {}
-    get = lambda key, default, cast: _merged(args, file_config, key, default, cast)
-    required = {}
-    for key in ("x_matrix", "y_matrix", "pairs", "outdir"):
-        value = get(key, None, str)
-        if value is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-        required[key] = value
-    return RunConfig(
-        **required,
-        edges=get("edges", None, str),
-        embedding=get("embedding", None, str),
-        pseudotime=get("pseudotime", None, str),
-        k=get("k", 15, int),
-        method=get("method", "dagranger", str),
-        workers=get("workers", 1, int),
-        learning_rate=get("learning_rate", 1e-3, float),
-        max_epochs=get("max_epochs", 20, int),
-        minibatch_pairs=get("minibatch_pairs", 1024, int),
-        n_layers=get("n_layers", 10, int),
-        lag_hops=get("lag_hops", 1, int),
-        convergence_numerator=get("convergence_numerator", 0.1, float),
-        seed=get("seed", 0, int),
-        link=get("link", "identity", str),
-        rank_mode=get("rank_mode", "f", str),
-        var_max_lag=get("var_max_lag", 1, int),
-        pseudocell_neighborhood=get("pseudocell_neighborhood", 50, int),
-    )
+    values = {}
+    for f in fields(RunConfig):
+        default = None if f.default is MISSING else f.default
+        cast = str if default is None else type(default)
+        value = _merged(args, file_config, f.name, default, cast)
+        if value is None and f.default is MISSING:
+            raise ConfigError(f"missing required option --{f.name.replace('_', '-')}")
+        values[f.name] = value
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:
@@ -546,8 +531,8 @@ def main(argv=None) -> int:
     except (DataError, FileNotFoundError) as exc:
         logger.error("data error: %s", exc)
         return 3
-    except DagrangerError as exc:
-        logger.error("internal error: %s", exc)
+    except Exception as exc:
+        logger.error("internal error: %s: %s", type(exc).__name__, exc)
         return 4
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteParameter
-from .graph import LaggedOperators, transpose_apply, transpose_apply_batch
+from .graph import LaggedOperators, transpose_apply_batch
 
 __all__ = [
     "EncoderParams",
@@ -106,6 +106,14 @@ def _layer_op(ops: LaggedOperators, layer: int, lag_hops: int):
     return ops.a if layer <= lag_hops else ops.a_plus
 
 
+def _as_column(v: np.ndarray, ops: LaggedOperators) -> np.ndarray:
+    """One node-value vector as an (n, 1) batch."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or v.shape[0] != ops.n:
+        raise DimensionMismatch(f"expected vector of length {ops.n}, got shape {v.shape}")
+    return v[:, None]
+
+
 def encode_history(
     v: np.ndarray,
     ops: LaggedOperators,
@@ -117,25 +125,13 @@ def encode_history(
 
     h(1) = tanh(w1 * A.T v + b1); subsequent layers apply tanh(w * M.T h + b)
     with M the strict-lag operator up to ``lag_hops`` and the self-retaining
-    operator beyond. Returns the mean of the L layer outputs.
+    operator beyond. Returns the mean of the L layer outputs. This is
+    ``encode_history_batch`` on a batch of width one.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != ops.n:
-        raise DimensionMismatch(f"expected vector of length {ops.n}, got shape {v.shape}")
-    L = p.n_layers
-    if not 1 <= lag_hops <= L:
-        raise DimensionMismatch(f"lag_hops must be in [1, {L}], got {lag_hops}")
-
-    h = v
-    acc = np.zeros_like(v)
-    layers = np.empty((L, ops.n)) if keep_layers else None
-    for ell in range(1, L + 1):
-        u = transpose_apply(_layer_op(ops, ell, lag_hops), h)
-        h = np.tanh(p.w[ell - 1] * u + p.b[ell - 1])
-        acc += h
-        if layers is not None:
-            layers[ell - 1] = h
-    return HistoryOutput(h_tilde=acc / L, layers=layers)
+    h_tilde, layers = encode_history_batch(
+        _as_column(v, ops), ops, p.w[:, None], p.b[:, None], lag_hops, keep_layers)
+    return HistoryOutput(h_tilde=h_tilde[:, 0],
+                         layers=None if layers is None else layers[:, :, 0])
 
 
 def encode_history_batch(
@@ -146,12 +142,11 @@ def encode_history_batch(
     lag_hops: int = 1,
     keep_layers: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Column-wise ``encode_history`` over an n-by-m batch.
+    """The lagged recurrence of ``encode_history`` over an n-by-m batch.
 
     ``w`` and ``b`` are (L, m): column j of the batch is encoded with the
     j-th parameter column. One shared sparse product per layer feeds a
-    per-column affine + tanh, so each output column equals the single-vector
-    call on that column. Returns (h_tilde, layers) with layers shaped
+    per-column affine + tanh. Returns (h_tilde, layers) with layers shaped
     (L, n, m) when requested.
     """
     values = np.asarray(values, dtype=np.float64)

@@ -177,6 +177,11 @@ def read_matrix(path) -> ValueMatrix:
             raise ParseError(f"{path}:1: empty header row")
         delim = "," if "," in header else None
         names = tuple(h.strip() for h in (header.split(delim)))
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                raise ParseError(f"{path}:1: duplicate variable name {name!r}")
+            seen.add(name)
         rows: list[list[float]] = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NonFiniteGradient
+from .errors import ConfigError, DataError, NonFiniteGradient, NonFinitePrediction
 from .graph import LaggedOperators
 from .model import (
     LINKS,
     EncoderParams,
     PairModel,
+    _as_column,
     _layer_op,
     apply_link,
     encode_history_batch,
@@ -37,7 +38,6 @@ from .model import (
 __all__ = [
     "TrainConfig",
     "Dataset",
-    "Gradients",
     "LossReport",
     "AdamState",
     "TrainedPair",
@@ -117,33 +117,6 @@ class Dataset:
     @property
     def n_nodes(self) -> int:
         return self.x_values.shape[0]
-
-
-@dataclass(frozen=True)
-class Gradients:
-    """Exact gradient of rss_full + rss_reduced in the PairModel layout."""
-
-    w_y_full: np.ndarray
-    b_y_full: np.ndarray
-    w_x_full: np.ndarray
-    b_x_full: np.ndarray
-    w_y_reduced: np.ndarray
-    b_y_reduced: np.ndarray
-    c: float
-
-    def __post_init__(self):
-        parts = [self.w_y_full, self.b_y_full, self.w_x_full, self.b_x_full,
-                 self.w_y_reduced, self.b_y_reduced]
-        if not all(np.isfinite(p).all() for p in parts) or not np.isfinite(self.c):
-            raise NonFiniteGradient("gradient contains NaN or infinity")
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([
-            self.w_y_full, self.b_y_full,
-            self.w_x_full, self.b_x_full,
-            self.w_y_reduced, self.b_y_reduced,
-            [self.c],
-        ])
 
 
 @dataclass(frozen=True)
@@ -229,133 +202,15 @@ def glorot_init(L: int, rng, lag_hops: int = 1, link: str = "identity") -> PairM
     )
 
 
-# --- single-pair loss and gradients ------------------------------------------
-
-
-def pair_loss(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, m: PairModel) -> LossReport:
-    """Per-node squared errors of the full and reduced predictions of one pair."""
-    from .model import predict_full, predict_reduced
-
-    y = np.asarray(y, dtype=np.float64)
-    yhat_full = predict_full(x, y, ops, m)
-    yhat_reduced = predict_reduced(y, ops, m)
-    if not (np.isfinite(yhat_full).all() and np.isfinite(yhat_reduced).all()):
-        from .errors import NonFinitePrediction
-
-        raise NonFinitePrediction("prediction overflowed (exponential link?)")
-    return LossReport.from_per_node((yhat_full - y) ** 2, (yhat_reduced - y) ** 2)
-
-
-def _encoder_backward(dh_tilde, v, layers, ops, w, lag_hops):
-    """Reverse pass of one encoder given d(loss)/d(h_tilde).
-
-    Every layer output feeds both the mean (weight 1/L) and the next layer;
-    the adjoint of z = w * M.T h + b sends w * (M @ dz) back to h.
-    """
-    L = w.shape[0]
-    dw = np.zeros(L)
-    db = np.zeros(L)
-    g = dh_tilde / L
-    for ell in range(L, 0, -1):
-        h = layers[ell - 1]
-        h_prev = v if ell == 1 else layers[ell - 2]
-        op = _layer_op(ops, ell, lag_hops)
-        dz = g * (1.0 - h * h)
-        u = op.T @ h_prev
-        dw[ell - 1] = float(dz @ u)
-        db[ell - 1] = float(dz.sum())
-        if ell > 1:
-            g = dh_tilde / L + w[ell - 1] * (op @ dz)
-    return dw, db
-
-
-def pair_gradients(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, m: PairModel) -> Gradients:
-    """Gradient of rss_full + rss_reduced w.r.t. all 6L+1 parameters of one pair."""
-    from .model import encode_history
-
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    out_yf = encode_history(y, ops, m.theta_y_full, m.lag_hops, keep_layers=True)
-    out_xf = encode_history(x, ops, m.theta_x_full, m.lag_hops, keep_layers=True)
-    out_yr = encode_history(y, ops, m.theta_y_reduced, m.lag_hops, keep_layers=True)
-
-    s_full = out_yf.h_tilde + m.c * out_xf.h_tilde
-    yhat_full = apply_link(s_full, m.link)
-    yhat_reduced = apply_link(out_yr.h_tilde, m.link)
-    d_full = 2.0 * (yhat_full - y)
-    d_reduced = 2.0 * (yhat_reduced - y)
-    if m.link == "exponential":
-        d_full = d_full * yhat_full
-        d_reduced = d_reduced * yhat_reduced
-
-    dc = float(d_full @ out_xf.h_tilde)
-    dw_yf, db_yf = _encoder_backward(d_full, y, out_yf.layers, ops, m.theta_y_full.w, m.lag_hops)
-    dw_xf, db_xf = _encoder_backward(m.c * d_full, x, out_xf.layers, ops, m.theta_x_full.w, m.lag_hops)
-    dw_yr, db_yr = _encoder_backward(d_reduced, y, out_yr.layers, ops, m.theta_y_reduced.w, m.lag_hops)
-    return Gradients(
-        w_y_full=dw_yf, b_y_full=db_yf,
-        w_x_full=dw_xf, b_x_full=db_xf,
-        w_y_reduced=dw_yr, b_y_reduced=db_yr,
-        c=dc,
-    )
-
-
-# --- batched training ---------------------------------------------------------
-
-
-@dataclass
-class _ParamBank:
-    """All pairs' parameters as (L, P) arrays plus the (P,) interaction row."""
-
-    w_y_full: np.ndarray
-    b_y_full: np.ndarray
-    w_x_full: np.ndarray
-    b_x_full: np.ndarray
-    w_y_reduced: np.ndarray
-    b_y_reduced: np.ndarray
-    c: np.ndarray
-
-    ENCODERS = ("y_full", "x_full", "y_reduced")
-
-    @classmethod
-    def init(cls, n_pairs: int, L: int, rng) -> "_ParamBank":
-        # One Glorot draw shared by every pair (common random numbers): pairs
-        # are compared against each other downstream, so giving each its own
-        # draw would only inject between-pair variance into the ranking.
-        model = glorot_init(L, rng)
-        bank = cls(
-            w_y_full=np.repeat(model.theta_y_full.w[:, None], n_pairs, axis=1),
-            b_y_full=np.zeros((L, n_pairs)),
-            w_x_full=np.repeat(model.theta_x_full.w[:, None], n_pairs, axis=1),
-            b_x_full=np.zeros((L, n_pairs)),
-            w_y_reduced=np.repeat(model.theta_y_reduced.w[:, None], n_pairs, axis=1),
-            b_y_reduced=np.zeros((L, n_pairs)),
-            c=np.zeros(n_pairs),
-        )
-        return bank
-
-    def arrays(self):
-        return (self.w_y_full, self.b_y_full, self.w_x_full, self.b_x_full,
-                self.w_y_reduced, self.b_y_reduced, self.c)
-
-    def zeros_like(self) -> "_ParamBank":
-        return _ParamBank(*(np.zeros_like(a) for a in self.arrays()))
-
-    def model_for(self, k: int, lag_hops: int, link: str) -> PairModel:
-        return PairModel(
-            theta_y_full=EncoderParams(w=self.w_y_full[:, k].copy(), b=self.b_y_full[:, k].copy()),
-            theta_x_full=EncoderParams(w=self.w_x_full[:, k].copy(), b=self.b_x_full[:, k].copy()),
-            c=float(self.c[k]),
-            theta_y_reduced=EncoderParams(
-                w=self.w_y_reduced[:, k].copy(), b=self.b_y_reduced[:, k].copy()
-            ),
-            lag_hops=lag_hops,
-            link=link,
-        )
+# --- the forward/backward kernel ----------------------------------------------
 
 
 def _encoder_backward_batch(dh, values, layers, ops, w, lag_hops):
-    """Batch variant of the encoder reverse pass; dh and values are (n, m)."""
+    """Reverse pass of a batch of encoders given d(loss)/d(h_tilde), all (n, m).
+
+    Every layer output feeds both the mean (weight 1/L) and the next layer;
+    the adjoint of z = w * M.T h + b sends M @ (w * dz) back to h.
+    """
     L = w.shape[0]
     dw = np.zeros_like(w)
     db = np.zeros_like(w)
@@ -373,16 +228,19 @@ def _encoder_backward_batch(dh, values, layers, ops, w, lag_hops):
     return dw, db
 
 
-def _chunk_forward_backward(X, Y, bank_cols, ops, lag_hops, link, component, want_grads):
+def _chunk_forward_backward(X, Y, theta, ops, lag_hops, link, component, want_grads):
     """Losses (and optionally gradients) for one column chunk of pairs.
 
-    Returns (rss_full, rss_reduced, per_node_full, per_node_reduced, grads, ok)
-    where ok flags pairs whose forward pass stayed finite. Untrained
-    components still produce losses so reports stay complete.
+    ``theta`` is (6L+1, m) in ``model_to_vector``'s layout, one column per
+    pair. Returns (rss_full, rss_reduced, per_node_full, per_node_reduced,
+    grads, ok): grads is (6L+1, m) in the same layout, zero in the rows that
+    ``component`` does not train, and ok flags pairs whose forward and
+    backward passes stayed finite. Untrained components still produce losses
+    so reports stay complete.
     """
-    w_yf, b_yf, w_xf, b_xf, w_yr, b_yr, c = bank_cols
-    m = X.shape[1]
-    grads = None
+    L = (theta.shape[0] - 1) // 6
+    w_yf, b_yf, w_xf, b_xf, w_yr, b_yr = (theta[i * L : (i + 1) * L] for i in range(6))
+    c = theta[6 * L]
 
     h_yf, layers_yf = encode_history_batch(Y, ops, w_yf, b_yf, lag_hops, keep_layers=want_grads)
     h_xf, layers_xf = encode_history_batch(X, ops, w_xf, b_xf, lag_hops, keep_layers=want_grads)
@@ -400,36 +258,57 @@ def _chunk_forward_backward(X, Y, bank_cols, ops, lag_hops, link, component, wan
     rss_full = np.sum(per_node_full, axis=0)
     rss_reduced = np.sum(per_node_reduced, axis=0)
 
+    grads = None
     if want_grads:
-        grads = {}
+        grads = np.zeros_like(theta)
         if component in ("both", "full"):
             d_full = 2.0 * res_full
             if link == "exponential":
                 d_full = d_full * yhat_full
-            grads["c"] = np.sum(d_full * h_xf, axis=0)
-            grads["w_y_full"], grads["b_y_full"] = _encoder_backward_batch(
+            grads[6 * L] = np.sum(d_full * h_xf, axis=0)
+            grads[0:L], grads[L : 2 * L] = _encoder_backward_batch(
                 d_full, Y, layers_yf, ops, w_yf, lag_hops)
-            grads["w_x_full"], grads["b_x_full"] = _encoder_backward_batch(
+            grads[2 * L : 3 * L], grads[3 * L : 4 * L] = _encoder_backward_batch(
                 c[None, :] * d_full, X, layers_xf, ops, w_xf, lag_hops)
         if component in ("both", "reduced"):
             d_reduced = 2.0 * res_reduced
             if link == "exponential":
                 d_reduced = d_reduced * yhat_reduced
-            grads["w_y_reduced"], grads["b_y_reduced"] = _encoder_backward_batch(
+            grads[4 * L : 5 * L], grads[5 * L : 6 * L] = _encoder_backward_batch(
                 d_reduced, Y, layers_yr, ops, w_yr, lag_hops)
-        for key, arr in grads.items():
-            bad = ~np.isfinite(arr).all(axis=0) if arr.ndim == 2 else ~np.isfinite(arr)
-            ok &= ~bad
+        ok &= np.isfinite(grads).all(axis=0)
     return rss_full, rss_reduced, per_node_full, per_node_reduced, grads, ok
 
 
-def _run_chunks(tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            task()
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda task: task(), tasks))
+# --- single-pair loss and gradients: the kernel at width one -------------------
+
+
+def _single_pair(x, y, ops, m: PairModel, want_grads: bool):
+    return _chunk_forward_backward(
+        _as_column(x, ops), _as_column(y, ops), model_to_vector(m)[:, None], ops,
+        m.lag_hops, m.link, "both", want_grads)
+
+
+def pair_loss(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, m: PairModel) -> LossReport:
+    """Per-node squared errors of the full and reduced predictions of one pair."""
+    _, _, per_node_full, per_node_reduced, _, ok = _single_pair(x, y, ops, m, want_grads=False)
+    if not ok[0]:
+        raise NonFinitePrediction("prediction overflowed (exponential link?)")
+    return LossReport.from_per_node(per_node_full[:, 0], per_node_reduced[:, 0])
+
+
+def pair_gradients(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, m: PairModel) -> np.ndarray:
+    """Gradient of rss_full + rss_reduced w.r.t. all 6L+1 parameters of one pair.
+
+    The (6L+1,) result is in ``model_to_vector``'s layout.
+    """
+    *_, grads, ok = _single_pair(x, y, ops, m, want_grads=True)
+    if not ok[0]:
+        raise NonFiniteGradient("gradient contains NaN or infinity")
+    return grads[:, 0]
+
+
+# --- batched training ---------------------------------------------------------
 
 
 def train_all(
@@ -458,54 +337,44 @@ def train_all(
     n_pairs = len(dataset.pairs)
     L = config.n_layers
     rng = np.random.default_rng(config.seed)
-    bank = _ParamBank.init(n_pairs, L, rng)
-    adam = {name: AdamState.zeros_like(arr) for name, arr in zip(
-        ("w_y_full", "b_y_full", "w_x_full", "b_x_full", "w_y_reduced", "b_y_reduced", "c"),
-        bank.arrays(),
-    )}
+    # All pairs' parameters, one column each in model_to_vector's layout. One
+    # Glorot draw is shared by every pair (common random numbers): pairs are
+    # compared against each other downstream, so giving each its own draw
+    # would only inject between-pair variance into the ranking.
+    theta = np.repeat(model_to_vector(glorot_init(L, rng))[:, None], n_pairs, axis=1)
+    adam = AdamState.zeros_like(theta)
+    trained_rows = {
+        "both": np.arange(6 * L + 1),
+        "full": np.r_[0 : 4 * L, 6 * L],
+        "reduced": np.arange(4 * L, 6 * L),
+    }[component]
     x_cols = np.fromiter((p[0] for p in dataset.pairs), dtype=np.int64, count=n_pairs)
     y_cols = np.fromiter((p[1] for p in dataset.pairs), dtype=np.int64, count=n_pairs)
     active = np.ones(n_pairs, dtype=bool)
 
-    updated = {
-        "both": ("w_y_full", "b_y_full", "w_x_full", "b_x_full",
-                 "w_y_reduced", "b_y_reduced", "c"),
-        "full": ("w_y_full", "b_y_full", "w_x_full", "b_x_full", "c"),
-        "reduced": ("w_y_reduced", "b_y_reduced"),
-    }[component]
+    def run_chunks(ids, want_grads):
+        """(cols, kernel result) for each fixed-size chunk of ``ids``, in order."""
+        def task(cols):
+            X = np.ascontiguousarray(dataset.x_values[:, x_cols[cols]])
+            Y = np.ascontiguousarray(dataset.y_values[:, y_cols[cols]])
+            return cols, _chunk_forward_backward(
+                X, Y, theta[:, cols], ops, config.lag_hops, config.link, component, want_grads)
 
-    def gather(cols):
-        X = np.ascontiguousarray(dataset.x_values[:, x_cols[cols]])
-        Y = np.ascontiguousarray(dataset.y_values[:, y_cols[cols]])
-        bank_cols = tuple(
-            arr[:, cols] if arr.ndim == 2 else arr[cols] for arr in bank.arrays()
-        )
-        return X, Y, bank_cols
+        chunks = [ids[i : i + _CHUNK] for i in range(0, ids.size, _CHUNK)]
+        if workers <= 1 or len(chunks) <= 1:
+            return [task(cols) for cols in chunks]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, chunks))
 
     prev_loss = None
     for epoch in range(config.max_epochs):
+        t = epoch + 1
         perm = rng.permutation(n_pairs)
         epoch_loss = 0.0
         for start in range(0, n_pairs, config.minibatch_pairs):
             batch = perm[start : start + config.minibatch_pairs]
             batch = batch[active[batch]]
-            if batch.size == 0:
-                continue
-            grad_slabs: list = [None] * ((batch.size + _CHUNK - 1) // _CHUNK)
-
-            def make_task(slot, cols):
-                def task():
-                    X, Y, bank_cols = gather(cols)
-                    grad_slabs[slot] = (cols, _chunk_forward_backward(
-                        X, Y, bank_cols, ops, config.lag_hops, config.link,
-                        component, want_grads=True))
-                return task
-
-            chunk_list = [batch[i : i + _CHUNK] for i in range(0, batch.size, _CHUNK)]
-            _run_chunks([make_task(i, cols) for i, cols in enumerate(chunk_list)], workers)
-
-            t = epoch + 1
-            for cols, (rss_f, rss_r, _, _, grads, ok) in grad_slabs:
+            for cols, (rss_f, rss_r, _, _, grads, ok) in run_chunks(batch, want_grads=True):
                 if not ok.all():
                     for k in cols[~ok]:
                         logger.warning("pair %d went non-finite; excluded from results", k)
@@ -517,27 +386,13 @@ def train_all(
                     epoch_loss += float(rss_f[ok].sum())
                 if component in ("both", "reduced"):
                     epoch_loss += float(rss_r[ok].sum())
-                keep = ok  # alignment between chunk columns and grad columns
-                for name in updated:
-                    params = getattr(bank, name)
-                    state = adam[name]
-                    g = grads[name]
-                    if params.ndim == 2:
-                        new_p, new_s = adam_step(
-                            params[:, good], g[:, keep],
-                            AdamState(m=state.m[:, good], v=state.v[:, good]),
-                            t, config.learning_rate)
-                        params[:, good] = new_p
-                        state.m[:, good] = new_s.m
-                        state.v[:, good] = new_s.v
-                    else:
-                        new_p, new_s = adam_step(
-                            params[good], g[keep],
-                            AdamState(m=state.m[good], v=state.v[good]),
-                            t, config.learning_rate)
-                        params[good] = new_p
-                        state.m[good] = new_s.m
-                        state.v[good] = new_s.v
+                idx = np.ix_(trained_rows, good)
+                new_p, new_s = adam_step(
+                    theta[idx], grads[trained_rows][:, ok],
+                    AdamState(m=adam.m[idx], v=adam.v[idx]), t, config.learning_rate)
+                theta[idx] = new_p
+                adam.m[idx] = new_s.m
+                adam.v[idx] = new_s.v
 
         if prev_loss is not None and prev_loss > 0 and n_pairs > 0:
             rel = abs(epoch_loss - prev_loss) / prev_loss
@@ -548,21 +403,8 @@ def train_all(
 
     # Final evaluation pass over all surviving pairs, fixed chunking again.
     results: dict[int, TrainedPair] = {}
-    all_ids = np.arange(n_pairs)[active]
-    slabs: list = [None] * ((all_ids.size + _CHUNK - 1) // _CHUNK)
-
-    def make_eval_task(slot, cols):
-        def task():
-            X, Y, bank_cols = gather(cols)
-            slabs[slot] = (cols, _chunk_forward_backward(
-                X, Y, bank_cols, ops, config.lag_hops, config.link,
-                component, want_grads=False))
-        return task
-
-    eval_chunks = [all_ids[i : i + _CHUNK] for i in range(0, all_ids.size, _CHUNK)]
-    _run_chunks([make_eval_task(i, cols) for i, cols in enumerate(eval_chunks)], workers)
-
-    for cols, (_, _, pn_full, pn_reduced, _, ok) in slabs:
+    for cols, (_, _, pn_full, pn_reduced, _, ok) in run_chunks(
+            np.flatnonzero(active), want_grads=False):
         for j, k in enumerate(cols):
             if not ok[j]:
                 logger.warning("pair %d non-finite at final evaluation; excluded", k)
@@ -572,7 +414,7 @@ def train_all(
                 np.ascontiguousarray(pn_reduced[:, j]),
             )
             results[int(k)] = TrainedPair(
-                model=bank.model_for(int(k), config.lag_hops, config.link),
+                model=vector_to_model(theta[:, k].copy(), L, config.lag_hops, config.link),
                 report=report,
             )
     return results

@@ -135,7 +135,7 @@ def test_criterion_1_gradient_correctness():
         )
         x = rng.normal(size=n)
         y = rng.normal(size=n) * 0.5
-        g = pair_gradients(x, y, ops, m).as_vector()
+        g = pair_gradients(x, y, ops, m)
         v0 = model_to_vector(m)
         h = 1e-6
         for j in range(len(v0)):

@@ -228,6 +228,53 @@ class TestRunCommand:
         assert code == 2
 
 
+class TestRunErrors:
+    def _error_lines(self, caplog):
+        return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+    def test_pseudotime_length_mismatch_is_data_error(self, bundle, tmp_path, caplog):
+        ds, paths, _ = bundle
+        short = tmp_path / "short_pt.txt"
+        write_pseudotime(short, ds.pseudotime[:-1])
+        code = run_cli("run", "--x-matrix", paths["x_matrix"], "--y-matrix",
+                       paths["y_matrix"], "--pairs", paths["pairs"],
+                       "--edges", paths["edges"], "--pseudotime", short,
+                       "--method", "var-granger", "--outdir", tmp_path / "o")
+        assert code == 3
+        assert any(str(short) in line for line in self._error_lines(caplog))
+
+    def test_duplicate_matrix_names_is_data_error(self, bundle, tmp_path, caplog):
+        ds, paths, _ = bundle
+        names = list(ds.x_names)
+        names[1] = names[0]
+        dup = tmp_path / "x_dup.csv"
+        write_matrix(dup, ds.x_matrix, names)
+        code = run_cli("run", "--x-matrix", dup, "--y-matrix", paths["y_matrix"],
+                       "--pairs", paths["pairs"], "--edges", paths["edges"],
+                       "--method", "pearson", "--outdir", tmp_path / "o")
+        assert code == 3
+        assert any(str(dup) in line and repr(names[0]) in line
+                   for line in self._error_lines(caplog))
+
+    def test_unexpected_exception_is_internal_error(self, bundle, tmp_path, caplog,
+                                                    capsys, monkeypatch):
+        import dagranger.train
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(dagranger.train, "train_all", boom)
+        ds, paths, _ = bundle
+        code = run_cli("run", "--x-matrix", paths["x_matrix"], "--y-matrix",
+                       paths["y_matrix"], "--pairs", paths["pairs"],
+                       "--edges", paths["edges"],
+                       "--method", "dagranger", "--outdir", tmp_path / "o")
+        assert code == 4
+        assert self._error_lines(caplog) == ["internal error: RuntimeError: boom"]
+        assert all(r.exc_info is None for r in caplog.records)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestEvalCommand:
     def test_metrics_from_scores(self, bundle, tmp_path, capsys):
         ds, paths, _ = bundle

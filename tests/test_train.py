@@ -8,6 +8,7 @@ from dagranger.model import EncoderParams, PairModel, predict_full
 from dagranger.synth import SynthSpec, generate
 from dagranger.train import (
     AdamState,
+    _chunk_forward_backward,
     Dataset,
     TrainConfig,
     adam_step,
@@ -95,7 +96,7 @@ class TestPairGradients:
         ops = lagged_operators(dag)
         m = random_model(rng, 3, lag_hops=lag_hops, link=link)
         x, y = rng.normal(size=14), rng.normal(size=14) * 0.5
-        g = pair_gradients(x, y, ops, m).as_vector()
+        g = pair_gradients(x, y, ops, m)
         fd = finite_difference(x, y, ops, m)
         rel = np.abs(g - fd) / np.maximum(np.abs(g), 1e-8)
         assert rel.max() < 1e-5
@@ -111,7 +112,7 @@ class TestPairGradients:
             theta_y_reduced=EncoderParams(w=rng.normal(size=L), b=rng.normal(size=L)),
         )
         g = pair_gradients(np.zeros(10), rng.normal(size=10), ops, m)
-        assert g.c == 0.0
+        assert g[-1] == 0.0
 
     def test_reduced_gradients_independent_of_x(self, rng):
         dag = random_dag(rng, 12)
@@ -120,8 +121,30 @@ class TestPairGradients:
         y = rng.normal(size=12)
         g1 = pair_gradients(rng.normal(size=12), y, ops, m)
         g2 = pair_gradients(rng.normal(size=12), y, ops, m)
-        assert np.array_equal(g1.w_y_reduced, g2.w_y_reduced)
-        assert np.array_equal(g1.b_y_reduced, g2.b_y_reduced)
+        reduced = slice(4 * m.n_layers, 6 * m.n_layers)  # w then b of y-reduced
+        assert np.array_equal(g1[reduced], g2[reduced])
+
+
+class TestChunkKernel:
+    @pytest.mark.parametrize("link", ["identity", "exponential"])
+    @pytest.mark.parametrize("lag_hops", [1, 2])
+    def test_width_five_columns_match_single_pairs(self, rng, link, lag_hops):
+        # each column of a chunk is its own pair: its gradient must be that
+        # pair's finite-difference gradient and the width-one call's result
+        n, width = 16, 5
+        ops = lagged_operators(random_dag(rng, n))
+        models = [random_model(rng, 3, lag_hops=lag_hops, link=link) for _ in range(width)]
+        X, Y = rng.normal(size=(n, width)), rng.normal(size=(n, width)) * 0.5
+        theta = np.stack([model_to_vector(m) for m in models], axis=1)
+        *_, grads, ok = _chunk_forward_backward(
+            X, Y, theta, ops, lag_hops, link, "both", want_grads=True)
+        assert grads.shape == theta.shape and ok.all()
+        for j, m in enumerate(models):
+            g = grads[:, j]
+            fd = finite_difference(X[:, j], Y[:, j], ops, m)
+            assert (np.abs(g - fd) / np.maximum(np.abs(g), 1e-8)).max() < 1e-5
+            single = pair_gradients(X[:, j], Y[:, j], ops, m)
+            assert (np.abs(g - single) / np.maximum(np.abs(single), 1e-8)).max() < 1e-12
 
 
 class TestAdamStep:
