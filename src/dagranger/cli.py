@@ -148,6 +148,7 @@ def _read_pairs_file(path, x_names, y_names) -> list[tuple[int, int]]:
     x_index = {name: i for i, name in enumerate(x_names)}
     y_index = {name: j for j, name in enumerate(y_names)}
     pairs: list[tuple[int, int]] = []
+    first_line: dict[tuple[int, int], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -161,7 +162,12 @@ def _read_pairs_file(path, x_names, y_names) -> list[tuple[int, int]]:
                 raise DataError(f"{path}:{lineno}: unknown x variable {xn!r}")
             if yn not in y_index:
                 raise DataError(f"{path}:{lineno}: unknown y variable {yn!r}")
-            pairs.append((x_index[xn], y_index[yn]))
+            pair = (x_index[xn], y_index[yn])
+            if pair in first_line:
+                raise DataError(f"{path}:{lineno}: duplicate pair {xn!r} -> {yn!r} "
+                                f"(first on line {first_line[pair]})")
+            first_line[pair] = lineno
+            pairs.append(pair)
     if not pairs:
         raise DataError(f"{path}: no candidate pairs")
     return pairs
@@ -180,6 +186,9 @@ def _build_dag_for_run(cfg: RunConfig, n_nodes: int, pt):
         neighbor_edges = dag.edges
     else:
         emb_matrix = preprocess.read_matrix(cfg.embedding)
+        if emb_matrix.values.shape[0] != n_nodes:
+            raise DataError(f"{cfg.embedding} has {emb_matrix.values.shape[0]} rows but "
+                            f"the matrices have {n_nodes}")
         embedding = preprocess.Embedding(coords=emb_matrix.values, pseudotime=pt)
         neighbor_edges = preprocess.knn_graph(embedding, cfg.k)
         dag = preprocess.orient_by_pseudotime(neighbor_edges, pt)
@@ -313,6 +322,9 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_build_dag(args) -> int:
     emb_matrix = preprocess.read_matrix(args.embedding)
     pt = preprocess.read_pseudotime(args.pseudotime)
+    if emb_matrix.values.shape[0] != pt.shape[0]:
+        raise DataError(f"{args.embedding} has {emb_matrix.values.shape[0]} rows but "
+                        f"{args.pseudotime} has {pt.shape[0]} values")
     embedding = preprocess.Embedding(coords=emb_matrix.values, pseudotime=pt)
     edges = preprocess.knn_graph(embedding, args.k)
     dag = preprocess.orient_by_pseudotime(edges, pt)

@@ -12,9 +12,13 @@ column-normalized matrices are derived from the edge set:
   by one and the freed weight placed on the diagonal, so each column sums
   to exactly 1 and a node retains a share of its own accumulated value.
 
-Both are stored column-compressed (CSC) because every product used downstream
-is of the form ``M.T @ v`` or ``M @ v``, which iterate columns of M in a
-fixed order; that fixed order is what makes results reproducible bit for bit.
+Both are stored column-compressed (CSC) with sorted indices, so ``M.T @ v``
+is a row-by-row product over a CSR view. Each output entry is a sum that
+starts from zero and adds its terms in stored index order; that fixed order
+makes results reproducible bit for bit, and it does not depend on the other
+columns of v. Training also needs ``M @ g``; it makes CSR copies for those
+products (``train._adjoint_operators``), which add each output entry's terms
+in the same order as the CSC product.
 """
 from __future__ import annotations
 

@@ -27,6 +27,8 @@ __all__ = [
     "HistoryOutput",
     "encode_history",
     "encode_history_batch",
+    "strict_lag",
+    "layer_output",
     "predict_full",
     "predict_reduced",
     "apply_link",
@@ -126,12 +128,33 @@ def encode_history(
     h(1) = tanh(w1 * A.T v + b1); subsequent layers apply tanh(w * M.T h + b)
     with M the strict-lag operator up to ``lag_hops`` and the self-retaining
     operator beyond. Returns the mean of the L layer outputs. This is
-    ``encode_history_batch`` on a batch of width one.
+    ``encode_history_batch`` on a batch of width one; the layer outputs are
+    recomputed from its kept layer inputs, with the same arithmetic.
     """
-    h_tilde, layers = encode_history_batch(
-        _as_column(v, ops), ops, p.w[:, None], p.b[:, None], lag_hops, keep_layers)
-    return HistoryOutput(h_tilde=h_tilde[:, 0],
-                         layers=None if layers is None else layers[:, :, 0])
+    h_tilde, inputs = encode_history_batch(
+        _as_column(v, ops), ops, p.w[:, None], p.b[:, None], lag_hops, keep_inputs=keep_layers)
+    layers = None
+    if inputs is not None:
+        layers = np.stack([layer_output(u, p.w[i : i + 1], p.b[i : i + 1])[:, 0]
+                           for i, u in enumerate(inputs)])
+    return HistoryOutput(h_tilde=h_tilde[:, 0], layers=layers)
+
+
+def strict_lag(values: np.ndarray, ops: LaggedOperators) -> np.ndarray:
+    """``a.T @ values``: the sparse product of layer 1, for an n-by-m batch.
+
+    It does not depend on the parameters, so a caller that encodes the same
+    columns many times computes it once and passes (columns of) it to
+    ``encode_history_batch(..., lagged=True)``.
+    """
+    return transpose_apply_batch(ops.a, values)
+
+
+def layer_output(u: np.ndarray, w: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """``tanh(u * w + b)`` for a layer input u (n, m) and parameter rows w, b (m,)."""
+    out = np.multiply(u, w[None, :], out=out)
+    np.add(out, b[None, :], out=out)
+    return np.tanh(out, out=out)
 
 
 def encode_history_batch(
@@ -140,14 +163,18 @@ def encode_history_batch(
     w: np.ndarray,
     b: np.ndarray,
     lag_hops: int = 1,
-    keep_layers: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    keep_inputs: bool = False,
+    lagged: bool = False,
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """The lagged recurrence of ``encode_history`` over an n-by-m batch.
 
     ``w`` and ``b`` are (L, m): column j of the batch is encoded with the
     j-th parameter column. One shared sparse product per layer feeds a
-    per-column affine + tanh. Returns (h_tilde, layers) with layers shaped
-    (L, n, m) when requested.
+    per-column affine + tanh. With ``lagged`` the batch already holds
+    ``strict_lag(values, ops)`` and layer 1 does no product. Returns
+    (h_tilde, inputs): with ``keep_inputs``, ``inputs[l]`` is the (n, m)
+    input ``M.T h`` of layer l + 1, from which ``layer_output`` gives back
+    that layer's output; the first entry is ``values`` itself when lagged.
     """
     values = np.asarray(values, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -160,16 +187,18 @@ def encode_history_batch(
     if not 1 <= lag_hops <= L:
         raise DimensionMismatch(f"lag_hops must be in [1, {L}], got {lag_hops}")
 
-    h = values
+    u = values if lagged else strict_lag(values, ops)
+    h = np.empty_like(values)
     acc = np.zeros_like(values)
-    layers = np.empty((L,) + values.shape) if keep_layers else None
+    inputs = [] if keep_inputs else None
     for ell in range(1, L + 1):
-        u = transpose_apply_batch(_layer_op(ops, ell, lag_hops), h)
-        h = np.tanh(u * w[ell - 1][None, :] + b[ell - 1][None, :])
+        if ell > 1:
+            u = transpose_apply_batch(_layer_op(ops, ell, lag_hops), h)
+        if inputs is not None:
+            inputs.append(u)
+        layer_output(u, w[ell - 1], b[ell - 1], out=h)
         acc += h
-        if layers is not None:
-            layers[ell - 1] = h
-    return acc / L, layers
+    return np.divide(acc, L, out=acc), inputs
 
 
 def predict_full(

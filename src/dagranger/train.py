@@ -9,9 +9,17 @@ step on its own gradient. Gradients are exact reverse accumulation through
 the tanh layers: tanh' = 1 - h^2, and the adjoint of each M.T product is the
 corresponding non-transposed M product.
 
-Numerics are worker-count independent by construction: batches are processed
-in fixed-size column chunks whose per-column results never depend on chunk
-composition, so a thread pool over chunks changes wall time only.
+The kernel does each sparse product once. Layer 1's product ``a.T @ v`` does
+not depend on the parameters, so ``train_all`` computes it once per variable
+and gathers it per chunk; the forward pass keeps each later layer's input
+``M.T h`` and the backward pass recomputes the layer output from it rather
+than repeating the product.
+
+Numerics are independent of minibatch size and worker count: batches are
+processed in fixed-size column chunks, every operation in the kernel treats
+each column on its own, and every sum over nodes adds rows in sequence at any
+chunk width (``_column_sums``), so a column's bits do not depend on which
+pairs share its chunk and a thread pool over chunks changes wall time only.
 """
 from __future__ import annotations
 
@@ -33,6 +41,8 @@ from .model import (
     _layer_op,
     apply_link,
     encode_history_batch,
+    layer_output,
+    strict_lag,
 )
 
 __all__ = [
@@ -54,9 +64,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Columns processed per vectorized slab. Fixed so that neither minibatch size
-# nor worker count changes any floating-point result, only scheduling.
-_CHUNK = 256
+# Columns processed per vectorized slab. Neither minibatch size nor worker
+# count changes any floating-point result, only scheduling. At 64 columns an
+# (n, m) block of 2,000 nodes is 1 MB and fits a core's L2 cache.
+_CHUNK = 64
 
 _GLOROT_BOUND = math.sqrt(3.0)  # sqrt(6 / (fan_in + fan_out)) with both fans 1
 
@@ -205,46 +216,85 @@ def glorot_init(L: int, rng, lag_hops: int = 1, link: str = "identity") -> PairM
 # --- the forward/backward kernel ----------------------------------------------
 
 
-def _encoder_backward_batch(dh, values, layers, ops, w, lag_hops):
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sum a C-ordered (n, m) array over axis 0, adding rows in sequence at any width.
+
+    ``np.sum(axis=0)`` adds the rows of a C-ordered array in sequence when
+    m >= 2 but sums a single column pairwise, so a pair's result would
+    depend on whether it ends up alone in a chunk. ``cumsum`` adds in
+    sequence at every width; its last row is what ``np.sum`` returns for
+    m >= 2.
+    """
+    if a.shape[1] == 1:
+        return np.cumsum(a[:, 0])[-1:]
+    return np.sum(a, axis=0)
+
+
+def _adjoint_operators(ops: LaggedOperators) -> LaggedOperators:
+    """CSR copies of ``a`` and ``a_plus`` for the adjoint products ``M @ g``.
+
+    ``tocsr`` sorts each row by column, so a CSR product gathers each output
+    row's terms in the order in which the CSC product scatters them into it,
+    and the copies give the same bits.
+    """
+    return LaggedOperators(a=ops.a.tocsr(), a_plus=ops.a_plus.tocsr(), n=ops.n)
+
+
+def _encoder_backward_batch(dh, inputs, adjoints, w, b, lag_hops):
     """Reverse pass of a batch of encoders given d(loss)/d(h_tilde), all (n, m).
 
-    Every layer output feeds both the mean (weight 1/L) and the next layer;
-    the adjoint of z = w * M.T h + b sends M @ (w * dz) back to h.
+    ``inputs`` are the layer inputs u = M.T h_prev kept by the forward pass;
+    each layer output is recomputed from them as tanh(w * u + b), so no
+    sparse product is repeated. Every layer output feeds both the mean
+    (weight 1/L) and the next layer; the adjoint of z = w * u + b sends
+    M @ (w * dz) back to h.
     """
     L = w.shape[0]
-    dw = np.zeros_like(w)
-    db = np.zeros_like(w)
-    g = dh / L
+    dw = np.empty_like(w)
+    db = np.empty_like(w)
+    dh_mean = dh / L
+    g = dh_mean
+    dz = np.empty_like(dh)
+    t = np.empty_like(dh)
     for ell in range(L, 0, -1):
-        h = layers[ell - 1]
-        h_prev = values if ell == 1 else layers[ell - 2]
-        op = _layer_op(ops, ell, lag_hops)
-        dz = g * (1.0 - h * h)
-        u = op.T @ h_prev
-        dw[ell - 1] = np.sum(dz * u, axis=0)
-        db[ell - 1] = np.sum(dz, axis=0)
+        u = inputs[ell - 1]
+        h = layer_output(u, w[ell - 1], b[ell - 1], out=t)
+        np.multiply(h, h, out=t)
+        np.subtract(1.0, t, out=t)
+        np.multiply(g, t, out=dz)
+        dw[ell - 1] = _column_sums(np.multiply(dz, u, out=t))
+        db[ell - 1] = _column_sums(dz)
         if ell > 1:
-            g = dh / L + (op @ (dz * w[ell - 1][None, :]))
+            np.multiply(dz, w[ell - 1][None, :], out=dz)
+            g = _layer_op(adjoints, ell, lag_hops) @ dz
+            np.add(dh_mean, g, out=g)
     return dw, db
 
 
-def _chunk_forward_backward(X, Y, theta, ops, lag_hops, link, component, want_grads):
+def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, adjoints, lag_hops, link,
+                            component, want_grads):
     """Losses (and optionally gradients) for one column chunk of pairs.
 
-    ``theta`` is (6L+1, m) in ``model_to_vector``'s layout, one column per
-    pair. Returns (rss_full, rss_reduced, per_node_full, per_node_reduced,
-    grads, ok): grads is (6L+1, m) in the same layout, zero in the rows that
-    ``component`` does not train, and ok flags pairs whose forward and
-    backward passes stayed finite. Untrained components still produce losses
-    so reports stay complete.
+    ``lagged_x`` and ``lagged_y`` are ``strict_lag`` of the chunk's x and y
+    columns, Y the y columns themselves, all (n, m); ``adjoints`` is
+    ``_adjoint_operators(ops)``. ``theta`` is (6L+1, m) in
+    ``model_to_vector``'s layout, one column per pair. Returns (rss_full,
+    rss_reduced, per_node_full, per_node_reduced, grads, ok): grads is
+    (6L+1, m) in the same layout, zero in the rows that ``component`` does
+    not train, and ok flags pairs whose forward and backward passes stayed
+    finite. Untrained components still produce losses so reports stay
+    complete.
     """
     L = (theta.shape[0] - 1) // 6
     w_yf, b_yf, w_xf, b_xf, w_yr, b_yr = (theta[i * L : (i + 1) * L] for i in range(6))
     c = theta[6 * L]
+    keep_full = want_grads and component in ("both", "full")
+    keep_reduced = want_grads and component in ("both", "reduced")
 
-    h_yf, layers_yf = encode_history_batch(Y, ops, w_yf, b_yf, lag_hops, keep_layers=want_grads)
-    h_xf, layers_xf = encode_history_batch(X, ops, w_xf, b_xf, lag_hops, keep_layers=want_grads)
-    h_yr, layers_yr = encode_history_batch(Y, ops, w_yr, b_yr, lag_hops, keep_layers=want_grads)
+    h_yf, u_yf = encode_history_batch(lagged_y, ops, w_yf, b_yf, lag_hops, keep_full, lagged=True)
+    h_xf, u_xf = encode_history_batch(lagged_x, ops, w_xf, b_xf, lag_hops, keep_full, lagged=True)
+    h_yr, u_yr = encode_history_batch(
+        lagged_y, ops, w_yr, b_yr, lag_hops, keep_reduced, lagged=True)
 
     s_full = h_yf + c[None, :] * h_xf
     yhat_full = apply_link(s_full, link)
@@ -255,27 +305,27 @@ def _chunk_forward_backward(X, Y, theta, ops, lag_hops, link, component, want_gr
     res_reduced = yhat_reduced - Y
     per_node_full = res_full * res_full
     per_node_reduced = res_reduced * res_reduced
-    rss_full = np.sum(per_node_full, axis=0)
-    rss_reduced = np.sum(per_node_reduced, axis=0)
+    rss_full = _column_sums(per_node_full)
+    rss_reduced = _column_sums(per_node_reduced)
 
     grads = None
     if want_grads:
         grads = np.zeros_like(theta)
-        if component in ("both", "full"):
+        if keep_full:
             d_full = 2.0 * res_full
             if link == "exponential":
                 d_full = d_full * yhat_full
-            grads[6 * L] = np.sum(d_full * h_xf, axis=0)
+            grads[6 * L] = _column_sums(d_full * h_xf)
             grads[0:L], grads[L : 2 * L] = _encoder_backward_batch(
-                d_full, Y, layers_yf, ops, w_yf, lag_hops)
+                d_full, u_yf, adjoints, w_yf, b_yf, lag_hops)
             grads[2 * L : 3 * L], grads[3 * L : 4 * L] = _encoder_backward_batch(
-                c[None, :] * d_full, X, layers_xf, ops, w_xf, lag_hops)
-        if component in ("both", "reduced"):
+                c[None, :] * d_full, u_xf, adjoints, w_xf, b_xf, lag_hops)
+        if keep_reduced:
             d_reduced = 2.0 * res_reduced
             if link == "exponential":
                 d_reduced = d_reduced * yhat_reduced
             grads[4 * L : 5 * L], grads[5 * L : 6 * L] = _encoder_backward_batch(
-                d_reduced, Y, layers_yr, ops, w_yr, lag_hops)
+                d_reduced, u_yr, adjoints, w_yr, b_yr, lag_hops)
         ok &= np.isfinite(grads).all(axis=0)
     return rss_full, rss_reduced, per_node_full, per_node_reduced, grads, ok
 
@@ -284,9 +334,11 @@ def _chunk_forward_backward(X, Y, theta, ops, lag_hops, link, component, want_gr
 
 
 def _single_pair(x, y, ops, m: PairModel, want_grads: bool):
+    X, Y = _as_column(x, ops), _as_column(y, ops)
     return _chunk_forward_backward(
-        _as_column(x, ops), _as_column(y, ops), model_to_vector(m)[:, None], ops,
-        m.lag_hops, m.link, "both", want_grads)
+        strict_lag(X, ops), strict_lag(Y, ops), Y, model_to_vector(m)[:, None], ops,
+        _adjoint_operators(ops) if want_grads else None, m.lag_hops, m.link, "both",
+        want_grads)
 
 
 def pair_loss(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, m: PairModel) -> LossReport:
@@ -351,18 +403,30 @@ def train_all(
     x_cols = np.fromiter((p[0] for p in dataset.pairs), dtype=np.int64, count=n_pairs)
     y_cols = np.fromiter((p[1] for p in dataset.pairs), dtype=np.int64, count=n_pairs)
     active = np.ones(n_pairs, dtype=bool)
+    # Layer 1's product does not depend on the parameters: compute it once for
+    # each variable some pair uses, and gather its columns per chunk.
+    x_used, x_at = np.unique(x_cols, return_inverse=True)
+    y_used, y_at = np.unique(y_cols, return_inverse=True)
+    lagged_x = strict_lag(dataset.x_values[:, x_used], ops)
+    lagged_y = strict_lag(dataset.y_values[:, y_used], ops)
+    adjoints = _adjoint_operators(ops)
 
     def run_chunks(ids, want_grads):
-        """(cols, kernel result) for each fixed-size chunk of ``ids``, in order."""
+        """(cols, kernel result) for each fixed-size chunk of ``ids``, in order.
+
+        On one worker the chunks run lazily, one at a time as the caller
+        consumes them, so only one chunk's state is alive at once.
+        """
         def task(cols):
-            X = np.ascontiguousarray(dataset.x_values[:, x_cols[cols]])
-            Y = np.ascontiguousarray(dataset.y_values[:, y_cols[cols]])
+            # np.take gathers into C order, in which _column_sums adds rows
             return cols, _chunk_forward_backward(
-                X, Y, theta[:, cols], ops, config.lag_hops, config.link, component, want_grads)
+                np.take(lagged_x, x_at[cols], axis=1), np.take(lagged_y, y_at[cols], axis=1),
+                np.take(dataset.y_values, y_cols[cols], axis=1), np.take(theta, cols, axis=1),
+                ops, adjoints, config.lag_hops, config.link, component, want_grads)
 
         chunks = [ids[i : i + _CHUNK] for i in range(0, ids.size, _CHUNK)]
         if workers <= 1 or len(chunks) <= 1:
-            return [task(cols) for cols in chunks]
+            return map(task, chunks)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(task, chunks))
 

@@ -256,6 +256,31 @@ class TestRunErrors:
         assert any(str(dup) in line and repr(names[0]) in line
                    for line in self._error_lines(caplog))
 
+    def test_embedding_row_mismatch_names_the_file(self, bundle, tmp_path, caplog):
+        ds, paths, _ = bundle
+        coords = np.column_stack([ds.pseudotime, ds.x_matrix[:, 0]])
+        emb = tmp_path / "emb_long.csv"
+        write_matrix(emb, np.vstack([coords, coords[:1]]), ["d0", "d1"])
+        code = run_cli("run", "--x-matrix", paths["x_matrix"], "--y-matrix",
+                       paths["y_matrix"], "--pairs", paths["pairs"],
+                       "--embedding", emb, "--pseudotime", paths["pseudotime"],
+                       "--method", "pearson", "--outdir", tmp_path / "o")
+        assert code == 3
+        assert any(str(emb) in line for line in self._error_lines(caplog))
+
+    def test_duplicate_pair_is_data_error(self, bundle, tmp_path, caplog):
+        ds, paths, _ = bundle
+        lines = Path(paths["pairs"]).read_text().splitlines()
+        first = next(line for line in lines if line and not line.startswith("#"))
+        dup = tmp_path / "pairs_dup.tsv"
+        dup.write_text("\n".join(lines + [first]) + "\n")
+        code = run_cli("run", "--x-matrix", paths["x_matrix"], "--y-matrix",
+                       paths["y_matrix"], "--pairs", dup, "--edges", paths["edges"],
+                       "--method", "pearson", "--outdir", tmp_path / "o")
+        assert code == 3
+        assert any(f"{dup}:{len(lines) + 1}: duplicate pair" in line
+                   for line in self._error_lines(caplog))
+
     def test_unexpected_exception_is_internal_error(self, bundle, tmp_path, caplog,
                                                     capsys, monkeypatch):
         import dagranger.train

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import dagranger.model
 from dagranger.graph import lagged_operators
-from dagranger.model import EncoderParams, PairModel, predict_full
+from dagranger.model import EncoderParams, PairModel, predict_full, strict_lag
 from dagranger.synth import SynthSpec, generate
 from dagranger.train import (
     AdamState,
+    _adjoint_operators,
     _chunk_forward_backward,
     Dataset,
     TrainConfig,
@@ -137,7 +139,8 @@ class TestChunkKernel:
         X, Y = rng.normal(size=(n, width)), rng.normal(size=(n, width)) * 0.5
         theta = np.stack([model_to_vector(m) for m in models], axis=1)
         *_, grads, ok = _chunk_forward_backward(
-            X, Y, theta, ops, lag_hops, link, "both", want_grads=True)
+            strict_lag(X, ops), strict_lag(Y, ops), Y, theta, ops, _adjoint_operators(ops),
+            lag_hops, link, "both", want_grads=True)
         assert grads.shape == theta.shape and ok.all()
         for j, m in enumerate(models):
             g = grads[:, j]
@@ -145,6 +148,46 @@ class TestChunkKernel:
             assert (np.abs(g - fd) / np.maximum(np.abs(g), 1e-8)).max() < 1e-5
             single = pair_gradients(X[:, j], Y[:, j], ops, m)
             assert (np.abs(g - single) / np.maximum(np.abs(single), 1e-8)).max() < 1e-12
+
+    def test_adjoint_copies_give_the_same_bits(self, rng):
+        ops = lagged_operators(random_dag(rng, 40))
+        adjoints = _adjoint_operators(ops)
+        g = rng.normal(size=(40, 7))
+        assert np.array_equal(adjoints.a @ g, ops.a @ g)
+        assert np.array_equal(adjoints.a_plus @ g, ops.a_plus @ g)
+
+    def test_sparse_products_done_once(self, rng, monkeypatch):
+        # a chunk does the 3(L-1) forward products of layers 2..L, with or
+        # without gradients: the backward pass reuses the forward pass's
+        # layer inputs, and layer 1's products are done once per train_all
+        calls = []
+        real = dagranger.model.transpose_apply_batch
+
+        def counting(op, values):
+            calls.append(values.shape[1])
+            return real(op, values)
+
+        n, width, L = 16, 5, 4
+        ops = lagged_operators(random_dag(rng, n))
+        X, Y = rng.normal(size=(n, width)), rng.normal(size=(n, width))
+        theta = np.stack([model_to_vector(random_model(rng, L)) for _ in range(width)], axis=1)
+        lagged_x, lagged_y = strict_lag(X, ops), strict_lag(Y, ops)
+        adjoints = _adjoint_operators(ops)
+        monkeypatch.setattr(dagranger.model, "transpose_apply_batch", counting)
+        for want_grads in (True, False):
+            calls.clear()
+            _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, adjoints, 2,
+                                    "identity", "both", want_grads)
+            assert calls == [width] * (3 * (L - 1))
+
+        ds, dataset, ops = tiny_dataset(seed=2, n_pairs=6)
+        epochs = 3
+        calls.clear()
+        train_all(dataset, ops, TrainConfig(n_layers=L, max_epochs=epochs, seed=0,
+                                            convergence_numerator=0.0))
+        n_x, n_y = (len({p[i] for p in dataset.pairs}) for i in (0, 1))
+        # one chunk per epoch plus the final evaluation
+        assert sorted(calls) == sorted([n_x, n_y] + [6] * (3 * (L - 1)) * (epochs + 1))
 
 
 class TestAdamStep:
@@ -226,6 +269,31 @@ class TestTrainAll:
         for pid in r1:
             assert np.array_equal(model_to_vector(r1[pid].model), model_to_vector(r2[pid].model))
             assert r1[pid].report.rss_full == r2[pid].report.rss_full
+
+    def test_bit_identical_across_minibatch_sizes_and_workers(self):
+        # chunk widths differ (1, 2, 64 and the remainder) but no pair's
+        # arithmetic may depend on which pairs share its chunk
+        spec = SynthSpec(n_nodes=200, n_branches=2, n_x_vars=20, n_y_vars=10,
+                         n_causal_pairs=5, n_candidate_pairs=150, noise_sd=0.3, seed=1)
+        ds = generate(spec)
+        dataset = Dataset(x_values=ds.x_matrix, y_values=ds.y_matrix,
+                          x_names=ds.x_names, y_names=ds.y_names, pairs=ds.candidates)
+        ops = lagged_operators(ds.dag)
+
+        def run(minibatch_pairs, workers):
+            cfg = TrainConfig(n_layers=3, max_epochs=2, minibatch_pairs=minibatch_pairs,
+                              seed=0, convergence_numerator=0.0)
+            results = train_all(dataset, ops, cfg, workers=workers)
+            return {pid: (model_to_vector(r.model), r.report.per_node_full,
+                          r.report.per_node_reduced) for pid, r in results.items()}
+
+        reference = run(1024, 1)
+        for minibatch_pairs, workers in ((1, 1), (2, 1), (1024, 2)):
+            other = run(minibatch_pairs, workers)
+            assert other.keys() == reference.keys()
+            for pid, arrays in reference.items():
+                for a, b in zip(arrays, other[pid]):
+                    assert np.array_equal(a, b), (minibatch_pairs, workers, pid)
 
     def test_joint_equals_separate_training(self):
         # the two models share no parameters, so the joint run must
