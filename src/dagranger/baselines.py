@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import AllOneBin, DegenerateSampleSize
-from .score import _f_sf
 
 __all__ = [
     "BinnedSeries",
@@ -168,4 +168,4 @@ def var_granger(x_bins, y_bins, max_lag: int = 1) -> tuple[float, float]:
         return math.inf, 0.0
     numerator = max(rss_r - rss_u, 0.0) / L  # nesting: negative only via ridge noise
     f = numerator / (rss_u / df2)
-    return f, _f_sf(f, L, df2)
+    return f, float(special.fdtrc(L, df2, f))

@@ -16,18 +16,15 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from . import __version__, baselines, evaluate, graph, preprocess, score, synth, train
+from . import __version__, evaluate, graph, preprocess, score, synth, train
 from .errors import ConfigError, DataError, ParseError
 
 logger = logging.getLogger(__name__)
-
-METHODS = ("dagranger", "pearson", "pseudocell", "var-granger")
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,8 @@ class RunConfig:
             raise ConfigError("specify exactly one DAG source: --edges or --embedding")
         if have_embedding and self.pseudotime is None:
             raise ConfigError("--embedding requires --pseudotime")
-        if self.method not in METHODS + ("all",):
-            raise ConfigError(f"method must be one of {METHODS + ('all',)}")
+        if self.method not in score.METHODS + ("all",):
+            raise ConfigError(f"method must be one of {score.METHODS + ('all',)}")
 
 
 def _sha256(path) -> str:
@@ -200,78 +197,6 @@ def _build_dag_for_run(cfg: RunConfig, n_nodes: int, pt):
     return dag, neighbor_edges, coords
 
 
-def _score_records_dagranger(dataset, results, cfg: RunConfig) -> list[dict]:
-    pair_scores = []
-    for pid in sorted(results):
-        rep = results[pid].report
-        pair_scores.append(score.score_pair(
-            pid, rep.per_node_full, rep.per_node_reduced, cfg.n_layers))
-    ranking = score.rank_pairs(pair_scores, mode=cfg.rank_mode)
-    rank_of = {pid: r + 1 for r, (pid, _) in enumerate(ranking.entries)}
-    by_id = {s.pair_id: s for s in pair_scores}
-    records = []
-    for pid in sorted(results):
-        s = by_id[pid]
-        xi, yi = dataset.pairs[pid]
-        records.append({
-            "pair_id": pid,
-            "x_name": dataset.x_names[xi],
-            "y_name": dataset.y_names[yi],
-            "method": "dagranger",
-            "f_stat": s.f_stat,
-            "f_pvalue": s.f_pvalue,
-            "t_stat": s.t_stat,
-            "t_pvalue": s.t_pvalue,
-            "df1": s.df1,
-            "df2": s.df2,
-            "score": s.score,
-            "rank": rank_of[pid],
-            "flags": list(s.flags),
-        })
-    return records
-
-
-def _attach_ranks(records: list[dict]) -> None:
-    order = sorted(records, key=lambda r: (-r["score"], r["pair_id"]))
-    for rank, rec in enumerate(order, start=1):
-        rec["rank"] = rank
-
-
-def _score_records_baseline(dataset, neighbor_edges, coords, pt, cfg: RunConfig,
-                            method: str) -> list[dict]:
-    records: list[dict] = []
-    if method == "pseudocell":
-        x_all = baselines.pseudocell_smooth(
-            dataset.x_values, neighbor_edges, cfg.pseudocell_neighborhood, coords=coords)
-        y_all = baselines.pseudocell_smooth(
-            dataset.y_values, neighbor_edges, cfg.pseudocell_neighborhood, coords=coords)
-    else:
-        x_all, y_all = dataset.x_values, dataset.y_values
-
-    for pid, (xi, yi) in enumerate(dataset.pairs):
-        rec = {
-            "pair_id": pid,
-            "x_name": dataset.x_names[xi],
-            "y_name": dataset.y_names[yi],
-            "method": method,
-        }
-        if method in ("pearson", "pseudocell"):
-            r = baselines.pearson(x_all[:, xi], y_all[:, yi])
-            rec["r"] = r
-            rec["score"] = abs(r)
-        elif method == "var-granger":
-            if pt is None:
-                raise ConfigError("var-granger needs --pseudotime")
-            binned = baselines.bin_by_pseudotime(x_all[:, xi], y_all[:, yi], pt)
-            f, p = baselines.var_granger(binned.x_bins, binned.y_bins, cfg.var_max_lag)
-            rec["f_stat"] = f
-            rec["f_pvalue"] = p
-            rec["score"] = math.inf if p <= 0.0 else -math.log10(p)
-        records.append(rec)
-    _attach_ranks(records)
-    return records
-
-
 def cmd_run(cfg: RunConfig) -> int:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -298,19 +223,17 @@ def cmd_run(cfg: RunConfig) -> int:
         dag, neighbor_edges, coords = _build_dag_for_run(cfg, dataset.n_nodes, pt)
         ops = graph.lagged_operators(dag)
 
-    methods = list(METHODS) if cfg.method == "all" else [cfg.method]
+    tcfg = train.TrainConfig(**{
+        f.name: getattr(cfg, f.name) for f in fields(train.TrainConfig) if hasattr(cfg, f.name)
+    })
+    methods = list(score.METHODS) if cfg.method == "all" else [cfg.method]
     for method in methods:
         with manifest.stage(method) as st:
-            if method == "dagranger":
-                tcfg = train.TrainConfig(**{
-                    f.name: getattr(cfg, f.name)
-                    for f in fields(train.TrainConfig) if hasattr(cfg, f.name)
-                })
-                results = train.train_all(dataset, ops, tcfg, workers=cfg.workers)
-                records = _score_records_dagranger(dataset, results, cfg)
-            else:
-                records = _score_records_baseline(
-                    dataset, neighbor_edges, coords, pt, cfg, method)
+            records = score.score_dataset(
+                dataset, method, ops=ops, neighbor_edges=neighbor_edges, coords=coords,
+                pseudotime=pt, config=tcfg, workers=cfg.workers, rank_mode=cfg.rank_mode,
+                var_max_lag=cfg.var_max_lag,
+                pseudocell_neighborhood=cfg.pseudocell_neighborhood)
             out_path = outdir / f"scores_{method.replace('-', '_')}.jsonl"
             score.write_score_records(out_path, records)
             st.add(out_path)
@@ -467,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--embedding")
     p_run.add_argument("--pseudotime")
     p_run.add_argument("--k", type=int)
-    p_run.add_argument("--method", choices=METHODS + ("all",))
+    p_run.add_argument("--method", choices=score.METHODS + ("all",))
     p_run.add_argument("--workers", type=int)
     p_run.add_argument("--learning-rate", type=float)
     p_run.add_argument("--max-epochs", type=int)
@@ -477,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--convergence-numerator", type=float)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--link", choices=("identity", "exponential"))
-    p_run.add_argument("--rank-mode", choices=("f", "welch"))
+    p_run.add_argument("--rank-mode", choices=score.RANK_MODES)
     p_run.add_argument("--var-max-lag", type=int)
     p_run.add_argument("--pseudocell-neighborhood", type=int)
 

@@ -16,9 +16,8 @@ Both are stored column-compressed (CSC) with sorted indices, so ``M.T @ v``
 is a row-by-row product over a CSR view. Each output entry is a sum that
 starts from zero and adds its terms in stored index order; that fixed order
 makes results reproducible bit for bit, and it does not depend on the other
-columns of v. Training also needs ``M @ g``; it makes CSR copies for those
-products (``train._adjoint_operators``), which add each output entry's terms
-in the same order as the CSC product.
+columns of v. Training also needs the adjoint products ``M @ g``, which it
+takes on the same CSC matrices.
 """
 from __future__ import annotations
 

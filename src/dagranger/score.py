@@ -1,4 +1,4 @@
-"""Statistical comparison of full vs reduced models and pair ranking.
+"""Statistical comparison of full vs reduced models, and the scoring of a dataset.
 
 Two tests are offered over the per-node loss terms of a trained pair:
 
@@ -8,8 +8,10 @@ Two tests are offered over the per-node loss terms of a trained pair:
 * a one-tailed Welch's t-test with the alternative that the full model's
   mean per-node loss is smaller.
 
-Both p-values run through one regularized-incomplete-beta kernel so the
-package has no runtime dependency on external CDF tables.
+Their p-values come from ``scipy.special`` (``fdtrc``, ``stdtr``).
+``score_dataset`` turns a dataset into the score records of one method
+(dagranger or one of the baselines), and ``rank_pairs`` ranks every
+method's records by one rule: descending ``score``, ties by pair id.
 """
 from __future__ import annotations
 
@@ -18,107 +20,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from .errors import DegenerateSampleSize, DomainError
+from . import baselines, train
+from .errors import ConfigError, DegenerateSampleSize, DomainError
 
 __all__ = [
+    "METHODS",
+    "RANK_MODES",
     "PairScore",
-    "Ranking",
-    "incomplete_beta",
     "f_test",
     "welch_t",
     "score_pair",
+    "score_dataset",
     "rank_pairs",
     "write_score_records",
     "read_score_records",
 ]
 
-_CF_MAX_ITER = 500
-_CF_EPS = 3e-16
-_CF_TINY = 1e-300
-
-
-def _beta_continued_fraction(x: float, a: float, b: float) -> float:
-    """Modified Lentz evaluation of the continued fraction for I_x(a, b)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            break
-    return h
-
-
-def incomplete_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b), absolute error below 1e-12.
-
-    Uses the continued-fraction expansion on whichever of I_x(a, b) and
-    1 - I_{1-x}(b, a) converges fast, switching at x = (a+1)/(a+b+2).
-    """
-    if not (0.0 <= x <= 1.0) or math.isnan(x):
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"a and b must be positive, got a={a}, b={b}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(x, a, b) / a
-    return 1.0 - front * _beta_continued_fraction(1.0 - x, b, a) / b
-
-
-def _f_sf(f: float, df1: float, df2: float) -> float:
-    """Upper tail P(F >= f) of the F distribution."""
-    if f <= 0.0:
-        return 1.0
-    if math.isinf(f):
-        return 0.0
-    return incomplete_beta(df2 / (df2 + df1 * f), df2 / 2.0, df1 / 2.0)
-
-
-def _t_cdf(t: float, df: float) -> float:
-    """Lower tail P(T <= t) of Student's t with ``df`` degrees of freedom."""
-    if math.isinf(t):
-        return 0.0 if t < 0 else 1.0
-    tail = 0.5 * incomplete_beta(df / (df + t * t), df / 2.0, 0.5)
-    return tail if t <= 0.0 else 1.0 - tail
+METHODS = ("dagranger", "pearson", "pseudocell", "var-granger")
+RANK_MODES = ("f", "welch")
 
 
 def f_test(rss_reduced: float, rss_full: float, n: int, L: int) -> tuple[float, float]:
@@ -143,7 +64,7 @@ def f_test(rss_reduced: float, rss_full: float, n: int, L: int) -> tuple[float, 
     if numerator <= 0.0:
         return 0.0, 1.0
     f = numerator / (rss_full / df2)
-    return f, _f_sf(f, df1, df2)
+    return f, float(special.fdtrc(df1, df2, f))
 
 
 def welch_t(losses_full, losses_reduced) -> tuple[float, float]:
@@ -172,19 +93,18 @@ def welch_t(losses_full, losses_reduced) -> tuple[float, float]:
     se2 = af + ar
     t = (mf - mr) / math.sqrt(se2)
     df = se2 * se2 / (af * af / (nf - 1) + ar * ar / (nr - 1))
-    return t, _t_cdf(t, df)
+    return t, float(special.stdtr(df, t))
 
 
 @dataclass(frozen=True)
 class PairScore:
-    """All per-pair test outputs plus the default ranking score (the F-statistic)."""
+    """The outputs of both tests on one pair."""
 
     pair_id: int
     f_stat: float
     f_pvalue: float
     t_stat: float
     t_pvalue: float
-    score: float
     df1: int
     df2: int
     flags: tuple[str, ...] = ()
@@ -210,45 +130,84 @@ def score_pair(pair_id: int, per_node_full, per_node_reduced, L: int) -> PairSco
         f_pvalue=f_p,
         t_stat=t_stat,
         t_pvalue=t_p,
-        score=f_stat,
         df1=2 * L + 1,
         df2=n - 4 * L - 1,
         flags=tuple(flags),
     )
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """Pairs ordered by descending score; equal scores order by pair id."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        scores = [s for (_, s) in self.entries]
-        if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
-            raise ValueError("ranking scores must be non-increasing")
-
-    def pair_ids(self) -> list[int]:
-        return [pid for (pid, _) in self.entries]
+def _significance(p: float) -> float:
+    """-log10(p), infinite at p = 0: the score of a pair ranked by a p-value."""
+    return math.inf if p <= 0.0 else -math.log10(p)
 
 
-def _neg_log10(p: float) -> float:
-    if p <= 0.0:
-        return math.inf
-    return -math.log10(p)
+def score_dataset(dataset, method: str, *, ops, neighbor_edges, coords, pseudotime,
+                  config, workers: int, rank_mode: str, var_max_lag: int,
+                  pseudocell_neighborhood: int) -> list[dict]:
+    """The ranked score records of one method, one per scored pair in pair-id order.
 
+    Every record has ``pair_id``, ``x_name``, ``y_name``, ``method``, ``score``
+    and ``rank``; ``rank_pairs`` sets ``rank`` from ``score``. The other fields:
 
-def rank_pairs(scores, mode: str = "f") -> Ranking:
-    """Order PairScores descending by F-statistic (mode "f") or by
-    -log10 of the Welch p-value (mode "welch")."""
-    if mode == "f":
-        keyed = [(s.f_stat, s.pair_id) for s in scores]
-    elif mode == "welch":
-        keyed = [(_neg_log10(s.t_pvalue), s.pair_id) for s in scores]
+    * dagranger trains every pair (``train.train_all`` with ``config`` on
+      ``ops`` and ``workers`` threads) and adds both tests' statistics,
+      p-values, degrees of freedom and ``flags``. ``score`` is ``f_stat``
+      when ``rank_mode`` is "f" and -log10(``t_pvalue``) when it is "welch".
+      Pairs that went non-finite in training have no record.
+    * pearson and pseudocell add the correlation ``r``, and ``score`` is |r|;
+      pseudocell first averages each node over up to
+      ``pseudocell_neighborhood`` of its ``neighbor_edges`` neighbours
+      (nearest first when ``coords`` are given).
+    * var-granger bins each pair over ``pseudotime`` and adds the VAR F-test's
+      ``f_stat`` and ``f_pvalue`` with ``var_max_lag`` lags; ``score`` is
+      -log10(``f_pvalue``).
+    """
+    if method not in METHODS:
+        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    if rank_mode not in RANK_MODES:
+        raise ConfigError(f"rank mode must be one of {RANK_MODES}, got {rank_mode!r}")
+    records: list[dict] = []
+
+    def add(pid: int, **fields) -> None:
+        xi, yi = dataset.pairs[pid]
+        records.append({"pair_id": pid, "x_name": dataset.x_names[xi],
+                        "y_name": dataset.y_names[yi], "method": method, **fields})
+
+    if method == "dagranger":
+        results = train.train_all(dataset, ops, config, workers=workers)
+        for pid in sorted(results):
+            rep = results[pid].report
+            s = score_pair(pid, rep.per_node_full, rep.per_node_reduced, config.n_layers)
+            add(pid, f_stat=s.f_stat, f_pvalue=s.f_pvalue, t_stat=s.t_stat,
+                t_pvalue=s.t_pvalue, df1=s.df1, df2=s.df2, flags=list(s.flags),
+                score=s.f_stat if rank_mode == "f" else _significance(s.t_pvalue))
+    elif method == "var-granger":
+        if pseudotime is None:
+            raise ConfigError("var-granger needs --pseudotime")
+        for pid, (xi, yi) in enumerate(dataset.pairs):
+            binned = baselines.bin_by_pseudotime(
+                dataset.x_values[:, xi], dataset.y_values[:, yi], pseudotime)
+            f, p = baselines.var_granger(binned.x_bins, binned.y_bins, var_max_lag)
+            add(pid, f_stat=f, f_pvalue=p, score=_significance(p))
     else:
-        raise ValueError(f"mode must be 'f' or 'welch', got {mode!r}")
-    order = sorted(keyed, key=lambda ks: (-ks[0], ks[1]))
-    return Ranking(entries=tuple((pid, key) for (key, pid) in order))
+        x_all, y_all = dataset.x_values, dataset.y_values
+        if method == "pseudocell":
+            x_all = baselines.pseudocell_smooth(
+                x_all, neighbor_edges, pseudocell_neighborhood, coords=coords)
+            y_all = baselines.pseudocell_smooth(
+                y_all, neighbor_edges, pseudocell_neighborhood, coords=coords)
+        for pid, (xi, yi) in enumerate(dataset.pairs):
+            r = baselines.pearson(x_all[:, xi], y_all[:, yi])
+            add(pid, r=r, score=abs(r))
+    rank_pairs(records)
+    return records
+
+
+def rank_pairs(records: list[dict]) -> None:
+    """Set each record's 1-based ``rank``: descending ``score``, ties by ``pair_id``."""
+    order = sorted(records, key=lambda r: (-r["score"], r["pair_id"]))
+    for rank, rec in enumerate(order, start=1):
+        rec["rank"] = rank
 
 
 def write_score_records(path, records) -> None:

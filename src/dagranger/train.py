@@ -23,9 +23,9 @@ pairs share its chunk and a thread pool over chunks changes wall time only.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -58,15 +58,13 @@ __all__ = [
     "train_all",
     "model_to_vector",
     "vector_to_model",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 logger = logging.getLogger(__name__)
 
-# Columns processed per vectorized slab. Neither minibatch size nor worker
-# count changes any floating-point result, only scheduling. At 64 columns an
-# (n, m) block of 2,000 nodes is 1 MB and fits a core's L2 cache.
+# Columns in flight at once, split among the workers. Neither minibatch size
+# nor worker count changes any floating-point result, only scheduling. At 64
+# columns an (n, m) block of 2,000 nodes is 1 MB and fits a core's L2 cache.
 _CHUNK = 64
 
 _GLOROT_BOUND = math.sqrt(3.0)  # sqrt(6 / (fan_in + fan_out)) with both fans 1
@@ -230,17 +228,7 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.sum(a, axis=0)
 
 
-def _adjoint_operators(ops: LaggedOperators) -> LaggedOperators:
-    """CSR copies of ``a`` and ``a_plus`` for the adjoint products ``M @ g``.
-
-    ``tocsr`` sorts each row by column, so a CSR product gathers each output
-    row's terms in the order in which the CSC product scatters them into it,
-    and the copies give the same bits.
-    """
-    return LaggedOperators(a=ops.a.tocsr(), a_plus=ops.a_plus.tocsr(), n=ops.n)
-
-
-def _encoder_backward_batch(dh, inputs, adjoints, w, b, lag_hops):
+def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops):
     """Reverse pass of a batch of encoders given d(loss)/d(h_tilde), all (n, m).
 
     ``inputs`` are the layer inputs u = M.T h_prev kept by the forward pass;
@@ -266,19 +254,18 @@ def _encoder_backward_batch(dh, inputs, adjoints, w, b, lag_hops):
         db[ell - 1] = _column_sums(dz)
         if ell > 1:
             np.multiply(dz, w[ell - 1][None, :], out=dz)
-            g = _layer_op(adjoints, ell, lag_hops) @ dz
+            g = _layer_op(ops, ell, lag_hops) @ dz
             np.add(dh_mean, g, out=g)
     return dw, db
 
 
-def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, adjoints, lag_hops, link,
-                            component, want_grads):
+def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, component,
+                            want_grads):
     """Losses (and optionally gradients) for one column chunk of pairs.
 
     ``lagged_x`` and ``lagged_y`` are ``strict_lag`` of the chunk's x and y
-    columns, Y the y columns themselves, all (n, m); ``adjoints`` is
-    ``_adjoint_operators(ops)``. ``theta`` is (6L+1, m) in
-    ``model_to_vector``'s layout, one column per pair. Returns (rss_full,
+    columns, Y the y columns themselves, all (n, m). ``theta`` is (6L+1, m)
+    in ``model_to_vector``'s layout, one column per pair. Returns (rss_full,
     rss_reduced, per_node_full, per_node_reduced, grads, ok): grads is
     (6L+1, m) in the same layout, zero in the rows that ``component`` does
     not train, and ok flags pairs whose forward and backward passes stayed
@@ -317,15 +304,15 @@ def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, adjoints, lag_hop
                 d_full = d_full * yhat_full
             grads[6 * L] = _column_sums(d_full * h_xf)
             grads[0:L], grads[L : 2 * L] = _encoder_backward_batch(
-                d_full, u_yf, adjoints, w_yf, b_yf, lag_hops)
+                d_full, u_yf, ops, w_yf, b_yf, lag_hops)
             grads[2 * L : 3 * L], grads[3 * L : 4 * L] = _encoder_backward_batch(
-                c[None, :] * d_full, u_xf, adjoints, w_xf, b_xf, lag_hops)
+                c[None, :] * d_full, u_xf, ops, w_xf, b_xf, lag_hops)
         if keep_reduced:
             d_reduced = 2.0 * res_reduced
             if link == "exponential":
                 d_reduced = d_reduced * yhat_reduced
             grads[4 * L : 5 * L], grads[5 * L : 6 * L] = _encoder_backward_batch(
-                d_reduced, u_yr, adjoints, w_yr, b_yr, lag_hops)
+                d_reduced, u_yr, ops, w_yr, b_yr, lag_hops)
         ok &= np.isfinite(grads).all(axis=0)
     return rss_full, rss_reduced, per_node_full, per_node_reduced, grads, ok
 
@@ -337,8 +324,7 @@ def _single_pair(x, y, ops, m: PairModel, want_grads: bool):
     X, Y = _as_column(x, ops), _as_column(y, ops)
     return _chunk_forward_backward(
         strict_lag(X, ops), strict_lag(Y, ops), Y, model_to_vector(m)[:, None], ops,
-        _adjoint_operators(ops) if want_grads else None, m.lag_hops, m.link, "both",
-        want_grads)
+        m.lag_hops, m.link, "both", want_grads)
 
 
 def pair_loss(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, m: PairModel) -> LossReport:
@@ -409,26 +395,36 @@ def train_all(
     y_used, y_at = np.unique(y_cols, return_inverse=True)
     lagged_x = strict_lag(dataset.x_values[:, x_used], ops)
     lagged_y = strict_lag(dataset.y_values[:, y_used], ops)
-    adjoints = _adjoint_operators(ops)
 
     def run_chunks(ids, want_grads):
         """(cols, kernel result) for each fixed-size chunk of ``ids``, in order.
 
-        On one worker the chunks run lazily, one at a time as the caller
-        consumes them, so only one chunk's state is alive at once.
+        Chunks run lazily as the caller consumes them. One worker runs
+        ``_CHUNK``-column chunks one at a time; a pool of ``workers`` threads
+        keeps at most ``workers`` chunks of ``_CHUNK // workers`` columns in
+        flight, so the state held by running chunks does not grow with the
+        worker count.
         """
         def task(cols):
             # np.take gathers into C order, in which _column_sums adds rows
             return cols, _chunk_forward_backward(
                 np.take(lagged_x, x_at[cols], axis=1), np.take(lagged_y, y_at[cols], axis=1),
                 np.take(dataset.y_values, y_cols[cols], axis=1), np.take(theta, cols, axis=1),
-                ops, adjoints, config.lag_hops, config.link, component, want_grads)
+                ops, config.lag_hops, config.link, component, want_grads)
 
-        chunks = [ids[i : i + _CHUNK] for i in range(0, ids.size, _CHUNK)]
+        width = max(1, _CHUNK // workers)
+        chunks = [ids[i : i + width] for i in range(0, ids.size, width)]
         if workers <= 1 or len(chunks) <= 1:
-            return map(task, chunks)
+            yield from map(task, chunks)
+            return
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, chunks))
+            pending = deque()
+            for cols in chunks:
+                if len(pending) == workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(task, cols))
+            while pending:
+                yield pending.popleft().result()
 
     prev_loss = None
     for epoch in range(config.max_epochs):
@@ -484,7 +480,7 @@ def train_all(
     return results
 
 
-# --- checkpoints --------------------------------------------------------------
+# --- parameter layout ---------------------------------------------------------
 
 
 def model_to_vector(m: PairModel) -> np.ndarray:
@@ -510,29 +506,3 @@ def vector_to_model(vec: np.ndarray, L: int, lag_hops: int = 1, link: str = "ide
         lag_hops=lag_hops,
         link=link,
     )
-
-
-def save_checkpoint(path, results: dict[int, TrainedPair], config: TrainConfig,
-                    step: int) -> None:
-    """JSON map pair id -> parameter vector (layout above) + optimizer step count."""
-    payload = {
-        "n_layers": config.n_layers,
-        "lag_hops": config.lag_hops,
-        "link": config.link,
-        "step": step,
-        "pairs": {
-            str(k): list(map(float, model_to_vector(tp.model))) for k, tp in results.items()
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-
-
-def load_checkpoint(path) -> dict[int, PairModel]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    L = payload["n_layers"]
-    return {
-        int(k): vector_to_model(np.array(vec), L, payload["lag_hops"], payload["link"])
-        for k, vec in payload["pairs"].items()
-    }

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from dagranger.baselines import bin_by_pseudotime, pearson, pseudocell_smooth, var_granger
-from dagranger.cli import main as cli_main
+from dagranger.baselines import var_granger
+from dagranger.cli import RunConfig, main as cli_main
 from dagranger.evaluate import auprc, auroc
 from dagranger.graph import LaggedOperators, lagged_operators
 from dagranger.model import EncoderParams, PairModel, encode_history
-from dagranger.score import incomplete_beta, score_pair
+from dagranger.score import METHODS, f_test, score_dataset, welch_t
 from dagranger.synth import SynthSpec, generate
 from dagranger.train import (
     Dataset,
@@ -54,43 +54,32 @@ def scenario_spec(dropout: float, seed: int) -> SynthSpec:
 
 
 def run_recovery(dropout: float, seed: int, workers: int = 1):
-    """Train with paper-default hyperparameters; score all four methods."""
+    """Score all four methods as ``dagranger run`` does, with its defaults."""
     ds = generate(scenario_spec(dropout, seed))
-    ops = lagged_operators(ds.dag)
     dataset = Dataset(x_values=ds.x_matrix, y_values=ds.y_matrix,
                       x_names=ds.x_names, y_names=ds.y_names, pairs=ds.candidates)
+    ops = lagged_operators(ds.dag)
     cfg = TrainConfig(seed=0)  # defaults: lr 1e-3, 20 epochs, minibatch 1024, L=10
-    results = train_all(dataset, ops, cfg, workers=workers)
-    pair_scores = [
-        score_pair(pid, r.report.per_node_full, r.report.per_node_reduced, cfg.n_layers)
-        for pid, r in sorted(results.items())
-    ]
-    labels = [dataset.pairs[s.pair_id] in ds.truth for s in pair_scores]
-
-    methods = {"dagranger": [s.f_stat for s in pair_scores]}
-    methods["pearson"] = [
-        abs(pearson(ds.x_matrix[:, xi], ds.y_matrix[:, yi])) for xi, yi in dataset.pairs
-    ]
-    xs = pseudocell_smooth(ds.x_matrix, ds.dag.edges, 50)
-    ys = pseudocell_smooth(ds.y_matrix, ds.dag.edges, 50)
-    methods["pseudocell"] = [
-        abs(pearson(xs[:, xi], ys[:, yi])) for xi, yi in dataset.pairs
-    ]
-    vg = []
-    for xi, yi in dataset.pairs:
-        binned = bin_by_pseudotime(ds.x_matrix[:, xi], ds.y_matrix[:, yi], ds.pseudotime)
-        _, p = var_granger(binned.x_bins, binned.y_bins, 1)
-        vg.append(math.inf if p <= 0.0 else -math.log10(p))
-    methods["var_granger"] = vg
-
-    auprcs = {name: auprc(vals, labels) for name, vals in methods.items()}
-    welch_scores = [
-        math.inf if s.t_pvalue <= 0.0 else -math.log10(s.t_pvalue) for s in pair_scores
-    ]
+    records = {
+        method: score_dataset(
+            dataset, method, ops=ops, neighbor_edges=ds.dag.edges, coords=None,
+            pseudotime=ds.pseudotime, config=cfg, workers=workers,
+            rank_mode=RunConfig.rank_mode, var_max_lag=RunConfig.var_max_lag,
+            pseudocell_neighborhood=RunConfig.pseudocell_neighborhood)
+        for method in METHODS
+    }
+    auprcs = {
+        method.replace("-", "_"): auprc([r["score"] for r in recs],
+                                        [dataset.pairs[r["pair_id"]] in ds.truth for r in recs])
+        for method, recs in records.items()
+    }
+    dagranger = records["dagranger"]
     return {
         "auprc": auprcs,
-        "f_scores": methods["dagranger"],
-        "welch_scores": welch_scores,
+        "f_scores": [r["f_stat"] for r in dagranger],
+        "welch_scores": [
+            math.inf if r["t_pvalue"] <= 0.0 else -math.log10(r["t_pvalue"]) for r in dagranger
+        ],
     }
 
 
@@ -317,22 +306,34 @@ def test_criterion_8_test_agreement(recovery_05):
 
 
 def test_criterion_9_statistical_kernels():
+    from test_score import welch_oracle
+
     t0 = time.time()
-    # incomplete beta vs high-precision quadrature on a 100-point grid;
-    # substituting u = t^a removes the endpoint singularity for a < 1
+    # the F-test and Welch p-values that go into score files, against
+    # high-precision mpmath oracles at 100 random points each; a third of the
+    # Welch points have |t| < 1e-6, where the tail is closest to 0.5
     mpmath.mp.dps = 30
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(100):
-        x = float(rng.uniform(0.005, 0.995))
-        a = float(rng.uniform(0.2, 30.0))
-        b = float(rng.uniform(0.2, 30.0))
-        integral = mpmath.quad(
-            lambda u: mpmath.power(1 - mpmath.power(u, 1.0 / a), b - 1),
-            [0, mpmath.power(x, a)],
-        ) / a
-        oracle = integral / mpmath.beta(a, b)
-        worst = max(worst, abs(incomplete_beta(x, a, b) - float(oracle)))
+        L = int(rng.integers(1, 11))
+        n = int(rng.integers(4 * L + 2, 5000))
+        rss_full = float(rng.uniform(0.1, 10.0))
+        rss_reduced = rss_full * float(1.0 + rng.uniform(0.0, 0.2) ** 2)
+        f, p = f_test(rss_reduced, rss_full, n, L)
+        df1, df2 = 2 * L + 1, n - 4 * L - 1
+        x = mpmath.mpf(df2) / (df2 + df1 * mpmath.mpf(f))
+        oracle = mpmath.betainc(df2 / 2, df1 / 2, 0, x, regularized=True)
+        worst = max(worst, abs(p - float(oracle)))
+    for i in range(100):
+        n = int(rng.integers(2, 3000))
+        full = rng.normal(size=n) * float(rng.uniform(0.5, 2.0))
+        reduced = rng.normal(size=int(rng.integers(2, 3000)))
+        t_target = float(rng.uniform(-1e-6, 1e-6) if i % 3 == 0 else rng.uniform(-6.0, 6.0))
+        se = math.sqrt(full.var(ddof=1) / full.size + reduced.var(ddof=1) / reduced.size)
+        reduced += full.mean() - reduced.mean() - t_target * se
+        _, p = welch_t(full, reduced)
+        worst = max(worst, abs(p - welch_oracle(full, reduced)[1]))
     # VAR Granger null calibration
     null_rng = np.random.default_rng(42)
     rejections = 0
@@ -344,7 +345,8 @@ def test_criterion_9_statistical_kernels():
     rate = rejections / 1000
     elapsed = time.time() - t0
     ok = worst < 1e-10 and 0.03 <= rate <= 0.07
-    report(9, ok, f"beta kernel worst abs err {worst:.1e}; null rejection rate {rate:.3f}; {elapsed:.0f}s")
+    report(9, ok, f"F and Welch p-value worst abs err {worst:.1e}; "
+                  f"null rejection rate {rate:.3f}; {elapsed:.0f}s")
 
 
 def test_criterion_10_metric_oracles():

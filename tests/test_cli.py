@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dagranger.cli import main
+from dagranger.evaluate import auprc, read_reference
 from dagranger.preprocess import write_matrix, write_pseudotime
 from dagranger.synth import SynthSpec, generate, write_dataset
 
@@ -317,6 +318,28 @@ class TestEvalCommand:
         assert 0.0 <= report["auprc"] <= 1.0
         assert 0.0 <= report["auroc"] <= 1.0
         assert report["n_true"] == len(ds.truth)
+
+    def test_welch_rank_mode_reaches_eval(self, bundle, tmp_path, capsys):
+        # in welch mode the score that eval reads is -log10(t_pvalue), so
+        # eval's AUPRC is the one of ranking the pairs by ascending t_pvalue
+        ds, paths, _ = bundle
+        outdir = tmp_path / "run"
+        code = run_cli("run", "--x-matrix", paths["x_matrix"], "--y-matrix",
+                       paths["y_matrix"], "--pairs", paths["pairs"],
+                       "--edges", paths["edges"], "--method", "dagranger",
+                       "--rank-mode", "welch", "--outdir", outdir)
+        assert code == 0
+        scores = outdir / "scores_dagranger.jsonl"
+        code = run_cli("eval", "--scores", scores, "--reference", paths["reference"],
+                       "--out", tmp_path / "metrics.json")
+        assert code == 0
+        truth = {pair: value == 0.0 for pair, value in read_reference(paths["reference"])}
+        records = [json.loads(l) for l in scores.read_text().splitlines()]
+        labeled = [r for r in records if (r["x_name"], r["y_name"]) in truth]
+        labels = [truth[(r["x_name"], r["y_name"])] for r in labeled]
+        expected = auprc([-r["t_pvalue"] for r in labeled], labels)
+        assert expected != auprc([r["f_stat"] for r in labeled], labels)  # the modes differ here
+        assert json.loads((tmp_path / "metrics.json").read_text())["auprc"] == expected
 
     def test_disjoint_reference_is_data_error(self, bundle, tmp_path):
         ds, paths, _ = bundle

@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagranger.errors import DegenerateSampleSize, DomainError
+from dagranger.errors import ConfigError, DegenerateSampleSize
+from dagranger.graph import lagged_operators
 from dagranger.score import (
-    PairScore,
-    Ranking,
     f_test,
-    incomplete_beta,
     rank_pairs,
     read_score_records,
+    score_dataset,
     score_pair,
     welch_t,
     write_score_records,
 )
+from dagranger.synth import SynthSpec, generate
+from dagranger.train import Dataset, TrainConfig
 
 
 def beta_quadrature(x, a, b):
@@ -28,42 +29,19 @@ def beta_quadrature(x, a, b):
     return float(mpmath.quad(density, [0, x]) / total)
 
 
-class TestIncompleteBeta:
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=50, deadline=None)
-    def test_uniform_case(self, x):
-        assert incomplete_beta(x, 1.0, 1.0) == pytest.approx(x, abs=1e-12)
-
-    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 7.5, 40.0])
-    def test_symmetric_midpoint(self, a):
-        assert incomplete_beta(0.5, a, a) == pytest.approx(0.5, abs=1e-12)
-
-    def test_against_quadrature_oracle(self):
-        # frozen from the quadrature oracle above
-        assert incomplete_beta(0.3, 2.0, 5.0) == pytest.approx(
-            beta_quadrature(0.3, 2.0, 5.0), abs=1e-12
-        )
-
-    @given(
-        st.floats(min_value=0.01, max_value=0.99),
-        st.floats(min_value=0.1, max_value=30.0),
-        st.floats(min_value=0.1, max_value=30.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_reflection_identity(self, x, a, b):
-        lhs = incomplete_beta(x, a, b)
-        rhs = 1.0 - incomplete_beta(1.0 - x, b, a)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            incomplete_beta(-0.1, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            incomplete_beta(0.5, 0.0, 1.0)
-
-    def test_endpoints(self):
-        assert incomplete_beta(0.0, 3.0, 4.0) == 0.0
-        assert incomplete_beta(1.0, 3.0, 4.0) == 1.0
+def welch_oracle(full, reduced):
+    """(t, P(T <= t)) of Welch's test, computed in 40-digit arithmetic from the samples."""
+    with mpmath.workdps(40):
+        f = [mpmath.mpf(float(v)) for v in full]
+        r = [mpmath.mpf(float(v)) for v in reduced]
+        mf, mr = mpmath.fsum(f) / len(f), mpmath.fsum(r) / len(r)
+        af = mpmath.fsum((v - mf) ** 2 for v in f) / (len(f) - 1) / len(f)
+        ar = mpmath.fsum((v - mr) ** 2 for v in r) / (len(r) - 1) / len(r)
+        t = (mf - mr) / mpmath.sqrt(af + ar)
+        df = (af + ar) ** 2 / (af ** 2 / (len(f) - 1) + ar ** 2 / (len(r) - 1))
+        # P(|T| <= |t|) is small near t = 0, so the oracle keeps its digits there
+        inner = mpmath.betainc(0.5, df / 2, 0, t * t / (df + t * t), regularized=True)
+        return float(t), float((1 + mpmath.sign(t) * inner) / 2)
 
 
 class TestFTest:
@@ -163,37 +141,97 @@ class TestWelchT:
         with pytest.raises(DegenerateSampleSize):
             welch_t(np.ones(1), np.ones(5))
 
+    @pytest.mark.parametrize("t_target", [4.527e-7, -4.527e-7, 1e-9, -0.3, 2.0, -6.0])
+    def test_matches_mpmath(self, rng, t_target):
+        # two samples of 2,000 with equal variances give df = 3998; near t = 0
+        # the tail must not round to exactly 0.5 (the true p at t = 4.527e-7
+        # is 0.5000001806)
+        full = rng.normal(size=2000)
+        se = math.sqrt(2.0 * full.var(ddof=1) / full.size)
+        reduced = full[::-1] - t_target * se
+        t, p = welch_t(full, reduced)
+        t_oracle, p_oracle = welch_oracle(full, reduced)
+        assert t == pytest.approx(t_oracle, rel=1e-6)
+        assert p == pytest.approx(p_oracle, rel=1e-10, abs=0.0)
+
+
+def tiny_scored(rank_mode="f", method="dagranger", pseudotime=True):
+    spec = SynthSpec(n_nodes=60, n_branches=1, depth=10, k_neighbors=2, n_x_vars=4,
+                     n_y_vars=3, n_causal_pairs=2, noise_sd=0.3, seed=0, n_candidate_pairs=6)
+    ds = generate(spec)
+    dataset = Dataset(x_values=ds.x_matrix, y_values=ds.y_matrix,
+                      x_names=ds.x_names, y_names=ds.y_names, pairs=ds.candidates)
+    return score_dataset(
+        dataset, method, ops=lagged_operators(ds.dag), neighbor_edges=ds.dag.edges,
+        coords=None, pseudotime=ds.pseudotime if pseudotime else None,
+        config=TrainConfig(n_layers=2, max_epochs=2, seed=0), workers=1,
+        rank_mode=rank_mode, var_max_lag=1, pseudocell_neighborhood=5)
+
 
 class TestRankPairs:
-    def _score(self, pid, f_stat, t_p=0.5):
-        return PairScore(
-            pair_id=pid, f_stat=f_stat, f_pvalue=0.1, t_stat=0.0,
-            t_pvalue=t_p, score=f_stat, df1=3, df2=10,
-        )
+    def _records(self, scores):
+        return [{"pair_id": pid, "score": s} for pid, s in scores]
 
     def test_descending_by_f(self):
-        ranking = rank_pairs([self._score(0, 2.0), self._score(1, 5.0)])
-        assert ranking.pair_ids() == [1, 0]
+        records = [{"pair_id": 0, "f_stat": 2.0, "score": 2.0},
+                   {"pair_id": 1, "f_stat": 5.0, "score": 5.0}]
+        rank_pairs(records)
+        assert [r["rank"] for r in records] == [2, 1]
 
     def test_tie_break_by_id(self):
-        ranking = rank_pairs([self._score(3, 2.0), self._score(1, 2.0)])
-        assert ranking.pair_ids() == [1, 3]
+        records = self._records([(3, 2.0), (1, 2.0), (2, math.inf)])
+        rank_pairs(records)
+        assert [r["rank"] for r in records] == [3, 2, 1]
 
     def test_welch_mode(self):
-        ranking = rank_pairs(
-            [self._score(0, 1.0, t_p=0.2), self._score(1, 9.0, t_p=0.9)],
-            mode="welch",
-        )
-        assert ranking.pair_ids() == [0, 1]
+        # the score is -log10 of the Welch p-value, and the rank follows it
+        records = tiny_scored(rank_mode="welch")
+        assert len(records) == 6
+        for r in records:
+            expected = math.inf if r["t_pvalue"] == 0.0 else -math.log10(r["t_pvalue"])
+            assert r["score"] == expected
+        by_rank = sorted(records, key=lambda r: r["rank"])
+        assert [r["t_pvalue"] for r in by_rank] == sorted(r["t_pvalue"] for r in records)
 
     def test_permutation_of_inputs(self, rng):
-        scores = [self._score(i, float(rng.random())) for i in range(30)]
-        ranking = rank_pairs(scores)
-        assert sorted(ranking.pair_ids()) == list(range(30))
+        records = self._records((i, float(rng.random())) for i in rng.permutation(30))
+        rank_pairs(records)
+        assert sorted(r["rank"] for r in records) == list(range(1, 31))
 
-    def test_monotone_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            Ranking(entries=((0, 1.0), (1, 2.0)))
+    def test_monotone_invariant_enforced(self, rng):
+        scores = rng.integers(0, 5, size=40).astype(float)
+        scores[::7] = math.inf
+        records = self._records(enumerate(scores))
+        rank_pairs(records)
+        by_rank = sorted(records, key=lambda r: r["rank"])
+        for a, b in zip(by_rank, by_rank[1:]):
+            assert a["score"] > b["score"] or (
+                a["score"] == b["score"] and a["pair_id"] < b["pair_id"])
+
+
+class TestScoreDataset:
+    def test_dagranger_f_mode_scores_are_f_stats(self):
+        records = tiny_scored()
+        assert [r["pair_id"] for r in records] == list(range(6))
+        assert all(r["score"] == r["f_stat"] and r["method"] == "dagranger"
+                   for r in records)
+
+    @pytest.mark.parametrize("method, field", [("pearson", "r"), ("pseudocell", "r"),
+                                               ("var-granger", "f_pvalue")])
+    def test_baselines_rank_by_score(self, method, field):
+        records = tiny_scored(method=method)
+        assert len(records) == 6 and all(field in r for r in records)
+        by_rank = sorted(records, key=lambda r: r["rank"])
+        assert all(a["score"] >= b["score"] for a, b in zip(by_rank, by_rank[1:]))
+
+    def test_var_granger_needs_pseudotime(self):
+        with pytest.raises(ConfigError):
+            tiny_scored(method="var-granger", pseudotime=False)
+
+    @pytest.mark.parametrize("method, rank_mode", [("nosuch", "f"), ("pearson", "nosuch")])
+    def test_unknown_method_or_rank_mode(self, method, rank_mode):
+        with pytest.raises(ConfigError):
+            tiny_scored(method=method, rank_mode=rank_mode)
 
 
 class TestScoreRecordsIo:
