@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -316,6 +317,13 @@ def cmd_eval(args) -> int:
     records = score.read_score_records(args.scores)
     if not records:
         raise DataError(f"{args.scores}: no score records")
+    for i, rec in enumerate(records, start=1):
+        names_ok = isinstance(rec.get("x_name"), str) and isinstance(rec.get("y_name"), str)
+        value = rec.get("score")
+        if (not names_ok or isinstance(value, bool) or not isinstance(value, (int, float))
+                or math.isnan(value)):
+            raise DataError(f"{args.scores}: record {i} needs string x_name and y_name "
+                            "and a numeric score")
     method = records[0].get("method", "unknown")
     reference = evaluate.read_reference(args.reference)
     candidates = [(r["x_name"], r["y_name"]) for r in records]

@@ -80,6 +80,8 @@ def _score_blocks(scores, labels):
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
     order = np.argsort(-scores, kind="stable")
     blocks: list[tuple[int, int]] = []
     i = 0

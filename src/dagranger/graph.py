@@ -40,7 +40,6 @@ __all__ = [
     "LaggedOperators",
     "build_dag",
     "lagged_operators",
-    "transpose_apply",
     "transpose_apply_batch",
     "read_edge_list",
     "write_edge_list",
@@ -147,23 +146,14 @@ def lagged_operators(dag: Dag) -> LaggedOperators:
     return LaggedOperators(a=a, a_plus=a_plus, n=n)
 
 
-def transpose_apply(op: sp.spmatrix, v: np.ndarray) -> np.ndarray:
-    """Return ``op.T @ v``.
+def transpose_apply_batch(op: sp.spmatrix, values: np.ndarray) -> np.ndarray:
+    """Return ``op.T @ values`` for an n-by-m batch.
 
     For the strict-lag operator this is, at each node, the in-degree
-    normalized mean of its parents' values (zero at parentless nodes).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != op.shape[0]:
-        raise DimensionMismatch(f"operator is {op.shape}, vector has shape {v.shape}")
-    return op.T @ v
-
-
-def transpose_apply_batch(op: sp.spmatrix, values: np.ndarray) -> np.ndarray:
-    """Column-wise ``transpose_apply``: returns ``op.T @ values`` for an n-by-m batch.
-
-    Each output column is bit-identical to the single-vector call because the
-    sparse product accumulates every column's terms in the same stored order.
+    normalized mean of its parents' values (zero at parentless nodes). Each
+    output column is bit-identical to the product with that column alone,
+    because the sparse product accumulates every column's terms in the same
+    stored order.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != op.shape[0]:

@@ -24,7 +24,6 @@ from .graph import LaggedOperators, transpose_apply_batch
 __all__ = [
     "EncoderParams",
     "PairModel",
-    "HistoryOutput",
     "encode_history",
     "encode_history_batch",
     "strict_lag",
@@ -87,14 +86,6 @@ class PairModel:
         return self.theta_y_full.n_layers
 
 
-@dataclass(frozen=True)
-class HistoryOutput:
-    """Encoder output: the layer mean, optionally with the per-layer outputs."""
-
-    h_tilde: np.ndarray
-    layers: np.ndarray | None = None
-
-
 def apply_link(s: np.ndarray, link: str) -> np.ndarray:
     if link == "identity":
         return s
@@ -122,14 +113,16 @@ def encode_history(
     p: EncoderParams,
     lag_hops: int = 1,
     keep_layers: bool = False,
-) -> HistoryOutput:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Run the L-layer lagged recurrence on one node-value vector.
 
     h(1) = tanh(w1 * A.T v + b1); subsequent layers apply tanh(w * M.T h + b)
     with M the strict-lag operator up to ``lag_hops`` and the self-retaining
-    operator beyond. Returns the mean of the L layer outputs. This is
-    ``encode_history_batch`` on a batch of width one; the layer outputs are
-    recomputed from its kept layer inputs, with the same arithmetic.
+    operator beyond. Returns (h_tilde, layers): the mean of the L layer
+    outputs and, with ``keep_layers``, the (L, n) layer outputs (else None).
+    This is ``encode_history_batch`` on a batch of width one; the layer
+    outputs are recomputed from its kept layer inputs, with the same
+    arithmetic.
     """
     h_tilde, inputs = encode_history_batch(
         _as_column(v, ops), ops, p.w[:, None], p.b[:, None], lag_hops, keep_inputs=keep_layers)
@@ -137,7 +130,7 @@ def encode_history(
     if inputs is not None:
         layers = np.stack([layer_output(u, p.w[i : i + 1], p.b[i : i + 1])[:, 0]
                            for i, u in enumerate(inputs)])
-    return HistoryOutput(h_tilde=h_tilde[:, 0], layers=layers)
+    return h_tilde[:, 0], layers
 
 
 def strict_lag(values: np.ndarray, ops: LaggedOperators) -> np.ndarray:
@@ -205,12 +198,12 @@ def predict_full(
     x: np.ndarray, y: np.ndarray, ops: LaggedOperators, m: PairModel
 ) -> np.ndarray:
     """Full-model prediction: link(enc(y) + c * enc(x))."""
-    h_y = encode_history(y, ops, m.theta_y_full, m.lag_hops).h_tilde
-    h_x = encode_history(x, ops, m.theta_x_full, m.lag_hops).h_tilde
+    h_y = encode_history(y, ops, m.theta_y_full, m.lag_hops)[0]
+    h_x = encode_history(x, ops, m.theta_x_full, m.lag_hops)[0]
     return apply_link(h_y + m.c * h_x, m.link)
 
 
 def predict_reduced(y: np.ndarray, ops: LaggedOperators, m: PairModel) -> np.ndarray:
     """Reduced-model prediction: link(enc(y)) from y's own history only."""
-    h_y = encode_history(y, ops, m.theta_y_reduced, m.lag_hops).h_tilde
+    h_y = encode_history(y, ops, m.theta_y_reduced, m.lag_hops)[0]
     return apply_link(h_y, m.link)

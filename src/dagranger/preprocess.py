@@ -1,4 +1,4 @@
-"""Count normalization and pseudotime-oriented DAG construction.
+"""Matrix and pseudotime files, and pseudotime-oriented DAG construction.
 
 The DAG over observations is built in two steps: a directed kNN graph on a
 precomputed embedding, then retention of exactly those edges that point in
@@ -20,10 +20,7 @@ from .graph import Dag, build_dag
 
 __all__ = [
     "ValueMatrix",
-    "CountMatrix",
     "Embedding",
-    "log_cpm",
-    "max_scale",
     "knn_graph",
     "orient_by_pseudotime",
     "read_matrix",
@@ -53,16 +50,6 @@ class ValueMatrix:
 
 
 @dataclass(frozen=True)
-class CountMatrix(ValueMatrix):
-    """ValueMatrix restricted to nonnegative entries (raw counts)."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if (self.values < 0).any():
-            raise DataError("count matrix contains negative entries")
-
-
-@dataclass(frozen=True)
 class Embedding:
     """Node coordinates in some latent space, plus one pseudotime stamp per node."""
 
@@ -84,33 +71,6 @@ class Embedding:
     @property
     def n_nodes(self) -> int:
         return self.coords.shape[0]
-
-
-def log_cpm(counts: CountMatrix, divisor: float) -> CountMatrix:
-    """ln(1 + CPM/divisor) per entry, with CPM computed against each row's total.
-
-    Rows with zero total count map to all zeros. Natural log throughout.
-    """
-    if divisor <= 0:
-        raise DataError(f"divisor must be positive, got {divisor}")
-    values = counts.values
-    totals = values.sum(axis=1)
-    nonzero = totals > 0
-    # fractions first: entries never exceed 1e6/divisor even for tiny totals
-    fractions = np.zeros_like(values)
-    fractions[nonzero] = values[nonzero] / totals[nonzero, None]
-    return CountMatrix(
-        values=np.log1p(fractions * (1e6 / divisor)),
-        var_names=counts.var_names,
-    )
-
-
-def max_scale(values: np.ndarray) -> np.ndarray:
-    """Divide each column by its own maximum; all-zero columns pass through."""
-    values = np.asarray(values, dtype=np.float64)
-    col_max = values.max(axis=0)
-    divisors = np.where(col_max != 0, col_max, 1.0)
-    return values / divisors
 
 
 def knn_graph(embedding: Embedding, k: int) -> list[tuple[int, int]]:
@@ -164,12 +124,15 @@ def read_matrix(path) -> ValueMatrix:
     """
     path = str(path)
     if path.endswith(".mtx"):
-        mat = scipy.io.mmread(path)
+        try:
+            mat = scipy.io.mmread(path)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not a MatrixMarket file ({exc})") from exc
         if sp.issparse(mat):
             mat = mat.toarray()
         values = np.asarray(mat, dtype=np.float64)
         names = tuple(f"v{j}" for j in range(values.shape[1]))
-        return ValueMatrix(values=values, var_names=names)
+        return _value_matrix(path, values, names)
 
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -198,7 +161,15 @@ def read_matrix(path) -> ValueMatrix:
                 raise ParseError(f"{path}:{lineno}: non-numeric entry") from exc
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return ValueMatrix(values=np.array(rows, dtype=np.float64), var_names=names)
+    return _value_matrix(path, np.array(rows, dtype=np.float64), names)
+
+
+def _value_matrix(path, values, names) -> ValueMatrix:
+    """``ValueMatrix(values, names)``, with ``path`` in the message of a rejection."""
+    try:
+        return ValueMatrix(values=values, var_names=names)
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_matrix(path, values: np.ndarray, var_names) -> None:
@@ -219,9 +190,12 @@ def read_pseudotime(path) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             try:
-                out.append(float(line))
+                value = float(line)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric pseudotime") from exc
+            if not np.isfinite(value):
+                raise NonFiniteInput(f"{path}:{lineno}: pseudotime is NaN or infinite")
+            out.append(value)
     if not out:
         raise ParseError(f"{path}: no pseudotime values")
     return np.array(out, dtype=np.float64)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from . import baselines, train
-from .errors import ConfigError, DegenerateSampleSize, DomainError
+from .errors import ConfigError, DegenerateSampleSize, DomainError, ParseError
 
 __all__ = [
     "METHODS",
@@ -67,6 +67,14 @@ def f_test(rss_reduced: float, rss_full: float, n: int, L: int) -> tuple[float, 
     return f, float(special.fdtrc(df1, df2, f))
 
 
+def _moments(losses) -> tuple[int, float, float]:
+    """(n, mean, sample variance) of one sample of per-node losses."""
+    a = np.asarray(losses, dtype=np.float64)
+    if a.shape[0] < 2:
+        raise DegenerateSampleSize("Welch's t-test needs at least 2 observations per sample")
+    return a.shape[0], float(a.mean()), float(a.var(ddof=1))
+
+
 def welch_t(losses_full, losses_reduced) -> tuple[float, float]:
     """One-tailed Welch's t-test that the full model's mean loss is smaller.
 
@@ -75,14 +83,12 @@ def welch_t(losses_full, losses_reduced) -> tuple[float, float]:
     evidence for the full model gives very negative t and tiny p. When both
     samples are constant: p = 1 if mean_full >= mean_reduced, else p = 0.
     """
-    lf = np.asarray(losses_full, dtype=np.float64)
-    lr = np.asarray(losses_reduced, dtype=np.float64)
-    nf, nr = lf.shape[0], lr.shape[0]
-    if nf < 2 or nr < 2:
-        raise DegenerateSampleSize("Welch's t-test needs at least 2 observations per sample")
-    mf, mr = float(lf.mean()), float(lr.mean())
-    vf = float(lf.var(ddof=1))
-    vr = float(lr.var(ddof=1))
+    return _welch_from_moments(_moments(losses_full), _moments(losses_reduced))
+
+
+def _welch_from_moments(full, reduced) -> tuple[float, float]:
+    """``welch_t`` from each sample's ``_moments``."""
+    (nf, mf, vf), (nr, mr, vr) = full, reduced
     if vf == 0.0 and vr == 0.0:
         if mf < mr:
             return -math.inf, 0.0
@@ -121,9 +127,10 @@ def score_pair(pair_id: int, per_node_full, per_node_reduced, L: int) -> PairSco
     if rss_full == 0.0:
         flags.append("zero_residual")
     f_stat, f_p = f_test(rss_reduced, rss_full, n, L)
-    if float(lf.var(ddof=1)) == 0.0 and float(lr.var(ddof=1)) == 0.0:
+    full, reduced = _moments(lf), _moments(lr)
+    if full[2] == 0.0 and reduced[2] == 0.0:
         flags.append("zero_variance_both")
-    t_stat, t_p = welch_t(lf, lr)
+    t_stat, t_p = _welch_from_moments(full, reduced)
     return PairScore(
         pair_id=pair_id,
         f_stat=f_stat,
@@ -219,10 +226,18 @@ def write_score_records(path, records) -> None:
 
 
 def read_score_records(path) -> list[dict]:
+    """The records of a score file; a line that is not a JSON object raises ParseError."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: not a JSON record ({exc})") from exc
+            if not isinstance(rec, dict):
+                raise ParseError(f"{path}:{lineno}: not a JSON object")
+            records.append(rec)
     return records

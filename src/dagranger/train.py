@@ -1,12 +1,17 @@
 """Fitting the full and reduced models of every candidate pair.
 
-Each pair owns its 6L+1 scalar parameters, so the total objective (the sum of
-full and reduced squared-error losses over all pairs) decomposes per pair and
-per model. Training still runs jointly for efficiency: pairs are shuffled
-into minibatches each epoch, a minibatch is evaluated as one batched forward/
-backward over shared sparse operators, and every pair in it takes one Adam
-step on its own gradient. Gradients are exact reverse accumulation through
-the tanh layers: tanh' = 1 - h^2, and the adjoint of each M.T product is the
+Each pair has 6L+1 scalar parameters, so the total objective (the sum of full
+and reduced squared-error losses over all pairs) decomposes per pair and per
+model. The reduced model sees only y's own history, so it depends on y and
+not on x: ``train_all`` keeps one reduced model per y variable (the reduced
+bank) and one full model per pair (the full bank). Every epoch the reduced
+bank takes one Adam step per y, then the pairs, shuffled into minibatches
+(seeded), are evaluated in chunks as one batched forward/backward of the full
+model over shared sparse operators, and each pair takes one Adam step on its
+own gradient. The pairs of one y start from one draw and take the same steps
+on the same gradients, so the bank gives each pair the bits that a copy of
+its own would have. Gradients are exact reverse accumulation through the
+tanh layers: tanh' = 1 - h^2, and the adjoint of each M.T product is the
 corresponding non-transposed M product.
 
 The kernel does each sparse product once. Layer 1's product ``a.T @ v`` does
@@ -19,7 +24,7 @@ Numerics are independent of minibatch size and worker count: batches are
 processed in fixed-size column chunks, every operation in the kernel treats
 each column on its own, and every sum over nodes adds rows in sequence at any
 chunk width (``_column_sums``), so a column's bits do not depend on which
-pairs share its chunk and a thread pool over chunks changes wall time only.
+columns share its chunk and a thread pool over chunks changes wall time only.
 """
 from __future__ import annotations
 
@@ -259,78 +264,72 @@ def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops):
     return dw, db
 
 
-def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, component,
-                            want_grads):
-    """Losses (and optionally gradients) for one column chunk of pairs.
+def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, want_grads):
+    """Losses (and optionally gradients) of one model for a chunk of m columns.
 
-    ``lagged_x`` and ``lagged_y`` are ``strict_lag`` of the chunk's x and y
-    columns, Y the y columns themselves, all (n, m). ``theta`` is (6L+1, m)
-    in ``model_to_vector``'s layout, one column per pair. Returns (rss_full,
-    rss_reduced, per_node_full, per_node_reduced, grads, ok): grads is
-    (6L+1, m) in the same layout, zero in the rows that ``component`` does
-    not train, and ok flags pairs whose forward and backward passes stayed
-    finite. Untrained components still produce losses so reports stay
-    complete.
+    With ``lagged_x`` the model is the full one, link(enc(y) + c * enc(x)),
+    and ``theta`` is (4L+1, m): the rows of ``model_to_vector``'s layout
+    without the reduced encoder (w, b of y, w, b of x, then c). With
+    ``lagged_x`` None it is the reduced one, link(enc(y)), and ``theta`` is
+    (2L, m): w, b of y. ``lagged_x`` and ``lagged_y`` are ``strict_lag`` of
+    the chunk's x and y columns, Y the y columns themselves, all (n, m).
+    Returns (rss, per_node, grads, ok): grads has ``theta``'s shape, and ok
+    flags columns whose forward and backward passes stayed finite.
     """
-    L = (theta.shape[0] - 1) // 6
-    w_yf, b_yf, w_xf, b_xf, w_yr, b_yr = (theta[i * L : (i + 1) * L] for i in range(6))
-    c = theta[6 * L]
-    keep_full = want_grads and component in ("both", "full")
-    keep_reduced = want_grads and component in ("both", "reduced")
+    full = lagged_x is not None
+    L = (theta.shape[0] - 1) // 4 if full else theta.shape[0] // 2
+    w_y, b_y = theta[:L], theta[L : 2 * L]
+    h_y, u_y = encode_history_batch(lagged_y, ops, w_y, b_y, lag_hops, want_grads, lagged=True)
+    s = h_y
+    if full:
+        w_x, b_x, c = theta[2 * L : 3 * L], theta[3 * L : 4 * L], theta[4 * L]
+        h_x, u_x = encode_history_batch(lagged_x, ops, w_x, b_x, lag_hops, want_grads,
+                                        lagged=True)
+        s = h_y + c[None, :] * h_x
+    yhat = apply_link(s, link)
+    ok = np.isfinite(yhat).all(axis=0)
 
-    h_yf, u_yf = encode_history_batch(lagged_y, ops, w_yf, b_yf, lag_hops, keep_full, lagged=True)
-    h_xf, u_xf = encode_history_batch(lagged_x, ops, w_xf, b_xf, lag_hops, keep_full, lagged=True)
-    h_yr, u_yr = encode_history_batch(
-        lagged_y, ops, w_yr, b_yr, lag_hops, keep_reduced, lagged=True)
-
-    s_full = h_yf + c[None, :] * h_xf
-    yhat_full = apply_link(s_full, link)
-    yhat_reduced = apply_link(h_yr, link)
-    ok = np.isfinite(yhat_full).all(axis=0) & np.isfinite(yhat_reduced).all(axis=0)
-
-    res_full = yhat_full - Y
-    res_reduced = yhat_reduced - Y
-    per_node_full = res_full * res_full
-    per_node_reduced = res_reduced * res_reduced
-    rss_full = _column_sums(per_node_full)
-    rss_reduced = _column_sums(per_node_reduced)
+    res = yhat - Y
+    per_node = res * res
+    rss = _column_sums(per_node)
 
     grads = None
     if want_grads:
-        grads = np.zeros_like(theta)
-        if keep_full:
-            d_full = 2.0 * res_full
-            if link == "exponential":
-                d_full = d_full * yhat_full
-            grads[6 * L] = _column_sums(d_full * h_xf)
-            grads[0:L], grads[L : 2 * L] = _encoder_backward_batch(
-                d_full, u_yf, ops, w_yf, b_yf, lag_hops)
+        grads = np.empty_like(theta)
+        d = 2.0 * res
+        if link == "exponential":
+            d = d * yhat
+        if full:
+            grads[4 * L] = _column_sums(d * h_x)
+        grads[:L], grads[L : 2 * L] = _encoder_backward_batch(d, u_y, ops, w_y, b_y, lag_hops)
+        if full:
             grads[2 * L : 3 * L], grads[3 * L : 4 * L] = _encoder_backward_batch(
-                c[None, :] * d_full, u_xf, ops, w_xf, b_xf, lag_hops)
-        if keep_reduced:
-            d_reduced = 2.0 * res_reduced
-            if link == "exponential":
-                d_reduced = d_reduced * yhat_reduced
-            grads[4 * L : 5 * L], grads[5 * L : 6 * L] = _encoder_backward_batch(
-                d_reduced, u_yr, ops, w_yr, b_yr, lag_hops)
+                c[None, :] * d, u_x, ops, w_x, b_x, lag_hops)
         ok &= np.isfinite(grads).all(axis=0)
-    return rss_full, rss_reduced, per_node_full, per_node_reduced, grads, ok
+    return rss, per_node, grads, ok
 
 
 # --- single-pair loss and gradients: the kernel at width one -------------------
 
 
 def _single_pair(x, y, ops, m: PairModel, want_grads: bool):
+    """The kernel's (full, reduced) results for one pair."""
     X, Y = _as_column(x, ops), _as_column(y, ops)
-    return _chunk_forward_backward(
-        strict_lag(X, ops), strict_lag(Y, ops), Y, model_to_vector(m)[:, None], ops,
-        m.lag_hops, m.link, "both", want_grads)
+    lagged_y = strict_lag(Y, ops)
+    full, reduced = _split_vector(model_to_vector(m)[:, None])
+    return (
+        _chunk_forward_backward(strict_lag(X, ops), lagged_y, Y, full, ops, m.lag_hops, m.link,
+                                want_grads),
+        _chunk_forward_backward(None, lagged_y, Y, reduced, ops, m.lag_hops, m.link,
+                                want_grads),
+    )
 
 
 def pair_loss(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, m: PairModel) -> LossReport:
     """Per-node squared errors of the full and reduced predictions of one pair."""
-    _, _, per_node_full, per_node_reduced, _, ok = _single_pair(x, y, ops, m, want_grads=False)
-    if not ok[0]:
+    (_, per_node_full, _, ok_full), (_, per_node_reduced, _, ok_reduced) = _single_pair(
+        x, y, ops, m, want_grads=False)
+    if not (ok_full[0] and ok_reduced[0]):
         raise NonFinitePrediction("prediction overflowed (exponential link?)")
     return LossReport.from_per_node(per_node_full[:, 0], per_node_reduced[:, 0])
 
@@ -340,10 +339,11 @@ def pair_gradients(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, m: PairMo
 
     The (6L+1,) result is in ``model_to_vector``'s layout.
     """
-    *_, grads, ok = _single_pair(x, y, ops, m, want_grads=True)
-    if not ok[0]:
+    (*_, g_full, ok_full), (*_, g_reduced, ok_reduced) = _single_pair(
+        x, y, ops, m, want_grads=True)
+    if not (ok_full[0] and ok_reduced[0]):
         raise NonFiniteGradient("gradient contains NaN or infinity")
-    return grads[:, 0]
+    return _join_vector(g_full, g_reduced)[:, 0]
 
 
 # --- batched training ---------------------------------------------------------
@@ -360,12 +360,14 @@ def train_all(
 
     Pairs are shuffled into minibatches each epoch (seeded); every pair takes
     one Adam step per epoch. Training stops after ``max_epochs`` epochs or
-    when the relative change of the epoch-total loss drops below
-    ``convergence_numerator / n_pairs``. ``component`` restricts which model's
-    parameters are updated ("both", "full", "reduced"); because the models
-    share no parameters the restricted runs reproduce the joint run exactly.
-    Pairs whose forward or backward pass goes non-finite are dropped from the
-    results with a logged diagnostic.
+    when the relative change of the epoch-total loss (each pair's full and
+    reduced loss) drops below ``convergence_numerator / n_pairs``.
+    ``component`` restricts which model's parameters are updated ("both",
+    "full", "reduced"); because the models share no parameters the
+    restricted runs reproduce the joint run exactly. A pair whose full model
+    goes non-finite, or whose y's reduced model does, is dropped from the
+    results with a logged diagnostic. The reports of the pairs of one y share
+    one read-only ``per_node_reduced`` array.
     """
     if component not in ("both", "full", "reduced"):
         raise ConfigError(f"component must be both/full/reduced, got {component!r}")
@@ -374,18 +376,9 @@ def train_all(
 
     n_pairs = len(dataset.pairs)
     L = config.n_layers
+    train_full = component in ("both", "full")
+    train_reduced = component in ("both", "reduced")
     rng = np.random.default_rng(config.seed)
-    # All pairs' parameters, one column each in model_to_vector's layout. One
-    # Glorot draw is shared by every pair (common random numbers): pairs are
-    # compared against each other downstream, so giving each its own draw
-    # would only inject between-pair variance into the ranking.
-    theta = np.repeat(model_to_vector(glorot_init(L, rng))[:, None], n_pairs, axis=1)
-    adam = AdamState.zeros_like(theta)
-    trained_rows = {
-        "both": np.arange(6 * L + 1),
-        "full": np.r_[0 : 4 * L, 6 * L],
-        "reduced": np.arange(4 * L, 6 * L),
-    }[component]
     x_cols = np.fromiter((p[0] for p in dataset.pairs), dtype=np.int64, count=n_pairs)
     y_cols = np.fromiter((p[1] for p in dataset.pairs), dtype=np.int64, count=n_pairs)
     active = np.ones(n_pairs, dtype=bool)
@@ -395,8 +388,33 @@ def train_all(
     y_used, y_at = np.unique(y_cols, return_inverse=True)
     lagged_x = strict_lag(dataset.x_values[:, x_used], ops)
     lagged_y = strict_lag(dataset.y_values[:, y_used], ops)
+    # Two parameter banks, each with its own Adam state: the full model of
+    # every pair, one column per pair, and the reduced model of every y some
+    # pair uses, one column per y. The reduced model sees y alone, so the
+    # pairs of one y would train identical copies of it. One Glorot draw is
+    # shared by every column (common random numbers): pairs are compared
+    # against each other downstream, so giving each its own draw would only
+    # inject between-pair variance into the ranking.
+    init_full, init_reduced = _split_vector(model_to_vector(glorot_init(L, rng)))
+    full = np.repeat(init_full[:, None], n_pairs, axis=1)
+    reduced = np.repeat(init_reduced[:, None], y_used.size, axis=1)
+    full_adam = AdamState.zeros_like(full)
+    reduced_adam = AdamState.zeros_like(reduced)
 
-    def run_chunks(ids, want_grads):
+    def pair_chunk(cols, want_grads):
+        # np.take gathers into C order, in which _column_sums adds rows
+        return _chunk_forward_backward(
+            np.take(lagged_x, x_at[cols], axis=1), np.take(lagged_y, y_at[cols], axis=1),
+            np.take(dataset.y_values, y_cols[cols], axis=1), np.take(full, cols, axis=1),
+            ops, config.lag_hops, config.link, want_grads)
+
+    def bank_chunk(cols, want_grads):
+        return _chunk_forward_backward(
+            None, np.take(lagged_y, cols, axis=1),
+            np.take(dataset.y_values, y_used[cols], axis=1), np.take(reduced, cols, axis=1),
+            ops, config.lag_hops, config.link, want_grads)
+
+    def run_chunks(kernel, ids, want_grads):
         """(cols, kernel result) for each fixed-size chunk of ``ids``, in order.
 
         Chunks run lazily as the caller consumes them. One worker runs
@@ -406,11 +424,7 @@ def train_all(
         worker count.
         """
         def task(cols):
-            # np.take gathers into C order, in which _column_sums adds rows
-            return cols, _chunk_forward_backward(
-                np.take(lagged_x, x_at[cols], axis=1), np.take(lagged_y, y_at[cols], axis=1),
-                np.take(dataset.y_values, y_cols[cols], axis=1), np.take(theta, cols, axis=1),
-                ops, config.lag_hops, config.link, component, want_grads)
+            return cols, kernel(cols, want_grads)
 
         width = max(1, _CHUNK // workers)
         chunks = [ids[i : i + width] for i in range(0, ids.size, width)]
@@ -426,15 +440,35 @@ def train_all(
             while pending:
                 yield pending.popleft().result()
 
+    def step(params, state, cols, grads, t):
+        new_p, new_s = adam_step(
+            params[:, cols], grads, AdamState(m=state.m[:, cols], v=state.v[:, cols]), t,
+            config.learning_rate)
+        params[:, cols] = new_p
+        state.m[:, cols] = new_s.m
+        state.v[:, cols] = new_s.v
+
     prev_loss = None
     for epoch in range(config.max_epochs):
         t = epoch + 1
         perm = rng.permutation(n_pairs)
+        # The reduced bank first, over the y of the active pairs. Each pair's
+        # reduced loss is its y's loss before this step, as if it trained its
+        # own copy; a y that goes non-finite drops every pair of it below.
+        rss_y = np.zeros(y_used.size)
+        ok_y = np.zeros(y_used.size, dtype=bool)
+        for cols, (rss, _, grads, ok) in run_chunks(
+                bank_chunk, np.unique(y_at[active]), train_reduced):
+            rss_y[cols], ok_y[cols] = rss, ok
+            if train_reduced and ok.any():
+                step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
+
         epoch_loss = 0.0
         for start in range(0, n_pairs, config.minibatch_pairs):
             batch = perm[start : start + config.minibatch_pairs]
             batch = batch[active[batch]]
-            for cols, (rss_f, rss_r, _, _, grads, ok) in run_chunks(batch, want_grads=True):
+            for cols, (rss_f, _, grads, ok) in run_chunks(pair_chunk, batch, train_full):
+                ok &= ok_y[y_at[cols]]
                 if not ok.all():
                     for k in cols[~ok]:
                         logger.warning("pair %d went non-finite; excluded from results", k)
@@ -442,17 +476,12 @@ def train_all(
                 good = cols[ok]
                 if good.size == 0:
                     continue
-                if component in ("both", "full"):
+                if train_full:
                     epoch_loss += float(rss_f[ok].sum())
-                if component in ("both", "reduced"):
-                    epoch_loss += float(rss_r[ok].sum())
-                idx = np.ix_(trained_rows, good)
-                new_p, new_s = adam_step(
-                    theta[idx], grads[trained_rows][:, ok],
-                    AdamState(m=adam.m[idx], v=adam.v[idx]), t, config.learning_rate)
-                theta[idx] = new_p
-                adam.m[idx] = new_s.m
-                adam.v[idx] = new_s.v
+                if train_reduced:
+                    epoch_loss += float(rss_y[y_at[good]].sum())
+                if train_full:
+                    step(full, full_adam, good, grads[:, ok], t)
 
         if prev_loss is not None and prev_loss > 0 and n_pairs > 0:
             rel = abs(epoch_loss - prev_loss) / prev_loss
@@ -461,21 +490,26 @@ def train_all(
                 break
         prev_loss = epoch_loss
 
-    # Final evaluation pass over all surviving pairs, fixed chunking again.
+    # Final evaluation over all surviving pairs, fixed chunking again. The
+    # reports of one y share one read-only per_node_reduced array.
+    per_node_y: dict[int, np.ndarray] = {}
+    for cols, (_, per_node, _, ok) in run_chunks(bank_chunk, np.unique(y_at[active]), False):
+        for j in np.flatnonzero(ok):
+            shared = np.ascontiguousarray(per_node[:, j])
+            shared.flags.writeable = False
+            per_node_y[int(cols[j])] = shared
     results: dict[int, TrainedPair] = {}
-    for cols, (_, _, pn_full, pn_reduced, _, ok) in run_chunks(
-            np.flatnonzero(active), want_grads=False):
+    for cols, (_, pn_full, _, ok) in run_chunks(pair_chunk, np.flatnonzero(active), False):
         for j, k in enumerate(cols):
-            if not ok[j]:
+            yk = int(y_at[k])
+            if not ok[j] or yk not in per_node_y:
                 logger.warning("pair %d non-finite at final evaluation; excluded", k)
                 continue
-            report = LossReport.from_per_node(
-                np.ascontiguousarray(pn_full[:, j]),
-                np.ascontiguousarray(pn_reduced[:, j]),
-            )
             results[int(k)] = TrainedPair(
-                model=vector_to_model(theta[:, k].copy(), L, config.lag_hops, config.link),
-                report=report,
+                model=vector_to_model(_join_vector(full[:, k], reduced[:, yk]), L,
+                                      config.lag_hops, config.link),
+                report=LossReport.from_per_node(np.ascontiguousarray(pn_full[:, j]),
+                                                per_node_y[yk]),
             )
     return results
 
@@ -491,6 +525,21 @@ def model_to_vector(m: PairModel) -> np.ndarray:
         m.theta_y_reduced.w, m.theta_y_reduced.b,
         [m.c],
     ])
+
+
+def _split_vector(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(full, reduced) rows of a (6L+1, ...) array in ``model_to_vector``'s layout.
+
+    full is (4L+1, ...): w, b of y, w, b of x, then c; reduced is (2L, ...).
+    """
+    L = (theta.shape[0] - 1) // 6
+    return theta[np.r_[0 : 4 * L, 6 * L]], theta[4 * L : 6 * L]
+
+
+def _join_vector(full: np.ndarray, reduced: np.ndarray) -> np.ndarray:
+    """The inverse of ``_split_vector``."""
+    L = reduced.shape[0] // 2
+    return np.concatenate([full[: 4 * L], reduced, full[4 * L :]])
 
 
 def vector_to_model(vec: np.ndarray, L: int, lag_hops: int = 1, link: str = "identity") -> PairModel:

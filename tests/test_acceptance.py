@@ -147,7 +147,7 @@ def lag_violation_detector(ops, n, rng, L=3, trials_per_node=1):
     itself or at a non-ancestor within L steps (exact comparison)."""
     p = EncoderParams(w=rng.normal(size=L), b=rng.normal(size=L) * 0.2)
     v = rng.normal(size=n)
-    base = encode_history(v, ops, p).h_tilde
+    base = encode_history(v, ops, p)[0]
     # ancestor sets within L steps from the strict-lag operator's pattern
     a = ops.a.tocoo()
     parents: dict[int, set[int]] = {i: set() for i in range(n)}
@@ -160,13 +160,13 @@ def lag_violation_detector(ops, n, rng, L=3, trials_per_node=1):
             frontier = {q for f in frontier for q in parents[f]}
         v2 = v.copy()
         v2[node] += 1.0
-        if encode_history(v2, ops, p).h_tilde[node] != base[node]:
+        if encode_history(v2, ops, p)[0][node] != base[node]:
             return True
         outsiders = [u for u in range(n) if u not in anc and u != node]
         if outsiders:
             v3 = v.copy()
             v3[rng.choice(outsiders)] += 1.0
-            if encode_history(v3, ops, p).h_tilde[node] != base[node]:
+            if encode_history(v3, ops, p)[0][node] != base[node]:
                 return True
     return False
 
@@ -218,7 +218,7 @@ def test_criterion_4_chain_graph_reduction():
     ops = lagged_operators(chain_dag(n))
     w, b = rng.normal(size=L), rng.normal(size=L) * 0.2
     v = rng.normal(size=n)
-    out = encode_history(v, ops, EncoderParams(w=w, b=b)).h_tilde
+    out = encode_history(v, ops, EncoderParams(w=w, b=b))[0]
     h_prev, acc = v.copy(), np.zeros(n)
     for ell in range(L):
         h = np.empty(n)

@@ -341,6 +341,19 @@ class TestEvalCommand:
         assert expected != auprc([r["f_stat"] for r in labeled], labels)  # the modes differ here
         assert json.loads((tmp_path / "metrics.json").read_text())["auprc"] == expected
 
+    @pytest.mark.parametrize("line", ['{"x_name": "a", "y_name": "b", "score": NaN}',
+                                      '{"x_name": "a", "y_name": "b"}', '{"x_name": "a",',
+                                      '[1, 2]'])
+    def test_malformed_score_record_is_data_error(self, bundle, tmp_path, caplog, line):
+        # a NaN score used to send eval's tie sweep into an endless loop
+        _, paths, _ = bundle
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(line + "\n")
+        code = run_cli("eval", "--scores", scores, "--reference", paths["reference"],
+                       "--out", tmp_path / "m.json")
+        assert code == 3
+        assert any(str(scores) in r.getMessage() for r in caplog.records)
+
     def test_disjoint_reference_is_data_error(self, bundle, tmp_path):
         ds, paths, _ = bundle
         outdir = tmp_path / "run"

@@ -123,6 +123,11 @@ class TestAuprc:
             labels[0], labels[1] = True, False
         assert auprc(scores, labels) == auprc(3.0 * np.asarray(scores) + 7.0, labels)
 
+    def test_nan_score_rejected(self):
+        # a NaN ties with nothing, not even itself; the tie sweep used to spin
+        with pytest.raises(ValueError):
+            auprc([0.5, float("nan"), 0.1], [True, False, False])
+
 
 class TestLabelFromReference:
     def test_thresholds(self):

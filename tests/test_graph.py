@@ -14,7 +14,6 @@ from dagranger.graph import (
     build_dag,
     lagged_operators,
     read_edge_list,
-    transpose_apply,
     transpose_apply_batch,
     write_edge_list,
 )
@@ -84,24 +83,31 @@ class TestLaggedOperators:
         assert np.abs(ops.a.diagonal()).max() == 0.0
 
 
+def apply_to(op, v):
+    """``op.T @ v`` for one vector, through the batched product."""
+    return transpose_apply_batch(op, np.asarray(v, dtype=float)[:, None])[:, 0]
+
+
 class TestTransposeApply:
     def test_chain_shift(self, chain3_ops):
-        out = transpose_apply(chain3_ops.a, np.array([5.0, 7.0, 9.0]))
+        out = apply_to(chain3_ops.a, [5.0, 7.0, 9.0])
         assert np.array_equal(out, [0.0, 5.0, 7.0])
 
     def test_merge_parent_mean(self):
         ops = lagged_operators(build_dag(3, [(0, 2), (1, 2)]))
-        out = transpose_apply(ops.a, np.array([4.0, 8.0, 0.0]))
+        out = apply_to(ops.a, [4.0, 8.0, 0.0])
         assert np.array_equal(out, [0.0, 0.0, 6.0])
 
     def test_zero_vector(self, rng):
         dag = random_dag(rng, 20)
         ops = lagged_operators(dag)
-        assert np.array_equal(transpose_apply(ops.a, np.zeros(20)), np.zeros(20))
+        assert np.array_equal(apply_to(ops.a, np.zeros(20)), np.zeros(20))
 
     def test_dimension_mismatch(self, chain3_ops):
         with pytest.raises(DimensionMismatch):
-            transpose_apply(chain3_ops.a, np.zeros(5))
+            transpose_apply_batch(chain3_ops.a, np.zeros((5, 1)))
+        with pytest.raises(DimensionMismatch):
+            transpose_apply_batch(chain3_ops.a, np.zeros(3))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -110,7 +116,7 @@ class TestTransposeApply:
         dag = random_dag(rng, 15)
         ops = lagged_operators(dag)
         v = rng.normal(size=15)
-        base = transpose_apply(ops.a, v)
+        base = apply_to(ops.a, v)
         j = int(rng.integers(0, 15))
         parents = set(dag.parents(j))
         non_parents = [i for i in range(15) if i not in parents and i != j] or None
@@ -118,7 +124,7 @@ class TestTransposeApply:
             return
         v2 = v.copy()
         v2[rng.choice(non_parents)] += rng.normal()
-        assert transpose_apply(ops.a, v2)[j] == base[j]
+        assert apply_to(ops.a, v2)[j] == base[j]
 
     def test_k_hop_reachability(self, rng):
         k = 3
@@ -134,7 +140,7 @@ class TestTransposeApply:
             out = np.zeros(12)
             out[u] = 1.0
             for _ in range(k):
-                out = transpose_apply(ops.a_plus, out)
+                out = apply_to(ops.a_plus, out)
             assert set(np.nonzero(out)[0]) <= reachable
 
     def test_batch_matches_single_bitwise(self, rng):
@@ -143,8 +149,9 @@ class TestTransposeApply:
         batch = rng.normal(size=(25, 7))
         out = transpose_apply_batch(ops.a, batch)
         for j in range(7):
-            single = transpose_apply(ops.a, batch[:, j])
+            single = ops.a.T @ batch[:, j]
             assert np.array_equal(out[:, j], single)
+            assert np.array_equal(out[:, j], apply_to(ops.a, batch[:, j]))
 
 
 class TestEdgeListIo:

@@ -1,84 +1,18 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from dagranger.errors import KTooLarge, NonFiniteInput, ParseError
 from dagranger.preprocess import (
-    CountMatrix,
     Embedding,
     knn_graph,
-    log_cpm,
-    max_scale,
     orient_by_pseudotime,
     read_matrix,
     read_pseudotime,
     write_matrix,
     write_pseudotime,
 )
-
-
-def cm(values):
-    values = np.asarray(values, dtype=float)
-    return CountMatrix(values=values, var_names=[f"v{i}" for i in range(values.shape[1])])
-
-
-class TestLogCpm:
-    def test_zero_row_maps_to_zeros(self):
-        out = log_cpm(cm([[0.0, 0.0]]), divisor=10.0)
-        assert np.array_equal(out.values, [[0.0, 0.0]])
-
-    def test_single_entry_oracle(self):
-        # direct arithmetic: ln(1 + 1e6/10) with a row total of 10
-        out = log_cpm(cm([[10.0, 0.0]]), divisor=10.0)
-        assert out.values[0, 0] == pytest.approx(math.log(100001.0), rel=1e-12)
-        assert out.values[0, 0] == pytest.approx(11.5129, abs=5e-5)
-
-    def test_zero_entries_stay_zero(self):
-        out = log_cpm(cm([[5.0, 0.0, 3.0]]), divisor=100.0)
-        assert out.values[0, 1] == 0.0
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NonFiniteInput):
-            cm([[np.nan, 1.0]])
-
-    @given(
-        arrays(np.float64, (4, 6), elements=st.floats(min_value=0, max_value=1e4)),
-        st.floats(min_value=0.1, max_value=1000.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_preserves_within_row_rank_order(self, values, divisor):
-        # monotone map: no strict inversions (floating point may merge ties)
-        out = log_cpm(cm(values), divisor=divisor).values
-        for i in range(values.shape[0]):
-            row_in, row_out = values[i], out[i]
-            for a in range(6):
-                for b in range(6):
-                    if row_in[a] < row_in[b]:
-                        assert row_out[a] <= row_out[b]
-
-
-class TestMaxScale:
-    def test_column_divided_by_max(self):
-        out = max_scale(np.array([[2.0], [4.0], [8.0]]))
-        assert np.array_equal(out.ravel(), [0.25, 0.5, 1.0])
-
-    def test_zero_column_unchanged(self):
-        out = max_scale(np.zeros((3, 1)))
-        assert np.array_equal(out, np.zeros((3, 1)))
-
-    def test_single_entry(self):
-        assert max_scale(np.array([[5.0]]))[0, 0] == 1.0
-
-    @given(arrays(np.float64, (5, 3), elements=st.floats(min_value=0, max_value=1e6)))
-    @settings(max_examples=40, deadline=None)
-    def test_idempotent(self, values):
-        once = max_scale(values)
-        assert np.array_equal(max_scale(once), once)
-        assert once.min() >= 0.0 and once.max() <= 1.0
 
 
 class TestKnnGraph:
@@ -170,8 +104,20 @@ class TestMatrixIo:
         with pytest.raises(ParseError):
             read_matrix(path)
 
+    def test_nonfinite_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n1,nan\n3,4\n")
+        with pytest.raises(NonFiniteInput, match=r"m\.csv"):
+            read_matrix(path)
+
     def test_pseudotime_roundtrip(self, tmp_path, rng):
         pt = rng.random(7)
         path = tmp_path / "pt.txt"
         write_pseudotime(path, pt)
         assert np.array_equal(read_pseudotime(path), pt)
+
+    def test_nonfinite_pseudotime_names_the_line(self, tmp_path):
+        path = tmp_path / "pt.txt"
+        path.write_text("0.5\nnan\n")
+        with pytest.raises(NonFiniteInput, match=r"pt\.txt:2"):
+            read_pseudotime(path)

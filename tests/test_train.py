@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import dagranger.model
+import dagranger.train
 from dagranger.graph import lagged_operators
 from dagranger.model import EncoderParams, PairModel, predict_full, strict_lag
 from dagranger.synth import SynthSpec, generate
 from dagranger.train import (
     AdamState,
     _chunk_forward_backward,
+    _join_vector,
+    _split_vector,
     Dataset,
     TrainConfig,
     adam_step,
@@ -135,10 +138,14 @@ class TestChunkKernel:
         models = [random_model(rng, 3, lag_hops=lag_hops, link=link) for _ in range(width)]
         X, Y = rng.normal(size=(n, width)), rng.normal(size=(n, width)) * 0.5
         theta = np.stack([model_to_vector(m) for m in models], axis=1)
-        *_, grads, ok = _chunk_forward_backward(
-            strict_lag(X, ops), strict_lag(Y, ops), Y, theta, ops, lag_hops, link, "both",
+        full, reduced = _split_vector(theta)
+        *_, g_full, ok_full = _chunk_forward_backward(
+            strict_lag(X, ops), strict_lag(Y, ops), Y, full, ops, lag_hops, link,
             want_grads=True)
-        assert grads.shape == theta.shape and ok.all()
+        *_, g_reduced, ok_reduced = _chunk_forward_backward(
+            None, strict_lag(Y, ops), Y, reduced, ops, lag_hops, link, want_grads=True)
+        grads = _join_vector(g_full, g_reduced)
+        assert grads.shape == theta.shape and ok_full.all() and ok_reduced.all()
         for j, m in enumerate(models):
             g = grads[:, j]
             fd = finite_difference(X[:, j], Y[:, j], ops, m)
@@ -147,9 +154,11 @@ class TestChunkKernel:
             assert (np.abs(g - single) / np.maximum(np.abs(single), 1e-8)).max() < 1e-12
 
     def test_sparse_products_done_once(self, rng, monkeypatch):
-        # a chunk does the 3(L-1) forward products of layers 2..L, with or
-        # without gradients: the backward pass reuses the forward pass's
-        # layer inputs, and layer 1's products are done once per train_all
+        # a pair chunk does the 2(L-1) forward products of layers 2..L of its
+        # two encoders and a chunk of the reduced bank the (L-1) of its one,
+        # with or without gradients: the backward pass reuses the forward
+        # pass's layer inputs, and layer 1's products are done once per
+        # train_all
         calls = []
         real = dagranger.model.transpose_apply_batch
 
@@ -161,13 +170,16 @@ class TestChunkKernel:
         ops = lagged_operators(random_dag(rng, n))
         X, Y = rng.normal(size=(n, width)), rng.normal(size=(n, width))
         theta = np.stack([model_to_vector(random_model(rng, L)) for _ in range(width)], axis=1)
+        full, reduced = _split_vector(theta)
         lagged_x, lagged_y = strict_lag(X, ops), strict_lag(Y, ops)
         monkeypatch.setattr(dagranger.model, "transpose_apply_batch", counting)
         for want_grads in (True, False):
             calls.clear()
-            _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, 2, "identity", "both",
-                                    want_grads)
-            assert calls == [width] * (3 * (L - 1))
+            _chunk_forward_backward(lagged_x, lagged_y, Y, full, ops, 2, "identity", want_grads)
+            assert calls == [width] * (2 * (L - 1))
+            calls.clear()
+            _chunk_forward_backward(None, lagged_y, Y, reduced, ops, 2, "identity", want_grads)
+            assert calls == [width] * (L - 1)
 
         ds, dataset, ops = tiny_dataset(seed=2, n_pairs=6)
         epochs = 3
@@ -175,8 +187,38 @@ class TestChunkKernel:
         train_all(dataset, ops, TrainConfig(n_layers=L, max_epochs=epochs, seed=0,
                                             convergence_numerator=0.0))
         n_x, n_y = (len({p[i] for p in dataset.pairs}) for i in (0, 1))
-        # one chunk per epoch plus the final evaluation
-        assert sorted(calls) == sorted([n_x, n_y] + [6] * (3 * (L - 1)) * (epochs + 1))
+        # one pair chunk and one bank chunk per epoch plus the final evaluation
+        per_pass = [6] * (2 * (L - 1)) + [n_y] * (L - 1)
+        assert sorted(calls) == sorted([n_x, n_y] + per_pass * (epochs + 1))
+
+    def test_reduced_model_trained_once_per_y(self, monkeypatch):
+        # five pairs over two y variables: every pass (each epoch and the
+        # final evaluation) runs the reduced encoder on two columns, the full
+        # model on five, and the pairs of one y report one shared reduced model
+        ds, _, ops = tiny_dataset(seed=5)
+        pairs = ((0, 0), (1, 0), (2, 0), (3, 1), (0, 1))
+        dataset = Dataset(x_values=ds.x_matrix, y_values=ds.y_matrix, x_names=ds.x_names,
+                          y_names=ds.y_names, pairs=pairs)
+        widths = {"full": [], "reduced": []}
+        real = dagranger.train._chunk_forward_backward
+
+        def counting(lagged_x, lagged_y, *args):
+            widths["reduced" if lagged_x is None else "full"].append(lagged_y.shape[1])
+            return real(lagged_x, lagged_y, *args)
+
+        monkeypatch.setattr(dagranger.train, "_chunk_forward_backward", counting)
+        epochs = 3
+        results = train_all(dataset, ops, TrainConfig(n_layers=3, max_epochs=epochs, seed=0,
+                                                      minibatch_pairs=2,
+                                                      convergence_numerator=0.0))
+        assert widths["reduced"] == [2] * (epochs + 1)
+        assert sum(widths["full"]) == len(pairs) * (epochs + 1)
+        for a, b in ((0, 1), (0, 2), (3, 4)):
+            ra, rb = results[a], results[b]
+            assert ra.report.per_node_reduced is rb.report.per_node_reduced
+            assert np.array_equal(ra.model.theta_y_reduced.w, rb.model.theta_y_reduced.w)
+            assert np.array_equal(ra.model.theta_y_reduced.b, rb.model.theta_y_reduced.b)
+        assert not results[0].report.per_node_reduced.flags.writeable
 
 
 class TestAdamStep:
