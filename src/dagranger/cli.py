@@ -171,6 +171,14 @@ def _read_pairs_file(path, x_names, y_names) -> list[tuple[int, int]]:
     return pairs
 
 
+def _embedding(path, coords, pt) -> preprocess.Embedding:
+    """``Embedding(coords, pt)``, with ``path`` in the message of a rejection."""
+    try:
+        return preprocess.Embedding(coords=coords, pseudotime=pt)
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _build_dag_for_run(cfg: RunConfig, n_nodes: int, pt):
     """Returns (dag, neighbor_edges, coords).
 
@@ -187,7 +195,7 @@ def _build_dag_for_run(cfg: RunConfig, n_nodes: int, pt):
         if emb_matrix.values.shape[0] != n_nodes:
             raise DataError(f"{cfg.embedding} has {emb_matrix.values.shape[0]} rows but "
                             f"the matrices have {n_nodes}")
-        embedding = preprocess.Embedding(coords=emb_matrix.values, pseudotime=pt)
+        embedding = _embedding(cfg.embedding, emb_matrix.values, pt)
         neighbor_edges = preprocess.knn_graph(embedding, cfg.k)
         dag = preprocess.orient_by_pseudotime(neighbor_edges, pt)
         coords = embedding.coords
@@ -249,7 +257,7 @@ def cmd_build_dag(args) -> int:
     if emb_matrix.values.shape[0] != pt.shape[0]:
         raise DataError(f"{args.embedding} has {emb_matrix.values.shape[0]} rows but "
                         f"{args.pseudotime} has {pt.shape[0]} values")
-    embedding = preprocess.Embedding(coords=emb_matrix.values, pseudotime=pt)
+    embedding = _embedding(args.embedding, emb_matrix.values, pt)
     edges = preprocess.knn_graph(embedding, args.k)
     dag = preprocess.orient_by_pseudotime(edges, pt)
     if dag.n_edges == 0:

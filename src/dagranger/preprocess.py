@@ -5,10 +5,20 @@ precomputed embedding, then retention of exactly those edges that point in
 the direction of strictly increasing pseudotime. Strictness matters: ties in
 pseudotime drop the edge, which is what guarantees acyclicity (any surviving
 edge strictly increases a scalar potential, so no cycle can close).
+
+The kNN graph is exact, and its cost grows as n log n in time and n·k in
+memory, not n². A KD-tree proposes a few more candidates per node than k.
+A node whose candidate list could leave out a node as near as its k-th
+(coincident or equidistant points) is queried again with twice as many
+candidates; the others are final. The chosen neighbours are then ranked by
+squared distances recomputed with the arithmetic of an exhaustive search,
+ties to the lower node id, so the edge list is the one an exhaustive search
+gives, tuple for tuple (see ``knn_graph``).
 """
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +38,13 @@ __all__ = [
     "read_pseudotime",
     "write_pseudotime",
 ]
+
+# knn_graph: KD-tree candidates per node beyond the k + 1 that are needed,
+# the relative distance margin that proves a candidate list complete, and
+# the most candidates (rows times m) handled at once.
+_KNN_SLACK = 4
+_KNN_MARGIN = 1e-9
+_KNN_BLOCK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -65,6 +82,14 @@ class Embedding:
             raise DataError(f"coords must be n-by-d with d >= 1, got {coords.shape}")
         if pt.shape != (coords.shape[0],):
             raise DataError("pseudotime length must match the number of nodes")
+        if not np.isfinite(coords).all():
+            raise NonFiniteInput("coords contain NaN or infinity")
+        # knn_graph orders squared distances, so they must stay finite; the
+        # factor 2 leaves room for rounding in the order of summation.
+        with np.errstate(over="ignore"):
+            widest = 2.0 * np.square(np.ptp(coords, axis=0)).sum() if coords.size else 0.0
+        if not np.isfinite(widest):
+            raise NonFiniteInput("coords span too wide: squared distances overflow")
         if not np.isfinite(pt).all():
             raise NonFiniteInput("pseudotime contains NaN or infinity")
 
@@ -76,32 +101,64 @@ class Embedding:
 def knn_graph(embedding: Embedding, k: int) -> list[tuple[int, int]]:
     """Directed k-nearest-neighbor edges u -> v under the Euclidean metric.
 
-    Exactly k outgoing edges per node; distance ties resolve toward the lower
-    node id so the output is deterministic.
+    Exactly k outgoing edges per node, grouped by u in ascending order and,
+    within a node, nearest first; distance ties resolve toward the lower node
+    id, and a node is never its own neighbor. The result is the one an
+    exhaustive search gives, tuple for tuple.
+
+    A KD-tree (``scipy.spatial.cKDTree``) proposes ``m = k + 1 + 4``
+    candidates per node, self included. A node's list is complete when its
+    last candidate lies farther than its (k+1)-th by a relative margin of
+    ``1e-9``: every node left out is then strictly farther than the k-th
+    nearest other node, so it can neither be chosen nor tie with a chosen
+    one, and the margin covers any rounding in the tree's own distances.
+    Incomplete rows alone are queried again with ``m`` doubled, up to ``n``
+    (every node a candidate); rows go through in blocks of at most 2**20
+    candidates, so memory stays bounded however many points coincide.
+    Within a list the tree's distances are not used: the squared distance
+    to each candidate is recomputed as the exhaustive search computes it
+    (``einsum`` over ``coords[u] - coords[v]``, which gives the same bits
+    for the same two rows), self is set to infinity, and one row-wise
+    ``lexsort`` by (distance, node id) picks the first k.
     """
     n = embedding.n_nodes
     if not 1 <= k < n:
         raise KTooLarge(f"k must satisfy 1 <= k < n_nodes ({n}), got {k}")
-    coords = embedding.coords
-    edges: list[tuple[int, int]] = []
-    ids = np.arange(n)
-    # Brute-force in row chunks; exact, and memory stays ~chunk * n.
-    chunk = max(1, min(n, 2 ** 22 // max(n, 1) + 1))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        for row, u in enumerate(range(start, stop)):
-            d = d2[row].copy()
-            d[u] = np.inf  # never a neighbor of itself
-            order = np.lexsort((ids, d))
-            for v in order[:k]:
-                edges.append((u, int(v)))
-    return edges
+    nbrs = _nearest_neighbors(embedding.coords, k)
+    return [(u, v) for u, row in enumerate(nbrs.tolist()) for v in row]
+
+
+def _nearest_neighbors(coords: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) node ids: row u holds the k nearest other nodes of u, in order."""
+    # Imported here: scipy.spatial adds about 10 MB to a process, and only the
+    # embedding path needs it.
+    from scipy.spatial import cKDTree
+
+    n = coords.shape[0]
+    tree = cKDTree(coords)
+    nbrs = np.empty((n, k), dtype=np.intp)
+    todo = np.arange(n)
+    m = min(n, k + 1 + _KNN_SLACK)
+    while todo.size:
+        retry = []
+        for block in np.array_split(todo, -(-todo.size * m // _KNN_BLOCK)):
+            dist, cand = tree.query(coords[block], k=m)
+            # complete: all nodes are candidates, or those left out are strictly farther
+            done = (m == n) | (dist[:, -1] > dist[:, k] * (1.0 + _KNN_MARGIN))
+            retry.append(block[~done])
+            rows, cand = block[done], cand[done]
+            diff = coords[rows][:, None, :] - coords[cand]
+            d2 = np.einsum("ijk,ijk->ij", diff, diff)
+            d2[cand == rows[:, None]] = np.inf  # never a neighbor of itself
+            order = np.lexsort((cand, d2), axis=-1)[:, :k]
+            nbrs[rows] = np.take_along_axis(cand, order, axis=1)
+        todo = np.concatenate(retry)
+        m = min(n, 2 * m)
+    return nbrs
 
 
 def orient_by_pseudotime(edges, pseudotime: np.ndarray) -> Dag:
-    """Keep only edges that strictly increase pseudotime; build the DAG.
+    """Keep only the (u, v) pairs of ``edges`` that strictly increase pseudotime; build the DAG.
 
     Equal stamps drop the edge, so the result is acyclic whenever the input
     edge list has no duplicates.
@@ -109,8 +166,9 @@ def orient_by_pseudotime(edges, pseudotime: np.ndarray) -> Dag:
     pt = np.asarray(pseudotime, dtype=np.float64)
     if not np.isfinite(pt).all():
         raise NonFiniteInput("pseudotime contains NaN or infinity")
-    kept = [(u, v) for (u, v) in edges if pt[u] < pt[v]]
-    return build_dag(pt.shape[0], kept)
+    ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
+                       count=2 * len(edges)).reshape(-1, 2)
+    return build_dag(pt.shape[0], itertools.compress(edges, pt[ends[:, 0]] < pt[ends[:, 1]]))
 
 
 # --- file formats -----------------------------------------------------------

@@ -116,21 +116,29 @@ class PairScore:
     flags: tuple[str, ...] = ()
 
 
-def score_pair(pair_id: int, per_node_full, per_node_reduced, L: int) -> PairScore:
-    """Run both tests on one pair's per-node loss vectors."""
+def score_pair(pair_id: int, per_node_full, per_node_reduced, L: int, *,
+               reduced=None) -> PairScore:
+    """Run both tests on one pair's per-node loss vectors.
+
+    ``reduced`` is ``(rss, _moments)`` of ``per_node_reduced`` when the caller
+    already holds them, as it does for the pairs of one y, which share one
+    reduced model; ``per_node_reduced`` is then not read.
+    """
     lf = np.asarray(per_node_full, dtype=np.float64)
-    lr = np.asarray(per_node_reduced, dtype=np.float64)
     n = lf.shape[0]
     rss_full = float(lf.sum())
-    rss_reduced = float(lr.sum())
+    if reduced is None:
+        lr = np.asarray(per_node_reduced, dtype=np.float64)
+        reduced = float(lr.sum()), _moments(lr)
+    rss_reduced, reduced_moments = reduced
     flags: list[str] = []
     if rss_full == 0.0:
         flags.append("zero_residual")
     f_stat, f_p = f_test(rss_reduced, rss_full, n, L)
-    full, reduced = _moments(lf), _moments(lr)
-    if full[2] == 0.0 and reduced[2] == 0.0:
+    full_moments = _moments(lf)
+    if full_moments[2] == 0.0 and reduced_moments[2] == 0.0:
         flags.append("zero_variance_both")
-    t_stat, t_p = _welch_from_moments(full, reduced)
+    t_stat, t_p = _welch_from_moments(full_moments, reduced_moments)
     return PairScore(
         pair_id=pair_id,
         f_stat=f_stat,
@@ -182,9 +190,14 @@ def score_dataset(dataset, method: str, *, ops, neighbor_edges, coords, pseudoti
 
     if method == "dagranger":
         results = train.train_all(dataset, ops, config, workers=workers)
+        reduced_by_y: dict[int, tuple] = {}  # the pairs of one y share its reduced model
         for pid in sorted(results):
             rep = results[pid].report
-            s = score_pair(pid, rep.per_node_full, rep.per_node_reduced, config.n_layers)
+            yi = dataset.pairs[pid][1]
+            if yi not in reduced_by_y:
+                reduced_by_y[yi] = rep.rss_reduced, _moments(rep.per_node_reduced)
+            s = score_pair(pid, rep.per_node_full, rep.per_node_reduced, config.n_layers,
+                           reduced=reduced_by_y[yi])
             add(pid, f_stat=s.f_stat, f_pvalue=s.f_pvalue, t_stat=s.t_stat,
                 t_pvalue=s.t_pvalue, df1=s.df1, df2=s.df2, flags=list(s.flags),
                 score=s.f_stat if rank_mode == "f" else _significance(s.t_pvalue))

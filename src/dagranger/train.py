@@ -491,25 +491,27 @@ def train_all(
         prev_loss = epoch_loss
 
     # Final evaluation over all surviving pairs, fixed chunking again. The
-    # reports of one y share one read-only per_node_reduced array.
-    per_node_y: dict[int, np.ndarray] = {}
+    # reports of one y share one read-only per_node_reduced array and its sum.
+    reduced_y: dict[int, tuple[np.ndarray, float]] = {}
     for cols, (_, per_node, _, ok) in run_chunks(bank_chunk, np.unique(y_at[active]), False):
         for j in np.flatnonzero(ok):
             shared = np.ascontiguousarray(per_node[:, j])
             shared.flags.writeable = False
-            per_node_y[int(cols[j])] = shared
+            reduced_y[int(cols[j])] = shared, float(shared.sum())
     results: dict[int, TrainedPair] = {}
     for cols, (_, pn_full, _, ok) in run_chunks(pair_chunk, np.flatnonzero(active), False):
         for j, k in enumerate(cols):
             yk = int(y_at[k])
-            if not ok[j] or yk not in per_node_y:
+            if not ok[j] or yk not in reduced_y:
                 logger.warning("pair %d non-finite at final evaluation; excluded", k)
                 continue
+            per_node_full = np.ascontiguousarray(pn_full[:, j])
+            per_node_reduced, rss_reduced = reduced_y[yk]
             results[int(k)] = TrainedPair(
                 model=vector_to_model(_join_vector(full[:, k], reduced[:, yk]), L,
                                       config.lag_hops, config.link),
-                report=LossReport.from_per_node(np.ascontiguousarray(pn_full[:, j]),
-                                                per_node_y[yk]),
+                report=LossReport(per_node_full=per_node_full, per_node_reduced=per_node_reduced,
+                                  rss_full=float(per_node_full.sum()), rss_reduced=rss_reduced),
             )
     return results
 

@@ -85,6 +85,16 @@ class TestBuildDagCommand:
                        "--out-stats", tmp_path / "s.json")
         assert code == 3
 
+    def test_overflowing_embedding_names_the_file(self, tmp_path, caplog):
+        write_matrix(tmp_path / "emb.csv", np.array([[0.0], [1e200], [2e200]]), ["d0"])
+        write_pseudotime(tmp_path / "pt.txt", np.array([0.0, 0.5, 1.0]))
+        code = run_cli("build-dag", "--embedding", tmp_path / "emb.csv",
+                       "--pseudotime", tmp_path / "pt.txt", "--k", 1,
+                       "--out-edges", tmp_path / "e.tsv",
+                       "--out-stats", tmp_path / "s.json")
+        assert code == 3
+        assert any("emb.csv" in r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+
 
 class TestCandidatesCommand:
     def _matrices(self, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,21 @@ from dagranger.preprocess import (
     write_matrix,
     write_pseudotime,
 )
+
+
+class TestEmbedding:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coords_rejected(self, bad):
+        coords = np.zeros((3, 2))
+        coords[1, 0] = bad
+        with pytest.raises(NonFiniteInput, match="coords"):
+            Embedding(coords=coords, pseudotime=np.zeros(3))
+
+    def test_overflowing_distances_rejected(self):
+        # finite coordinates whose squared distances are not
+        coords = np.array([[0.0], [1e200], [2e200]])
+        with pytest.raises(NonFiniteInput, match="span"):
+            Embedding(coords=coords, pseudotime=np.zeros(3))
 
 
 class TestKnnGraph:
@@ -45,6 +62,66 @@ class TestKnnGraph:
         emb = Embedding(coords=np.zeros((3, 1)), pseudotime=np.zeros(3))
         with pytest.raises(KTooLarge):
             knn_graph(emb, k=3)
+
+
+def brute_force_knn(embedding, k):
+    """The exhaustive search ``knn_graph`` must reproduce: all distances, one sort per node."""
+    coords = embedding.coords
+    n = coords.shape[0]
+    edges = []
+    ids = np.arange(n)
+    chunk = max(1, min(n, 2 ** 22 // max(n, 1) + 1))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        diff = coords[start:stop, None, :] - coords[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        for row, u in enumerate(range(start, stop)):
+            d = d2[row].copy()
+            d[u] = np.inf  # never a neighbor of itself
+            order = np.lexsort((ids, d))
+            for v in order[:k]:
+                edges.append((u, int(v)))
+    return edges
+
+
+class TestKnnGraphExact:
+    """``knn_graph`` returns the exhaustive search's edge list, tuple for tuple and in order."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_duplicated_integer_coordinates(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        d = int(rng.integers(1, 5))
+        coords = rng.integers(0, int(rng.integers(1, 4)), size=(n, d)).astype(float)
+        emb = Embedding(coords=coords, pseudotime=np.zeros(n))
+        k = int(rng.integers(1, n))
+        assert knn_graph(emb, k) == brute_force_knn(emb, k)
+
+    def test_coincident_points_beyond_the_first_query(self, rng):
+        # 12 copies of one point > k + 5 candidates, so those rows are queried again.
+        coords = np.vstack([np.zeros((12, 2)), rng.normal(size=(30, 2))])
+        emb = Embedding(coords=coords, pseudotime=np.zeros(42))
+        for k in (3, 6, 11, 20, 41):
+            assert knn_graph(emb, k) == brute_force_knn(emb, k)
+
+    def test_continuous_coordinates(self, rng):
+        emb = Embedding(coords=rng.normal(size=(2000, 3)), pseudotime=np.zeros(2000))
+        assert knn_graph(emb, 15) == brute_force_knn(emb, 15)
+
+    def test_memory_stays_linear_in_nodes(self):
+        # An all-pairs distance block of 20,000 nodes would be hundreds of MB;
+        # the edge list itself, 300,000 tuples, is about 30 MB.
+        coords = np.random.default_rng(7).random((20_000, 3))
+        emb = Embedding(coords=coords, pseudotime=np.zeros(20_000))
+        tracemalloc.start()
+        try:
+            edges = knn_graph(emb, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(edges) == 300_000
+        assert peak < 80 * 2**20
 
 
 class TestOrientByPseudotime:

@@ -18,7 +18,7 @@ from dagranger.score import (
     write_score_records,
 )
 from dagranger.synth import SynthSpec, generate
-from dagranger.train import Dataset, TrainConfig
+from dagranger.train import Dataset, TrainConfig, train_all
 
 
 def beta_quadrature(x, a, b):
@@ -155,16 +155,24 @@ class TestWelchT:
         assert p == pytest.approx(p_oracle, rel=1e-10, abs=0.0)
 
 
-def tiny_scored(rank_mode="f", method="dagranger", pseudotime=True):
+TINY_CONFIG = TrainConfig(n_layers=2, max_epochs=2, seed=0)
+
+
+def tiny_inputs():
     spec = SynthSpec(n_nodes=60, n_branches=1, depth=10, k_neighbors=2, n_x_vars=4,
                      n_y_vars=3, n_causal_pairs=2, noise_sd=0.3, seed=0, n_candidate_pairs=6)
     ds = generate(spec)
     dataset = Dataset(x_values=ds.x_matrix, y_values=ds.y_matrix,
                       x_names=ds.x_names, y_names=ds.y_names, pairs=ds.candidates)
+    return ds, dataset
+
+
+def tiny_scored(rank_mode="f", method="dagranger", pseudotime=True):
+    ds, dataset = tiny_inputs()
     return score_dataset(
         dataset, method, ops=lagged_operators(ds.dag), neighbor_edges=ds.dag.edges,
         coords=None, pseudotime=ds.pseudotime if pseudotime else None,
-        config=TrainConfig(n_layers=2, max_epochs=2, seed=0), workers=1,
+        config=TINY_CONFIG, workers=1,
         rank_mode=rank_mode, var_max_lag=1, pseudocell_neighborhood=5)
 
 
@@ -223,6 +231,19 @@ class TestScoreDataset:
         assert len(records) == 6 and all(field in r for r in records)
         by_rank = sorted(records, key=lambda r: r["rank"])
         assert all(a["score"] >= b["score"] for a, b in zip(by_rank, by_rank[1:]))
+
+    def test_dagranger_fields_equal_score_pair_of_each_pair(self):
+        # score_dataset computes each y's reduced statistics once for all its
+        # pairs; each record must equal score_pair on the pair's own arrays.
+        ds, dataset = tiny_inputs()
+        assert len({y for _, y in dataset.pairs}) < len(dataset.pairs)
+        results = train_all(dataset, lagged_operators(ds.dag), TINY_CONFIG)
+        for rec in tiny_scored():
+            rep = results[rec["pair_id"]].report
+            s = score_pair(rec["pair_id"], rep.per_node_full, rep.per_node_reduced,
+                           TINY_CONFIG.n_layers)
+            assert (rec["f_stat"], rec["f_pvalue"], rec["t_stat"], rec["t_pvalue"],
+                    rec["flags"]) == (s.f_stat, s.f_pvalue, s.t_stat, s.t_pvalue, list(s.flags))
 
     def test_var_granger_needs_pseudotime(self):
         with pytest.raises(ConfigError):
