@@ -19,6 +19,7 @@ import logging
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -77,7 +78,7 @@ def _sha256(path) -> str:
 
 
 class _Manifest:
-    """Per-stage wall times and output checksums, written once at the end."""
+    """Per-stage wall times, output checksums and counts, written once at the end."""
 
     def __init__(self, config: dict, seed: int):
         self.payload = {
@@ -94,6 +95,7 @@ class _Manifest:
             def __enter__(self):
                 self.t0 = time.perf_counter()
                 self.outputs: dict[str, str] = {}
+                self.counts: dict = {}
                 return self
 
             def add(self, path):
@@ -104,6 +106,7 @@ class _Manifest:
                     manifest.payload["stages"][name] = {
                         "seconds": time.perf_counter() - self.t0,
                         "outputs": self.outputs,
+                        **self.counts,
                     }
                 return False
 
@@ -206,6 +209,20 @@ def _build_dag_for_run(cfg: RunConfig, n_nodes: int, pt):
     return dag, neighbor_edges, coords
 
 
+def _record_counts(records, n_pairs: int) -> dict:
+    """What a method's manifest stage says of its records.
+
+    ``records`` is their number, ``dropped`` the ids of candidate pairs
+    without one, and ``flags`` the number of records raising each flag of
+    ``score.FLAGS`` (zero for the baselines, which raise none).
+    """
+    scored = {rec["pair_id"] for rec in records}
+    raised = Counter(flag for rec in records for flag in rec.get("flags", ()))
+    return {"records": len(records),
+            "dropped": [pid for pid in range(n_pairs) if pid not in scored],
+            "flags": {name: raised[name] for name in score.FLAGS}}
+
+
 def cmd_run(cfg: RunConfig) -> int:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -246,6 +263,7 @@ def cmd_run(cfg: RunConfig) -> int:
             out_path = outdir / f"scores_{method.replace('-', '_')}.jsonl"
             score.write_score_records(out_path, records)
             st.add(out_path)
+            st.counts = _record_counts(records, len(pairs))
 
     manifest.write(outdir / "manifest.json")
     return 0

@@ -12,6 +12,10 @@ Their p-values come from ``scipy.special`` (``fdtrc``, ``stdtr``).
 ``score_dataset`` turns a dataset into the score records of one method
 (dagranger or one of the baselines), and ``rank_pairs`` ranks every
 method's records by one rule: descending ``score``, ties by pair id.
+
+Both tests run on arrays of per-pair loss statistics (``_pair_tests``), one
+``fdtrc`` and one ``stdtr`` call for a whole screen; ``f_test``, ``welch_t``
+and ``score_pair`` are the same code at width one.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ from .errors import ConfigError, DegenerateSampleSize, DomainError, ParseError
 __all__ = [
     "METHODS",
     "RANK_MODES",
+    "FLAGS",
     "PairScore",
     "f_test",
     "welch_t",
@@ -40,6 +45,35 @@ __all__ = [
 
 METHODS = ("dagranger", "pearson", "pseudocell", "var-granger")
 RANK_MODES = ("f", "welch")
+FLAGS = ("zero_residual", "zero_variance_both")  # the flags a dagranger record can raise
+
+_ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(rec, sort_keys=True) builds
+
+
+def _f_dof(n: int, L: int) -> tuple[int, int]:
+    """The F-test's (df1, df2) = (2L+1, n-4L-1); raises when df2 <= 0."""
+    df2 = n - 4 * L - 1
+    if df2 <= 0:
+        raise DegenerateSampleSize(
+            f"need n > 4L+1 = {4 * L + 1} observations, got n = {n}"
+        )
+    return 2 * L + 1, df2
+
+
+def _f_tests(rss_reduced: np.ndarray, rss_full: np.ndarray, n: int, L: int):
+    """``f_test`` on arrays of residual sums: (f, p) arrays."""
+    df1, df2 = _f_dof(n, L)
+    if (rss_full < 0).any() or (rss_reduced < 0).any():
+        raise DomainError("residual sums of squares must be nonnegative")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        numerator = (rss_reduced - rss_full) / df1
+        f = numerator / (rss_full / df2)
+    zero = rss_full == 0.0
+    clamped = ~zero & (numerator <= 0.0)
+    f[zero], f[clamped] = math.inf, 0.0
+    p = special.fdtrc(df1, df2, f)
+    p[zero], p[clamped] = 0.0, 1.0
+    return f, p
 
 
 def f_test(rss_reduced: float, rss_full: float, n: int, L: int) -> tuple[float, float]:
@@ -50,29 +84,34 @@ def f_test(rss_reduced: float, rss_full: float, n: int, L: int) -> tuple[float, 
     one-sided test carries no evidence in that direction. rss_full == 0
     returns (inf, 0.0); callers flag that degenerate case.
     """
-    df1 = 2 * L + 1
-    df2 = n - 4 * L - 1
-    if df2 <= 0:
-        raise DegenerateSampleSize(
-            f"need n > 4L+1 = {4 * L + 1} observations, got n = {n}"
-        )
-    if rss_full < 0 or rss_reduced < 0:
-        raise DomainError("residual sums of squares must be nonnegative")
-    if rss_full == 0.0:
-        return math.inf, 0.0
-    numerator = (rss_reduced - rss_full) / df1
-    if numerator <= 0.0:
-        return 0.0, 1.0
-    f = numerator / (rss_full / df2)
-    return f, float(special.fdtrc(df1, df2, f))
+    f, p = _f_tests(np.array([rss_reduced], dtype=np.float64),
+                    np.array([rss_full], dtype=np.float64), n, L)
+    return float(f[0]), float(p[0])
 
 
-def _moments(losses) -> tuple[int, float, float]:
-    """(n, mean, sample variance) of one sample of per-node losses."""
+def _moments(losses):
+    """(n, mean, sample variance) of one sample of per-node losses, the last two at width one."""
     a = np.asarray(losses, dtype=np.float64)
     if a.shape[0] < 2:
         raise DegenerateSampleSize("Welch's t-test needs at least 2 observations per sample")
-    return a.shape[0], float(a.mean()), float(a.var(ddof=1))
+    return a.shape[0], np.array([a.mean()]), np.array([a.var(ddof=1)])
+
+
+def _welch_tests(full, reduced):
+    """``welch_t`` on arrays: ``full`` and ``reduced`` are (n, means, variances)."""
+    (nf, mf, vf), (nr, mr, vr) = full, reduced
+    with np.errstate(divide="ignore", invalid="ignore"):
+        af, ar = vf / nf, vr / nr
+        se2 = af + ar
+        t = (mf - mr) / np.sqrt(se2)
+        df = se2 * se2 / (af * af / (nf - 1) + ar * ar / (nr - 1))
+    p = special.stdtr(df, t)
+    constant = (vf == 0.0) & (vr == 0.0)
+    below, above = constant & (mf < mr), constant & (mf > mr)
+    level = constant & ~below & ~above
+    t[below], t[above], t[level] = -math.inf, math.inf, 0.0
+    p[below], p[above], p[level] = 0.0, 1.0, 1.0
+    return t, p
 
 
 def welch_t(losses_full, losses_reduced) -> tuple[float, float]:
@@ -83,23 +122,8 @@ def welch_t(losses_full, losses_reduced) -> tuple[float, float]:
     evidence for the full model gives very negative t and tiny p. When both
     samples are constant: p = 1 if mean_full >= mean_reduced, else p = 0.
     """
-    return _welch_from_moments(_moments(losses_full), _moments(losses_reduced))
-
-
-def _welch_from_moments(full, reduced) -> tuple[float, float]:
-    """``welch_t`` from each sample's ``_moments``."""
-    (nf, mf, vf), (nr, mr, vr) = full, reduced
-    if vf == 0.0 and vr == 0.0:
-        if mf < mr:
-            return -math.inf, 0.0
-        if mf > mr:
-            return math.inf, 1.0
-        return 0.0, 1.0
-    af, ar = vf / nf, vr / nr
-    se2 = af + ar
-    t = (mf - mr) / math.sqrt(se2)
-    df = se2 * se2 / (af * af / (nf - 1) + ar * ar / (nr - 1))
-    return t, float(special.stdtr(df, t))
+    t, p = _welch_tests(_moments(losses_full), _moments(losses_reduced))
+    return float(t[0]), float(p[0])
 
 
 @dataclass(frozen=True)
@@ -116,44 +140,54 @@ class PairScore:
     flags: tuple[str, ...] = ()
 
 
-def score_pair(pair_id: int, per_node_full, per_node_reduced, L: int, *,
-               reduced=None) -> PairScore:
-    """Run both tests on one pair's per-node loss vectors.
+def _pair_tests(n: int, L: int, rss_full, mean_full, var_full, rss_reduced, mean_reduced,
+                var_reduced) -> dict[str, np.ndarray]:
+    """Both tests on arrays of per-pair loss statistics over n nodes.
 
-    ``reduced`` is ``(rss, _moments)`` of ``per_node_reduced`` when the caller
-    already holds them, as it does for the pairs of one y, which share one
-    reduced model; ``per_node_reduced`` is then not read.
+    Returns the arrays ``f_stat``, ``f_pvalue``, ``t_stat`` and ``t_pvalue``,
+    and the boolean arrays of the two flags.
     """
+    f, fp = _f_tests(rss_reduced, rss_full, n, L)
+    t, tp = _welch_tests((n, mean_full, var_full), (n, mean_reduced, var_reduced))
+    return {"f_stat": f, "f_pvalue": fp, "t_stat": t, "t_pvalue": tp,
+            "zero_residual": rss_full == 0.0,
+            "zero_variance_both": (var_full == 0.0) & (var_reduced == 0.0)}
+
+
+def _flag_lists(tests: dict[str, np.ndarray]) -> list[list[str]]:
+    """Each pair's list of raised ``FLAGS``, in ``FLAGS`` order."""
+    flags: list[list[str]] = [[] for _ in range(tests["f_stat"].size)]
+    for name in FLAGS:
+        for i in np.flatnonzero(tests[name]).tolist():
+            flags[i].append(name)
+    return flags
+
+
+def score_pair(pair_id: int, per_node_full, per_node_reduced, L: int) -> PairScore:
+    """Run both tests on one pair's per-node loss vectors."""
     lf = np.asarray(per_node_full, dtype=np.float64)
-    n = lf.shape[0]
-    rss_full = float(lf.sum())
-    if reduced is None:
-        lr = np.asarray(per_node_reduced, dtype=np.float64)
-        reduced = float(lr.sum()), _moments(lr)
-    rss_reduced, reduced_moments = reduced
-    flags: list[str] = []
-    if rss_full == 0.0:
-        flags.append("zero_residual")
-    f_stat, f_p = f_test(rss_reduced, rss_full, n, L)
-    full_moments = _moments(lf)
-    if full_moments[2] == 0.0 and reduced_moments[2] == 0.0:
-        flags.append("zero_variance_both")
-    t_stat, t_p = _welch_from_moments(full_moments, reduced_moments)
+    lr = np.asarray(per_node_reduced, dtype=np.float64)
+    (n, mf, vf), (_, mr, vr) = _moments(lf), _moments(lr)
+    tests = _pair_tests(n, L, np.array([lf.sum()]), mf, vf, np.array([lr.sum()]), mr, vr)
+    df1, df2 = _f_dof(n, L)
     return PairScore(
         pair_id=pair_id,
-        f_stat=f_stat,
-        f_pvalue=f_p,
-        t_stat=t_stat,
-        t_pvalue=t_p,
-        df1=2 * L + 1,
-        df2=n - 4 * L - 1,
-        flags=tuple(flags),
+        f_stat=float(tests["f_stat"][0]),
+        f_pvalue=float(tests["f_pvalue"][0]),
+        t_stat=float(tests["t_stat"][0]),
+        t_pvalue=float(tests["t_pvalue"][0]),
+        df1=df1,
+        df2=df2,
+        flags=tuple(_flag_lists(tests)[0]),
     )
 
 
-def _significance(p: float) -> float:
-    """-log10(p), infinite at p = 0: the score of a pair ranked by a p-value."""
-    return math.inf if p <= 0.0 else -math.log10(p)
+def _significance(p: np.ndarray) -> list[float]:
+    """-log10(p), infinite at p = 0: the score of each pair ranked by a p-value.
+
+    ``math.log10`` per element, whose bits ``np.log10`` need not reproduce.
+    """
+    return [math.inf if v <= 0.0 else -math.log10(v) for v in p.tolist()]
 
 
 def score_dataset(dataset, method: str, *, ops, neighbor_edges, coords, pseudotime,
@@ -173,42 +207,37 @@ def score_dataset(dataset, method: str, *, ops, neighbor_edges, coords, pseudoti
       pseudocell first averages each node over up to
       ``pseudocell_neighborhood`` of its ``neighbor_edges`` neighbours
       (nearest first when ``coords`` are given).
-    * var-granger bins each pair over ``pseudotime`` and adds the VAR F-test's
-      ``f_stat`` and ``f_pvalue`` with ``var_max_lag`` lags; ``score`` is
-      -log10(``f_pvalue``).
+    * var-granger bins each variable over ``pseudotime`` and adds the VAR
+      F-test's ``f_stat`` and ``f_pvalue`` with ``var_max_lag`` lags;
+      ``score`` is -log10(``f_pvalue``).
+
+    Every method computes its fields as arrays over all pairs; the records
+    are built from them once.
     """
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
     if rank_mode not in RANK_MODES:
         raise ConfigError(f"rank mode must be one of {RANK_MODES}, got {rank_mode!r}")
-    records: list[dict] = []
-
-    def add(pid: int, **fields) -> None:
-        xi, yi = dataset.pairs[pid]
-        records.append({"pair_id": pid, "x_name": dataset.x_names[xi],
-                        "y_name": dataset.y_names[yi], "method": method, **fields})
-
+    names = [(dataset.x_names[xi], dataset.y_names[yi]) for xi, yi in dataset.pairs]
     if method == "dagranger":
-        results = train.train_all(dataset, ops, config, workers=workers)
-        reduced_by_y: dict[int, tuple] = {}  # the pairs of one y share its reduced model
-        for pid in sorted(results):
-            rep = results[pid].report
-            yi = dataset.pairs[pid][1]
-            if yi not in reduced_by_y:
-                reduced_by_y[yi] = rep.rss_reduced, _moments(rep.per_node_reduced)
-            s = score_pair(pid, rep.per_node_full, rep.per_node_reduced, config.n_layers,
-                           reduced=reduced_by_y[yi])
-            add(pid, f_stat=s.f_stat, f_pvalue=s.f_pvalue, t_stat=s.t_stat,
-                t_pvalue=s.t_pvalue, df1=s.df1, df2=s.df2, flags=list(s.flags),
-                score=s.f_stat if rank_mode == "f" else _significance(s.t_pvalue))
+        n, L = dataset.n_nodes, config.n_layers
+        df1, df2 = _f_dof(n, L)  # before training, which would be wasted
+        res = train.train_all(dataset, ops, config, workers=workers)
+        ids, yk = res.pair_ids, res.y_index[res.pair_ids]
+        tests = _pair_tests(n, L, res.rss_full[ids], res.mean_full[ids], res.var_full[ids],
+                            res.rss_reduced[yk], res.mean_reduced[yk], res.var_reduced[yk])
+        significance = tests["f_stat"] if rank_mode == "f" else _significance(tests["t_pvalue"])
+        columns = {"f_stat": tests["f_stat"], "f_pvalue": tests["f_pvalue"],
+                   "t_stat": tests["t_stat"], "t_pvalue": tests["t_pvalue"],
+                   "score": significance, "flags": _flag_lists(tests),
+                   "df1": [df1] * ids.size, "df2": [df2] * ids.size}
     elif method == "var-granger":
         if pseudotime is None:
             raise ConfigError("var-granger needs --pseudotime")
-        for pid, (xi, yi) in enumerate(dataset.pairs):
-            binned = baselines.bin_by_pseudotime(
-                dataset.x_values[:, xi], dataset.y_values[:, yi], pseudotime)
-            f, p = baselines.var_granger(binned.x_bins, binned.y_bins, var_max_lag)
-            add(pid, f_stat=f, f_pvalue=p, score=_significance(p))
+        ids = np.arange(len(dataset.pairs))
+        f, p = baselines.var_granger_pairs(dataset.x_values, dataset.y_values, dataset.pairs,
+                                           pseudotime, var_max_lag)
+        columns = {"f_stat": f, "f_pvalue": p, "score": _significance(p)}
     else:
         x_all, y_all = dataset.x_values, dataset.y_values
         if method == "pseudocell":
@@ -216,9 +245,15 @@ def score_dataset(dataset, method: str, *, ops, neighbor_edges, coords, pseudoti
                 x_all, neighbor_edges, pseudocell_neighborhood, coords=coords)
             y_all = baselines.pseudocell_smooth(
                 y_all, neighbor_edges, pseudocell_neighborhood, coords=coords)
-        for pid, (xi, yi) in enumerate(dataset.pairs):
-            r = baselines.pearson(x_all[:, xi], y_all[:, yi])
-            add(pid, r=r, score=abs(r))
+        ids = np.arange(len(dataset.pairs))
+        r = baselines.pearson_pairs(x_all, y_all, dataset.pairs, method=method,
+                                    x_names=dataset.x_names, y_names=dataset.y_names)
+        columns = {"r": r, "score": np.abs(r)}
+    keys = list(columns)
+    values = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns.values()]
+    records = [{"pair_id": pid, "x_name": names[pid][0], "y_name": names[pid][1],
+                "method": method, **dict(zip(keys, row))}
+               for pid, *row in zip(ids.tolist(), *values)]
     rank_pairs(records)
     return records
 
@@ -234,7 +269,7 @@ def write_score_records(path, records) -> None:
     """One JSON object per line; infinities serialize as ``Infinity`` (readable back)."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
+            fh.write(_ENCODER.encode(rec))
             fh.write("\n")
 
 

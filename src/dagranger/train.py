@@ -55,7 +55,7 @@ __all__ = [
     "Dataset",
     "LossReport",
     "AdamState",
-    "TrainedPair",
+    "TrainResult",
     "glorot_init",
     "adam_step",
     "pair_loss",
@@ -155,9 +155,39 @@ class LossReport:
 
 
 @dataclass(frozen=True)
-class TrainedPair:
-    model: PairModel
-    report: LossReport
+class TrainResult:
+    """What ``train_all`` returns: the two parameter banks and per-pair statistics.
+
+    Pair arrays are indexed by pair id; bank arrays by column of the reduced
+    bank, one column per y some pair uses (``y_index[k]`` is pair k's).
+    ``full`` is ``(4L+1, n_pairs)``: the rows of ``model_to_vector``'s layout
+    without the reduced encoder. ``reduced`` is ``(2L, n_y)``. ``rss``,
+    ``mean`` and ``var`` (ddof=1) are the sum, mean and sample variance of
+    each model's per-node squared errors; they are NaN for a pair that went
+    non-finite, and only the ids in ``pair_ids`` (ascending) survived.
+    ``len()`` is the number of surviving pairs.
+    """
+
+    pair_ids: np.ndarray
+    y_index: np.ndarray
+    full: np.ndarray
+    reduced: np.ndarray
+    rss_full: np.ndarray
+    mean_full: np.ndarray
+    var_full: np.ndarray
+    rss_reduced: np.ndarray
+    mean_reduced: np.ndarray
+    var_reduced: np.ndarray
+    lag_hops: int
+    link: str
+
+    def __len__(self) -> int:
+        return self.pair_ids.size
+
+    def model(self, pair_id: int) -> PairModel:
+        """The trained full and reduced model of one pair."""
+        vec = _join_vector(self.full[:, pair_id], self.reduced[:, self.y_index[pair_id]])
+        return vector_to_model(vec, self.reduced.shape[0] // 2, self.lag_hops, self.link)
 
 
 @dataclass
@@ -231,6 +261,17 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     if a.shape[1] == 1:
         return np.cumsum(a[:, 0])[-1:]
     return np.sum(a, axis=0)
+
+
+def _loss_stats(per_node: np.ndarray):
+    """(sum, mean, var(ddof=1)) of each column of an (n, m) array of per-node losses.
+
+    Each column is reduced as one contiguous row, which gives the bits of
+    the 1-D ``sum``, ``mean`` and ``var`` of that column alone; reducing
+    ``per_node`` over axis 0 would not.
+    """
+    rows = np.ascontiguousarray(per_node.T)
+    return rows.sum(axis=1), rows.mean(axis=1), rows.var(axis=1, ddof=1)
 
 
 def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops):
@@ -355,8 +396,8 @@ def train_all(
     config: TrainConfig,
     workers: int = 1,
     component: str = "both",
-) -> dict[int, TrainedPair]:
-    """Fit every candidate pair and return its final model and loss report.
+) -> TrainResult:
+    """Fit every candidate pair; return both parameter banks and each model's loss statistics.
 
     Pairs are shuffled into minibatches each epoch (seeded); every pair takes
     one Adam step per epoch. Training stops after ``max_epochs`` epochs or
@@ -366,8 +407,9 @@ def train_all(
     "full", "reduced"); because the models share no parameters the
     restricted runs reproduce the joint run exactly. A pair whose full model
     goes non-finite, or whose y's reduced model does, is dropped from the
-    results with a logged diagnostic. The reports of the pairs of one y share
-    one read-only ``per_node_reduced`` array.
+    results with a logged diagnostic. The final evaluation returns no
+    per-node losses, only their sum, mean and variance: per pair for the full
+    model and per y for the reduced one (``TrainResult``).
     """
     if component not in ("both", "full", "reduced"):
         raise ConfigError(f"component must be both/full/reduced, got {component!r}")
@@ -490,30 +532,24 @@ def train_all(
                 break
         prev_loss = epoch_loss
 
-    # Final evaluation over all surviving pairs, fixed chunking again. The
-    # reports of one y share one read-only per_node_reduced array and its sum.
-    reduced_y: dict[int, tuple[np.ndarray, float]] = {}
+    # Final evaluation over all surviving pairs, fixed chunking again. Each
+    # chunk's per-node losses are reduced to the statistics scoring needs,
+    # once per y for the reduced bank.
+    stats_reduced = np.full((3, y_used.size), np.nan)
     for cols, (_, per_node, _, ok) in run_chunks(bank_chunk, np.unique(y_at[active]), False):
-        for j in np.flatnonzero(ok):
-            shared = np.ascontiguousarray(per_node[:, j])
-            shared.flags.writeable = False
-            reduced_y[int(cols[j])] = shared, float(shared.sum())
-    results: dict[int, TrainedPair] = {}
-    for cols, (_, pn_full, _, ok) in run_chunks(pair_chunk, np.flatnonzero(active), False):
-        for j, k in enumerate(cols):
-            yk = int(y_at[k])
-            if not ok[j] or yk not in reduced_y:
-                logger.warning("pair %d non-finite at final evaluation; excluded", k)
-                continue
-            per_node_full = np.ascontiguousarray(pn_full[:, j])
-            per_node_reduced, rss_reduced = reduced_y[yk]
-            results[int(k)] = TrainedPair(
-                model=vector_to_model(_join_vector(full[:, k], reduced[:, yk]), L,
-                                      config.lag_hops, config.link),
-                report=LossReport(per_node_full=per_node_full, per_node_reduced=per_node_reduced,
-                                  rss_full=float(per_node_full.sum()), rss_reduced=rss_reduced),
-            )
-    return results
+        stats_reduced[:, cols[ok]] = _loss_stats(per_node[:, ok])
+    stats_full = np.full((3, n_pairs), np.nan)
+    for cols, (_, per_node, _, ok) in run_chunks(pair_chunk, np.flatnonzero(active), False):
+        ok &= ~np.isnan(stats_reduced[0, y_at[cols]])
+        for k in cols[~ok]:
+            logger.warning("pair %d non-finite at final evaluation; excluded", k)
+        active[cols[~ok]] = False
+        stats_full[:, cols[ok]] = _loss_stats(per_node[:, ok])
+    return TrainResult(
+        pair_ids=np.flatnonzero(active), y_index=y_at, full=full, reduced=reduced,
+        rss_full=stats_full[0], mean_full=stats_full[1], var_full=stats_full[2],
+        rss_reduced=stats_reduced[0], mean_reduced=stats_reduced[1],
+        var_reduced=stats_reduced[2], lag_hops=config.lag_hops, link=config.link)
 
 
 # --- parameter layout ---------------------------------------------------------

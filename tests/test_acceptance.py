@@ -250,8 +250,8 @@ def test_criterion_5_joint_separate_equivalence():
     full_only = train_all(dataset, ops, cfg, component="full")
     reduced_only = train_all(dataset, ops, cfg, component="reduced")
     identical = True
-    for pid in joint:
-        jm, fm, rm = joint[pid].model, full_only[pid].model, reduced_only[pid].model
+    for pid in joint.pair_ids:
+        jm, fm, rm = joint.model(pid), full_only.model(pid), reduced_only.model(pid)
         identical &= np.array_equal(jm.theta_y_full.w, fm.theta_y_full.w)
         identical &= np.array_equal(jm.theta_y_full.b, fm.theta_y_full.b)
         identical &= np.array_equal(jm.theta_x_full.w, fm.theta_x_full.w)

@@ -1,13 +1,20 @@
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from dagranger.baselines import (
     bin_by_pseudotime,
     pearson,
+    pearson_pairs,
     pseudocell_smooth,
     var_granger,
+    var_granger_pairs,
 )
 from dagranger.errors import AllOneBin, DegenerateSampleSize
 
@@ -159,3 +166,144 @@ class TestVarGranger:
         y = np.arange(30.0)
         f, p = var_granger(x, y, max_lag=1)
         assert math.isfinite(f) and 0.0 <= p <= 1.0
+
+
+def one_pair_pearson(x, y):
+    """Reference: one pair's r by 1-D reductions, which the batched code must reproduce bit for bit."""
+    xc, yc = x - x.mean(), y - y.mean()
+    sx, sy = float(np.sqrt((xc * xc).sum())), float(np.sqrt((yc * yc).sum()))
+    return 0.0 if sx == 0.0 or sy == 0.0 else float((xc * yc).sum() / (sx * sy))
+
+
+def lstsq_var_granger(x_bins, y_bins, L):
+    """Oracle: one pair's VAR F-test by ``np.linalg.lstsq``, ridge when rank-deficient."""
+    keep = ~(np.isnan(x_bins) | np.isnan(y_bins))
+    x, y = x_bins[keep], y_bins[keep]
+    target = y[L:]
+    ones = np.ones((target.size, 1))
+    y_lags = np.column_stack([y[L - k : -k] for k in range(1, L + 1)])
+    x_lags = np.column_stack([x[L - k : -k] for k in range(1, L + 1)])
+
+    def rss(design):
+        beta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        if rank < design.shape[1]:
+            gram = design.T @ design + 1e-8 * np.eye(design.shape[1])
+            beta = np.linalg.solve(gram, design.T @ target)
+        return float(((target - design @ beta) ** 2).sum())
+
+    rss_r, rss_u = rss(np.hstack([ones, y_lags])), rss(np.hstack([ones, y_lags, x_lags]))
+    df2 = target.size - 2 * L - 1
+    f = max(rss_r - rss_u, 0.0) / L / (rss_u / df2)
+    return f, float(special.fdtrc(L, df2, f))
+
+
+BATCHED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def screen(data, n_nodes):
+    """A drawn screen: x (n, nx), y (n, ny), all their pairs in a drawn order."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    nx, ny = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    x, y = rng.normal(size=(n_nodes, nx)), rng.gamma(1.0, size=(n_nodes, ny))
+    pairs = [(i, j) for i in range(nx) for j in range(ny)]
+    order = data.draw(st.permutations(range(len(pairs))))
+    return rng, x, y, [pairs[k] for k in order]
+
+
+class TestBatchedAgainstOnePair:
+    @BATCHED
+    @given(data=st.data())
+    def test_pearson_pairs_bit_identical(self, data):
+        n = data.draw(st.sampled_from([2, 5, 9, 60, 300]))
+        _, x, y, pairs = screen(data, n)
+        x[:, 0] = 3.0  # a zero-variance column
+        r = pearson_pairs(x, y, pairs)
+        for k, (i, j) in enumerate(pairs):
+            assert r[k] == pearson(x[:, i], y[:, j]) == one_pair_pearson(x[:, i], y[:, j])
+
+    @BATCHED
+    @given(data=st.data())
+    def test_var_granger_pairs_match_one_pair(self, data):
+        # y column 0 repeats x column 0: that pair's design repeats a lag
+        # column and takes the ridge fit, as it does in the oracle
+        n, L = data.draw(st.integers(150, 400)), data.draw(st.integers(1, 2))
+        rng, x, y, pairs = screen(data, n)
+        y[:, 0] = x[:, 0]
+        pt = rng.random(n)
+        warnings = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = warnings.append
+        logger = logging.getLogger("dagranger.baselines")
+        logger.addHandler(handler)
+        try:
+            f, p = var_granger_pairs(x, y, pairs, pt, max_lag=L)
+        finally:
+            logger.removeHandler(handler)
+        assert [r.getMessage().split(" of ")[0] for r in warnings] == ["var_granger: 1"]
+        for k, (i, j) in enumerate(pairs):
+            b = bin_by_pseudotime(x[:, i], y[:, j], pt)
+            one = var_granger(b.x_bins, b.y_bins, max_lag=L)
+            oracle = lstsq_var_granger(b.x_bins, b.y_bins, L)
+            # f near 0 is a difference of two nearly equal sums: an absolute bound there
+            assert (f[k], p[k]) == one
+            assert f[k] == pytest.approx(oracle[0], rel=1e-9, abs=1e-9)
+            assert p[k] == pytest.approx(oracle[1], rel=1e-9, abs=1e-12)
+
+    def test_no_pairs(self, rng):
+        x, y = rng.normal(size=(300, 3)), rng.normal(size=(300, 2))
+        assert pearson_pairs(x, y, []).shape == (0,)
+        f, p = var_granger_pairs(x, y, [], rng.random(300))
+        assert f.shape == p.shape == (0,)
+
+    def test_nan_input_drops_bins_pairwise(self, rng):
+        # a NaN value makes its variable's bin NaN; that variable's pairs drop
+        # the bin as the one-pair test does, and the other pairs keep it
+        x, y = rng.normal(size=(300, 3)), rng.normal(size=(300, 2))
+        x[7, 1], y[11, 0] = np.nan, np.nan
+        pt = rng.random(300)
+        pairs = [(i, j) for i in range(3) for j in range(2)]
+        f, p = var_granger_pairs(x, y, pairs, pt)
+        for k, (i, j) in enumerate(pairs):
+            b = bin_by_pseudotime(x[:, i], y[:, j], pt)
+            assert (f[k], p[k]) == var_granger(b.x_bins, b.y_bins)
+        assert np.isfinite(f).all()
+
+
+class TestScreenWarnings:
+    def test_one_zero_variance_warning_per_variable(self, rng, caplog):
+        x, y = rng.normal(size=(40, 200)), np.ones((40, 2))
+        y[:, 1] = rng.normal(size=40)
+        pairs = [(i, j) for i in range(200) for j in range(2)]
+        with caplog.at_level(logging.WARNING, logger="dagranger.baselines"):
+            r = pearson_pairs(x, y, pairs, method="pseudocell", y_names=("flat", "g"))
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "pseudocell: y variable flat has zero variance; 200 pairs set to r = 0"]
+        assert (r[0::2] == 0.0).all() and (r[1::2] != 0.0).all()
+
+    def test_one_ridge_warning_per_screen(self, rng, caplog):
+        # a constant x collides with the intercept in every pair it is in
+        x, y = rng.normal(size=(300, 6)), rng.normal(size=(300, 3))
+        x[:, 2] = 1.5
+        pairs = [(i, j) for i in range(6) for j in range(3)]
+        with caplog.at_level(logging.WARNING, logger="dagranger.baselines"):
+            var_granger_pairs(x, y, pairs, rng.random(300))
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "var_granger: 3 of 18 pairs have a singular design; ridge fit (lambda=1e-08)"]
+
+
+class TestScreenMemory:
+    def test_blocks_bound_peak_memory(self, rng):
+        # 20,000 pairs on 300 nodes: one gathered (pairs, nodes) array alone
+        # would be 48 MB
+        x, y = rng.normal(size=(300, 200)), rng.normal(size=(300, 100))
+        pairs = [(i, j) for i in range(200) for j in range(100)]
+        pt = rng.random(300)
+        for run in (lambda: pearson_pairs(x, y, pairs),
+                    lambda: var_granger_pairs(x, y, pairs, pt)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12e6

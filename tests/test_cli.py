@@ -170,6 +170,57 @@ class TestRunCommand:
         assert {r["pair_id"] for r in records} == set(range(len(ds.candidates)))
         for field in ("f_stat", "f_pvalue", "t_stat", "t_pvalue", "df1", "df2"):
             assert field in records[0]
+        stage = manifest["stages"]["dagranger"]
+        assert stage["records"] == len(records) and stage["dropped"] == []
+        assert stage["flags"] == {"zero_residual": 0, "zero_variance_both": 0}
+
+    def test_manifest_names_dropped_pairs(self, bundle, tmp_path, monkeypatch):
+        # an inf in one x column makes every pair of that x non-finite in
+        # training; the manifest must name exactly the pairs the score file lacks
+        import dagranger.preprocess
+
+        ds, paths, _ = bundle
+        real = dagranger.preprocess.read_matrix
+        parent = ds.dag.edges[0][0]  # a node whose value some child's lag reads
+
+        def planted(path):
+            matrix = real(path)
+            if str(path) == str(paths["x_matrix"]):
+                matrix.values[parent, 0] = np.inf
+            return matrix
+
+        monkeypatch.setattr(dagranger.preprocess, "read_matrix", planted)
+        outdir = tmp_path / "run"
+        code = run_cli("run", "--x-matrix", paths["x_matrix"], "--y-matrix",
+                       paths["y_matrix"], "--pairs", paths["pairs"],
+                       "--edges", paths["edges"], "--method", "dagranger",
+                       "--outdir", outdir, "--max-epochs", 2, "--n-layers", 2)
+        assert code == 0
+        stage = json.loads((outdir / "manifest.json").read_text())["stages"]["dagranger"]
+        records = [json.loads(l) for l in
+                   (outdir / "scores_dagranger.jsonl").read_text().splitlines()]
+        missing = sorted(set(range(len(ds.candidates))) - {r["pair_id"] for r in records})
+        assert missing == [k for k, (xi, _) in enumerate(ds.candidates) if xi == 0]
+        assert stage["dropped"] == missing and stage["records"] == len(records)
+        assert stage["flags"] == {name: sum(name in r["flags"] for r in records)
+                                  for name in ("zero_residual", "zero_variance_both")}
+
+    def test_too_few_nodes_stop_before_training(self, bundle, tmp_path, caplog, monkeypatch):
+        # 120 nodes with L = 30 leave n - 4L - 1 < 0 degrees of freedom
+        import dagranger.train
+
+        def untrainable(*args, **kwargs):
+            raise AssertionError("train_all must not run")
+
+        monkeypatch.setattr(dagranger.train, "train_all", untrainable)
+        ds, paths, _ = bundle
+        code = run_cli("run", "--x-matrix", paths["x_matrix"], "--y-matrix",
+                       paths["y_matrix"], "--pairs", paths["pairs"],
+                       "--edges", paths["edges"], "--method", "dagranger",
+                       "--n-layers", 30, "--outdir", tmp_path / "o")
+        assert code == 3
+        assert any("need n > 4L+1 = 121 observations, got n = 120" in r.getMessage()
+                   for r in caplog.records if r.levelname == "ERROR")
 
     def test_rerun_same_seed_identical_bytes(self, bundle, tmp_path):
         ds, paths, _ = bundle

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dagranger.errors import ConfigError, DegenerateSampleSize
 from dagranger.graph import lagged_operators
 from dagranger.score import (
+    METHODS,
     f_test,
     rank_pairs,
     read_score_records,
@@ -18,7 +19,7 @@ from dagranger.score import (
     write_score_records,
 )
 from dagranger.synth import SynthSpec, generate
-from dagranger.train import Dataset, TrainConfig, train_all
+from dagranger.train import Dataset, TrainConfig, pair_loss, train_all
 
 
 def beta_quadrature(x, a, b):
@@ -233,17 +234,33 @@ class TestScoreDataset:
         assert all(a["score"] >= b["score"] for a, b in zip(by_rank, by_rank[1:]))
 
     def test_dagranger_fields_equal_score_pair_of_each_pair(self):
-        # score_dataset computes each y's reduced statistics once for all its
-        # pairs; each record must equal score_pair on the pair's own arrays.
+        # score_dataset tests every pair at once from train_all's statistics,
+        # each y's reduced statistics shared by its pairs; each record must
+        # equal score_pair on the per-node losses of the pair's own model.
         ds, dataset = tiny_inputs()
         assert len({y for _, y in dataset.pairs}) < len(dataset.pairs)
-        results = train_all(dataset, lagged_operators(ds.dag), TINY_CONFIG)
-        for rec in tiny_scored():
-            rep = results[rec["pair_id"]].report
+        ops = lagged_operators(ds.dag)
+        results = train_all(dataset, ops, TINY_CONFIG)
+        records = tiny_scored()
+        assert [rec["pair_id"] for rec in records] == results.pair_ids.tolist()
+        for rec in records:
+            xi, yi = dataset.pairs[rec["pair_id"]]
+            rep = pair_loss(dataset.x_values[:, xi], dataset.y_values[:, yi], ops,
+                            results.model(rec["pair_id"]))
             s = score_pair(rec["pair_id"], rep.per_node_full, rep.per_node_reduced,
                            TINY_CONFIG.n_layers)
             assert (rec["f_stat"], rec["f_pvalue"], rec["t_stat"], rec["t_pvalue"],
                     rec["flags"]) == (s.f_stat, s.f_pvalue, s.t_stat, s.t_pvalue, list(s.flags))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_pairs_no_records(self, method):
+        ds, dataset = tiny_inputs()
+        empty = Dataset(x_values=dataset.x_values, y_values=dataset.y_values,
+                        x_names=dataset.x_names, y_names=dataset.y_names, pairs=())
+        assert score_dataset(
+            empty, method, ops=lagged_operators(ds.dag), neighbor_edges=ds.dag.edges,
+            coords=None, pseudotime=ds.pseudotime, config=TINY_CONFIG, workers=1,
+            rank_mode="f", var_max_lag=1, pseudocell_neighborhood=5) == []
 
     def test_var_granger_needs_pseudotime(self):
         with pytest.raises(ConfigError):

@@ -12,6 +12,7 @@ from dagranger.train import (
     AdamState,
     _chunk_forward_backward,
     _join_vector,
+    _loss_stats,
     _split_vector,
     Dataset,
     TrainConfig,
@@ -195,6 +196,7 @@ class TestChunkKernel:
         # five pairs over two y variables: every pass (each epoch and the
         # final evaluation) runs the reduced encoder on two columns, the full
         # model on five, and the pairs of one y report one shared reduced model
+        # with one set of reduced statistics
         ds, _, ops = tiny_dataset(seed=5)
         pairs = ((0, 0), (1, 0), (2, 0), (3, 1), (0, 1))
         dataset = Dataset(x_values=ds.x_matrix, y_values=ds.y_matrix, x_names=ds.x_names,
@@ -213,12 +215,33 @@ class TestChunkKernel:
                                                       convergence_numerator=0.0))
         assert widths["reduced"] == [2] * (epochs + 1)
         assert sum(widths["full"]) == len(pairs) * (epochs + 1)
+        assert results.reduced.shape == (6, 2) and results.rss_reduced.shape == (2,)
+        assert results.y_index.tolist() == [0, 0, 0, 1, 1]
         for a, b in ((0, 1), (0, 2), (3, 4)):
-            ra, rb = results[a], results[b]
-            assert ra.report.per_node_reduced is rb.report.per_node_reduced
-            assert np.array_equal(ra.model.theta_y_reduced.w, rb.model.theta_y_reduced.w)
-            assert np.array_equal(ra.model.theta_y_reduced.b, rb.model.theta_y_reduced.b)
-        assert not results[0].report.per_node_reduced.flags.writeable
+            ma, mb = results.model(a), results.model(b)
+            assert np.array_equal(ma.theta_y_reduced.w, mb.theta_y_reduced.w)
+            assert np.array_equal(ma.theta_y_reduced.b, mb.theta_y_reduced.b)
+        # each y's statistics are those of its model's per-node losses
+        for pid in (0, 3):
+            xi, yi = pairs[pid]
+            direct = pair_loss(dataset.x_values[:, xi], dataset.y_values[:, yi], ops,
+                               results.model(pid))
+            j = results.y_index[pid]
+            assert results.rss_reduced[j] == direct.per_node_reduced.sum()
+            assert results.mean_reduced[j] == direct.per_node_reduced.mean()
+            assert results.var_reduced[j] == direct.per_node_reduced.var(ddof=1)
+
+
+    def test_loss_stats_have_the_bits_of_each_column_alone(self, rng):
+        # the final evaluation's statistics must equal the 1-D sum, mean and
+        # var of each pair's per-node losses, at every chunk width
+        per_node = rng.gamma(1.0, size=(300, 64))
+        for width in (1, 2, 64):
+            sums, means, variances = _loss_stats(np.ascontiguousarray(per_node[:, :width]))
+            for j in range(width):
+                col = per_node[:, j].copy()
+                assert (sums[j], means[j], variances[j]) == (
+                    col.sum(), col.mean(), col.var(ddof=1))
 
 
 class TestAdamStep:
@@ -273,14 +296,16 @@ class TestTrainAll:
         ds, dataset, ops = tiny_dataset()
         cfg = TrainConfig(n_layers=3, max_epochs=0, seed=9)
         results = train_all(dataset, ops, cfg)
-        assert set(results) == set(range(len(dataset.pairs)))
+        assert results.pair_ids.tolist() == list(range(len(dataset.pairs)))
+        assert len(results) == len(dataset.pairs)
         # losses equal direct evaluation of the init models
         init = glorot_init(3, np.random.default_rng(9))
-        for pid, tp in results.items():
-            assert np.array_equal(model_to_vector(tp.model), model_to_vector(init))
+        for pid in results.pair_ids:
+            model = results.model(pid)
+            assert np.array_equal(model_to_vector(model), model_to_vector(init))
             xi, yi = dataset.pairs[pid]
-            direct = pair_loss(dataset.x_values[:, xi], dataset.y_values[:, yi], ops, tp.model)
-            assert tp.report.rss_full == pytest.approx(direct.rss_full, rel=1e-12)
+            direct = pair_loss(dataset.x_values[:, xi], dataset.y_values[:, yi], ops, model)
+            assert results.rss_full[pid] == pytest.approx(direct.rss_full, rel=1e-12)
 
     def test_loss_decreases_on_synthetic_pair(self):
         ds, dataset, ops = tiny_dataset(seed=4)
@@ -288,8 +313,8 @@ class TestTrainAll:
         cfg5 = TrainConfig(n_layers=3, max_epochs=5, seed=2)
         r0 = train_all(dataset, ops, cfg0)
         r5 = train_all(dataset, ops, cfg5)
-        total0 = sum(t.report.rss_full + t.report.rss_reduced for t in r0.values())
-        total5 = sum(t.report.rss_full + t.report.rss_reduced for t in r5.values())
+        total0, total5 = ((r.rss_full + r.rss_reduced[r.y_index])[r.pair_ids].sum()
+                          for r in (r0, r5))
         assert total5 < total0
 
     def test_determinism_across_worker_counts(self):
@@ -297,9 +322,10 @@ class TestTrainAll:
         cfg = TrainConfig(n_layers=2, max_epochs=3, seed=5)
         r1 = train_all(dataset, ops, cfg, workers=1)
         r2 = train_all(dataset, ops, cfg, workers=3)
-        for pid in r1:
-            assert np.array_equal(model_to_vector(r1[pid].model), model_to_vector(r2[pid].model))
-            assert r1[pid].report.rss_full == r2[pid].report.rss_full
+        assert np.array_equal(r1.pair_ids, r2.pair_ids)
+        for pid in r1.pair_ids:
+            assert np.array_equal(model_to_vector(r1.model(pid)), model_to_vector(r2.model(pid)))
+            assert r1.rss_full[pid] == r2.rss_full[pid]
 
     def test_bit_identical_across_minibatch_sizes_and_workers(self):
         # chunk widths differ (1, 2, 64 and the remainder) but no pair's
@@ -315,16 +341,17 @@ class TestTrainAll:
             cfg = TrainConfig(n_layers=3, max_epochs=2, minibatch_pairs=minibatch_pairs,
                               seed=0, convergence_numerator=0.0)
             results = train_all(dataset, ops, cfg, workers=workers)
-            return {pid: (model_to_vector(r.model), r.report.per_node_full,
-                          r.report.per_node_reduced) for pid, r in results.items()}
+            # the statistics of dropped pairs are NaN, which equal_nan compares
+            return {name: getattr(results, name) for name in (
+                "pair_ids", "y_index", "full", "reduced", "rss_full", "mean_full", "var_full",
+                "rss_reduced", "mean_reduced", "var_reduced")}
 
         reference = run(1024, 1)
         for minibatch_pairs, workers in ((1, 1), (2, 1), (1024, 2)):
             other = run(minibatch_pairs, workers)
-            assert other.keys() == reference.keys()
-            for pid, arrays in reference.items():
-                for a, b in zip(arrays, other[pid]):
-                    assert np.array_equal(a, b), (minibatch_pairs, workers, pid)
+            for name, array in reference.items():
+                assert np.array_equal(array, other[name], equal_nan=True), (
+                    minibatch_pairs, workers, name)
 
     def test_joint_equals_separate_training(self):
         # the two models share no parameters, so the joint run must
@@ -334,8 +361,8 @@ class TestTrainAll:
         joint = train_all(dataset, ops, cfg, component="both")
         full_only = train_all(dataset, ops, cfg, component="full")
         reduced_only = train_all(dataset, ops, cfg, component="reduced")
-        for pid in joint:
-            jm, fm, rm = joint[pid].model, full_only[pid].model, reduced_only[pid].model
+        for pid in joint.pair_ids:
+            jm, fm, rm = joint.model(pid), full_only.model(pid), reduced_only.model(pid)
             assert np.array_equal(jm.theta_y_full.w, fm.theta_y_full.w)
             assert np.array_equal(jm.theta_y_full.b, fm.theta_y_full.b)
             assert np.array_equal(jm.theta_x_full.w, fm.theta_x_full.w)
@@ -354,8 +381,7 @@ class TestTrainAll:
         ops = lagged_operators(ds.dag)
         cfg = TrainConfig(n_layers=4, max_epochs=20, seed=0)
         results = train_all(dataset, ops, cfg)
-        report = results[0].report
-        assert report.rss_full < report.rss_reduced
+        assert results.rss_full[0] < results.rss_reduced[results.y_index[0]]
 
     def test_independent_noise_pair_stays_in_null_band(self):
         # x pure noise: the trained residual gap should not look significant
@@ -372,7 +398,7 @@ class TestTrainAll:
         ops = lagged_operators(ds.dag)
         cfg = TrainConfig(n_layers=4, max_epochs=20, seed=1)
         results = train_all(dataset, ops, cfg)
-        rep = results[0].report
+        rep = pair_loss(x_noise, ds.y_matrix[:, 0], ops, results.model(0))
         s = score_pair(0, rep.per_node_full, rep.per_node_reduced, cfg.n_layers)
         assert s.f_pvalue > 0.05
 
