@@ -105,7 +105,7 @@ def pearson(x, y) -> float:
 def pseudocell_smooth(
     values: np.ndarray,
     knn_edges,
-    neighborhood: int = 50,
+    neighborhood: int,
     coords: np.ndarray | None = None,
 ) -> np.ndarray:
     """Replace each row by the mean of itself and up to ``neighborhood`` graph neighbors.
@@ -282,7 +282,7 @@ def _var_tests(x_bins: np.ndarray, y_bins: np.ndarray, x_at, y_at, max_lag: int)
 
 
 def var_granger_pairs(x_values, y_values, pairs, pseudotime,
-                      max_lag: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                      max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     """``var_granger`` of every pair (xi, yi) after ``bin_by_pseudotime``: (f, p) arrays.
 
     Each used variable is binned once; one pseudotime gives every pair the
@@ -308,7 +308,7 @@ def var_granger_pairs(x_values, y_values, pairs, pseudotime,
     return f, p
 
 
-def var_granger(x_bins, y_bins, max_lag: int = 1) -> tuple[float, float]:
+def var_granger(x_bins, y_bins, max_lag: int) -> tuple[float, float]:
     """Linear VAR Granger test of x driving y on a totally ordered series.
 
     Regresses y_t on an intercept and its own ``max_lag`` lags (restricted),

@@ -402,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dag = sub.add_parser("build-dag", help="kNN graph + pseudotime orientation")
     p_dag.add_argument("--embedding", required=True)
     p_dag.add_argument("--pseudotime", required=True)
-    p_dag.add_argument("--k", type=int, default=15)
+    p_dag.add_argument("--k", type=int, default=RunConfig.k)
     p_dag.add_argument("--out-edges", required=True)
     p_dag.add_argument("--out-stats", required=True)
 

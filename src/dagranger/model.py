@@ -1,20 +1,22 @@
 """Lagged message-passing history encoders and the full/reduced predictors.
 
-One candidate pair (x possibly driving y) is modeled by three scalar-per-layer
-encoders plus one interaction coefficient:
+One candidate pair (x possibly driving y) has two models, each stored as one
+column of scalar parameters:
 
-    full model:    y_hat = link(enc(y; theta_y_full) + c * enc(x; theta_x_full))
-    reduced model: y_hat = link(enc(y; theta_y_reduced))
+    full column (4L+1,):  [w_y, b_y, w_x, b_x, c]
+        y_hat = link(enc(y; w_y, b_y) + c * enc(x; w_x, b_x))
+    reduced column (2L,): [w_y, b_y]
+        y_hat = link(enc(y; w_y, b_y))
 
-``enc`` runs L propagation layers over the DAG. Layer 1 (and every layer up
-to ``lag_hops``) uses the strict-lag operator so a node's own current value
-never reaches its prediction; later layers use the self-retaining variant so
-information accumulated at a node persists while its parents' past keeps
-arriving. The encoder output is the mean of the L layer outputs.
+An encoder's parameters, like the reduced column, are [w, b]: one weight and
+one bias per layer. ``enc`` runs L propagation layers over the DAG. Layer 1
+(and every layer up to ``lag_hops``) uses the strict-lag operator so a node's
+own current value never reaches its prediction; later layers use the
+self-retaining variant so information accumulated at a node persists while
+its parents' past keeps arriving. The encoder output is the mean of the L
+layer outputs.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +24,7 @@ from .errors import DimensionMismatch, NonFiniteParameter
 from .graph import LaggedOperators, transpose_apply_batch
 
 __all__ = [
-    "EncoderParams",
-    "PairModel",
+    "check_column",
     "encode_history",
     "encode_history_batch",
     "strict_lag",
@@ -35,55 +36,6 @@ __all__ = [
 ]
 
 LINKS = ("identity", "exponential")
-
-
-@dataclass(frozen=True)
-class EncoderParams:
-    """Per-layer scalar weight and bias of one history encoder."""
-
-    w: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", b)
-        if w.ndim != 1 or b.shape != w.shape or w.shape[0] < 1:
-            raise DimensionMismatch("w and b must be equal-length vectors, length >= 1")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise NonFiniteParameter("encoder parameters must be finite")
-
-    @property
-    def n_layers(self) -> int:
-        return self.w.shape[0]
-
-
-@dataclass(frozen=True)
-class PairModel:
-    """All 6L+1 scalar parameters of one candidate pair's full+reduced models."""
-
-    theta_y_full: EncoderParams
-    theta_x_full: EncoderParams
-    c: float
-    theta_y_reduced: EncoderParams
-    lag_hops: int = 1
-    link: str = "identity"
-
-    def __post_init__(self):
-        L = self.theta_y_full.n_layers
-        if self.theta_x_full.n_layers != L or self.theta_y_reduced.n_layers != L:
-            raise DimensionMismatch("all three encoders must share the same layer count")
-        if not 1 <= self.lag_hops <= L:
-            raise DimensionMismatch(f"lag_hops must be in [1, {L}], got {self.lag_hops}")
-        if self.link not in LINKS:
-            raise ValueError(f"link must be one of {LINKS}, got {self.link!r}")
-        if not np.isfinite(self.c):
-            raise NonFiniteParameter("interaction coefficient must be finite")
-
-    @property
-    def n_layers(self) -> int:
-        return self.theta_y_full.n_layers
 
 
 def apply_link(s: np.ndarray, link: str) -> np.ndarray:
@@ -107,29 +59,50 @@ def _as_column(v: np.ndarray, ops: LaggedOperators) -> np.ndarray:
     return v[:, None]
 
 
+def check_column(theta: np.ndarray, *, with_x: bool) -> tuple[np.ndarray, int]:
+    """One parameter column as floats, with its layer count L.
+
+    With ``with_x`` it is a full column [w_y, b_y, w_x, b_x, c] of 4L+1
+    values, else an encoder's (or reduced) column [w, b] of 2L values.
+    Raises DimensionMismatch unless it is 1-D of that length for some
+    L >= 1, and NonFiniteParameter unless every value is finite.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    per_layer, extra = (4, 1) if with_x else (2, 0)
+    L, rest = divmod(theta.shape[0] - extra, per_layer) if theta.ndim == 1 else (0, 0)
+    if L < 1 or rest:
+        raise DimensionMismatch(f"expected a column of {per_layer}L{'+1' if with_x else ''} "
+                                f"values with L >= 1, got shape {theta.shape}")
+    if not np.isfinite(theta).all():
+        raise NonFiniteParameter("parameters must be finite")
+    return theta, L
+
+
 def encode_history(
     v: np.ndarray,
     ops: LaggedOperators,
-    p: EncoderParams,
-    lag_hops: int = 1,
+    theta: np.ndarray,
+    *,
+    lag_hops: int,
     keep_layers: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run the L-layer lagged recurrence on one node-value vector.
 
-    h(1) = tanh(w1 * A.T v + b1); subsequent layers apply tanh(w * M.T h + b)
-    with M the strict-lag operator up to ``lag_hops`` and the self-retaining
-    operator beyond. Returns (h_tilde, layers): the mean of the L layer
-    outputs and, with ``keep_layers``, the (L, n) layer outputs (else None).
-    This is ``encode_history_batch`` on a batch of width one; the layer
-    outputs are recomputed from its kept layer inputs, with the same
-    arithmetic.
+    ``theta`` is the encoder's column [w, b]. h(1) = tanh(w1 * A.T v + b1);
+    subsequent layers apply tanh(w * M.T h + b) with M the strict-lag
+    operator up to ``lag_hops`` and the self-retaining operator beyond.
+    Returns (h_tilde, layers): the mean of the L layer outputs and, with
+    ``keep_layers``, the (L, n) layer outputs (else None). This is
+    ``encode_history_batch`` on a batch of width one; the layer outputs are
+    recomputed from its kept layer inputs, with the same arithmetic.
     """
+    theta, L = check_column(theta, with_x=False)
+    w, b = theta[:L, None], theta[L:, None]
     h_tilde, inputs = encode_history_batch(
-        _as_column(v, ops), ops, p.w[:, None], p.b[:, None], lag_hops, keep_inputs=keep_layers)
+        _as_column(v, ops), ops, w, b, lag_hops, keep_inputs=keep_layers)
     layers = None
     if inputs is not None:
-        layers = np.stack([layer_output(u, p.w[i : i + 1], p.b[i : i + 1])[:, 0]
-                           for i, u in enumerate(inputs)])
+        layers = np.stack([layer_output(u, w[i], b[i])[:, 0] for i, u in enumerate(inputs)])
     return h_tilde[:, 0], layers
 
 
@@ -155,7 +128,7 @@ def encode_history_batch(
     ops: LaggedOperators,
     w: np.ndarray,
     b: np.ndarray,
-    lag_hops: int = 1,
+    lag_hops: int,
     keep_inputs: bool = False,
     lagged: bool = False,
 ) -> tuple[np.ndarray, list[np.ndarray] | None]:
@@ -195,15 +168,18 @@ def encode_history_batch(
 
 
 def predict_full(
-    x: np.ndarray, y: np.ndarray, ops: LaggedOperators, m: PairModel
+    x: np.ndarray, y: np.ndarray, ops: LaggedOperators, full: np.ndarray, *,
+    lag_hops: int, link: str,
 ) -> np.ndarray:
-    """Full-model prediction: link(enc(y) + c * enc(x))."""
-    h_y = encode_history(y, ops, m.theta_y_full, m.lag_hops)[0]
-    h_x = encode_history(x, ops, m.theta_x_full, m.lag_hops)[0]
-    return apply_link(h_y + m.c * h_x, m.link)
+    """Full-model prediction link(enc(y) + c * enc(x)) from a full column."""
+    full, L = check_column(full, with_x=True)
+    h_y = encode_history(y, ops, full[: 2 * L], lag_hops=lag_hops)[0]
+    h_x = encode_history(x, ops, full[2 * L : 4 * L], lag_hops=lag_hops)[0]
+    return apply_link(h_y + full[4 * L] * h_x, link)
 
 
-def predict_reduced(y: np.ndarray, ops: LaggedOperators, m: PairModel) -> np.ndarray:
-    """Reduced-model prediction: link(enc(y)) from y's own history only."""
-    h_y = encode_history(y, ops, m.theta_y_reduced, m.lag_hops)[0]
-    return apply_link(h_y, m.link)
+def predict_reduced(
+    y: np.ndarray, ops: LaggedOperators, reduced: np.ndarray, *, lag_hops: int, link: str,
+) -> np.ndarray:
+    """Reduced-model prediction link(enc(y)) from y's own history only."""
+    return apply_link(encode_history(y, ops, reduced, lag_hops=lag_hops)[0], link)

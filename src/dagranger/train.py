@@ -1,18 +1,19 @@
 """Fitting the full and reduced models of every candidate pair.
 
-Each pair has 6L+1 scalar parameters, so the total objective (the sum of full
-and reduced squared-error losses over all pairs) decomposes per pair and per
-model. The reduced model sees only y's own history, so it depends on y and
-not on x: ``train_all`` keeps one reduced model per y variable (the reduced
-bank) and one full model per pair (the full bank). Every epoch the reduced
-bank takes one Adam step per y, then the pairs, shuffled into minibatches
-(seeded), are evaluated in chunks as one batched forward/backward of the full
-model over shared sparse operators, and each pair takes one Adam step on its
-own gradient. The pairs of one y start from one draw and take the same steps
-on the same gradients, so the bank gives each pair the bits that a copy of
-its own would have. Gradients are exact reverse accumulation through the
-tanh layers: tanh' = 1 - h^2, and the adjoint of each M.T product is the
-corresponding non-transposed M product.
+A pair's full model is a (4L+1,) column [w_y, b_y, w_x, b_x, c] and its
+reduced model a (2L,) column [w_y, b_y] (``model``), so the total objective
+(the sum of full and reduced squared-error losses over all pairs) decomposes
+per pair and per model. The reduced model sees only y's own history, so it
+depends on y and not on x: ``train_all`` keeps one reduced column per y
+variable (the reduced bank) and one full column per pair (the full bank).
+Every epoch the reduced bank takes one Adam step per y, then the pairs,
+shuffled into minibatches (seeded), are evaluated in chunks as one batched
+forward/backward of the full model over shared sparse operators, and each pair
+takes one Adam step on its own gradient. The pairs of one y start from one
+draw and take the same steps on the same gradients, so the bank gives each
+pair the bits that a copy of its own would have. Gradients are exact reverse
+accumulation through the tanh layers: tanh' = 1 - h^2, and the adjoint of each
+M.T product is the corresponding non-transposed M product.
 
 The kernel does each sparse product once. Layer 1's product ``a.T @ v`` does
 not depend on the parameters, so ``train_all`` computes it once per variable
@@ -36,15 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NonFiniteGradient, NonFinitePrediction
+from .errors import (
+    ConfigError, DataError, DimensionMismatch, NonFiniteGradient, NonFinitePrediction)
 from .graph import LaggedOperators
 from .model import (
     LINKS,
-    EncoderParams,
-    PairModel,
     _as_column,
     _layer_op,
     apply_link,
+    check_column,
     encode_history_batch,
     layer_output,
     strict_lag,
@@ -61,8 +62,6 @@ __all__ = [
     "pair_loss",
     "pair_gradients",
     "train_all",
-    "model_to_vector",
-    "vector_to_model",
 ]
 
 logger = logging.getLogger(__name__)
@@ -85,7 +84,6 @@ class TrainConfig:
     convergence_numerator: float = 0.1
     seed: int = 0
     link: str = "identity"
-    loss: str = "mse"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -96,8 +94,6 @@ class TrainConfig:
             raise ConfigError("lag_hops must be in [1, n_layers]")
         if self.link not in LINKS:
             raise ConfigError(f"link must be one of {LINKS}")
-        if self.loss != "mse":
-            raise ConfigError("only the mse loss is supported")
 
 
 @dataclass(frozen=True)
@@ -160,8 +156,9 @@ class TrainResult:
 
     Pair arrays are indexed by pair id; bank arrays by column of the reduced
     bank, one column per y some pair uses (``y_index[k]`` is pair k's).
-    ``full`` is ``(4L+1, n_pairs)``: the rows of ``model_to_vector``'s layout
-    without the reduced encoder. ``reduced`` is ``(2L, n_y)``. ``rss``,
+    ``full`` is ``(4L+1, n_pairs)`` and ``reduced`` is ``(2L, n_y)``: pair
+    k's models are the columns ``full[:, k]`` and ``reduced[:, y_index[k]]``
+    in the layouts of ``model``. ``rss``,
     ``mean`` and ``var`` (ddof=1) are the sum, mean and sample variance of
     each model's per-node squared errors; they are NaN for a pair that went
     non-finite, and only the ids in ``pair_ids`` (ascending) survived.
@@ -178,16 +175,9 @@ class TrainResult:
     rss_reduced: np.ndarray
     mean_reduced: np.ndarray
     var_reduced: np.ndarray
-    lag_hops: int
-    link: str
 
     def __len__(self) -> int:
         return self.pair_ids.size
-
-    def model(self, pair_id: int) -> PairModel:
-        """The trained full and reduced model of one pair."""
-        vec = _join_vector(self.full[:, pair_id], self.reduced[:, self.y_index[pair_id]])
-        return vector_to_model(vec, self.reduced.shape[0] // 2, self.lag_hops, self.link)
 
 
 @dataclass
@@ -219,31 +209,20 @@ def adam_step(
     return new_params, AdamState(m=m, v=v)
 
 
-def glorot_init(L: int, rng, lag_hops: int = 1, link: str = "identity") -> PairModel:
+def glorot_init(L: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Glorot-uniform weights on scalar layers (both fans 1, bound sqrt(3)).
 
-    Biases and the interaction coefficient start at zero, and the two
-    y-encoders share one weight draw, so the full and reduced models start
-    out exactly equal: every residual difference that develops during
-    training is attributable to the interaction term rather than to
-    initialization luck. Draw order is the shared y weights, then x.
+    Returns the initial (full, reduced) columns. Biases and the interaction
+    coefficient start at zero, and the two y-encoders share one weight draw,
+    so the full and reduced models start out exactly equal: every residual
+    difference that develops during training is attributable to the
+    interaction term rather than to initialization luck. Draw order is the
+    shared y weights, then x.
     """
-    def encoder() -> EncoderParams:
-        return EncoderParams(
-            w=rng.uniform(-_GLOROT_BOUND, _GLOROT_BOUND, size=L),
-            b=np.zeros(L),
-        )
-
-    theta_y = encoder()
-    theta_x_full = encoder()
-    return PairModel(
-        theta_y_full=theta_y,
-        theta_x_full=theta_x_full,
-        c=0.0,
-        theta_y_reduced=EncoderParams(w=theta_y.w.copy(), b=theta_y.b.copy()),
-        lag_hops=lag_hops,
-        link=link,
-    )
+    w_y = rng.uniform(-_GLOROT_BOUND, _GLOROT_BOUND, size=L)
+    w_x = rng.uniform(-_GLOROT_BOUND, _GLOROT_BOUND, size=L)
+    zeros = np.zeros(L)
+    return np.concatenate([w_y, zeros, w_x, zeros, [0.0]]), np.concatenate([w_y, zeros])
 
 
 # --- the forward/backward kernel ----------------------------------------------
@@ -309,82 +288,87 @@ def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, w
     """Losses (and optionally gradients) of one model for a chunk of m columns.
 
     With ``lagged_x`` the model is the full one, link(enc(y) + c * enc(x)),
-    and ``theta`` is (4L+1, m): the rows of ``model_to_vector``'s layout
-    without the reduced encoder (w, b of y, w, b of x, then c). With
-    ``lagged_x`` None it is the reduced one, link(enc(y)), and ``theta`` is
-    (2L, m): w, b of y. ``lagged_x`` and ``lagged_y`` are ``strict_lag`` of
+    and ``theta`` is (4L+1, m), one full column per pair. With ``lagged_x``
+    None it is the reduced one, link(enc(y)), and ``theta`` is (2L, m), one
+    reduced column per y. ``lagged_x`` and ``lagged_y`` are ``strict_lag`` of
     the chunk's x and y columns, Y the y columns themselves, all (n, m).
     Returns (rss, per_node, grads, ok): grads has ``theta``'s shape, and ok
-    flags columns whose forward and backward passes stayed finite.
+    flags columns whose forward and backward passes stayed finite. A column
+    that overflows or meets an inf is reported through ok alone; numpy's
+    floating-point warnings are silenced for it.
     """
-    full = lagged_x is not None
-    L = (theta.shape[0] - 1) // 4 if full else theta.shape[0] // 2
-    w_y, b_y = theta[:L], theta[L : 2 * L]
-    h_y, u_y = encode_history_batch(lagged_y, ops, w_y, b_y, lag_hops, want_grads, lagged=True)
-    s = h_y
-    if full:
-        w_x, b_x, c = theta[2 * L : 3 * L], theta[3 * L : 4 * L], theta[4 * L]
-        h_x, u_x = encode_history_batch(lagged_x, ops, w_x, b_x, lag_hops, want_grads,
-                                        lagged=True)
-        s = h_y + c[None, :] * h_x
-    yhat = apply_link(s, link)
-    ok = np.isfinite(yhat).all(axis=0)
-
-    res = yhat - Y
-    per_node = res * res
-    rss = _column_sums(per_node)
-
-    grads = None
-    if want_grads:
-        grads = np.empty_like(theta)
-        d = 2.0 * res
-        if link == "exponential":
-            d = d * yhat
+    with np.errstate(invalid="ignore", over="ignore"):
+        full = lagged_x is not None
+        L = (theta.shape[0] - 1) // 4 if full else theta.shape[0] // 2
+        w_y, b_y = theta[:L], theta[L : 2 * L]
+        h_y, u_y = encode_history_batch(lagged_y, ops, w_y, b_y, lag_hops, want_grads, lagged=True)
+        s = h_y
         if full:
-            grads[4 * L] = _column_sums(d * h_x)
-        grads[:L], grads[L : 2 * L] = _encoder_backward_batch(d, u_y, ops, w_y, b_y, lag_hops)
-        if full:
-            grads[2 * L : 3 * L], grads[3 * L : 4 * L] = _encoder_backward_batch(
-                c[None, :] * d, u_x, ops, w_x, b_x, lag_hops)
-        ok &= np.isfinite(grads).all(axis=0)
+            w_x, b_x, c = theta[2 * L : 3 * L], theta[3 * L : 4 * L], theta[4 * L]
+            h_x, u_x = encode_history_batch(lagged_x, ops, w_x, b_x, lag_hops, want_grads,
+                                            lagged=True)
+            s = h_y + c[None, :] * h_x
+        yhat = apply_link(s, link)
+        ok = np.isfinite(yhat).all(axis=0)
+
+        res = yhat - Y
+        per_node = res * res
+        rss = _column_sums(per_node)
+
+        grads = None
+        if want_grads:
+            grads = np.empty_like(theta)
+            d = 2.0 * res
+            if link == "exponential":
+                d = d * yhat
+            if full:
+                grads[4 * L] = _column_sums(d * h_x)
+            grads[:L], grads[L : 2 * L] = _encoder_backward_batch(d, u_y, ops, w_y, b_y, lag_hops)
+            if full:
+                grads[2 * L : 3 * L], grads[3 * L : 4 * L] = _encoder_backward_batch(
+                    c[None, :] * d, u_x, ops, w_x, b_x, lag_hops)
+            ok &= np.isfinite(grads).all(axis=0)
     return rss, per_node, grads, ok
 
 
 # --- single-pair loss and gradients: the kernel at width one -------------------
 
 
-def _single_pair(x, y, ops, m: PairModel, want_grads: bool):
-    """The kernel's (full, reduced) results for one pair."""
+def _single_pair(x, y, ops, full, reduced, lag_hops, link, want_grads: bool):
+    """The kernel's (full, reduced) results for one pair's two columns."""
+    full, L = check_column(full, with_x=True)
+    reduced, L_reduced = check_column(reduced, with_x=False)
+    if L_reduced != L:
+        raise DimensionMismatch(f"full column has L={L}, reduced column L={L_reduced}")
     X, Y = _as_column(x, ops), _as_column(y, ops)
     lagged_y = strict_lag(Y, ops)
-    full, reduced = _split_vector(model_to_vector(m)[:, None])
     return (
-        _chunk_forward_backward(strict_lag(X, ops), lagged_y, Y, full, ops, m.lag_hops, m.link,
-                                want_grads),
-        _chunk_forward_backward(None, lagged_y, Y, reduced, ops, m.lag_hops, m.link,
+        _chunk_forward_backward(strict_lag(X, ops), lagged_y, Y, full[:, None], ops, lag_hops,
+                                link, want_grads),
+        _chunk_forward_backward(None, lagged_y, Y, reduced[:, None], ops, lag_hops, link,
                                 want_grads),
     )
 
 
-def pair_loss(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, m: PairModel) -> LossReport:
+def pair_loss(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, full: np.ndarray,
+              reduced: np.ndarray, *, lag_hops: int, link: str) -> LossReport:
     """Per-node squared errors of the full and reduced predictions of one pair."""
     (_, per_node_full, _, ok_full), (_, per_node_reduced, _, ok_reduced) = _single_pair(
-        x, y, ops, m, want_grads=False)
+        x, y, ops, full, reduced, lag_hops, link, want_grads=False)
     if not (ok_full[0] and ok_reduced[0]):
         raise NonFinitePrediction("prediction overflowed (exponential link?)")
     return LossReport.from_per_node(per_node_full[:, 0], per_node_reduced[:, 0])
 
 
-def pair_gradients(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, m: PairModel) -> np.ndarray:
-    """Gradient of rss_full + rss_reduced w.r.t. all 6L+1 parameters of one pair.
-
-    The (6L+1,) result is in ``model_to_vector``'s layout.
-    """
+def pair_gradients(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, full: np.ndarray,
+                   reduced: np.ndarray, *, lag_hops: int,
+                   link: str) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (g_full, g_reduced) of rss_full + rss_reduced w.r.t. one pair's two columns."""
     (*_, g_full, ok_full), (*_, g_reduced, ok_reduced) = _single_pair(
-        x, y, ops, m, want_grads=True)
+        x, y, ops, full, reduced, lag_hops, link, want_grads=True)
     if not (ok_full[0] and ok_reduced[0]):
         raise NonFiniteGradient("gradient contains NaN or infinity")
-    return _join_vector(g_full, g_reduced)[:, 0]
+    return g_full[:, 0], g_reduced[:, 0]
 
 
 # --- batched training ---------------------------------------------------------
@@ -437,7 +421,7 @@ def train_all(
     # shared by every column (common random numbers): pairs are compared
     # against each other downstream, so giving each its own draw would only
     # inject between-pair variance into the ranking.
-    init_full, init_reduced = _split_vector(model_to_vector(glorot_init(L, rng)))
+    init_full, init_reduced = glorot_init(L, rng)
     full = np.repeat(init_full[:, None], n_pairs, axis=1)
     reduced = np.repeat(init_reduced[:, None], y_used.size, axis=1)
     full_adam = AdamState.zeros_like(full)
@@ -549,47 +533,5 @@ def train_all(
         pair_ids=np.flatnonzero(active), y_index=y_at, full=full, reduced=reduced,
         rss_full=stats_full[0], mean_full=stats_full[1], var_full=stats_full[2],
         rss_reduced=stats_reduced[0], mean_reduced=stats_reduced[1],
-        var_reduced=stats_reduced[2], lag_hops=config.lag_hops, link=config.link)
+        var_reduced=stats_reduced[2])
 
-
-# --- parameter layout ---------------------------------------------------------
-
-
-def model_to_vector(m: PairModel) -> np.ndarray:
-    """Flatten to the documented layout: w/b for y-full, x-full, y-reduced, then c."""
-    return np.concatenate([
-        m.theta_y_full.w, m.theta_y_full.b,
-        m.theta_x_full.w, m.theta_x_full.b,
-        m.theta_y_reduced.w, m.theta_y_reduced.b,
-        [m.c],
-    ])
-
-
-def _split_vector(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(full, reduced) rows of a (6L+1, ...) array in ``model_to_vector``'s layout.
-
-    full is (4L+1, ...): w, b of y, w, b of x, then c; reduced is (2L, ...).
-    """
-    L = (theta.shape[0] - 1) // 6
-    return theta[np.r_[0 : 4 * L, 6 * L]], theta[4 * L : 6 * L]
-
-
-def _join_vector(full: np.ndarray, reduced: np.ndarray) -> np.ndarray:
-    """The inverse of ``_split_vector``."""
-    L = reduced.shape[0] // 2
-    return np.concatenate([full[: 4 * L], reduced, full[4 * L :]])
-
-
-def vector_to_model(vec: np.ndarray, L: int, lag_hops: int = 1, link: str = "identity") -> PairModel:
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (6 * L + 1,):
-        raise DataError(f"expected parameter vector of length {6 * L + 1}, got {vec.shape}")
-    seg = [vec[i * L : (i + 1) * L] for i in range(6)]
-    return PairModel(
-        theta_y_full=EncoderParams(w=seg[0], b=seg[1]),
-        theta_x_full=EncoderParams(w=seg[2], b=seg[3]),
-        c=float(vec[-1]),
-        theta_y_reduced=EncoderParams(w=seg[4], b=seg[5]),
-        lag_hops=lag_hops,
-        link=link,
-    )

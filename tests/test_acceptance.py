@@ -18,18 +18,10 @@ from dagranger.baselines import var_granger
 from dagranger.cli import RunConfig, main as cli_main
 from dagranger.evaluate import auprc, auroc
 from dagranger.graph import LaggedOperators, lagged_operators
-from dagranger.model import EncoderParams, PairModel, encode_history
+from dagranger.model import encode_history
 from dagranger.score import METHODS, f_test, score_dataset, welch_t
 from dagranger.synth import SynthSpec, generate
-from dagranger.train import (
-    Dataset,
-    TrainConfig,
-    model_to_vector,
-    pair_gradients,
-    pair_loss,
-    train_all,
-    vector_to_model,
-)
+from dagranger.train import Dataset, TrainConfig, pair_gradients, pair_loss, train_all
 
 from conftest import chain_dag, random_dag
 
@@ -115,27 +107,24 @@ def test_criterion_1_gradient_correctness():
         L = int(rng.choice([1, 2, 4]))
         lag_hops = int(rng.choice([1, min(2, L)]))
         link = links[i % 2]
-        m = PairModel(
-            theta_y_full=EncoderParams(w=rng.normal(size=L), b=rng.normal(size=L) * 0.3),
-            theta_x_full=EncoderParams(w=rng.normal(size=L), b=rng.normal(size=L) * 0.3),
-            c=float(rng.normal() * 0.5),
-            theta_y_reduced=EncoderParams(w=rng.normal(size=L), b=rng.normal(size=L) * 0.3),
-            lag_hops=lag_hops, link=link,
-        )
+        # full column [w_y, b_y, w_x, b_x, c], reduced column [w_y, b_y]
+        full = np.concatenate([rng.normal(size=L), rng.normal(size=L) * 0.3,
+                               rng.normal(size=L), rng.normal(size=L) * 0.3,
+                               [rng.normal() * 0.5]])
+        reduced = np.concatenate([rng.normal(size=L), rng.normal(size=L) * 0.3])
         x = rng.normal(size=n)
         y = rng.normal(size=n) * 0.5
-        g = pair_gradients(x, y, ops, m)
-        v0 = model_to_vector(m)
+        spec = dict(lag_hops=lag_hops, link=link)
+        g_full, g_reduced = pair_gradients(x, y, ops, full, reduced, **spec)
         h = 1e-6
-        for j in range(len(v0)):
-            vp, vm = v0.copy(), v0.copy()
-            vp[j] += h
-            vm[j] -= h
-            rp = pair_loss(x, y, ops, vector_to_model(vp, L, lag_hops, link))
-            rm = pair_loss(x, y, ops, vector_to_model(vm, L, lag_hops, link))
-            fd = ((rp.rss_full + rp.rss_reduced) - (rm.rss_full + rm.rss_reduced)) / (2 * h)
-            rel = abs(g[j] - fd) / max(abs(g[j]), 1e-8)
-            worst = max(worst, rel)
+        for column, g, loss in (
+                (full, g_full, lambda f: pair_loss(x, y, ops, f, reduced, **spec)),
+                (reduced, g_reduced, lambda r: pair_loss(x, y, ops, full, r, **spec))):
+            for j, e in enumerate(h * np.eye(column.size)):
+                rp, rm = loss(column + e), loss(column - e)
+                fd = ((rp.rss_full + rp.rss_reduced) - (rm.rss_full + rm.rss_reduced)) / (2 * h)
+                rel = abs(g[j] - fd) / max(abs(g[j]), 1e-8)
+                worst = max(worst, rel)
         checked += 1
     elapsed = time.time() - t0
     ok = checked >= 100 and worst < 1e-5 and elapsed < 30
@@ -145,9 +134,9 @@ def test_criterion_1_gradient_correctness():
 def lag_violation_detector(ops, n, rng, L=3, trials_per_node=1):
     """True if any node's history mean reacts to a perturbation at the node
     itself or at a non-ancestor within L steps (exact comparison)."""
-    p = EncoderParams(w=rng.normal(size=L), b=rng.normal(size=L) * 0.2)
+    p = np.concatenate([rng.normal(size=L), rng.normal(size=L) * 0.2])  # w, then b
     v = rng.normal(size=n)
-    base = encode_history(v, ops, p)[0]
+    base = encode_history(v, ops, p, lag_hops=1)[0]
     # ancestor sets within L steps from the strict-lag operator's pattern
     a = ops.a.tocoo()
     parents: dict[int, set[int]] = {i: set() for i in range(n)}
@@ -160,13 +149,13 @@ def lag_violation_detector(ops, n, rng, L=3, trials_per_node=1):
             frontier = {q for f in frontier for q in parents[f]}
         v2 = v.copy()
         v2[node] += 1.0
-        if encode_history(v2, ops, p)[0][node] != base[node]:
+        if encode_history(v2, ops, p, lag_hops=1)[0][node] != base[node]:
             return True
         outsiders = [u for u in range(n) if u not in anc and u != node]
         if outsiders:
             v3 = v.copy()
             v3[rng.choice(outsiders)] += 1.0
-            if encode_history(v3, ops, p)[0][node] != base[node]:
+            if encode_history(v3, ops, p, lag_hops=1)[0][node] != base[node]:
                 return True
     return False
 
@@ -218,7 +207,7 @@ def test_criterion_4_chain_graph_reduction():
     ops = lagged_operators(chain_dag(n))
     w, b = rng.normal(size=L), rng.normal(size=L) * 0.2
     v = rng.normal(size=n)
-    out = encode_history(v, ops, EncoderParams(w=w, b=b))[0]
+    out = encode_history(v, ops, np.concatenate([w, b]), lag_hops=1)[0]
     h_prev, acc = v.copy(), np.zeros(n)
     for ell in range(L):
         h = np.empty(n)
@@ -251,14 +240,9 @@ def test_criterion_5_joint_separate_equivalence():
     reduced_only = train_all(dataset, ops, cfg, component="reduced")
     identical = True
     for pid in joint.pair_ids:
-        jm, fm, rm = joint.model(pid), full_only.model(pid), reduced_only.model(pid)
-        identical &= np.array_equal(jm.theta_y_full.w, fm.theta_y_full.w)
-        identical &= np.array_equal(jm.theta_y_full.b, fm.theta_y_full.b)
-        identical &= np.array_equal(jm.theta_x_full.w, fm.theta_x_full.w)
-        identical &= np.array_equal(jm.theta_x_full.b, fm.theta_x_full.b)
-        identical &= jm.c == fm.c
-        identical &= np.array_equal(jm.theta_y_reduced.w, rm.theta_y_reduced.w)
-        identical &= np.array_equal(jm.theta_y_reduced.b, rm.theta_y_reduced.b)
+        j = joint.y_index[pid]
+        identical &= np.array_equal(joint.full[:, pid], full_only.full[:, pid])
+        identical &= np.array_equal(joint.reduced[:, j], reduced_only.reduced[:, j])
     elapsed = time.time() - t0
     ok = identical and elapsed < 60
     report(5, ok, f"joint vs separate training bit-identical over {len(joint)} pairs, {elapsed:.1f}s")

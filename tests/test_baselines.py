@@ -252,7 +252,7 @@ class TestBatchedAgainstOnePair:
     def test_no_pairs(self, rng):
         x, y = rng.normal(size=(300, 3)), rng.normal(size=(300, 2))
         assert pearson_pairs(x, y, []).shape == (0,)
-        f, p = var_granger_pairs(x, y, [], rng.random(300))
+        f, p = var_granger_pairs(x, y, [], rng.random(300), max_lag=1)
         assert f.shape == p.shape == (0,)
 
     def test_nan_input_drops_bins_pairwise(self, rng):
@@ -262,10 +262,10 @@ class TestBatchedAgainstOnePair:
         x[7, 1], y[11, 0] = np.nan, np.nan
         pt = rng.random(300)
         pairs = [(i, j) for i in range(3) for j in range(2)]
-        f, p = var_granger_pairs(x, y, pairs, pt)
+        f, p = var_granger_pairs(x, y, pairs, pt, max_lag=1)
         for k, (i, j) in enumerate(pairs):
             b = bin_by_pseudotime(x[:, i], y[:, j], pt)
-            assert (f[k], p[k]) == var_granger(b.x_bins, b.y_bins)
+            assert (f[k], p[k]) == var_granger(b.x_bins, b.y_bins, max_lag=1)
         assert np.isfinite(f).all()
 
 
@@ -286,7 +286,7 @@ class TestScreenWarnings:
         x[:, 2] = 1.5
         pairs = [(i, j) for i in range(6) for j in range(3)]
         with caplog.at_level(logging.WARNING, logger="dagranger.baselines"):
-            var_granger_pairs(x, y, pairs, rng.random(300))
+            var_granger_pairs(x, y, pairs, rng.random(300), max_lag=1)
         assert [rec.getMessage() for rec in caplog.records] == [
             "var_granger: 3 of 18 pairs have a singular design; ridge fit (lambda=1e-08)"]
 
@@ -299,7 +299,7 @@ class TestScreenMemory:
         pairs = [(i, j) for i in range(200) for j in range(100)]
         pt = rng.random(300)
         for run in (lambda: pearson_pairs(x, y, pairs),
-                    lambda: var_granger_pairs(x, y, pairs, pt)):
+                    lambda: var_granger_pairs(x, y, pairs, pt, max_lag=1)):
             tracemalloc.start()
             try:
                 run()

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagranger.errors import DimensionMismatch
+from dagranger.errors import DimensionMismatch, NonFiniteParameter
 from dagranger.graph import lagged_operators
 from dagranger.model import (
-    EncoderParams,
-    PairModel,
     encode_history,
     encode_history_batch,
     predict_full,
@@ -19,34 +17,30 @@ from dagranger.model import (
 from conftest import chain_dag, random_dag
 
 
-def _pair_model(rng, L, lag_hops=1, link="identity", c=None):
-    def enc():
-        return EncoderParams(w=rng.normal(size=L), b=rng.normal(size=L) * 0.3)
+def _encoder(rng, L, b_scale=0.3):
+    """An encoder column [w, b]."""
+    return np.concatenate([rng.normal(size=L), rng.normal(size=L) * b_scale])
 
-    return PairModel(
-        theta_y_full=enc(),
-        theta_x_full=enc(),
-        c=float(rng.normal() * 0.5) if c is None else c,
-        theta_y_reduced=enc(),
-        lag_hops=lag_hops,
-        link=link,
-    )
+
+def _full_column(rng, L, c=None):
+    """A full column [w_y, b_y, w_x, b_x, c]."""
+    y_enc, x_enc = _encoder(rng, L), _encoder(rng, L)
+    return np.concatenate([y_enc, x_enc, [float(rng.normal() * 0.5) if c is None else c]])
 
 
 class TestEncodeHistory:
     def test_zero_params_give_zero(self, chain3_ops, rng):
-        p = EncoderParams(w=np.zeros(4), b=np.zeros(4))
-        h_tilde, _ = encode_history(rng.normal(size=3), chain3_ops, p)
+        h_tilde, _ = encode_history(rng.normal(size=3), chain3_ops, np.zeros(8), lag_hops=1)
         assert np.array_equal(h_tilde, np.zeros(3))
 
     def test_single_layer_shift(self, chain3_ops):
-        p = EncoderParams(w=np.array([1.0]), b=np.array([0.0]))
-        h_tilde, _ = encode_history(np.array([1.0, 0.0, 0.0]), chain3_ops, p, lag_hops=1)
+        h_tilde, _ = encode_history(np.array([1.0, 0.0, 0.0]), chain3_ops, np.array([1.0, 0.0]),
+                                    lag_hops=1)
         assert h_tilde == pytest.approx([0.0, math.tanh(1.0), 0.0], abs=1e-15)
 
     def test_two_layer_chain_oracle(self, chain3_ops):
         # independent scalar evaluation of the recurrence on the chain
-        p = EncoderParams(w=np.array([1.0, 1.0]), b=np.array([0.0, 0.0]))
+        p = np.array([1.0, 1.0, 0.0, 0.0])  # w, then b
         v = np.array([1.0, 0.0, 0.0])
         h1 = [math.tanh(0.0), math.tanh(1.0), math.tanh(0.0)]
         h2 = [
@@ -55,12 +49,13 @@ class TestEncodeHistory:
             math.tanh((h1[1] + h1[2]) / 2.0),
         ]
         expected = (np.array(h1) + np.array(h2)) / 2.0
-        h_tilde, _ = encode_history(v, chain3_ops, p)
+        h_tilde, _ = encode_history(v, chain3_ops, p, lag_hops=1)
         assert h_tilde == pytest.approx(expected, abs=1e-15)
 
     def test_layers_retained(self, chain3_ops, rng):
-        p = EncoderParams(w=rng.normal(size=3), b=rng.normal(size=3))
-        h_tilde, layers = encode_history(rng.normal(size=3), chain3_ops, p, keep_layers=True)
+        p = _encoder(rng, 3, b_scale=1.0)
+        h_tilde, layers = encode_history(rng.normal(size=3), chain3_ops, p, lag_hops=1,
+                                         keep_layers=True)
         assert layers.shape == (3, 3)
         assert np.array_equal(h_tilde, layers.mean(axis=0))
 
@@ -71,11 +66,9 @@ class TestEncodeHistory:
         dag = random_dag(rng, 15)
         ops = lagged_operators(dag)
         L = int(rng.integers(1, 5))
-        p = EncoderParams(
-            w=rng.uniform(-1.7, 1.7, size=L), b=rng.uniform(-1.0, 1.0, size=L)
-        )
+        p = np.concatenate([rng.uniform(-1.7, 1.7, size=L), rng.uniform(-1.0, 1.0, size=L)])
         v = rng.uniform(-5, 5, size=15)
-        h_tilde, _ = encode_history(v, ops, p)
+        h_tilde, _ = encode_history(v, ops, p, lag_hops=1)
         assert np.abs(h_tilde).max() < 1.0
 
     def test_own_value_never_used(self, rng):
@@ -83,13 +76,13 @@ class TestEncodeHistory:
         dag = random_dag(rng, 20)
         ops = lagged_operators(dag)
         L = 4
-        p = EncoderParams(w=rng.normal(size=L), b=rng.normal(size=L) * 0.2)
+        p = _encoder(rng, L, b_scale=0.2)
         v = rng.normal(size=20)
-        base = encode_history(v, ops, p)[0]
+        base = encode_history(v, ops, p, lag_hops=1)[0]
         for node in range(20):
             v2 = v.copy()
             v2[node] += 1.0
-            assert encode_history(v2, ops, p)[0][node] == base[node]
+            assert encode_history(v2, ops, p, lag_hops=1)[0][node] == base[node]
 
     def test_non_ancestor_locality(self, rng):
         dag = random_dag(rng, 15)
@@ -103,16 +96,16 @@ class TestEncodeHistory:
                 anc |= frontier
                 frontier = {a for f in frontier for a in parents[f]}
             ancestors[v] = anc
-        p = EncoderParams(w=rng.normal(size=L), b=rng.normal(size=L) * 0.2)
+        p = _encoder(rng, L, b_scale=0.2)
         v = rng.normal(size=15)
-        base = encode_history(v, ops, p)[0]
+        base = encode_history(v, ops, p, lag_hops=1)[0]
         for node in range(15):
             outsiders = [u for u in range(15) if u not in ancestors[node] and u != node]
             if not outsiders:
                 continue
             v2 = v.copy()
             v2[outsiders] = rng.normal(size=len(outsiders))
-            assert encode_history(v2, ops, p)[0][node] == base[node]
+            assert encode_history(v2, ops, p, lag_hops=1)[0][node] == base[node]
 
     def test_chain_reduction_matches_scalar_recurrence(self, rng):
         # the DAG formulation on a linear chain is plain sequence lagging
@@ -120,7 +113,7 @@ class TestEncodeHistory:
         ops = lagged_operators(chain_dag(n))
         w, b = rng.normal(size=L), rng.normal(size=L) * 0.2
         v = rng.normal(size=n)
-        out = encode_history(v, ops, EncoderParams(w=w, b=b))[0]
+        out = encode_history(v, ops, np.concatenate([w, b]), lag_hops=1)[0]
 
         h_prev, acc = v.copy(), np.zeros(n)
         for ell in range(L):
@@ -138,51 +131,48 @@ class TestEncodeHistory:
 
 class TestPredictors:
     def test_zero_params_identity_link(self, chain3_ops):
-        m = PairModel(
-            theta_y_full=EncoderParams(w=np.zeros(2), b=np.zeros(2)),
-            theta_x_full=EncoderParams(w=np.zeros(2), b=np.zeros(2)),
-            c=0.0,
-            theta_y_reduced=EncoderParams(w=np.zeros(2), b=np.zeros(2)),
-        )
-        out = predict_full(np.ones(3), np.ones(3), chain3_ops, m)
+        out = predict_full(np.ones(3), np.ones(3), chain3_ops, np.zeros(9), lag_hops=1,
+                           link="identity")
         assert np.array_equal(out, np.zeros(3))
 
     def test_zero_params_exponential_link(self, chain3_ops):
-        m = PairModel(
-            theta_y_full=EncoderParams(w=np.zeros(2), b=np.zeros(2)),
-            theta_x_full=EncoderParams(w=np.zeros(2), b=np.zeros(2)),
-            c=0.0,
-            theta_y_reduced=EncoderParams(w=np.zeros(2), b=np.zeros(2)),
-            link="exponential",
-        )
-        assert np.array_equal(predict_full(np.ones(3), np.ones(3), chain3_ops, m), np.ones(3))
+        out = predict_full(np.ones(3), np.ones(3), chain3_ops, np.zeros(9), lag_hops=1,
+                           link="exponential")
+        assert np.array_equal(out, np.ones(3))
 
     def test_c_zero_ignores_x(self, chain3_ops, rng):
-        m = _pair_model(rng, 3, c=0.0)
+        full = _full_column(rng, 3, c=0.0)
         y = rng.normal(size=3)
-        a = predict_full(rng.normal(size=3), y, chain3_ops, m)
-        b = predict_full(rng.normal(size=3), y, chain3_ops, m)
+        a = predict_full(rng.normal(size=3), y, chain3_ops, full, lag_hops=1, link="identity")
+        b = predict_full(rng.normal(size=3), y, chain3_ops, full, lag_hops=1, link="identity")
         assert np.array_equal(a, b)
 
     def test_identical_params_full_equals_reduced(self, chain3_ops, rng):
-        shared = EncoderParams(w=rng.normal(size=2), b=rng.normal(size=2))
-        m = PairModel(
-            theta_y_full=shared,
-            theta_x_full=EncoderParams(w=rng.normal(size=2), b=rng.normal(size=2)),
-            c=0.0,
-            theta_y_reduced=shared,
-        )
+        shared = _encoder(rng, 2, b_scale=1.0)
+        full = np.concatenate([shared, _encoder(rng, 2, b_scale=1.0), [0.0]])
         x, y = rng.normal(size=3), rng.normal(size=3)
         assert np.array_equal(
-            predict_full(x, y, chain3_ops, m), predict_reduced(y, chain3_ops, m)
+            predict_full(x, y, chain3_ops, full, lag_hops=1, link="identity"),
+            predict_reduced(y, chain3_ops, shared, lag_hops=1, link="identity"),
         )
 
     def test_reduced_ignores_x(self, chain3_ops, rng):
-        m = _pair_model(rng, 2)
+        reduced = _encoder(rng, 2)
         y = rng.normal(size=3)
         assert np.array_equal(
-            predict_reduced(y, chain3_ops, m), predict_reduced(y, chain3_ops, m)
+            predict_reduced(y, chain3_ops, reduced, lag_hops=1, link="identity"),
+            predict_reduced(y, chain3_ops, reduced, lag_hops=1, link="identity"),
         )
+
+    def test_column_checks(self, chain3_ops):
+        with pytest.raises(DimensionMismatch):
+            predict_full(np.ones(3), np.ones(3), chain3_ops, np.zeros(8), lag_hops=1,
+                         link="identity")
+        with pytest.raises(DimensionMismatch):
+            predict_reduced(np.ones(3), chain3_ops, np.zeros(3), lag_hops=1, link="identity")
+        with pytest.raises(NonFiniteParameter):
+            predict_reduced(np.ones(3), chain3_ops, np.array([np.nan, 0.0]), lag_hops=1,
+                            link="identity")
 
 
 class TestEncodeHistoryBatch:
@@ -192,8 +182,8 @@ class TestEncodeHistoryBatch:
         L = 3
         w, b = rng.normal(size=(L, 1)), rng.normal(size=(L, 1)) * 0.2
         v = rng.normal(size=(18, 1))
-        ht, _ = encode_history_batch(v, ops, w, b)
-        single, _ = encode_history(v[:, 0], ops, EncoderParams(w=w[:, 0], b=b[:, 0]))
+        ht, _ = encode_history_batch(v, ops, w, b, 1)
+        single, _ = encode_history(v[:, 0], ops, np.concatenate([w[:, 0], b[:, 0]]), lag_hops=1)
         assert np.array_equal(ht[:, 0], single)
 
     def test_identical_columns_identical_outputs(self, rng):
@@ -203,7 +193,7 @@ class TestEncodeHistoryBatch:
         w = np.repeat(rng.normal(size=(L, 1)), 2, axis=1)
         b = np.zeros((L, 2))
         v = np.repeat(rng.normal(size=(10, 1)), 2, axis=1)
-        ht, _ = encode_history_batch(v, ops, w, b)
+        ht, _ = encode_history_batch(v, ops, w, b, 1)
         assert np.array_equal(ht[:, 0], ht[:, 1])
 
     def test_batch_matches_loop_of_singles(self, rng):
@@ -214,11 +204,11 @@ class TestEncodeHistoryBatch:
         v = rng.normal(size=(30, m))
         ht, _ = encode_history_batch(v, ops, w, b, lag_hops=2)
         for j in range(m):
-            single, _ = encode_history(
-                v[:, j], ops, EncoderParams(w=w[:, j], b=b[:, j]), lag_hops=2
-            )
+            single, _ = encode_history(v[:, j], ops, np.concatenate([w[:, j], b[:, j]]),
+                                       lag_hops=2)
             assert np.abs(ht[:, j] - single).max() <= 1e-12
 
     def test_shape_validation(self, chain3_ops):
         with pytest.raises(DimensionMismatch):
-            encode_history_batch(np.zeros((3, 2)), chain3_ops, np.zeros((2, 3)), np.zeros((2, 3)))
+            encode_history_batch(np.zeros((3, 2)), chain3_ops, np.zeros((2, 3)), np.zeros((2, 3)),
+                                 1)

@@ -246,7 +246,9 @@ class TestScoreDataset:
         for rec in records:
             xi, yi = dataset.pairs[rec["pair_id"]]
             rep = pair_loss(dataset.x_values[:, xi], dataset.y_values[:, yi], ops,
-                            results.model(rec["pair_id"]))
+                            results.full[:, rec["pair_id"]],
+                            results.reduced[:, results.y_index[rec["pair_id"]]],
+                            lag_hops=TINY_CONFIG.lag_hops, link=TINY_CONFIG.link)
             s = score_pair(rec["pair_id"], rep.per_node_full, rep.per_node_reduced,
                            TINY_CONFIG.n_layers)
             assert (rec["f_stat"], rec["f_pvalue"], rec["t_stat"], rec["t_pvalue"],
