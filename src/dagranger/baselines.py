@@ -66,15 +66,17 @@ def pearson_pairs(x_values, y_values, pairs, *, method: str = "pearson", x_names
 
     A pair with zero variance in either column gets r = 0; one warning per
     such variable names it (by ``x_names``/``y_names``, else by column) and
-    counts its pairs. ``method`` labels the warnings.
+    counts its pairs. ``method`` labels the warnings. Values so large that
+    their squares overflow give r = NaN without a numpy warning; the run
+    manifest counts NaN scores.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     x_used, x_at = np.unique(pairs[:, 0], return_inverse=True)
     y_used, y_at = np.unique(pairs[:, 1], return_inverse=True)
-    xc, sx = _centred_rows(x_values, x_used)
-    yc, sy = _centred_rows(y_values, y_used)
     r = np.empty(pairs.shape[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xc, sx = _centred_rows(x_values, x_used)
+        yc, sy = _centred_rows(y_values, y_used)
         for blk in _blocks(pairs.shape[0], 3 * xc.itemsize * xc.shape[1]):
             xa, ya = x_at[blk], y_at[blk]
             r[blk] = (xc[xa] * yc[ya]).sum(axis=1) / (sx[xa] * sy[ya])

@@ -5,7 +5,9 @@ minibatch 1024 pairs, 10 layers, one-hop lag) are declared once, in
 ``train.TrainConfig``; ``RunConfig`` takes them from there.
 All randomness flows from one seed recorded in the run manifest; reruns with
 the same config and seed produce byte-identical score files regardless of
-worker count.
+worker count. ``run`` carries the candidate pairs and the score records as
+columns from the pairs file to the score files; each method's manifest stage
+summarizes its columns (``_record_counts``).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal error
 (any other exception, logged as one line without a traceback).
@@ -13,15 +15,17 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
 import math
 import sys
 import time
-from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, evaluate, graph, preprocess, score, synth, train
 from .errors import ConfigError, DataError, ParseError
@@ -88,29 +92,13 @@ class _Manifest:
             "stages": {},
         }
 
+    @contextlib.contextmanager
     def stage(self, name: str):
-        manifest = self
-
-        class _Stage:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-                self.outputs: dict[str, str] = {}
-                self.counts: dict = {}
-                return self
-
-            def add(self, path):
-                self.outputs[str(path)] = _sha256(path)
-
-            def __exit__(self, exc_type, exc, tb):
-                if exc_type is None:
-                    manifest.payload["stages"][name] = {
-                        "seconds": time.perf_counter() - self.t0,
-                        "outputs": self.outputs,
-                        **self.counts,
-                    }
-                return False
-
-        return _Stage()
+        """Times a stage and yields its entry (``outputs``, counts); a failed stage leaves none."""
+        t0 = time.perf_counter()
+        entry: dict = {"outputs": {}}
+        yield entry
+        self.payload["stages"][name] = {"seconds": time.perf_counter() - t0, **entry}
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -145,11 +133,11 @@ def _merged(args, file_config: dict, key: str, default, cast):
     return default
 
 
-def _read_pairs_file(path, x_names, y_names) -> list[tuple[int, int]]:
+def _read_pairs_file(path, x_names, y_names) -> np.ndarray:
+    """The candidate pairs as a ``(P, 2)`` array of (x index, y index), in file order."""
     x_index = {name: i for i, name in enumerate(x_names)}
     y_index = {name: j for j, name in enumerate(y_names)}
-    pairs: list[tuple[int, int]] = []
-    first_line: dict[tuple[int, int], int] = {}
+    first_line: dict[int, int] = {}  # pair code x index * len(y_names) + y index -> line
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -163,15 +151,15 @@ def _read_pairs_file(path, x_names, y_names) -> list[tuple[int, int]]:
                 raise DataError(f"{path}:{lineno}: unknown x variable {xn!r}")
             if yn not in y_index:
                 raise DataError(f"{path}:{lineno}: unknown y variable {yn!r}")
-            pair = (x_index[xn], y_index[yn])
-            if pair in first_line:
+            code = x_index[xn] * len(y_names) + y_index[yn]
+            if code in first_line:
                 raise DataError(f"{path}:{lineno}: duplicate pair {xn!r} -> {yn!r} "
-                                f"(first on line {first_line[pair]})")
-            first_line[pair] = lineno
-            pairs.append(pair)
-    if not pairs:
+                                f"(first on line {first_line[code]})")
+            first_line[code] = lineno
+    if not first_line:
         raise DataError(f"{path}: no candidate pairs")
-    return pairs
+    codes = np.fromiter(first_line, dtype=np.int64, count=len(first_line))
+    return np.column_stack(np.divmod(codes, len(y_names)))
 
 
 def _embedding(path, coords, pt) -> preprocess.Embedding:
@@ -209,18 +197,30 @@ def _build_dag_for_run(cfg: RunConfig, n_nodes: int, pt):
     return dag, neighbor_edges, coords
 
 
-def _record_counts(records, n_pairs: int) -> dict:
-    """What a method's manifest stage says of its records.
+def _record_counts(columns, n_pairs: int) -> dict:
+    """What a method's manifest stage says of its score columns.
 
     ``records`` is their number, ``dropped`` the ids of candidate pairs
-    without one, and ``flags`` the number of records raising each flag of
-    ``score.FLAGS`` (zero for the baselines, which raise none).
+    without one, ``flags`` the number of records raising each flag of
+    ``score.FLAGS`` (zero for the baselines, which raise none) and
+    ``nan_scores`` the number of NaN scores. Each p-value field adds its
+    ``min``, ``median`` and ``max`` over the non-NaN values (None when there
+    are none) and ``equal_to_1``, the number of p-values equal to 1.
     """
-    scored = {rec["pair_id"] for rec in records}
-    raised = Counter(flag for rec in records for flag in rec.get("flags", ()))
-    return {"records": len(records),
-            "dropped": [pid for pid in range(n_pairs) if pid not in scored],
-            "flags": {name: raised[name] for name in score.FLAGS}}
+    flags = columns.get("flags", np.zeros(0, dtype=np.int64))
+    counts = {"records": columns["pair_id"].size,
+              "dropped": np.setdiff1d(np.arange(n_pairs), columns["pair_id"]).tolist(),
+              "flags": {name: int(np.count_nonzero(flags >> bit & 1))
+                        for bit, name in enumerate(score.FLAGS)},
+              "nan_scores": int(np.isnan(columns["score"]).sum())}
+    for field in ("f_pvalue", "t_pvalue"):
+        if field in columns:
+            p = columns[field][~np.isnan(columns[field])]
+            summary = ([float(p.min()), float(np.median(p)), float(p.max())] if p.size
+                       else [None] * 3)
+            counts[field] = {**dict(zip(("min", "median", "max"), summary)),
+                             "equal_to_1": int((p == 1.0).sum())}
+    return counts
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -234,11 +234,10 @@ def cmd_run(cfg: RunConfig) -> int:
         if xm.values.shape[0] != ym.values.shape[0]:
             raise DataError(f"{cfg.x_matrix} has {xm.values.shape[0]} rows but "
                             f"{cfg.y_matrix} has {ym.values.shape[0]}")
-        pairs = _read_pairs_file(cfg.pairs, xm.var_names, ym.var_names)
         dataset = train.Dataset(
             x_values=xm.values, y_values=ym.values,
             x_names=xm.var_names, y_names=ym.var_names,
-            pairs=tuple(pairs),
+            pairs=_read_pairs_file(cfg.pairs, xm.var_names, ym.var_names),
         )
         pt = preprocess.read_pseudotime(cfg.pseudotime) if cfg.pseudotime else None
         if pt is not None and pt.shape[0] != dataset.n_nodes:
@@ -255,15 +254,15 @@ def cmd_run(cfg: RunConfig) -> int:
     methods = list(score.METHODS) if cfg.method == "all" else [cfg.method]
     for method in methods:
         with manifest.stage(method) as st:
-            records = score.score_dataset(
+            columns = score.score_dataset(
                 dataset, method, ops=ops, neighbor_edges=neighbor_edges, coords=coords,
                 pseudotime=pt, config=tcfg, workers=cfg.workers, rank_mode=cfg.rank_mode,
                 var_max_lag=cfg.var_max_lag,
                 pseudocell_neighborhood=cfg.pseudocell_neighborhood)
             out_path = outdir / f"scores_{method.replace('-', '_')}.jsonl"
-            score.write_score_records(out_path, records)
-            st.add(out_path)
-            st.counts = _record_counts(records, len(pairs))
+            score.write_score_records(out_path, columns)
+            st["outputs"][str(out_path)] = _sha256(out_path)
+            st.update(_record_counts(columns, len(dataset.pairs)))
 
     manifest.write(outdir / "manifest.json")
     return 0

@@ -10,8 +10,9 @@ Two tests are offered over the per-node loss terms of a trained pair:
 
 Their p-values come from ``scipy.special`` (``fdtrc``, ``stdtr``).
 ``score_dataset`` turns a dataset into the score records of one method
-(dagranger or one of the baselines), and ``rank_pairs`` ranks every
-method's records by one rule: descending ``score``, ties by pair id.
+(dagranger or one of the baselines) as columns, ``rank_pairs`` ranks every
+method's records by one rule: descending ``score``, ties by pair id, NaN last,
+and ``write_score_records`` alone knows the line format of a score file.
 
 Both tests run on arrays of per-pair loss statistics (``_pair_tests``), one
 ``fdtrc`` and one ``stdtr`` call for a whole screen; ``f_test``, ``welch_t``
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from scipy import special
@@ -47,7 +49,9 @@ METHODS = ("dagranger", "pearson", "pseudocell", "var-granger")
 RANK_MODES = ("f", "welch")
 FLAGS = ("zero_residual", "zero_variance_both")  # the flags a dagranger record can raise
 
-_ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(rec, sort_keys=True) builds
+_FLAG_TEXT = tuple(json.dumps([name for i, name in enumerate(FLAGS) if code >> i & 1])
+                   for code in range(1 << len(FLAGS)))  # by ``flags`` code: bit i is FLAGS[i]
+_WRITE_BLOCK = 2048  # records turned into text at a time, which bounds the writer's memory
 
 
 def _f_dof(n: int, L: int) -> tuple[int, int]:
@@ -154,15 +158,6 @@ def _pair_tests(n: int, L: int, rss_full, mean_full, var_full, rss_reduced, mean
             "zero_variance_both": (var_full == 0.0) & (var_reduced == 0.0)}
 
 
-def _flag_lists(tests: dict[str, np.ndarray]) -> list[list[str]]:
-    """Each pair's list of raised ``FLAGS``, in ``FLAGS`` order."""
-    flags: list[list[str]] = [[] for _ in range(tests["f_stat"].size)]
-    for name in FLAGS:
-        for i in np.flatnonzero(tests[name]).tolist():
-            flags[i].append(name)
-    return flags
-
-
 def score_pair(pair_id: int, per_node_full, per_node_reduced, L: int) -> PairScore:
     """Run both tests on one pair's per-node loss vectors."""
     lf = np.asarray(per_node_full, dtype=np.float64)
@@ -178,31 +173,33 @@ def score_pair(pair_id: int, per_node_full, per_node_reduced, L: int) -> PairSco
         t_pvalue=float(tests["t_pvalue"][0]),
         df1=df1,
         df2=df2,
-        flags=tuple(_flag_lists(tests)[0]),
+        flags=tuple(name for name in FLAGS if tests[name][0]),
     )
 
 
-def _significance(p: np.ndarray) -> list[float]:
+def _significance(p: np.ndarray) -> np.ndarray:
     """-log10(p), infinite at p = 0: the score of each pair ranked by a p-value.
 
     ``math.log10`` per element, whose bits ``np.log10`` need not reproduce.
     """
-    return [math.inf if v <= 0.0 else -math.log10(v) for v in p.tolist()]
+    return np.array([math.inf if v <= 0.0 else -math.log10(v) for v in p.tolist()])
 
 
 def score_dataset(dataset, method: str, *, ops, neighbor_edges, coords, pseudotime,
                   config, workers: int, rank_mode: str, var_max_lag: int,
-                  pseudocell_neighborhood: int) -> list[dict]:
-    """The ranked score records of one method, one per scored pair in pair-id order.
+                  pseudocell_neighborhood: int) -> dict[str, np.ndarray]:
+    """The ranked score records of one method as columns, one entry per scored pair.
 
-    Every record has ``pair_id``, ``x_name``, ``y_name``, ``method``, ``score``
-    and ``rank``; ``rank_pairs`` sets ``rank`` from ``score``. The other fields:
+    The columns are arrays of equal length in pair-id order: ``pair_id``,
+    ``x_name``, ``y_name``, ``method``, the method's fields, ``score`` and
+    ``rank``; ``rank_pairs`` sets ``rank`` from ``score``. The fields:
 
     * dagranger trains every pair (``train.train_all`` with ``config`` on
       ``ops`` and ``workers`` threads) and adds both tests' statistics,
-      p-values, degrees of freedom and ``flags``. ``score`` is ``f_stat``
-      when ``rank_mode`` is "f" and -log10(``t_pvalue``) when it is "welch".
-      Pairs that went non-finite in training have no record.
+      p-values, degrees of freedom and ``flags`` (bit i set when the pair
+      raises ``FLAGS[i]``). ``score`` is ``f_stat`` when ``rank_mode`` is
+      "f" and -log10(``t_pvalue``) when it is "welch". Pairs that went
+      non-finite in training have no record.
     * pearson and pseudocell add the correlation ``r``, and ``score`` is |r|;
       pseudocell first averages each node over up to
       ``pseudocell_neighborhood`` of its ``neighbor_edges`` neighbours
@@ -210,15 +207,12 @@ def score_dataset(dataset, method: str, *, ops, neighbor_edges, coords, pseudoti
     * var-granger bins each variable over ``pseudotime`` and adds the VAR
       F-test's ``f_stat`` and ``f_pvalue`` with ``var_max_lag`` lags;
       ``score`` is -log10(``f_pvalue``).
-
-    Every method computes its fields as arrays over all pairs; the records
-    are built from them once.
     """
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
     if rank_mode not in RANK_MODES:
         raise ConfigError(f"rank mode must be one of {RANK_MODES}, got {rank_mode!r}")
-    names = [(dataset.x_names[xi], dataset.y_names[yi]) for xi, yi in dataset.pairs]
+    ids = np.arange(len(dataset.pairs))
     if method == "dagranger":
         n, L = dataset.n_nodes, config.n_layers
         df1, df2 = _f_dof(n, L)  # before training, which would be wasted
@@ -227,14 +221,14 @@ def score_dataset(dataset, method: str, *, ops, neighbor_edges, coords, pseudoti
         tests = _pair_tests(n, L, res.rss_full[ids], res.mean_full[ids], res.var_full[ids],
                             res.rss_reduced[yk], res.mean_reduced[yk], res.var_reduced[yk])
         significance = tests["f_stat"] if rank_mode == "f" else _significance(tests["t_pvalue"])
+        flags = sum(tests[name] * (1 << bit) for bit, name in enumerate(FLAGS))
         columns = {"f_stat": tests["f_stat"], "f_pvalue": tests["f_pvalue"],
                    "t_stat": tests["t_stat"], "t_pvalue": tests["t_pvalue"],
-                   "score": significance, "flags": _flag_lists(tests),
-                   "df1": [df1] * ids.size, "df2": [df2] * ids.size}
+                   "score": significance, "flags": flags,
+                   "df1": np.full(ids.size, df1), "df2": np.full(ids.size, df2)}
     elif method == "var-granger":
         if pseudotime is None:
             raise ConfigError("var-granger needs --pseudotime")
-        ids = np.arange(len(dataset.pairs))
         f, p = baselines.var_granger_pairs(dataset.x_values, dataset.y_values, dataset.pairs,
                                            pseudotime, var_max_lag)
         columns = {"f_stat": f, "f_pvalue": p, "score": _significance(p)}
@@ -245,32 +239,47 @@ def score_dataset(dataset, method: str, *, ops, neighbor_edges, coords, pseudoti
                 x_all, neighbor_edges, pseudocell_neighborhood, coords=coords)
             y_all = baselines.pseudocell_smooth(
                 y_all, neighbor_edges, pseudocell_neighborhood, coords=coords)
-        ids = np.arange(len(dataset.pairs))
         r = baselines.pearson_pairs(x_all, y_all, dataset.pairs, method=method,
                                     x_names=dataset.x_names, y_names=dataset.y_names)
         columns = {"r": r, "score": np.abs(r)}
-    keys = list(columns)
-    values = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns.values()]
-    records = [{"pair_id": pid, "x_name": names[pid][0], "y_name": names[pid][1],
-                "method": method, **dict(zip(keys, row))}
-               for pid, *row in zip(ids.tolist(), *values)]
-    rank_pairs(records)
-    return records
+    columns = {"pair_id": ids,
+               "x_name": np.array(dataset.x_names, dtype=object)[dataset.pairs[ids, 0]],
+               "y_name": np.array(dataset.y_names, dtype=object)[dataset.pairs[ids, 1]],
+               "method": np.full(ids.size, method, dtype=object), **columns}
+    columns["rank"] = rank_pairs(columns["score"], columns["pair_id"])
+    return columns
 
 
-def rank_pairs(records: list[dict]) -> None:
-    """Set each record's 1-based ``rank``: descending ``score``, ties by ``pair_id``."""
-    order = sorted(records, key=lambda r: (-r["score"], r["pair_id"]))
-    for rank, rec in enumerate(order, start=1):
-        rec["rank"] = rank
+def rank_pairs(score: np.ndarray, pair_id: np.ndarray) -> np.ndarray:
+    """Each record's 1-based rank: descending ``score``, ties by ``pair_id``, NaN last."""
+    order = np.lexsort((pair_id, -score))
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(1, order.size + 1)
+    return rank
 
 
-def write_score_records(path, records) -> None:
-    """One JSON object per line; infinities serialize as ``Infinity`` (readable back)."""
+def _column_text(key: str, values: np.ndarray) -> list[str]:
+    """The JSON text of each entry of one column; each distinct name is encoded once."""
+    if key == "flags":
+        return [_FLAG_TEXT[code] for code in values.tolist()]
+    if values.dtype != object:  # numbers: repr, which json uses, except for non-finite floats
+        text = list(map(repr, values.tolist()))
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            text[i] = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[text[i]]
+        return text
+    names = {v: encode_basestring_ascii(v) for v in set(values.tolist())}
+    return [names[v] for v in values.tolist()]
+
+
+def write_score_records(path, columns: dict[str, np.ndarray]) -> None:
+    """One JSON line per record: the bytes of ``json.JSONEncoder(sort_keys=True)``, with
+    ``flags`` as its list of names, from per-column text a block of records at a time."""
+    keys = sorted(columns)
+    template = "{" + ", ".join(f"{encode_basestring_ascii(k)}: %s" for k in keys) + "}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(_ENCODER.encode(rec))
-            fh.write("\n")
+        for at in range(0, len(columns["pair_id"]), _WRITE_BLOCK):
+            text = [_column_text(k, columns[k][at:at + _WRITE_BLOCK]) for k in keys]
+            fh.writelines(template % row for row in zip(*text))
 
 
 def read_score_records(path) -> list[dict]:

@@ -100,29 +100,36 @@ class TrainConfig:
 class Dataset:
     """Node-by-variable observations plus the candidate pair set.
 
-    ``pairs[k] = (xi, yi)`` means column xi of x_values putatively drives
-    column yi of y_values; k is the pair id used everywhere downstream.
+    ``pairs`` becomes a read-only (P, 2) int64 array: row k = (xi, yi) means column
+    xi of x_values putatively drives column yi of y_values; k is the pair id.
     """
 
     x_values: np.ndarray
     y_values: np.ndarray
     x_names: tuple[str, ...]
     y_names: tuple[str, ...]
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
 
     def __post_init__(self):
         x = np.asarray(self.x_values, dtype=np.float64)
         y = np.asarray(self.y_values, dtype=np.float64)
         object.__setattr__(self, "x_values", x)
         object.__setattr__(self, "y_values", y)
-        object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
         if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
             raise DataError("x and y matrices must be 2-D with equal node counts")
         if len(self.x_names) != x.shape[1] or len(self.y_names) != y.shape[1]:
             raise DataError("variable name counts must match matrix widths")
-        for xi, yi in self.pairs:
-            if not (0 <= xi < x.shape[1] and 0 <= yi < y.shape[1]):
-                raise DataError(f"pair ({xi}, {yi}) references a missing column")
+        try:
+            pairs = np.array(self.pairs, dtype=np.int64).reshape(len(self.pairs), 2)
+        except (TypeError, ValueError):
+            k = next((k for k, p in enumerate(self.pairs) if np.shape(p) != (2,)), 0)
+            raise DataError(f"pair {k} {self.pairs[k]!r} is not (x index, y index)") from None
+        bad = ((pairs < 0) | (pairs >= (x.shape[1], y.shape[1]))).any(axis=1)
+        if bad.any():
+            k = int(bad.argmax())
+            raise DataError(f"pair {k} {tuple(pairs[k].tolist())} references a missing column")
+        pairs.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def n_nodes(self) -> int:
@@ -405,8 +412,7 @@ def train_all(
     train_full = component in ("both", "full")
     train_reduced = component in ("both", "reduced")
     rng = np.random.default_rng(config.seed)
-    x_cols = np.fromiter((p[0] for p in dataset.pairs), dtype=np.int64, count=n_pairs)
-    y_cols = np.fromiter((p[1] for p in dataset.pairs), dtype=np.int64, count=n_pairs)
+    x_cols, y_cols = dataset.pairs[:, 0], dataset.pairs[:, 1]
     active = np.ones(n_pairs, dtype=bool)
     # Layer 1's product does not depend on the parameters: compute it once for
     # each variable some pair uses, and gather its columns per chunk.

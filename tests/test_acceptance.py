@@ -52,7 +52,7 @@ def run_recovery(dropout: float, seed: int, workers: int = 1):
                       x_names=ds.x_names, y_names=ds.y_names, pairs=ds.candidates)
     ops = lagged_operators(ds.dag)
     cfg = TrainConfig(seed=0)  # defaults: lr 1e-3, 20 epochs, minibatch 1024, L=10
-    records = {
+    columns = {
         method: score_dataset(
             dataset, method, ops=ops, neighbor_edges=ds.dag.edges, coords=None,
             pseudotime=ds.pseudotime, config=cfg, workers=workers,
@@ -60,17 +60,19 @@ def run_recovery(dropout: float, seed: int, workers: int = 1):
             pseudocell_neighborhood=RunConfig.pseudocell_neighborhood)
         for method in METHODS
     }
+    planted = np.zeros((len(ds.x_names), len(ds.y_names)), dtype=bool)
+    planted[tuple(np.array(sorted(ds.truth)).T)] = True
     auprcs = {
-        method.replace("-", "_"): auprc([r["score"] for r in recs],
-                                        [dataset.pairs[r["pair_id"]] in ds.truth for r in recs])
-        for method, recs in records.items()
+        method.replace("-", "_"): auprc(cols["score"].tolist(),
+                                        planted[tuple(dataset.pairs[cols["pair_id"]].T)].tolist())
+        for method, cols in columns.items()
     }
-    dagranger = records["dagranger"]
+    dagranger = columns["dagranger"]
     return {
         "auprc": auprcs,
-        "f_scores": [r["f_stat"] for r in dagranger],
+        "f_scores": dagranger["f_stat"].tolist(),
         "welch_scores": [
-            math.inf if r["t_pvalue"] <= 0.0 else -math.log10(r["t_pvalue"]) for r in dagranger
+            math.inf if p <= 0.0 else -math.log10(p) for p in dagranger["t_pvalue"].tolist()
         ],
     }
 

@@ -1,11 +1,13 @@
 import json
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dagranger.cli import main
+from dagranger.errors import DataError
 from dagranger.evaluate import auprc, read_reference
 from dagranger.preprocess import write_matrix, write_pseudotime
 from dagranger.synth import SynthSpec, generate, write_dataset
@@ -205,6 +207,32 @@ class TestRunCommand:
         assert stage["flags"] == {name: sum(name in r["flags"] for r in records)
                                   for name in ("zero_residual", "zero_variance_both")}
 
+    @pytest.mark.parametrize("method", ["pearson", "pseudocell"])
+    def test_nan_score_ranks_last_and_is_counted(self, bundle, tmp_path, method):
+        # column 0 of both matrices scaled by 1e200 (finite, so accepted):
+        # the squares overflow and pair (x0, y0) gets r = NaN; it must rank
+        # last, be counted in the manifest, and raise no numpy warning
+        # (pytest turns a RuntimeWarning into an error)
+        ds, paths, _ = bundle
+        for key, names, values in (("x_matrix", ds.x_names, ds.x_matrix),
+                                   ("y_matrix", ds.y_names, ds.y_matrix)):
+            big = values.copy()
+            big[:, 0] *= 1e200
+            write_matrix(tmp_path / f"{key}.csv", big, names)
+        outdir = tmp_path / "run"
+        code = run_cli("run", "--x-matrix", tmp_path / "x_matrix.csv",
+                       "--y-matrix", tmp_path / "y_matrix.csv", "--pairs", paths["pairs"],
+                       "--edges", paths["edges"], "--method", method, "--outdir", outdir)
+        assert code == 0
+        records = [json.loads(l) for l in
+                   (outdir / f"scores_{method}.jsonl").read_text().splitlines()]
+        nan = [r for r in records if math.isnan(r["score"])]
+        assert [(r["x_name"], r["y_name"]) for r in nan] == [(ds.x_names[0], ds.y_names[0])]
+        assert nan[0]["rank"] == len(records)
+        assert sorted(r["rank"] for r in records) == list(range(1, len(records) + 1))
+        stage = json.loads((outdir / "manifest.json").read_text())["stages"][method]
+        assert stage["nan_scores"] == 1
+
     def test_too_few_nodes_stop_before_training(self, bundle, tmp_path, caplog, monkeypatch):
         # 120 nodes with L = 30 leave n - 4L - 1 < 0 degrees of freedom
         import dagranger.train
@@ -343,6 +371,18 @@ class TestRunErrors:
         assert any(f"{dup}:{len(lines) + 1}: duplicate pair" in line
                    for line in self._error_lines(caplog))
 
+    def test_pairs_file_reads_to_an_index_array(self, tmp_path):
+        from dagranger.cli import _read_pairs_file
+
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("# header\nb\tv\n\na\tu\nc\tu\textra\n")
+        got = _read_pairs_file(pairs, ("a", "b", "c"), ("u", "v"))
+        assert got.dtype == np.int64 and got.tolist() == [[1, 1], [0, 0], [2, 0]]
+        pairs.write_text("a\tu\nb\tv\nb\tu\nb\tv\na\tu\n")
+        with pytest.raises(DataError, match=r"pairs.tsv:4: duplicate pair 'b' -> 'v' "
+                                            r"\(first on line 2\)"):
+            _read_pairs_file(pairs, ("a", "b"), ("u", "v"))
+
     def test_unexpected_exception_is_internal_error(self, bundle, tmp_path, caplog,
                                                     capsys, monkeypatch):
         import dagranger.train
@@ -360,6 +400,57 @@ class TestRunErrors:
         assert self._error_lines(caplog) == ["internal error: RuntimeError: boom"]
         assert all(r.exc_info is None for r in caplog.records)
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestScoreFiles:
+    # sha256 of the four score files of one small `run --method all`, recorded
+    # with the per-record JSON writer (json.JSONEncoder(sort_keys=True)) that
+    # defined the format; a change here is a change of the score-file bytes
+    PINNED = {
+        "f": {"dagranger": "903d66f5a94348d76c1d247ef16e255820c5636cfff1813fff4c5135c33d3b1a",
+              "pearson": "fad3aa67275530fe9b8d84d902f7b4710ae8f368c06edf0bece54b166f301673",
+              "pseudocell": "2f91a7dec7cb0e3df16f6963ed681af47b93941a249c9d6bd9de6fb4d8c9a0f4",
+              "var_granger": "76a78ed7405cc9e84cf3e8f324958e0d89b4dad0e062b5183a78dc66d6dce0b3"},
+        "welch": {"dagranger": "81b3f5af4f8285d0f45a0b412fa3697d9d044658cfb399fe78c4fbbe4107773b"},
+    }
+
+    @pytest.fixture(scope="class")
+    def pinned_bundle(self, tmp_path_factory):
+        spec = SynthSpec(n_nodes=120, n_branches=3, depth=10, k_neighbors=4,
+                         n_x_vars=8, n_y_vars=5, n_causal_pairs=4,
+                         coupling=1.5, noise_sd=0.2, dropout_rate=0.5, seed=7)
+        return write_dataset(generate(spec), tmp_path_factory.mktemp("pinned"))
+
+    def _run_all(self, paths, outdir, *extra):
+        return run_cli("run", "--x-matrix", paths["x_matrix"], "--y-matrix",
+                       paths["y_matrix"], "--pairs", paths["pairs"],
+                       "--edges", paths["edges"], "--pseudotime", paths["pseudotime"],
+                       "--method", "all", "--max-epochs", 3, "--n-layers", 3, "--seed", 11,
+                       "--outdir", outdir, *extra)
+
+    @pytest.mark.parametrize("rank_mode", ["f", "welch"])
+    def test_bytes_equal_the_pinned_digests(self, pinned_bundle, tmp_path, rank_mode):
+        assert self._run_all(pinned_bundle, tmp_path, "--rank-mode", rank_mode) == 0
+        pinned = {**self.PINNED["f"], **self.PINNED[rank_mode]}
+        assert {method: hashlib.sha256(
+                    (tmp_path / f"scores_{method}.jsonl").read_bytes()).hexdigest()
+                for method in pinned} == pinned
+
+    def test_manifest_summarizes_p_values(self, pinned_bundle, tmp_path):
+        assert self._run_all(pinned_bundle, tmp_path) == 0
+        stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+        for method, fields in (("dagranger", ("f_pvalue", "t_pvalue")),
+                               ("var-granger", ("f_pvalue",)), ("pearson", ()),
+                               ("pseudocell", ())):
+            records = [json.loads(l) for l in (
+                tmp_path / f"scores_{method.replace('-', '_')}.jsonl").read_text().splitlines()]
+            stage = stages[method]
+            assert stage["nan_scores"] == 0
+            assert {"f_pvalue", "t_pvalue"} & set(stage) == set(fields)
+            for field in fields:
+                p = sorted(r[field] for r in records)
+                assert stage[field] == {"min": p[0], "median": float(np.median(p)),
+                                        "max": p[-1], "equal_to_1": p.count(1.0)}
 
 
 class TestEvalCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from dagranger.errors import ConfigError, DegenerateSampleSize
 from dagranger.graph import lagged_operators
 from dagranger.score import (
+    FLAGS,
     METHODS,
     f_test,
     rank_pairs,
@@ -177,92 +179,127 @@ def tiny_scored(rank_mode="f", method="dagranger", pseudotime=True):
         rank_mode=rank_mode, var_max_lag=1, pseudocell_neighborhood=5)
 
 
+def rank_reference(scores, pair_ids):
+    """1-based ranks by a Python sort: descending score, ties by pair id, NaN last."""
+    order = sorted(range(len(scores)), key=lambda i: (
+        math.isnan(scores[i]), 0.0 if math.isnan(scores[i]) else -scores[i], pair_ids[i]))
+    ranks = [0] * len(scores)
+    for rank, i in enumerate(order, start=1):
+        ranks[i] = rank
+    return ranks
+
+
 class TestRankPairs:
-    def _records(self, scores):
-        return [{"pair_id": pid, "score": s} for pid, s in scores]
+    def _ranks(self, scores):
+        pair_ids, values = zip(*scores)
+        return rank_pairs(np.array(values, dtype=float), np.array(pair_ids)).tolist()
 
     def test_descending_by_f(self):
-        records = [{"pair_id": 0, "f_stat": 2.0, "score": 2.0},
-                   {"pair_id": 1, "f_stat": 5.0, "score": 5.0}]
-        rank_pairs(records)
-        assert [r["rank"] for r in records] == [2, 1]
+        assert self._ranks([(0, 2.0), (1, 5.0)]) == [2, 1]
 
     def test_tie_break_by_id(self):
-        records = self._records([(3, 2.0), (1, 2.0), (2, math.inf)])
-        rank_pairs(records)
-        assert [r["rank"] for r in records] == [3, 2, 1]
+        assert self._ranks([(3, 2.0), (1, 2.0), (2, math.inf)]) == [3, 2, 1]
+
+    def test_nan_ranks_last(self):
+        # a NaN score used to break the sort: [1.0, nan, 2.0, 0.5] ranked 1..4
+        assert self._ranks(enumerate([1.0, math.nan, 2.0, 0.5])) == [2, 4, 1, 3]
+        ranks = self._ranks([(4, math.nan), (0, -math.inf), (2, math.nan), (1, 0.0)])
+        assert ranks == [4, 2, 3, 1]
 
     def test_welch_mode(self):
         # the score is -log10 of the Welch p-value, and the rank follows it
-        records = tiny_scored(rank_mode="welch")
-        assert len(records) == 6
-        for r in records:
-            expected = math.inf if r["t_pvalue"] == 0.0 else -math.log10(r["t_pvalue"])
-            assert r["score"] == expected
-        by_rank = sorted(records, key=lambda r: r["rank"])
-        assert [r["t_pvalue"] for r in by_rank] == sorted(r["t_pvalue"] for r in records)
+        cols = tiny_scored(rank_mode="welch")
+        assert cols["pair_id"].size == 6
+        for p, score in zip(cols["t_pvalue"].tolist(), cols["score"].tolist()):
+            assert score == (math.inf if p == 0.0 else -math.log10(p))
+        by_rank = cols["t_pvalue"][np.argsort(cols["rank"])]
+        assert by_rank.tolist() == sorted(cols["t_pvalue"].tolist())
 
     def test_permutation_of_inputs(self, rng):
-        records = self._records((i, float(rng.random())) for i in rng.permutation(30))
-        rank_pairs(records)
-        assert sorted(r["rank"] for r in records) == list(range(1, 31))
+        ranks = self._ranks((i, float(rng.random())) for i in rng.permutation(30))
+        assert sorted(ranks) == list(range(1, 31))
 
     def test_monotone_invariant_enforced(self, rng):
         scores = rng.integers(0, 5, size=40).astype(float)
         scores[::7] = math.inf
-        records = self._records(enumerate(scores))
-        rank_pairs(records)
-        by_rank = sorted(records, key=lambda r: r["rank"])
-        for a, b in zip(by_rank, by_rank[1:]):
-            assert a["score"] > b["score"] or (
-                a["score"] == b["score"] and a["pair_id"] < b["pair_id"])
+        ranks = np.array(self._ranks(enumerate(scores)))
+        order = np.argsort(ranks)
+        for a, b in zip(order, order[1:]):
+            assert scores[a] > scores[b] or (scores[a] == scores[b] and a < b)
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, -0.0, 1.0])),
+                    max_size=40), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_python_sort(self, scores, random):
+        pair_ids = list(range(len(scores)))
+        random.shuffle(pair_ids)
+        ranks = rank_pairs(np.array(scores, dtype=float), np.array(pair_ids, dtype=np.int64))
+        assert ranks.tolist() == rank_reference(scores, pair_ids)
+
+
+def flag_names(code):
+    """The names a ``flags`` code stands for: bit i is FLAGS[i]."""
+    return [name for i, name in enumerate(FLAGS) if code >> i & 1]
 
 
 class TestScoreDataset:
     def test_dagranger_f_mode_scores_are_f_stats(self):
-        records = tiny_scored()
-        assert [r["pair_id"] for r in records] == list(range(6))
-        assert all(r["score"] == r["f_stat"] and r["method"] == "dagranger"
-                   for r in records)
+        cols = tiny_scored()
+        assert cols["pair_id"].tolist() == list(range(6))
+        assert np.array_equal(cols["score"], cols["f_stat"])
+        assert cols["method"].tolist() == ["dagranger"] * 6
 
     @pytest.mark.parametrize("method, field", [("pearson", "r"), ("pseudocell", "r"),
                                                ("var-granger", "f_pvalue")])
     def test_baselines_rank_by_score(self, method, field):
-        records = tiny_scored(method=method)
-        assert len(records) == 6 and all(field in r for r in records)
-        by_rank = sorted(records, key=lambda r: r["rank"])
-        assert all(a["score"] >= b["score"] for a, b in zip(by_rank, by_rank[1:]))
+        cols = tiny_scored(method=method)
+        assert cols["pair_id"].size == 6 and cols[field].size == 6
+        by_rank = cols["score"][np.argsort(cols["rank"])]
+        assert (by_rank[:-1] >= by_rank[1:]).all()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_columns_name_each_pair(self, method):
+        # equal-length columns in pair-id order, names taken from the pairs
+        ds, dataset = tiny_inputs()
+        cols = tiny_scored(method=method)
+        assert len({c.size for c in cols.values()}) == 1
+        assert cols["pair_id"].tolist() == list(range(len(dataset.pairs)))
+        assert cols["x_name"].tolist() == [ds.x_names[xi] for xi, _ in ds.candidates]
+        assert cols["y_name"].tolist() == [ds.y_names[yi] for _, yi in ds.candidates]
+        assert sorted(cols["rank"].tolist()) == list(range(1, 7))
 
     def test_dagranger_fields_equal_score_pair_of_each_pair(self):
         # score_dataset tests every pair at once from train_all's statistics,
         # each y's reduced statistics shared by its pairs; each record must
         # equal score_pair on the per-node losses of the pair's own model.
         ds, dataset = tiny_inputs()
-        assert len({y for _, y in dataset.pairs}) < len(dataset.pairs)
+        assert np.unique(dataset.pairs[:, 1]).size < len(dataset.pairs)
         ops = lagged_operators(ds.dag)
         results = train_all(dataset, ops, TINY_CONFIG)
-        records = tiny_scored()
-        assert [rec["pair_id"] for rec in records] == results.pair_ids.tolist()
-        for rec in records:
-            xi, yi = dataset.pairs[rec["pair_id"]]
+        cols = tiny_scored()
+        assert cols["pair_id"].tolist() == results.pair_ids.tolist()
+        for i, pid in enumerate(cols["pair_id"].tolist()):
+            xi, yi = dataset.pairs[pid]
             rep = pair_loss(dataset.x_values[:, xi], dataset.y_values[:, yi], ops,
-                            results.full[:, rec["pair_id"]],
-                            results.reduced[:, results.y_index[rec["pair_id"]]],
+                            results.full[:, pid], results.reduced[:, results.y_index[pid]],
                             lag_hops=TINY_CONFIG.lag_hops, link=TINY_CONFIG.link)
-            s = score_pair(rec["pair_id"], rep.per_node_full, rep.per_node_reduced,
-                           TINY_CONFIG.n_layers)
-            assert (rec["f_stat"], rec["f_pvalue"], rec["t_stat"], rec["t_pvalue"],
-                    rec["flags"]) == (s.f_stat, s.f_pvalue, s.t_stat, s.t_pvalue, list(s.flags))
+            s = score_pair(pid, rep.per_node_full, rep.per_node_reduced, TINY_CONFIG.n_layers)
+            assert (cols["f_stat"][i], cols["f_pvalue"][i], cols["t_stat"][i],
+                    cols["t_pvalue"][i], flag_names(cols["flags"][i]),
+                    cols["df1"][i], cols["df2"][i]) == (
+                s.f_stat, s.f_pvalue, s.t_stat, s.t_pvalue, list(s.flags), s.df1, s.df2)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_no_pairs_no_records(self, method):
         ds, dataset = tiny_inputs()
         empty = Dataset(x_values=dataset.x_values, y_values=dataset.y_values,
                         x_names=dataset.x_names, y_names=dataset.y_names, pairs=())
-        assert score_dataset(
+        cols = score_dataset(
             empty, method, ops=lagged_operators(ds.dag), neighbor_edges=ds.dag.edges,
             coords=None, pseudotime=ds.pseudotime, config=TINY_CONFIG, workers=1,
-            rank_mode="f", var_max_lag=1, pseudocell_neighborhood=5) == []
+            rank_mode="f", var_max_lag=1, pseudocell_neighborhood=5)
+        assert {"pair_id", "x_name", "y_name", "method", "score", "rank"} <= set(cols)
+        assert all(c.size == 0 for c in cols.values())
 
     def test_var_granger_needs_pseudotime(self):
         with pytest.raises(ConfigError):
@@ -274,12 +311,77 @@ class TestScoreDataset:
             tiny_scored(method=method, rank_mode=rank_mode)
 
 
+def records_of(columns):
+    """The records the columns stand for, with Python values and ``flags`` as names."""
+    keys = list(columns)
+    rows = zip(*(columns[k].tolist() for k in keys))
+    return [{k: flag_names(v) if k == "flags" else v for k, v in zip(keys, row)}
+            for row in rows]
+
+
+def reference_bytes(columns) -> bytes:
+    """The writer's oracle: the stdlib encoder on each record, one line each."""
+    encoder = json.JSONEncoder(sort_keys=True)
+    return "".join(encoder.encode(rec) + "\n" for rec in records_of(columns)).encode()
+
+
+NAMES = st.text(alphabet=st.one_of(
+    st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028é✓\U0001f600')))
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                   st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                                    2.2250738585072014e-308]))
+
+
 class TestScoreRecordsIo:
     def test_roundtrip(self, tmp_path):
-        records = [
-            {"pair_id": 0, "score": 1.5, "x_name": "a", "y_name": "b"},
-            {"pair_id": 1, "score": math.inf, "x_name": "c", "y_name": "d"},
-        ]
+        columns = {"pair_id": np.array([0, 1]), "score": np.array([1.5, math.inf]),
+                   "x_name": np.array(["a", "c"], dtype=object),
+                   "y_name": np.array(["b", "d"], dtype=object)}
         path = tmp_path / "scores.jsonl"
-        write_score_records(path, records)
-        assert read_score_records(path) == records
+        write_score_records(path, columns)
+        assert read_score_records(path) == records_of(columns)
+
+    def test_special_values_and_every_flag_set(self, tmp_path):
+        columns = {"pair_id": np.arange(4), "flags": np.arange(4),
+                   "x_name": np.array(['q"uote', "back\\slash", "ctl\x00\n\t", "ünï✓"],
+                                      dtype=object),
+                   "y_name": np.array(["y"] * 4, dtype=object),
+                   "f_stat": np.array([math.inf, -math.inf, math.nan, -0.0]),
+                   "score": np.array([5e-324, 1e308, 0.1, -2.5]),
+                   "df2": np.array([0, -1, 2**62, 7])}
+        path = tmp_path / "scores.jsonl"
+        write_score_records(path, columns)
+        assert path.read_bytes() == reference_bytes(columns)
+        flags = [rec["flags"] for rec in read_score_records(path)]
+        assert flags == [[], ["zero_residual"], ["zero_variance_both"],
+                         ["zero_residual", "zero_variance_both"]]
+
+    def test_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+        import dagranger.score
+
+        monkeypatch.setattr(dagranger.score, "_WRITE_BLOCK", 3)
+        columns = {"pair_id": np.arange(10), "score": np.linspace(-1.0, 1.0, 10),
+                   "x_name": np.array(list("abcdefghij"), dtype=object),
+                   "flags": np.arange(10) % 4}
+        path = tmp_path / "scores.jsonl"
+        write_score_records(path, columns)
+        assert path.read_bytes() == reference_bytes(columns)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_the_stdlib_encoder(self, tmp_path_factory, data):
+        n = data.draw(st.integers(0, 12))
+        column = lambda elements: data.draw(st.lists(elements, min_size=n, max_size=n))
+        names = data.draw(st.lists(NAMES, min_size=1, max_size=4))
+        pick = lambda: np.array([names[i] for i in column(st.integers(0, len(names) - 1))],
+                                dtype=object)
+        columns = {"pair_id": np.array(column(st.integers(0, 2**63 - 1)), dtype=np.int64),
+                   "x_name": pick(), "y_name": pick(),
+                   "method": np.full(n, "dagranger", dtype=object),
+                   "f_stat": np.array(column(FLOATS), dtype=np.float64),
+                   "score": np.array(column(FLOATS), dtype=np.float64),
+                   "df1": np.array(column(st.integers(-2**63, 2**63 - 1)), dtype=np.int64),
+                   "flags": np.array(column(st.integers(0, 3)), dtype=np.int64)}
+        path = tmp_path_factory.mktemp("w") / "scores.jsonl"
+        write_score_records(path, columns)
+        assert path.read_bytes() == reference_bytes(columns)

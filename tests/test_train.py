@@ -5,7 +5,7 @@ import pytest
 
 import dagranger.model
 import dagranger.train
-from dagranger.errors import DimensionMismatch, NonFiniteParameter
+from dagranger.errors import DataError, DimensionMismatch, NonFiniteParameter
 from dagranger.graph import lagged_operators
 from dagranger.model import predict_full, predict_reduced, strict_lag
 from dagranger.synth import SynthSpec, generate
@@ -207,7 +207,7 @@ class TestChunkKernel:
         calls.clear()
         train_all(dataset, ops, TrainConfig(n_layers=L, max_epochs=epochs, seed=0,
                                             convergence_numerator=0.0))
-        n_x, n_y = (len({p[i] for p in dataset.pairs}) for i in (0, 1))
+        n_x, n_y = (np.unique(dataset.pairs[:, i]).size for i in (0, 1))
         # one pair chunk and one bank chunk per epoch plus the final evaluation
         per_pass = [6] * (2 * (L - 1)) + [n_y] * (L - 1)
         assert sorted(calls) == sorted([n_x, n_y] + per_pass * (epochs + 1))
@@ -316,6 +316,30 @@ class TestGlorotInit:
         assert np.array_equal(full[:3], w_y) and np.array_equal(full[6:9], w_x)
 
 
+class TestDataset:
+    def test_pairs_become_a_read_only_index_array(self):
+        _, dataset, _ = tiny_dataset()
+        assert dataset.pairs.dtype == np.int64 and dataset.pairs.shape == (4, 2)
+        assert not dataset.pairs.flags.writeable
+        empty = Dataset(x_values=dataset.x_values, y_values=dataset.y_values,
+                        x_names=dataset.x_names, y_names=dataset.y_names, pairs=())
+        assert empty.pairs.shape == (0, 2)
+
+    @pytest.mark.parametrize("pairs, message", [
+        (((0, 0), (1,), (0, 1)), "pair 1 (1,) is not (x index, y index)"),
+        (((0, 0), (1, 2, 0)), "pair 1 (1, 2, 0) is not (x index, y index)"),
+        ((0, 1), "pair 0 0 is not (x index, y index)"),
+        (((0, 0), (1, 1), (4, 0), (0, -1)), "pair 2 (4, 0) references a missing column"),
+        (((0, 0), (0, 3)), "pair 1 (0, 3) references a missing column"),
+    ])
+    def test_bad_pairs_name_the_first(self, pairs, message):
+        ds, dataset, _ = tiny_dataset()
+        with pytest.raises(DataError) as info:
+            Dataset(x_values=dataset.x_values, y_values=dataset.y_values,
+                    x_names=dataset.x_names, y_names=dataset.y_names, pairs=pairs)
+        assert message in str(info.value)
+
+
 class TestTrainAll:
     def test_zero_epochs_returns_initialized_models(self):
         ds, dataset, ops = tiny_dataset()
@@ -328,7 +352,7 @@ class TestTrainAll:
         for pid in results.pair_ids:
             full, reduced = results.full[:, pid], results.reduced[:, results.y_index[pid]]
             assert np.array_equal(full, init_full) and np.array_equal(reduced, init_reduced)
-            xi, yi = dataset.pairs[pid]
+            xi, yi = dataset.pairs[pid, 0], dataset.pairs[pid, 1]
             direct = pair_loss(dataset.x_values[:, xi], dataset.y_values[:, yi], ops, full,
                                reduced, lag_hops=cfg.lag_hops, link=cfg.link)
             assert results.rss_full[pid] == pytest.approx(direct.rss_full, rel=1e-12)
