@@ -256,27 +256,27 @@ def _var_tests(x_bins: np.ndarray, y_bins: np.ndarray, x_at, y_at, max_lag: int)
     x_lags, y_lags = _lags(x_bins, L), _lags(y_bins, L)
     targets = np.ascontiguousarray(y_bins[L:].T)
     ones = np.ones((rows, 1))
-    rss_y, ridge_y = np.empty(y_bins.shape[1]), np.zeros(y_bins.shape[1], dtype=bool)
-    for j in np.unique(y_at).tolist():
-        rss_y[j], ridge_y[j] = _ols_rss(np.hstack([ones, y_lags[j]]), targets[j])
-    rss_r, ridge = rss_y[y_at], ridge_y[y_at]
-
     n_pairs = len(x_at)
+    rss_y, ridge_y = np.empty(y_bins.shape[1]), np.zeros(y_bins.shape[1], dtype=bool)
     rss_u = np.empty(n_pairs)
-    for blk in _blocks(n_pairs, 3 * 8 * rows * (2 * L + 1)):
-        xa, ya = x_at[blk], y_at[blk]
-        design = np.concatenate(
-            [np.broadcast_to(ones, (xa.size, rows, 1)), y_lags[ya], x_lags[xa]], axis=2)
-        rss_u[blk], singular = _stacked_rss(design, targets[ya])
-        ridge[blk] |= singular
+    # Values whose squares overflow give NaN or inf sums and f = NaN without a
+    # numpy warning; the run manifest counts NaN scores.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in np.unique(y_at).tolist():
+            rss_y[j], ridge_y[j] = _ols_rss(np.hstack([ones, y_lags[j]]), targets[j])
+        rss_r, ridge = rss_y[y_at], ridge_y[y_at]
+        for blk in _blocks(n_pairs, 3 * 8 * rows * (2 * L + 1)):
+            xa, ya = x_at[blk], y_at[blk]
+            design = np.concatenate(
+                [np.broadcast_to(ones, (xa.size, rows, 1)), y_lags[ya], x_lags[xa]], axis=2)
+            rss_u[blk], singular = _stacked_rss(design, targets[ya])
+            ridge[blk] |= singular
+        numerator = np.maximum(rss_r - rss_u, 0.0) / L  # nesting: negative only via ridge noise
+        f = numerator / (rss_u / df2)
     if ridge.any():
         logger.warning("var_granger: %d of %d pairs have a singular design; ridge fit "
                        "(lambda=%g)", int(ridge.sum()), n_pairs, _RIDGE)
-
     zero = rss_u <= 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        numerator = np.maximum(rss_r - rss_u, 0.0) / L  # nesting: negative only via ridge noise
-        f = numerator / (rss_u / df2)
     f[zero] = math.inf
     p = special.fdtrc(L, df2, f)
     p[zero] = 0.0

@@ -276,10 +276,13 @@ def write_score_records(path, columns: dict[str, np.ndarray]) -> None:
     ``flags`` as its list of names, from per-column text a block of records at a time."""
     keys = sorted(columns)
     template = "{" + ", ".join(f"{encode_basestring_ascii(k)}: %s" for k in keys) + "}\n"
+    # An array under two keys (f rank mode's score is f_stat) is made text once.
+    source = {k: next(j for j in keys if columns[j] is columns[k]) for k in keys}
     with open(path, "w", encoding="utf-8") as fh:
         for at in range(0, len(columns["pair_id"]), _WRITE_BLOCK):
-            text = [_column_text(k, columns[k][at:at + _WRITE_BLOCK]) for k in keys]
-            fh.writelines(template % row for row in zip(*text))
+            made = {j: _column_text(j, columns[j][at:at + _WRITE_BLOCK])
+                    for j in set(source.values())}
+            fh.writelines(template % row for row in zip(*(made[source[k]] for k in keys)))
 
 
 def read_score_records(path) -> list[dict]:

@@ -15,6 +15,13 @@ pair the bits that a copy of its own would have. Gradients are exact reverse
 accumulation through the tanh layers: tanh' = 1 - h^2, and the adjoint of each
 M.T product is the corresponding non-transposed M product.
 
+Epoch 1 needs no pass over the pairs. Every full column starts from one
+Glorot draw with c = 0 and the reduced model's y-encoder, so there the full
+model is the reduced one: a pair's loss, y-encoder gradient and d(loss)/d(y_hat)
+are its y's from the reduced pass, its x-encoder gradient is 0, and its c
+gradient sum(d * enc(x)) needs only one forward encoding of each x. Each of
+these is the kernel's own arithmetic, so every bit is the same.
+
 The kernel does each sparse product once. Layer 1's product ``a.T @ v`` does
 not depend on the parameters, so ``train_all`` computes it once per variable
 and gathers it per chunk; the forward pass keeps each later layer's input
@@ -249,15 +256,17 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.sum(a, axis=0)
 
 
-def _loss_stats(per_node: np.ndarray):
-    """(sum, mean, var(ddof=1)) of each column of an (n, m) array of per-node losses.
+def _loss_stats(per_node: np.ndarray) -> np.ndarray:
+    """(sum, mean, var(ddof=1)) rows, (3, m), of an (n, m) array of per-node losses.
 
     Each column is reduced as one contiguous row, which gives the bits of
     the 1-D ``sum``, ``mean`` and ``var`` of that column alone; reducing
-    ``per_node`` over axis 0 would not.
+    ``per_node`` over axis 0 would not. A variance that overflows is inf,
+    without a numpy warning.
     """
     rows = np.ascontiguousarray(per_node.T)
-    return rows.sum(axis=1), rows.mean(axis=1), rows.var(axis=1, ddof=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.stack([rows.sum(axis=1), rows.mean(axis=1), rows.var(axis=1, ddof=1)])
 
 
 def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops):
@@ -299,10 +308,11 @@ def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, w
     None it is the reduced one, link(enc(y)), and ``theta`` is (2L, m), one
     reduced column per y. ``lagged_x`` and ``lagged_y`` are ``strict_lag`` of
     the chunk's x and y columns, Y the y columns themselves, all (n, m).
-    Returns (rss, per_node, grads, ok): grads has ``theta``'s shape, and ok
-    flags columns whose forward and backward passes stayed finite. A column
-    that overflows or meets an inf is reported through ok alone; numpy's
-    floating-point warnings are silenced for it.
+    Returns (rss, per_node, grads, ok, d): grads has ``theta``'s shape and d
+    is d(loss)/d(y_hat), (n, m) (both None without ``want_grads``); ok flags
+    columns whose loss and forward and backward passes stayed finite. A
+    column that overflows or meets an inf is reported through ok alone;
+    numpy's floating-point warnings are silenced for it.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         full = lagged_x is not None
@@ -316,13 +326,12 @@ def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, w
                                             lagged=True)
             s = h_y + c[None, :] * h_x
         yhat = apply_link(s, link)
-        ok = np.isfinite(yhat).all(axis=0)
-
         res = yhat - Y
         per_node = res * res
         rss = _column_sums(per_node)
+        ok = np.isfinite(yhat).all(axis=0) & np.isfinite(rss)
 
-        grads = None
+        grads = d = None
         if want_grads:
             grads = np.empty_like(theta)
             d = 2.0 * res
@@ -335,7 +344,7 @@ def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, w
                 grads[2 * L : 3 * L], grads[3 * L : 4 * L] = _encoder_backward_batch(
                     c[None, :] * d, u_x, ops, w_x, b_x, lag_hops)
             ok &= np.isfinite(grads).all(axis=0)
-    return rss, per_node, grads, ok
+    return rss, per_node, grads, ok, d
 
 
 # --- single-pair loss and gradients: the kernel at width one -------------------
@@ -360,7 +369,7 @@ def _single_pair(x, y, ops, full, reduced, lag_hops, link, want_grads: bool):
 def pair_loss(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, full: np.ndarray,
               reduced: np.ndarray, *, lag_hops: int, link: str) -> LossReport:
     """Per-node squared errors of the full and reduced predictions of one pair."""
-    (_, per_node_full, _, ok_full), (_, per_node_reduced, _, ok_reduced) = _single_pair(
+    (_, per_node_full, _, ok_full, _), (_, per_node_reduced, _, ok_reduced, _) = _single_pair(
         x, y, ops, full, reduced, lag_hops, link, want_grads=False)
     if not (ok_full[0] and ok_reduced[0]):
         raise NonFinitePrediction("prediction overflowed (exponential link?)")
@@ -371,7 +380,7 @@ def pair_gradients(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, full: np.
                    reduced: np.ndarray, *, lag_hops: int,
                    link: str) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (g_full, g_reduced) of rss_full + rss_reduced w.r.t. one pair's two columns."""
-    (*_, g_full, ok_full), (*_, g_reduced, ok_reduced) = _single_pair(
+    (_, _, g_full, ok_full, _), (_, _, g_reduced, ok_reduced, _) = _single_pair(
         x, y, ops, full, reduced, lag_hops, link, want_grads=True)
     if not (ok_full[0] and ok_reduced[0]):
         raise NonFiniteGradient("gradient contains NaN or infinity")
@@ -480,26 +489,76 @@ def train_all(
         state.m[:, cols] = new_s.m
         state.v[:, cols] = new_s.v
 
+    def start_chunk(rss_y, ok_y, d_y, grads_y):
+        """Epoch 1's pair kernel, built from per-variable work.
+
+        Every full column still holds the shared start, where c = 0 and the
+        y-encoder is the reduced model's: y_hat = enc(y) + 0 * enc(x) is the
+        reduced y_hat bit for bit (enc(y), a mean started from +0, is never
+        -0.0). A pair's loss, y-encoder gradient and d(loss)/d(y_hat) are
+        therefore its y's from the reduced pass (``rss_y``, ``grads_y``,
+        ``d_y``); its x-encoder gradient, c times finite sums in the kernel,
+        is +-0 there and 0 here, which give Adam the same parameters and
+        moments; and its c gradient needs enc(x), computed here once per x.
+        ``ok`` is the kernel's: a finite y and enc(x) and, with gradients, a
+        finite lagged x (else 0 * inf in the x backward) and c gradient.
+        """
+        def encode_x(cols, _):
+            w, b = (np.repeat(init_full[i * L : (i + 1) * L, None], cols.size, axis=1)
+                    for i in (2, 3))
+            with np.errstate(invalid="ignore", over="ignore"):
+                return encode_history_batch(np.take(lagged_x, cols, axis=1), ops, w, b,
+                                            config.lag_hops, lagged=True)[0]
+
+        h_x = np.empty_like(lagged_x)
+        for cols, h in run_chunks(encode_x, np.arange(x_used.size), False):
+            h_x[:, cols] = h
+        ok_x = np.isfinite(h_x).all(axis=0)
+        if train_full:
+            ok_x &= np.isfinite(lagged_x).all(axis=0)
+
+        def kernel(cols, want_grads):
+            yk, xk = y_at[cols], x_at[cols]
+            ok = ok_y[yk] & ok_x[xk]
+            grads = None
+            if want_grads:
+                grads = np.zeros((4 * L + 1, cols.size))
+                grads[: 2 * L] = np.take(grads_y, yk, axis=1)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    grads[4 * L] = _column_sums(
+                        np.take(d_y, yk, axis=1) * np.take(h_x, xk, axis=1))
+                ok &= np.isfinite(grads[4 * L])
+            return rss_y[yk], None, grads, ok, None
+
+        return kernel
+
     prev_loss = None
     for epoch in range(config.max_epochs):
         t = epoch + 1
+        at_start = epoch == 0
         perm = rng.permutation(n_pairs)
         # The reduced bank first, over the y of the active pairs. Each pair's
         # reduced loss is its y's loss before this step, as if it trained its
         # own copy; a y that goes non-finite drops every pair of it below.
+        # In epoch 1 it also keeps what start_chunk needs of each y.
         rss_y = np.zeros(y_used.size)
         ok_y = np.zeros(y_used.size, dtype=bool)
-        for cols, (rss, _, grads, ok) in run_chunks(
-                bank_chunk, np.unique(y_at[active]), train_reduced):
+        if at_start:
+            d_y, grads_y = np.empty((ops.n, y_used.size)), np.empty((2 * L, y_used.size))
+        for cols, (rss, _, grads, ok, d) in run_chunks(
+                bank_chunk, np.unique(y_at[active]), train_reduced or at_start):
             rss_y[cols], ok_y[cols] = rss, ok
+            if at_start:
+                d_y[:, cols], grads_y[:, cols] = d, grads
             if train_reduced and ok.any():
                 step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
+        kernel = start_chunk(rss_y, ok_y, d_y, grads_y) if at_start else pair_chunk
 
         epoch_loss = 0.0
         for start in range(0, n_pairs, config.minibatch_pairs):
             batch = perm[start : start + config.minibatch_pairs]
             batch = batch[active[batch]]
-            for cols, (rss_f, _, grads, ok) in run_chunks(pair_chunk, batch, train_full):
+            for cols, (rss_f, _, grads, ok, _) in run_chunks(kernel, batch, train_full):
                 ok &= ok_y[y_at[cols]]
                 if not ok.all():
                     for k in cols[~ok]:
@@ -514,6 +573,7 @@ def train_all(
                     epoch_loss += float(rss_y[y_at[good]].sum())
                 if train_full:
                     step(full, full_adam, good, grads[:, ok], t)
+        kernel = d_y = grads_y = None  # epoch 1's per-variable arrays go before epoch 2
 
         if prev_loss is not None and prev_loss > 0 and n_pairs > 0:
             rel = abs(epoch_loss - prev_loss) / prev_loss
@@ -524,20 +584,23 @@ def train_all(
 
     # Final evaluation over all surviving pairs, fixed chunking again. Each
     # chunk's per-node losses are reduced to the statistics scoring needs,
-    # once per y for the reduced bank.
+    # once per y for the reduced bank; a statistic that overflows drops its
+    # model as a non-finite loss does.
     stats_reduced = np.full((3, y_used.size), np.nan)
-    for cols, (_, per_node, _, ok) in run_chunks(bank_chunk, np.unique(y_at[active]), False):
-        stats_reduced[:, cols[ok]] = _loss_stats(per_node[:, ok])
+    for cols, (_, per_node, _, ok, _) in run_chunks(bank_chunk, np.unique(y_at[active]), False):
+        stats = _loss_stats(per_node)
+        ok &= np.isfinite(stats).all(axis=0)
+        stats_reduced[:, cols[ok]] = stats[:, ok]
     stats_full = np.full((3, n_pairs), np.nan)
-    for cols, (_, per_node, _, ok) in run_chunks(pair_chunk, np.flatnonzero(active), False):
-        ok &= ~np.isnan(stats_reduced[0, y_at[cols]])
+    for cols, (_, per_node, _, ok, _) in run_chunks(pair_chunk, np.flatnonzero(active), False):
+        stats = _loss_stats(per_node)
+        ok &= np.isfinite(stats).all(axis=0) & ~np.isnan(stats_reduced[0, y_at[cols]])
         for k in cols[~ok]:
             logger.warning("pair %d non-finite at final evaluation; excluded", k)
         active[cols[~ok]] = False
-        stats_full[:, cols[ok]] = _loss_stats(per_node[:, ok])
+        stats_full[:, cols[ok]] = stats[:, ok]
     return TrainResult(
         pair_ids=np.flatnonzero(active), y_index=y_at, full=full, reduced=reduced,
         rss_full=stats_full[0], mean_full=stats_full[1], var_full=stats_full[2],
         rss_reduced=stats_reduced[0], mean_reduced=stats_reduced[1],
         var_reduced=stats_reduced[2])
-

@@ -233,6 +233,37 @@ class TestRunCommand:
         stage = json.loads((outdir / "manifest.json").read_text())["stages"][method]
         assert stage["nan_scores"] == 1
 
+    def test_overflowing_losses_drop_pairs_or_give_nan(self, bundle, tmp_path):
+        # the same 1e200 scaling: every pair of y0 has an infinite loss, so
+        # dagranger drops it and writes no NaN; var-granger's fits overflow
+        # into NaN records, counted in the manifest; neither raises a numpy
+        # warning (pytest turns a RuntimeWarning into an error)
+        ds, paths, _ = bundle
+        for key, names, values in (("x_matrix", ds.x_names, ds.x_matrix),
+                                   ("y_matrix", ds.y_names, ds.y_matrix)):
+            big = values.copy()
+            big[:, 0] *= 1e200
+            write_matrix(tmp_path / f"{key}.csv", big, names)
+        outdir = tmp_path / "run"
+        code = run_cli("run", "--x-matrix", tmp_path / "x_matrix.csv",
+                       "--y-matrix", tmp_path / "y_matrix.csv", "--pairs", paths["pairs"],
+                       "--edges", paths["edges"], "--pseudotime", paths["pseudotime"],
+                       "--method", "all", "--max-epochs", 2, "--n-layers", 2,
+                       "--outdir", outdir)
+        assert code == 0
+        stages = json.loads((outdir / "manifest.json").read_text())["stages"]
+        y0 = [k for k, (_, y) in enumerate(ds.candidates) if y == 0]
+        assert y0 and stages["dagranger"]["dropped"] == y0
+        records = [json.loads(l) for l in
+                   (outdir / "scores_dagranger.jsonl").read_text().splitlines()]
+        assert sorted(r["pair_id"] for r in records) == sorted(
+            set(range(len(ds.candidates))) - set(y0))
+        assert not any(math.isnan(r[k]) for r in records for k in ("f_stat", "t_stat"))
+        records = [json.loads(l) for l in
+                   (outdir / "scores_var_granger.jsonl").read_text().splitlines()]
+        nan = sum(math.isnan(r["score"]) for r in records)
+        assert nan > 0 and stages["var-granger"]["nan_scores"] == nan
+
     def test_too_few_nodes_stop_before_training(self, bundle, tmp_path, caplog, monkeypatch):
         # 120 nodes with L = 30 leave n - 4L - 1 < 0 degrees of freedom
         import dagranger.train

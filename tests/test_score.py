@@ -367,6 +367,27 @@ class TestScoreRecordsIo:
         write_score_records(path, columns)
         assert path.read_bytes() == reference_bytes(columns)
 
+    def test_an_array_under_two_keys_is_made_text_once(self, tmp_path, monkeypatch):
+        # f rank mode's score is the f_stat array itself
+        import dagranger.score
+
+        monkeypatch.setattr(dagranger.score, "_WRITE_BLOCK", 4)
+        made = []
+        real = dagranger.score._column_text
+
+        def counting(key, values):
+            made.append(key)
+            return real(key, values)
+
+        monkeypatch.setattr(dagranger.score, "_column_text", counting)
+        f = np.array([3.5, math.nan, 0.25, -0.0, 7.0])
+        columns = {"pair_id": np.arange(5), "f_stat": f, "score": f,
+                   "x_name": np.array(list("abcde"), dtype=object)}
+        path = tmp_path / "scores.jsonl"
+        write_score_records(path, columns)
+        assert path.read_bytes() == reference_bytes(columns)
+        assert sorted(made) == sorted(["f_stat", "pair_id", "x_name"] * 2)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_bytes_equal_the_stdlib_encoder(self, tmp_path_factory, data):

@@ -159,10 +159,10 @@ class TestChunkKernel:
         full, reduced = (np.stack(bank, axis=1) for bank in
                          zip(*(random_columns(rng, 3) for _ in range(width))))
         X, Y = rng.normal(size=(n, width)), rng.normal(size=(n, width)) * 0.5
-        *_, g_full, ok_full = _chunk_forward_backward(
+        _, _, g_full, ok_full, _ = _chunk_forward_backward(
             strict_lag(X, ops), strict_lag(Y, ops), Y, full, ops, lag_hops, link,
             want_grads=True)
-        *_, g_reduced, ok_reduced = _chunk_forward_backward(
+        _, _, g_reduced, ok_reduced, _ = _chunk_forward_backward(
             None, strict_lag(Y, ops), Y, reduced, ops, lag_hops, link, want_grads=True)
         assert g_full.shape == full.shape and g_reduced.shape == reduced.shape
         assert ok_full.all() and ok_reduced.all()
@@ -208,15 +208,17 @@ class TestChunkKernel:
         train_all(dataset, ops, TrainConfig(n_layers=L, max_epochs=epochs, seed=0,
                                             convergence_numerator=0.0))
         n_x, n_y = (np.unique(dataset.pairs[:, i]).size for i in (0, 1))
-        # one pair chunk and one bank chunk per epoch plus the final evaluation
+        # layer 1 of every x and y; epoch 1 encodes each x and y once, every
+        # later epoch and the final evaluation one pair chunk and one bank chunk
         per_pass = [6] * (2 * (L - 1)) + [n_y] * (L - 1)
-        assert sorted(calls) == sorted([n_x, n_y] + per_pass * (epochs + 1))
+        first = [n_x] * (L - 1) + [n_y] * (L - 1)
+        assert sorted(calls) == sorted([n_x, n_y] + first + per_pass * epochs)
 
     def test_reduced_model_trained_once_per_y(self, monkeypatch):
         # five pairs over two y variables: every pass (each epoch and the
-        # final evaluation) runs the reduced encoder on two columns, the full
-        # model on five, and the pairs of one y report one shared reduced model
-        # with one set of reduced statistics
+        # final evaluation) runs the reduced encoder on two columns, every
+        # pass but epoch 1's the full model on five, and the pairs of one y
+        # report one shared reduced model with one set of reduced statistics
         ds, _, ops = tiny_dataset(seed=5)
         pairs = ((0, 0), (1, 0), (2, 0), (3, 1), (0, 1))
         dataset = Dataset(x_values=ds.x_matrix, y_values=ds.y_matrix, x_names=ds.x_names,
@@ -234,7 +236,7 @@ class TestChunkKernel:
                                                       minibatch_pairs=2,
                                                       convergence_numerator=0.0))
         assert widths["reduced"] == [2] * (epochs + 1)
-        assert sum(widths["full"]) == len(pairs) * (epochs + 1)
+        assert sum(widths["full"]) == len(pairs) * epochs
         assert results.reduced.shape == (6, 2) and results.rss_reduced.shape == (2,)
         assert results.y_index.tolist() == [0, 0, 0, 1, 1]
         # each y's statistics are those of its model's per-node losses
@@ -453,3 +455,156 @@ class TestTrainAll:
         s = score_pair(0, rep.per_node_full, rep.per_node_reduced, cfg.n_layers)
         assert s.f_pvalue > 0.05
 
+
+
+def kernel_oracle(dataset, ops, config, component="both"):
+    """``train_all`` with every epoch's pairs run through ``_chunk_forward_backward``.
+
+    The reference for epoch 1, which ``train_all`` builds from per-variable
+    work: here every pair's full model runs forward and backward in every
+    epoch, as one chunk per minibatch. It has no convergence rule (use
+    ``convergence_numerator`` 0). Returns the ``TrainResult`` fields and the
+    ids of the dropped pairs in the order they were dropped.
+    """
+    L, lr = config.n_layers, config.learning_rate
+    train_full, train_reduced = component != "reduced", component != "full"
+    rng = np.random.default_rng(config.seed)
+    xs, ys = dataset.pairs[:, 0], dataset.pairs[:, 1]
+    y_used, y_at = np.unique(ys, return_inverse=True)
+    lagged_x, lagged_y = strict_lag(dataset.x_values, ops), strict_lag(dataset.y_values, ops)
+    init_full, init_reduced = glorot_init(L, rng)
+    full = np.repeat(init_full[:, None], len(xs), axis=1)
+    reduced = np.repeat(init_reduced[:, None], y_used.size, axis=1)
+    full_adam, reduced_adam = AdamState.zeros_like(full), AdamState.zeros_like(reduced)
+    active = np.ones(len(xs), dtype=bool)
+    dropped = []
+
+    def kernel(cols, want_grads, bank=False):
+        y = y_used[cols] if bank else ys[cols]
+        return _chunk_forward_backward(
+            None if bank else np.take(lagged_x, xs[cols], axis=1),
+            np.take(lagged_y, y, axis=1), np.take(dataset.y_values, y, axis=1),
+            np.take(reduced if bank else full, cols, axis=1), ops, config.lag_hops,
+            config.link, want_grads)
+
+    def step(params, state, cols, grads, t):
+        p, s = adam_step(params[:, cols], grads,
+                         AdamState(m=state.m[:, cols], v=state.v[:, cols]), t, lr)
+        params[:, cols], state.m[:, cols], state.v[:, cols] = p, s.m, s.v
+
+    def drop(cols, ok):
+        dropped.extend(cols[~ok].tolist())
+        active[cols[~ok]] = False
+
+    for t in range(1, config.max_epochs + 1):
+        perm = rng.permutation(len(xs))
+        ok_y = np.zeros(y_used.size, dtype=bool)
+        cols = np.unique(y_at[active])
+        _, _, grads, ok_y[cols], _ = kernel(cols, train_reduced, bank=True)
+        if train_reduced:
+            step(reduced, reduced_adam, cols[ok_y[cols]], grads[:, ok_y[cols]], t)
+        for start in range(0, len(xs), config.minibatch_pairs):
+            batch = perm[start : start + config.minibatch_pairs]
+            batch = batch[active[batch]]
+            _, _, grads, ok, _ = kernel(batch, train_full)
+            ok &= ok_y[y_at[batch]]
+            drop(batch, ok)
+            if train_full:
+                step(full, full_adam, batch[ok], grads[:, ok], t)
+
+    stats = {"reduced": np.full((3, y_used.size), np.nan), "full": np.full((3, len(xs)), np.nan)}
+    for name, cols in (("reduced", np.unique(y_at[active])), ("full", np.flatnonzero(active))):
+        _, per_node, _, ok, _ = kernel(cols, False, bank=name == "reduced")
+        chunk_stats = _loss_stats(per_node)
+        ok &= np.isfinite(chunk_stats).all(axis=0)
+        if name == "full":
+            ok &= ~np.isnan(stats["reduced"][0, y_at[cols]])
+            drop(cols, ok)
+        stats[name][:, cols[ok]] = chunk_stats[:, ok]
+    fields = {"pair_ids": np.flatnonzero(active), "y_index": y_at, "full": full,
+              "reduced": reduced}
+    for name in ("full", "reduced"):
+        for i, stat in enumerate(("rss", "mean", "var")):
+            fields[f"{stat}_{name}"] = stats[name][i]
+    return fields, dropped
+
+
+class TestSharedStart:
+    # epoch 1 starts every full column at the reduced model with c = 0, so
+    # train_all builds it from each y's reduced pass and one encoding of each
+    # x; the per-pair kernel pass it replaces is the oracle, bit for bit
+
+    @staticmethod
+    def screen(bad=None):
+        spec = SynthSpec(n_nodes=80, n_branches=2, depth=8, k_neighbors=2, n_x_vars=10,
+                         n_y_vars=5, n_causal_pairs=3, n_candidate_pairs=50, noise_sd=0.3,
+                         seed=6)
+        ds = generate(spec)
+        x, y = ds.x_matrix.copy(), ds.y_matrix.copy()
+        ops = lagged_operators(ds.dag)
+        if bad is not None:
+            # a node with children, so the bad value reaches the lagged column
+            node = int(np.flatnonzero(np.diff(ops.a.indptr))[0])
+            x[node, 1] = y[node, 2] = bad
+            assert not np.isfinite(strict_lag(x, ops)[:, 1]).all()
+        return Dataset(x_values=x, y_values=y, x_names=ds.x_names, y_names=ds.y_names,
+                       pairs=ds.candidates), ops
+
+    def check(self, dataset, ops, cfg, component, workers, caplog):
+        caplog.clear()
+        result = train_all(dataset, ops, cfg, workers=workers, component=component)
+        expected, dropped = kernel_oracle(dataset, ops, cfg, component)
+        for name, array in expected.items():
+            assert np.array_equal(getattr(result, name), array, equal_nan=True), name
+        logged = [int(r.getMessage().split()[1]) for r in caplog.records
+                  if r.getMessage().startswith("pair ")]
+        assert logged == dropped
+        return result, dropped
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 1)])
+    @pytest.mark.parametrize("component", ["both", "full", "reduced"])
+    @pytest.mark.parametrize("lag_hops", [1, 2])
+    @pytest.mark.parametrize("link", ["identity", "exponential"])
+    def test_equals_the_per_pair_pass(self, link, lag_hops, component, workers,
+                                      minibatch_pairs, epochs, caplog):
+        dataset, ops = self.screen()
+        cfg = TrainConfig(n_layers=3, max_epochs=epochs, lag_hops=lag_hops, link=link,
+                          minibatch_pairs=minibatch_pairs, seed=4, convergence_numerator=0.0)
+        result, dropped = self.check(dataset, ops, cfg, component, workers, caplog)
+        assert len(result) == len(dataset.pairs) and not dropped
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 1)])
+    @pytest.mark.parametrize("component", ["both", "full", "reduced"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_inputs_drop_the_same_pairs(self, bad, component, workers,
+                                                   minibatch_pairs, epochs, caplog):
+        # x1 and y2 hold one bad value: every pair of y2 goes; pairs of x1 go
+        # where the kernel meets the bad lagged value (NaN: always; inf: only
+        # in the x backward pass, which runs when the full bank trains)
+        dataset, ops = self.screen(bad)
+        cfg = TrainConfig(n_layers=3, max_epochs=epochs, lag_hops=2,
+                          minibatch_pairs=minibatch_pairs, seed=4, convergence_numerator=0.0)
+        _, dropped = self.check(dataset, ops, cfg, component, workers, caplog)
+        x1, y2 = (np.flatnonzero(dataset.pairs[:, i] == v) for i, v in ((0, 1), (1, 2)))
+        x1_dropped = np.isnan(bad) or component != "reduced"
+        assert sorted(dropped) == sorted(set(y2) | (set(x1) if x1_dropped else set()))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e100])
+    def test_overflowing_losses_drop_the_pairs_of_that_y(self, scale):
+        # finite values whose squared residuals (1e200) or whose loss
+        # variance (1e100) overflow: the pairs of y0 go, silently (pytest
+        # turns a RuntimeWarning into an error), and every statistic left is
+        # finite
+        dataset, ops = self.screen()
+        y = dataset.y_values.copy()
+        y[:, 0] *= scale
+        big = Dataset(x_values=dataset.x_values, y_values=y, x_names=dataset.x_names,
+                      y_names=dataset.y_names, pairs=dataset.pairs)
+        for epochs in (0, 2):
+            result = train_all(big, ops, TrainConfig(n_layers=2, max_epochs=epochs))
+            assert result.pair_ids.tolist() == np.flatnonzero(dataset.pairs[:, 1] != 0).tolist()
+            ids, yk = result.pair_ids, result.y_index[result.pair_ids]
+            assert np.isfinite([result.rss_full[ids], result.var_full[ids],
+                                result.rss_reduced[yk], result.var_reduced[yk]]).all()
