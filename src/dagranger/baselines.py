@@ -106,13 +106,13 @@ def pearson(x, y) -> float:
 
 def pseudocell_smooth(
     values: np.ndarray,
-    knn_edges,
+    knn_edges: np.ndarray,
     neighborhood: int,
     coords: np.ndarray | None = None,
 ) -> np.ndarray:
     """Replace each row by the mean of itself and up to ``neighborhood`` graph neighbors.
 
-    Neighborhoods are the undirected union of the kNN edges. When ``coords``
+    Neighborhoods are the undirected union of the (E, 2) kNN edges. When ``coords``
     are given the nearest neighbors (Euclidean) are kept; otherwise neighbors
     are kept in ascending node-id order. Nodes with fewer neighbors use all
     of them; ``neighborhood = 0`` is the identity.
@@ -121,13 +121,15 @@ def pseudocell_smooth(
     n = values.shape[0]
     if neighborhood == 0:
         return values.copy()
-    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-    for u, v in knn_edges:
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
+    # both directions of every edge as codes node·n + neighbor: one sort
+    # leaves each node's distinct neighbors together, in ascending order
+    src, dst = knn_edges.T
+    codes = np.unique(np.concatenate((src * n + dst, dst * n + src)))
+    indptr = np.searchsorted(codes, np.arange(n + 1) * n).tolist()
+    neighbors = (codes % n).tolist()
     out = np.empty_like(values)
     for v in range(n):
-        nbrs = sorted(neighbor_sets[v])
+        nbrs = neighbors[indptr[v]:indptr[v + 1]]
         if coords is not None and len(nbrs) > neighborhood:
             d2 = ((coords[nbrs] - coords[v]) ** 2).sum(axis=1)
             order = np.lexsort((np.asarray(nbrs), d2))

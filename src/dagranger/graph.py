@@ -1,6 +1,10 @@
 """DAG representation and the lagged propagation operators built from it.
 
-A directed edge u -> v means "u lies in v's causal past". Two sparse
+A directed edge u -> v means "u lies in v's causal past". A ``Dag`` holds
+its edges as one read-only (E, 2) int64 array of (u, v) rows, the form in
+which edges pass from the edge file or the kNN graph to the operators, and
+``level``, each node's longest-path depth from a root, which the one Kahn
+peel of ``build_dag`` yields while it checks acyclicity. Two sparse
 column-normalized matrices are derived from the edge set:
 
 * ``a``      -- a[i, j] = 1/d_j for every edge (i, j), zero elsewhere, where
@@ -28,6 +32,7 @@ import scipy.sparse as sp
 
 from .errors import (
     CycleDetected,
+    DataError,
     DimensionMismatch,
     DuplicateEdge,
     NodeIdOutOfRange,
@@ -48,19 +53,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dag:
-    """A validated directed acyclic graph over nodes 0..n_nodes-1."""
+    """A validated directed acyclic graph over nodes 0..n_nodes-1.
+
+    ``edges`` is a read-only (E, 2) int64 array of (u, v) rows in the order
+    they were given. ``in_degree[v]`` counts the edges into v, and
+    ``level[v]`` is the number of edges on the longest path from a root to v
+    (0 at roots), so every edge goes from a lower level to a higher one.
+    """
 
     n_nodes: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray = field(repr=False)
     in_degree: np.ndarray = field(repr=False)
+    level: np.ndarray = field(repr=False)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
-
-    def parents(self, node: int) -> list[int]:
-        """Sources of all edges pointing at ``node`` (O(|E|); for tests/introspection)."""
-        return [u for (u, v) in self.edges if v == node]
+        return self.edges.shape[0]
 
 
 @dataclass(frozen=True)
@@ -73,47 +81,65 @@ class LaggedOperators:
 
 
 def build_dag(n_nodes: int, edges) -> Dag:
-    """Validate an edge list and return a Dag.
+    """Validate an (E, 2) array (or sequence of pairs) of edges and return a Dag.
 
-    Raises NodeIdOutOfRange, SelfLoop, DuplicateEdge, or CycleDetected.
-    Acyclicity is established by Kahn's algorithm: if the peeling order does
-    not consume every node, the remainder contains a cycle.
+    Raises NodeIdOutOfRange (for an id outside [0, n_nodes) or not an
+    integer), SelfLoop, DuplicateEdge or CycleDetected. An edge defect is
+    reported for the first defective edge in input order, and the exception
+    carries that edge's position as ``edge_index``. Acyclicity is established
+    by Kahn's algorithm, which also gives each node's level: if the peeling
+    order does not consume every node, the remainder contains a cycle.
     """
     if n_nodes < 0:
         raise NodeIdOutOfRange(f"n_nodes must be nonnegative, got {n_nodes}")
-    edge_tuples: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    in_degree = np.zeros(n_nodes, dtype=np.int64)
-    children: list[list[int]] = [[] for _ in range(n_nodes)]
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-            raise NodeIdOutOfRange(f"edge ({u}, {v}) outside [0, {n_nodes})")
-        if u == v:
-            raise SelfLoop(f"self-loop at node {u}")
-        if (u, v) in seen:
-            raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
-        seen.add((u, v))
-        edge_tuples.append((u, v))
-        in_degree[v] += 1
-        children[u].append(v)
+    given = np.asarray(edges).reshape(-1, 2)
+    with np.errstate(invalid="ignore"):
+        ends = given.astype(np.int64)
+    u, v = ends.T
+    non_integer = (ends != given).any(axis=1)
+    outside = non_integer | (u < 0) | (u >= n_nodes) | (v < 0) | (v >= n_nodes)
+    # each edge but the first of its equals is a duplicate; ids outside the
+    # range get distinct negative codes, so they equal nothing
+    code = np.where(outside, -1 - np.arange(len(ends)), u * n_nodes + v)
+    duplicate = np.ones(len(ends), dtype=bool)
+    duplicate[np.unique(code, return_index=True)[1]] = False
+    bad = outside | (u == v) | duplicate
+    if bad.any():
+        i = int(bad.argmax())
+        a, b = given[i]
+        if non_integer[i]:
+            exc = NodeIdOutOfRange(f"edge ({a}, {b}) has a non-integer node id")
+        elif outside[i]:
+            exc = NodeIdOutOfRange(f"edge ({a}, {b}) outside [0, {n_nodes})")
+        elif a == b:
+            exc = SelfLoop(f"self-loop at node {a}")
+        else:
+            exc = DuplicateEdge(f"edge ({a}, {b}) appears more than once")
+        exc.edge_index = i
+        raise exc
 
-    # Kahn peel; any node never reaching in-degree 0 sits on a cycle.
-    remaining = in_degree.copy()
-    stack = [v for v in range(n_nodes) if remaining[v] == 0]
-    seen_count = 0
+    # Kahn peel over CSR child lists: a node is popped after all its parents,
+    # so its level is final. A node never reaching in-degree 0 is on or below a cycle.
+    in_degree = np.bincount(v, minlength=n_nodes)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=n_nodes)))).tolist()
+    children = v[np.argsort(u, kind="stable")].tolist()
+    remaining = in_degree.tolist()
+    level = [0] * n_nodes
+    stack = np.flatnonzero(in_degree == 0).tolist()
     while stack:
-        u = stack.pop()
-        seen_count += 1
-        for v in children[u]:
-            remaining[v] -= 1
-            if remaining[v] == 0:
-                stack.append(v)
-    if seen_count != n_nodes:
-        cyclic = [v for v in range(n_nodes) if remaining[v] > 0]
+        p = stack.pop()
+        for c in children[indptr[p]:indptr[p + 1]]:
+            level[c] = max(level[c], level[p] + 1)
+            remaining[c] -= 1
+            if remaining[c] == 0:
+                stack.append(c)
+    cyclic = [w for w, r in enumerate(remaining) if r > 0]
+    if cyclic:
         raise CycleDetected(f"cycle through nodes {cyclic[:10]}")
 
-    return Dag(n_nodes=n_nodes, edges=tuple(edge_tuples), in_degree=in_degree)
+    ends.setflags(write=False)
+    return Dag(n_nodes=n_nodes, edges=ends, in_degree=in_degree,
+               level=np.array(level, dtype=np.int64))
 
 
 def lagged_operators(dag: Dag) -> LaggedOperators:
@@ -125,12 +151,7 @@ def lagged_operators(dag: Dag) -> LaggedOperators:
     """
     n = dag.n_nodes
     deg = dag.in_degree.astype(np.float64)
-    if dag.n_edges:
-        src = np.fromiter((e[0] for e in dag.edges), dtype=np.int64, count=dag.n_edges)
-        dst = np.fromiter((e[1] for e in dag.edges), dtype=np.int64, count=dag.n_edges)
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
+    src, dst = dag.edges.T
 
     a_vals = 1.0 / deg[dst]
     a = sp.coo_matrix((a_vals, (src, dst)), shape=(n, n)).tocsc()
@@ -165,10 +186,11 @@ def read_edge_list(path, n_nodes: int | None = None) -> Dag:
     """Read a two-column ``src<TAB>dst`` edge file into a validated Dag.
 
     Lines starting with ``#`` are ignored. When ``n_nodes`` is not supplied it
-    is inferred as max node id + 1.
+    is inferred as max node id + 1. A rejected edge is reported with the
+    file and line it came from; a cycle with the file.
     """
-    edges: list[tuple[int, int]] = []
-    max_id = -1
+    ids: list[int] = []
+    linenos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -178,18 +200,28 @@ def read_edge_list(path, n_nodes: int | None = None) -> Dag:
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                ids += (int(parts[0]), int(parts[1]))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-integer node id") from exc
-            edges.append((u, v))
-            max_id = max(max_id, u, v)
+            linenos.append(lineno)
+    try:
+        edges = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        i = next(i for i, x in enumerate(ids) if x.bit_length() > 63)
+        raise NodeIdOutOfRange(f"{path}:{linenos[i // 2]}: node id {ids[i]} is out of "
+                               f"range") from exc
     if n_nodes is None:
-        n_nodes = max_id + 1
-    return build_dag(n_nodes, edges)
+        n_nodes = int(edges.max(initial=-1)) + 1
+    try:
+        return build_dag(n_nodes, edges)
+    except DataError as exc:
+        i = getattr(exc, "edge_index", None)
+        where = path if i is None else f"{path}:{linenos[i]}"
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def write_edge_list(path, dag: Dag) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# src\tdst\n")
-        for u, v in dag.edges:
+        for u, v in dag.edges.tolist():
             fh.write(f"{u}\t{v}\n")

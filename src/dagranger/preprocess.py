@@ -12,13 +12,16 @@ A node whose candidate list could leave out a node as near as its k-th
 (coincident or equidistant points) is queried again with twice as many
 candidates; the others are final. The chosen neighbours are then ranked by
 squared distances recomputed with the arithmetic of an exhaustive search,
-ties to the lower node id, so the edge list is the one an exhaustive search
-gives, tuple for tuple (see ``knn_graph``).
+ties to the lower node id, so the edge array is the one an exhaustive search
+gives, row for row (see ``knn_graph``).
+
+Edges travel as one (E, 2) int64 array of (u, v) rows: ``knn_graph``
+returns one, and ``orient_by_pseudotime`` keeps a masked subset of its rows
+as the ``edges`` of a ``graph.Dag``.
 """
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,13 +101,13 @@ class Embedding:
         return self.coords.shape[0]
 
 
-def knn_graph(embedding: Embedding, k: int) -> list[tuple[int, int]]:
-    """Directed k-nearest-neighbor edges u -> v under the Euclidean metric.
+def knn_graph(embedding: Embedding, k: int) -> np.ndarray:
+    """Directed k-nearest-neighbor edges u -> v under the Euclidean metric, as (n·k, 2) rows.
 
     Exactly k outgoing edges per node, grouped by u in ascending order and,
     within a node, nearest first; distance ties resolve toward the lower node
     id, and a node is never its own neighbor. The result is the one an
-    exhaustive search gives, tuple for tuple.
+    exhaustive search gives, row for row.
 
     A KD-tree (``scipy.spatial.cKDTree``) proposes ``m = k + 1 + 4``
     candidates per node, self included. A node's list is complete when its
@@ -125,7 +128,7 @@ def knn_graph(embedding: Embedding, k: int) -> list[tuple[int, int]]:
     if not 1 <= k < n:
         raise KTooLarge(f"k must satisfy 1 <= k < n_nodes ({n}), got {k}")
     nbrs = _nearest_neighbors(embedding.coords, k)
-    return [(u, v) for u, row in enumerate(nbrs.tolist()) for v in row]
+    return np.column_stack((np.repeat(np.arange(n, dtype=np.int64), k), nbrs.ravel()))
 
 
 def _nearest_neighbors(coords: np.ndarray, k: int) -> np.ndarray:
@@ -157,18 +160,16 @@ def _nearest_neighbors(coords: np.ndarray, k: int) -> np.ndarray:
     return nbrs
 
 
-def orient_by_pseudotime(edges, pseudotime: np.ndarray) -> Dag:
-    """Keep only the (u, v) pairs of ``edges`` that strictly increase pseudotime; build the DAG.
+def orient_by_pseudotime(edges: np.ndarray, pseudotime: np.ndarray) -> Dag:
+    """Keep only the (u, v) rows of the (E, 2) ``edges`` that strictly increase pseudotime.
 
-    Equal stamps drop the edge, so the result is acyclic whenever the input
-    edge list has no duplicates.
+    Returns the DAG of the kept rows, in their input order. Equal stamps drop
+    the edge, so the result is acyclic whenever the input has no duplicates.
     """
     pt = np.asarray(pseudotime, dtype=np.float64)
     if not np.isfinite(pt).all():
         raise NonFiniteInput("pseudotime contains NaN or infinity")
-    ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
-                       count=2 * len(edges)).reshape(-1, 2)
-    return build_dag(pt.shape[0], itertools.compress(edges, pt[ends[:, 0]] < pt[ends[:, 1]]))
+    return build_dag(pt.shape[0], edges[pt[edges[:, 0]] < pt[edges[:, 1]]])
 
 
 # --- file formats -----------------------------------------------------------

@@ -128,7 +128,8 @@ def generate_branching_dag(spec: SynthSpec, rng=None) -> tuple[Dag, np.ndarray]:
         pb = node_branch[pool]
         return pool[(pb == -1) | (pb == branch)]
 
-    edges: list[tuple[int, int]] = []
+    src: list[int] = []
+    dst: list[int] = []
     for d in range(1, spec.depth):
         for v in layers[d]:
             branch = node_branch[v]
@@ -147,11 +148,11 @@ def generate_branching_dag(spec: SynthSpec, rng=None) -> tuple[Dag, np.ndarray]:
             if n_extra > 0:
                 for u in rng.choice(extra_pool, size=n_extra, replace=False):
                     parents.add(int(u))
-            for u in sorted(parents):
-                edges.append((u, int(v)))
+            src += sorted(parents)
+            dst += [int(v)] * len(parents)
 
     pseudotime = node_depth.astype(np.float64) + _PT_JITTER * rng.random(spec.n_nodes)
-    return build_dag(spec.n_nodes, edges), pseudotime
+    return build_dag(spec.n_nodes, np.array([src, dst], dtype=np.int64).T), pseudotime
 
 
 def _nonlinearity(name: str):
@@ -182,32 +183,15 @@ def simulate_pair_values(
     n = dag.n_nodes
 
     # Group nodes by longest-path level so each level only reads earlier ones.
-    level = np.zeros(n, dtype=np.int64)
-    indeg = dag.in_degree.copy()
-    children: list[list[int]] = [[] for _ in range(n)]
-    for u, v in dag.edges:
-        children[u].append(v)
-    stack = [v for v in range(n) if indeg[v] == 0]
-    topo: list[int] = []
-    while stack:
-        u = stack.pop()
-        topo.append(u)
-        for v in children[u]:
-            level[v] = max(level[v], level[u] + 1)
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                stack.append(v)
-    level_groups: dict[int, list[int]] = {}
-    for v in range(n):
-        level_groups.setdefault(int(level[v]), []).append(v)
+    by_level = np.argsort(dag.level, kind="stable")
+    level_groups = np.split(by_level, np.flatnonzero(np.diff(dag.level[by_level])) + 1)
 
     roots = dag.in_degree == 0
 
     eps_x = rng.normal(size=(n, spec.n_x_vars))
     eps_x[~roots] *= spec.noise_sd
     x = np.zeros((n, spec.n_x_vars))
-    for lvl in sorted(level_groups):
-        rows = level_groups[lvl]
+    for rows in level_groups:
         x[rows] = at[rows] @ x + eps_x[rows]
     # Re-anchor each column to zero sample mean: the recurrence is invariant
     # to a per-column shift, and the arbitrary origin would otherwise leak a
@@ -216,8 +200,7 @@ def simulate_pair_values(
 
     eps_y = rng.normal(size=(n, spec.n_y_vars)) * spec.noise_sd
     s = np.zeros((n, spec.n_y_vars))
-    for lvl in sorted(level_groups):
-        rows = level_groups[lvl]
+    for rows in level_groups:
         s[rows] = HISTORY_WEIGHT * (at[rows] @ s) + eps_y[rows]
     s -= s.mean(axis=0)
 

@@ -46,22 +46,22 @@ class TestPearson:
 class TestPseudocellSmooth:
     def test_constant_column_unchanged(self):
         values = np.ones((4, 2))
-        out = pseudocell_smooth(values, [(0, 1), (1, 2), (2, 3)], neighborhood=2)
+        out = pseudocell_smooth(values, np.array([(0, 1), (1, 2), (2, 3)]), neighborhood=2)
         assert np.array_equal(out, values)
 
     def test_zero_neighborhood_is_identity(self, rng):
         values = rng.normal(size=(5, 3))
-        out = pseudocell_smooth(values, [(0, 1)], neighborhood=0)
+        out = pseudocell_smooth(values, np.array([(0, 1)]), neighborhood=0)
         assert np.array_equal(out, values)
 
     def test_two_node_forced_mean(self):
         values = np.array([[0.0], [2.0]])
-        out = pseudocell_smooth(values, [(0, 1)], neighborhood=1)
+        out = pseudocell_smooth(values, np.array([(0, 1)]), neighborhood=1)
         assert np.array_equal(out, np.array([[1.0], [1.0]]))
 
     def test_commutes_with_adding_constant(self, rng):
         values = rng.normal(size=(6, 2))
-        edges = [(0, 1), (1, 2), (3, 4), (4, 5)]
+        edges = np.array([(0, 1), (1, 2), (3, 4), (4, 5)])
         a = pseudocell_smooth(values + 5.0, edges, neighborhood=3)
         b = pseudocell_smooth(values, edges, neighborhood=3) + 5.0
         assert np.allclose(a, b, atol=1e-12)
@@ -69,7 +69,7 @@ class TestPseudocellSmooth:
     def test_nearest_selected_with_coords(self):
         # node 0 has neighbors 1..3; only the nearest stays when capped at 1
         values = np.array([[0.0], [10.0], [20.0], [30.0]])
-        edges = [(0, 1), (0, 2), (0, 3)]
+        edges = np.array([(0, 1), (0, 2), (0, 3)])
         coords = np.array([[0.0], [5.0], [1.0], [9.0]])
         out = pseudocell_smooth(values, edges, neighborhood=1, coords=coords)
         assert out[0, 0] == pytest.approx((0.0 + 20.0) / 2)

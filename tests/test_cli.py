@@ -402,6 +402,28 @@ class TestRunErrors:
         assert any(f"{dup}:{len(lines) + 1}: duplicate pair" in line
                    for line in self._error_lines(caplog))
 
+    @pytest.mark.parametrize("defect", ["cycle", "self-loop", "duplicate", "out-of-range"])
+    def test_edge_file_defect_names_the_file(self, bundle, tmp_path, caplog, defect):
+        ds, paths, _ = bundle
+        lines = Path(paths["edges"]).read_text().splitlines()
+        u, v = ds.dag.edges[0].tolist()
+        n = ds.dag.n_nodes
+        bad = tmp_path / "edges_bad.tsv"
+        at = f"{bad}:{len(lines) + 1}:"
+        extra, message = {
+            "cycle": (f"{v}\t{u}", f"{bad}: cycle through nodes"),
+            "self-loop": (f"{u}\t{u}", f"{at} self-loop at node {u}"),
+            "duplicate": (f"{u}\t{v}", f"{at} edge ({u}, {v}) appears more than once"),
+            "out-of-range": (f"{u}\t{n}", f"{at} edge ({u}, {n}) outside [0, {n})"),
+        }[defect]
+        bad.write_text("\n".join(lines + [extra]) + "\n")
+        code = run_cli("run", "--x-matrix", paths["x_matrix"], "--y-matrix",
+                       paths["y_matrix"], "--pairs", paths["pairs"], "--edges", bad,
+                       "--method", "pearson", "--outdir", tmp_path / "o")
+        assert code == 3
+        assert any(line.startswith(f"data error: {message}")
+                   for line in self._error_lines(caplog))
+
     def test_pairs_file_reads_to_an_index_array(self, tmp_path):
         from dagranger.cli import _read_pairs_file
 

@@ -8,6 +8,7 @@ run of the suite sees the same inputs.
 import contextlib
 import io
 import json
+import logging
 import tempfile
 from pathlib import Path
 
@@ -49,14 +50,27 @@ def matrix_text(draw, n_rows):
     return "\n".join([delim.join(names)] + [delim.join(r) for r in rows]) + "\n"
 
 
-def edge_text(n_rows):
-    """Half the time acyclic edges between existing nodes, else odd ids and junk lines."""
+@st.composite
+def edge_text(draw, n_rows):
+    """Half the time edges between existing nodes, else odd ids and junk lines.
+
+    The edges are acyclic, or have one line added that closes a cycle,
+    makes a self-loop or repeats another line.
+    """
+    if draw(st.booleans()):
+        odd = st.one_of(st.integers(-1, n_rows).map(str), st.sampled_from(["", "x", "1.5"]))
+        junk = st.one_of(st.tuples(odd, odd).map("\t".join),
+                         st.lists(odd, max_size=3).map(" ".join))
+        return "\n".join(draw(st.lists(junk, max_size=6)))
     acyclic = st.integers(0, max(n_rows - 2, 0)).flatmap(
         lambda u: st.integers(u + 1, max(n_rows - 1, u + 1)).map(lambda v: f"{u}\t{v}"))
-    odd = st.one_of(st.integers(-1, n_rows).map(str), st.sampled_from(["", "x", "1.5"]))
-    junk = st.one_of(st.tuples(odd, odd).map("\t".join), st.lists(odd, max_size=3).map(" ".join))
-    lines = st.one_of(st.lists(acyclic, max_size=12, unique=True), st.lists(junk, max_size=6))
-    return lines.map("\n".join)
+    lines = draw(st.lists(acyclic, max_size=12, unique=True))
+    defect = draw(st.sampled_from(["none", "cycle", "self-loop", "repeat"]))
+    if lines and defect != "none":
+        u, v = draw(st.sampled_from(lines)).split("\t")
+        extra = {"cycle": f"{v}\t{u}", "self-loop": f"{u}\t{u}", "repeat": f"{u}\t{v}"}[defect]
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines)
 
 
 def pseudotime_text(n_rows):
@@ -83,24 +97,47 @@ REFERENCE = st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES), C
     "\t".join), max_size=6).map("\n".join)
 
 
-def run_cli(files: dict, argv_of) -> tuple[int, str]:
-    """Write ``files`` into a fresh directory and run ``main(argv_of(dir))``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for name, text in files.items():
-            (root / name).write_text(text, encoding="utf-8")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            try:
-                code = main([str(a) for a in argv_of(root)])
-            except SystemExit as exc:  # argparse rejects the options
-                code = exc.code
-        return code, err.getvalue()
+class ErrorLines(logging.Handler):
+    """The messages of the ERROR records logged while attached."""
+
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
 
 
-def check(code, err):
+def run_cli(files: dict, argv_of) -> tuple[int, str, list[str]]:
+    """Write ``files`` into a fresh directory and run ``main(argv_of(dir))``.
+
+    Returns the exit code, the standard error and the logged error messages.
+    """
+    errors = ErrorLines()
+    logging.getLogger("dagranger").addHandler(errors)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, text in files.items():
+                (root / name).write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main([str(a) for a in argv_of(root)])
+                except SystemExit as exc:  # argparse rejects the options
+                    code = exc.code
+            return code, err.getvalue(), errors.lines
+    finally:
+        logging.getLogger("dagranger").removeHandler(errors)
+
+
+def check(code, err, errors):
     assert code in EXIT_CODES, code
     assert "Traceback" not in err
+    # a cycle, self-loop or repeated line in an edge file is a data error naming it
+    for line in errors:
+        if any(s in line for s in ("cycle through", "self-loop", "more than once")):
+            assert code == 3 and line.startswith("data error: ") and "edges.tsv:" in line
 
 
 @FUZZ
@@ -115,6 +152,20 @@ def test_run_never_tracebacks(data, method):
         "run", "--x-matrix", d / "x.csv", "--y-matrix", d / "y.csv", "--pairs", d / "pairs.tsv",
         "--edges", d / "edges.tsv", "--pseudotime", d / "pt.txt", "--method", method,
         "--n-layers", 1, "--max-epochs", 1, "--outdir", d / "out"]))
+
+
+@FUZZ
+@given(data=st.data())
+def test_run_reports_edge_file_defects(data):
+    """Clean matrices and pairs with rows enough to train, so the edge file is what is tested."""
+    n_rows = data.draw(st.integers(6, 12))
+    matrix = "a,b\n" + "".join(f"{i % 3},{i * i % 5}\n" for i in range(n_rows))
+    files = {"x.csv": matrix, "y.csv": matrix, "pairs.tsv": "a\tb\nb\ta\n",
+             "edges.tsv": data.draw(edge_text(n_rows))}
+    check(*run_cli(files, lambda d: [
+        "run", "--x-matrix", d / "x.csv", "--y-matrix", d / "y.csv", "--pairs", d / "pairs.tsv",
+        "--edges", d / "edges.tsv", "--method", "dagranger", "--n-layers", 1,
+        "--max-epochs", 1, "--outdir", d / "out"]))
 
 
 @FUZZ

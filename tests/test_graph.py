@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from dagranger.errors import (
     CycleDetected,
+    DataError,
     DimensionMismatch,
     DuplicateEdge,
     NodeIdOutOfRange,
@@ -21,10 +24,86 @@ from dagranger.graph import (
 from conftest import random_dag
 
 
+def reference_build_dag(n_nodes, edges):
+    """What ``build_dag`` must match: one edge at a time, a set of seen edges, a Kahn peel.
+
+    Returns the edges as tuples and the in-degrees, or raises as ``build_dag`` does.
+    """
+    if n_nodes < 0:
+        raise NodeIdOutOfRange(f"n_nodes must be nonnegative, got {n_nodes}")
+    edge_tuples = []
+    seen = set()
+    in_degree = np.zeros(n_nodes, dtype=np.int64)
+    children = [[] for _ in range(n_nodes)]
+    for e in edges:
+        u, v = int(e[0]), int(e[1])
+        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
+            raise NodeIdOutOfRange(f"edge ({u}, {v}) outside [0, {n_nodes})")
+        if u == v:
+            raise SelfLoop(f"self-loop at node {u}")
+        if (u, v) in seen:
+            raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
+        seen.add((u, v))
+        edge_tuples.append((u, v))
+        in_degree[v] += 1
+        children[u].append(v)
+    remaining = in_degree.copy()
+    stack = [v for v in range(n_nodes) if remaining[v] == 0]
+    seen_count = 0
+    while stack:
+        u = stack.pop()
+        seen_count += 1
+        for v in children[u]:
+            remaining[v] -= 1
+            if remaining[v] == 0:
+                stack.append(v)
+    if seen_count != n_nodes:
+        cyclic = [v for v in range(n_nodes) if remaining[v] > 0]
+        raise CycleDetected(f"cycle through nodes {cyclic[:10]}")
+    return tuple(edge_tuples), in_degree
+
+
+def reference_levels(n_nodes, edges, in_degree):
+    """Longest-path level of each node of a DAG, by a second Kahn peel."""
+    level = np.zeros(n_nodes, dtype=np.int64)
+    indeg = in_degree.copy()
+    children = [[] for _ in range(n_nodes)]
+    for u, v in edges:
+        children[u].append(v)
+    stack = [v for v in range(n_nodes) if indeg[v] == 0]
+    while stack:
+        u = stack.pop()
+        for v in children[u]:
+            level[v] = max(level[v], level[u] + 1)
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                stack.append(v)
+    return level
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and edges: any ids in [-1, n], or a relabelled DAG, maybe with a back edge."""
+    n = draw(st.integers(0, 8))
+    if n < 2 or draw(st.booleans()):
+        ids = st.integers(-1, n) if draw(st.booleans()) else st.integers(0, max(n - 1, 0))
+        return n, draw(st.lists(st.tuples(ids, ids), max_size=12))
+    perm = draw(st.permutations(range(n)))
+    forward = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(
+        lambda e: e[0] < e[1])
+    edges = [(perm[a], perm[b]) for a, b in draw(st.lists(forward, max_size=12, unique=True))]
+    if edges and draw(st.booleans()):
+        u, v = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))), (v, u))  # closes a cycle
+    return n, edges
+
+
 class TestBuildDag:
     def test_chain(self):
         dag = build_dag(3, [(0, 1), (1, 2)])
         assert list(dag.in_degree) == [0, 1, 1]
+        assert dag.level.tolist() == [0, 1, 2]
+        assert dag.edges.dtype == np.int64 and not dag.edges.flags.writeable
 
     def test_cycle_rejected(self):
         with pytest.raises(CycleDetected):
@@ -45,6 +124,45 @@ class TestBuildDag:
     def test_out_of_range(self):
         with pytest.raises(NodeIdOutOfRange):
             build_dag(2, [(0, 2)])
+
+    def test_non_integer_id_rejected(self):
+        with pytest.raises(NodeIdOutOfRange, match="non-integer"):
+            build_dag(3, [(0, 1.7)])
+        with pytest.raises(NodeIdOutOfRange, match="non-integer"):
+            build_dag(3, np.array([(0.0, 1.0), (1.0, np.nan)]))
+
+    def test_first_bad_edge_in_input_order(self):
+        with pytest.raises(SelfLoop) as exc:
+            build_dag(3, [(0, 1), (2, 2), (0, 1), (0, 5)])
+        assert exc.value.edge_index == 1
+
+    @given(edge_lists())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_matches_reference(self, case):
+        n, edges = case
+        try:
+            ref_edges, ref_in_degree = reference_build_dag(n, edges)
+        except DataError as ref:
+            with pytest.raises(type(ref)) as got:
+                build_dag(n, edges)
+            assert type(got.value) is type(ref) and str(got.value) == str(ref)
+            return
+        dag = build_dag(n, edges)
+        assert np.array_equal(dag.edges, np.array(ref_edges, dtype=np.int64).reshape(-1, 2))
+        assert np.array_equal(dag.in_degree, ref_in_degree)
+        assert np.array_equal(dag.level, reference_levels(n, ref_edges, ref_in_degree))
+
+    def test_long_chain_is_fast(self):
+        # 10**5 levels: a peel that advances one level per numpy pass takes seconds
+        n = 100_000
+        chain = np.column_stack((np.arange(n - 1), np.arange(1, n)))
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            dag = build_dag(n, chain)
+            seconds.append(time.perf_counter() - start)
+        assert np.array_equal(dag.level, np.arange(n))
+        assert min(seconds) < 1.0
 
 
 class TestLaggedOperators:
@@ -118,7 +236,7 @@ class TestTransposeApply:
         v = rng.normal(size=15)
         base = apply_to(ops.a, v)
         j = int(rng.integers(0, 15))
-        parents = set(dag.parents(j))
+        parents = set(dag.edges[dag.edges[:, 1] == j, 0].tolist())
         non_parents = [i for i in range(15) if i not in parents and i != j] or None
         if non_parents is None:
             return
@@ -130,7 +248,7 @@ class TestTransposeApply:
         k = 3
         dag = random_dag(rng, 12)
         ops = lagged_operators(dag)
-        children = {u: [v for (s, v) in dag.edges if s == u] for u in range(12)}
+        children = {u: dag.edges[dag.edges[:, 0] == u, 1].tolist() for u in range(12)}
         for u in range(12):
             reachable = {u}
             frontier = {u}
@@ -160,11 +278,24 @@ class TestEdgeListIo:
         path = tmp_path / "edges.tsv"
         write_edge_list(path, dag)
         loaded = read_edge_list(path, n_nodes=10)
-        assert loaded.edges == dag.edges
+        assert np.array_equal(loaded.edges, dag.edges)
+        assert path.read_text() == "# src\tdst\n" + "".join(
+            f"{u}\t{v}\n" for u, v in dag.edges.tolist())
 
     def test_comments_and_inference(self, tmp_path):
         path = tmp_path / "e.tsv"
         path.write_text("# header\n0\t1\n1\t4\n")
         dag = read_edge_list(path)
         assert dag.n_nodes == 5
-        assert dag.edges == ((0, 1), (1, 4))
+        assert dag.edges.tolist() == [[0, 1], [1, 4]]
+
+    @pytest.mark.parametrize("text, error, where", [
+        ("0\t1\n# c\n\n1\t1\n", SelfLoop, "e.tsv:4: self-loop at node 1"),
+        ("0\t99999999999999999999\n", NodeIdOutOfRange, "e.tsv:1: node id 9999"),
+    ])
+    def test_defects_name_the_file_and_line(self, tmp_path, text, error, where):
+        path = tmp_path / "e.tsv"
+        path.write_text(text)
+        with pytest.raises(error) as exc:
+            read_edge_list(path, n_nodes=3)
+        assert str(exc.value).startswith(str(tmp_path / where))

@@ -88,7 +88,7 @@ class TestEncodeHistory:
         dag = random_dag(rng, 15)
         ops = lagged_operators(dag)
         L = 3
-        parents = {v: {u for (u, w) in dag.edges if w == v} for v in range(15)}
+        parents = {v: set(dag.edges[dag.edges[:, 1] == v, 0].tolist()) for v in range(15)}
         ancestors = {}
         for v in range(15):
             anc, frontier = set(), parents[v]

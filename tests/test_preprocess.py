@@ -35,28 +35,23 @@ class TestEmbedding:
 class TestKnnGraph:
     def test_collinear_points(self):
         emb = Embedding(coords=np.array([[0.0], [1.0], [10.0]]), pseudotime=np.zeros(3))
-        edges = knn_graph(emb, k=1)
-        assert set(edges) == {(0, 1), (1, 0), (2, 1)}
+        assert knn_graph(emb, k=1).tolist() == [[0, 1], [1, 0], [2, 1]]
 
     def test_complete_graph(self):
         emb = Embedding(coords=np.arange(4.0)[:, None], pseudotime=np.zeros(4))
         edges = knn_graph(emb, k=3)
-        assert len(edges) == 12
-        assert all(u != v for u, v in edges)
+        assert edges.shape == (12, 2) and edges.dtype == np.int64
+        assert (edges[:, 0] != edges[:, 1]).all()
 
     def test_ties_broken_by_lower_id(self):
         coords = np.array([[0.0], [0.0], [0.0]])  # all identical
         emb = Embedding(coords=coords, pseudotime=np.zeros(3))
-        edges = knn_graph(emb, k=1)
-        assert set(edges) == {(0, 1), (1, 0), (2, 0)}
+        assert knn_graph(emb, k=1).tolist() == [[0, 1], [1, 0], [2, 0]]
 
     def test_out_degree_exactly_k(self, rng):
         emb = Embedding(coords=rng.normal(size=(30, 3)), pseudotime=np.zeros(30))
         edges = knn_graph(emb, k=4)
-        out_deg = np.zeros(30, dtype=int)
-        for u, _ in edges:
-            out_deg[u] += 1
-        assert (out_deg == 4).all()
+        assert (np.bincount(edges[:, 0], minlength=30) == 4).all()
 
     def test_k_too_large(self):
         emb = Embedding(coords=np.zeros((3, 1)), pseudotime=np.zeros(3))
@@ -81,11 +76,11 @@ def brute_force_knn(embedding, k):
             order = np.lexsort((ids, d))
             for v in order[:k]:
                 edges.append((u, int(v)))
-    return edges
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 class TestKnnGraphExact:
-    """``knn_graph`` returns the exhaustive search's edge list, tuple for tuple and in order."""
+    """``knn_graph`` returns the exhaustive search's edge array, row for row."""
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -96,22 +91,22 @@ class TestKnnGraphExact:
         coords = rng.integers(0, int(rng.integers(1, 4)), size=(n, d)).astype(float)
         emb = Embedding(coords=coords, pseudotime=np.zeros(n))
         k = int(rng.integers(1, n))
-        assert knn_graph(emb, k) == brute_force_knn(emb, k)
+        assert np.array_equal(knn_graph(emb, k), brute_force_knn(emb, k))
 
     def test_coincident_points_beyond_the_first_query(self, rng):
         # 12 copies of one point > k + 5 candidates, so those rows are queried again.
         coords = np.vstack([np.zeros((12, 2)), rng.normal(size=(30, 2))])
         emb = Embedding(coords=coords, pseudotime=np.zeros(42))
         for k in (3, 6, 11, 20, 41):
-            assert knn_graph(emb, k) == brute_force_knn(emb, k)
+            assert np.array_equal(knn_graph(emb, k), brute_force_knn(emb, k))
 
     def test_continuous_coordinates(self, rng):
         emb = Embedding(coords=rng.normal(size=(2000, 3)), pseudotime=np.zeros(2000))
-        assert knn_graph(emb, 15) == brute_force_knn(emb, 15)
+        assert np.array_equal(knn_graph(emb, 15), brute_force_knn(emb, 15))
 
     def test_memory_stays_linear_in_nodes(self):
         # An all-pairs distance block of 20,000 nodes would be hundreds of MB;
-        # the edge list itself, 300,000 tuples, is about 30 MB.
+        # the edge array itself, 300,000 rows, is 4.8 MB.
         coords = np.random.default_rng(7).random((20_000, 3))
         emb = Embedding(coords=coords, pseudotime=np.zeros(20_000))
         tracemalloc.start()
@@ -126,17 +121,17 @@ class TestKnnGraphExact:
 
 class TestOrientByPseudotime:
     def test_keeps_increasing_edge_only(self):
-        dag = orient_by_pseudotime([(0, 1), (1, 0)], np.array([0.1, 0.9]))
-        assert dag.edges == ((0, 1),)
+        dag = orient_by_pseudotime(np.array([(0, 1), (1, 0)]), np.array([0.1, 0.9]))
+        assert dag.edges.tolist() == [[0, 1]]
 
     def test_equal_stamps_drop_edge(self):
-        dag = orient_by_pseudotime([(0, 1)], np.array([0.5, 0.5]))
-        assert dag.edges == ()
+        dag = orient_by_pseudotime(np.array([(0, 1)]), np.array([0.5, 0.5]))
+        assert dag.edges.shape == (0, 2)
 
     def test_aligned_set_unchanged(self):
-        edges = [(0, 1), (0, 2), (1, 2)]
+        edges = np.array([(0, 1), (0, 2), (1, 2)])
         dag = orient_by_pseudotime(edges, np.array([0.0, 1.0, 2.0]))
-        assert set(dag.edges) == set(edges)
+        assert np.array_equal(dag.edges, edges)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -145,9 +140,10 @@ class TestOrientByPseudotime:
         n = int(rng.integers(3, 25))
         pt = rng.normal(size=n)
         edges = {(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(3 * n)}
-        edges = [(u, v) for u, v in edges if u != v]
+        edges = np.array([(u, v) for u, v in edges if u != v])
         dag = orient_by_pseudotime(edges, pt)  # build_dag verifies acyclicity
-        assert all(pt[u] < pt[v] for u, v in dag.edges)
+        assert (pt[dag.edges[:, 0]] < pt[dag.edges[:, 1]]).all()
+        assert np.array_equal(dag.edges, edges[pt[edges[:, 0]] < pt[edges[:, 1]]])
 
 
 class TestMatrixIo:

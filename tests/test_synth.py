@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -25,16 +28,16 @@ class TestGenerateBranchingDag:
         spec = SynthSpec(n_nodes=10, n_branches=1, depth=10, k_neighbors=1,
                          n_x_vars=2, n_y_vars=2, n_causal_pairs=1, seed=0)
         dag, pt = generate_branching_dag(spec)
-        assert dag.edges == tuple((i, i + 1) for i in range(9))
+        assert np.array_equal(dag.edges, np.column_stack((np.arange(9), np.arange(1, 10))))
 
     def test_pseudotime_increases_along_edges(self):
         dag, pt = generate_branching_dag(small_spec())
-        assert all(pt[u] < pt[v] for u, v in dag.edges)
+        assert (pt[dag.edges[:, 0]] < pt[dag.edges[:, 1]]).all()
 
     def test_seeded_reproducibility(self):
         dag1, pt1 = generate_branching_dag(small_spec())
         dag2, pt2 = generate_branching_dag(small_spec())
-        assert dag1.edges == dag2.edges
+        assert np.array_equal(dag1.edges, dag2.edges)
         assert np.array_equal(pt1, pt2)
 
     def test_every_non_root_layer_connected(self):
@@ -125,7 +128,7 @@ class TestWriteDataset:
         assert x.var_names == ds.x_names
         assert np.allclose(x.values, ds.x_matrix)
         dag = read_edge_list(paths["edges"], n_nodes=ds.dag.n_nodes)
-        assert dag.edges == ds.dag.edges
+        assert np.array_equal(dag.edges, ds.dag.edges)
         pt = read_pseudotime(paths["pseudotime"])
         assert np.allclose(pt, ds.pseudotime)
         ref_lines = [l.split("\t") for l in open(paths["reference"]).read().splitlines()]
@@ -133,3 +136,14 @@ class TestWriteDataset:
         truth_values = {tuple(l[:2]): float(l[2]) for l in ref_lines}
         for xi, yi in ds.truth:
             assert truth_values[(ds.x_names[xi], ds.y_names[yi])] == 0.0
+
+    def test_bytes_unchanged(self, tmp_path):
+        # sha256 over each file's key and bytes, in key order, as first recorded
+        ds = generate(small_spec(depth=8, k_neighbors=4, n_candidate_pairs=12,
+                                 dropout_rate=0.2))
+        paths = write_dataset(ds, tmp_path)
+        digest = hashlib.sha256()
+        for key in sorted(paths):
+            digest.update(key.encode() + b"\0" + Path(paths[key]).read_bytes())
+        assert digest.hexdigest() == (
+            "2bfb1323df25d71d45ed9bcb599af2b7035cf71d0c52d95f69d16557081f951e")
