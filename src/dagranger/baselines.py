@@ -116,6 +116,13 @@ def pseudocell_smooth(
     are given the nearest neighbors (Euclidean) are kept; otherwise neighbors
     are kept in ascending node-id order. Nodes with fewer neighbors use all
     of them; ``neighborhood = 0`` is the identity.
+
+    Row v's mean adds v, then its kept neighbors in the order above (nearest
+    first, ties by node id, for a node with more than ``neighborhood``
+    neighbors and ``coords``; else ascending id), as ``values[rows].mean(axis=0)``
+    on that list does. Nodes that keep the same number of rows are averaged
+    together: one gather and one mean over the rows axis, which adds each
+    node's rows in the same order with the same arithmetic.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
@@ -123,19 +130,25 @@ def pseudocell_smooth(
         return values.copy()
     # both directions of every edge as codes node·n + neighbor: one sort
     # leaves each node's distinct neighbors together, in ascending order
+    # (np.unique would hash the codes first, which costs ten times the sort)
     src, dst = knn_edges.T
-    codes = np.unique(np.concatenate((src * n + dst, dst * n + src)))
-    indptr = np.searchsorted(codes, np.arange(n + 1) * n).tolist()
-    neighbors = (codes % n).tolist()
+    codes = np.sort(np.concatenate((src * n + dst, dst * n + src)))
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    node, nbr = np.divmod(codes, n)
+    indptr = np.searchsorted(codes, np.arange(n + 1) * n)
+    degree = np.diff(indptr)
+    if coords is not None:
+        # nearest first, ties by id, where the cap leaves some neighbors out
+        capped = degree[node] > neighborhood
+        d2 = np.zeros(codes.size)
+        d2[capped] = ((coords[nbr[capped]] - coords[node[capped]]) ** 2).sum(axis=1)
+        nbr = nbr[np.lexsort((nbr, d2, node))]
+    kept = np.minimum(degree, neighborhood)
     out = np.empty_like(values)
-    for v in range(n):
-        nbrs = neighbors[indptr[v]:indptr[v + 1]]
-        if coords is not None and len(nbrs) > neighborhood:
-            d2 = ((coords[nbrs] - coords[v]) ** 2).sum(axis=1)
-            order = np.lexsort((np.asarray(nbrs), d2))
-            nbrs = [nbrs[i] for i in order]
-        rows = [v] + nbrs[:neighborhood]
-        out[v] = values[rows].mean(axis=0)
+    for r in np.unique(kept):
+        group = np.flatnonzero(kept == r)
+        rows = np.column_stack((group, nbr[indptr[group, None] + np.arange(r)]))
+        out[group] = values[rows].mean(axis=1)
     return out
 
 

@@ -1,7 +1,7 @@
-"""Lagged message-passing history encoders and the full/reduced predictors.
+"""Lagged message-passing history encoders and the layout of the models they feed.
 
 One candidate pair (x possibly driving y) has two models, each stored as one
-column of scalar parameters:
+column of scalar parameters (``train`` computes their predictions):
 
     full column (4L+1,):  [w_y, b_y, w_x, b_x, c]
         y_hat = link(enc(y; w_y, b_y) + c * enc(x; w_x, b_x))
@@ -29,8 +29,6 @@ __all__ = [
     "encode_history_batch",
     "strict_lag",
     "layer_output",
-    "predict_full",
-    "predict_reduced",
     "apply_link",
     "LINKS",
 ]
@@ -166,20 +164,3 @@ def encode_history_batch(
         acc += h
     return np.divide(acc, L, out=acc), inputs
 
-
-def predict_full(
-    x: np.ndarray, y: np.ndarray, ops: LaggedOperators, full: np.ndarray, *,
-    lag_hops: int, link: str,
-) -> np.ndarray:
-    """Full-model prediction link(enc(y) + c * enc(x)) from a full column."""
-    full, L = check_column(full, with_x=True)
-    h_y = encode_history(y, ops, full[: 2 * L], lag_hops=lag_hops)[0]
-    h_x = encode_history(x, ops, full[2 * L : 4 * L], lag_hops=lag_hops)[0]
-    return apply_link(h_y + full[4 * L] * h_x, link)
-
-
-def predict_reduced(
-    y: np.ndarray, ops: LaggedOperators, reduced: np.ndarray, *, lag_hops: int, link: str,
-) -> np.ndarray:
-    """Reduced-model prediction link(enc(y)) from y's own history only."""
-    return apply_link(encode_history(y, ops, reduced, lag_hops=lag_hops)[0], link)

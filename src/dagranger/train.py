@@ -22,6 +22,17 @@ are its y's from the reduced pass, its x-encoder gradient is 0, and its c
 gradient sum(d * enc(x)) needs only one forward encoding of each x. Each of
 these is the kernel's own arithmetic, so every bit is the same.
 
+The final evaluation needs no pass over the pairs either while every pair
+still holds those shared encoders: its y-encoder is its y's reduced model and
+its x-encoder the start's, compared bit for bit. That holds after 0 epochs,
+and after 1 when both banks train. enc(y) then comes from the final reduced
+pass, enc(x) from one encoding of each x, and each pair chunk forms only
+link(enc(y) + c * enc(x)) and its losses, with the kernel's own code. Epoch 2
+and later run the per-pair kernel: their backward pass needs every layer's
+input, and holding those per variable (L * n * (n_x + n_y) floats, 40 MB at
+L = 10, n = 2,000 and 250 variables) would raise the process's peak memory
+by about a third where training already sets it.
+
 The kernel does each sparse product once. Layer 1's product ``a.T @ v`` does
 not depend on the parameters, so ``train_all`` computes it once per variable
 and gathers it per chunk; the forward pass keeps each later layer's input
@@ -300,6 +311,22 @@ def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops):
     return dw, db
 
 
+def _output_losses(h_y, h_x, c, Y, link):
+    """The kernel's forward pass from the encodings on: y_hat, residual and losses.
+
+    y_hat = link(h_y + c * h_x), or link(h_y) with ``h_x`` None; ``h_y``,
+    ``h_x`` and Y are (n, m) and c is (m,). Returns (yhat, res, per_node,
+    rss, ok), ok flagging columns with a finite y_hat and rss. Call it
+    under ``np.errstate``, as the kernel does.
+    """
+    s = h_y if h_x is None else h_y + c[None, :] * h_x
+    yhat = apply_link(s, link)
+    res = yhat - Y
+    per_node = res * res
+    rss = _column_sums(per_node)
+    return yhat, res, per_node, rss, np.isfinite(yhat).all(axis=0) & np.isfinite(rss)
+
+
 def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, want_grads):
     """Losses (and optionally gradients) of one model for a chunk of m columns.
 
@@ -308,28 +335,24 @@ def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, w
     None it is the reduced one, link(enc(y)), and ``theta`` is (2L, m), one
     reduced column per y. ``lagged_x`` and ``lagged_y`` are ``strict_lag`` of
     the chunk's x and y columns, Y the y columns themselves, all (n, m).
-    Returns (rss, per_node, grads, ok, d): grads has ``theta``'s shape and d
-    is d(loss)/d(y_hat), (n, m) (both None without ``want_grads``); ok flags
-    columns whose loss and forward and backward passes stayed finite. A
-    column that overflows or meets an inf is reported through ok alone;
-    numpy's floating-point warnings are silenced for it.
+    Returns (rss, per_node, grads, ok, h_y, d): grads has ``theta``'s shape
+    and d is d(loss)/d(y_hat), (n, m) (both None without ``want_grads``); ok
+    flags columns whose loss and forward and backward passes stayed finite;
+    h_y is enc(y), (n, m). A column that overflows or meets an inf is
+    reported through ok alone; numpy's floating-point warnings are silenced
+    for it.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         full = lagged_x is not None
         L = (theta.shape[0] - 1) // 4 if full else theta.shape[0] // 2
         w_y, b_y = theta[:L], theta[L : 2 * L]
         h_y, u_y = encode_history_batch(lagged_y, ops, w_y, b_y, lag_hops, want_grads, lagged=True)
-        s = h_y
+        h_x = c = None
         if full:
             w_x, b_x, c = theta[2 * L : 3 * L], theta[3 * L : 4 * L], theta[4 * L]
             h_x, u_x = encode_history_batch(lagged_x, ops, w_x, b_x, lag_hops, want_grads,
                                             lagged=True)
-            s = h_y + c[None, :] * h_x
-        yhat = apply_link(s, link)
-        res = yhat - Y
-        per_node = res * res
-        rss = _column_sums(per_node)
-        ok = np.isfinite(yhat).all(axis=0) & np.isfinite(rss)
+        yhat, res, per_node, rss, ok = _output_losses(h_y, h_x, c, Y, link)
 
         grads = d = None
         if want_grads:
@@ -344,7 +367,7 @@ def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, w
                 grads[2 * L : 3 * L], grads[3 * L : 4 * L] = _encoder_backward_batch(
                     c[None, :] * d, u_x, ops, w_x, b_x, lag_hops)
             ok &= np.isfinite(grads).all(axis=0)
-    return rss, per_node, grads, ok, d
+    return rss, per_node, grads, ok, h_y, d
 
 
 # --- single-pair loss and gradients: the kernel at width one -------------------
@@ -369,8 +392,8 @@ def _single_pair(x, y, ops, full, reduced, lag_hops, link, want_grads: bool):
 def pair_loss(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, full: np.ndarray,
               reduced: np.ndarray, *, lag_hops: int, link: str) -> LossReport:
     """Per-node squared errors of the full and reduced predictions of one pair."""
-    (_, per_node_full, _, ok_full, _), (_, per_node_reduced, _, ok_reduced, _) = _single_pair(
-        x, y, ops, full, reduced, lag_hops, link, want_grads=False)
+    (_, per_node_full, _, ok_full, _, _), (_, per_node_reduced, _, ok_reduced, _, _) = (
+        _single_pair(x, y, ops, full, reduced, lag_hops, link, want_grads=False))
     if not (ok_full[0] and ok_reduced[0]):
         raise NonFinitePrediction("prediction overflowed (exponential link?)")
     return LossReport.from_per_node(per_node_full[:, 0], per_node_reduced[:, 0])
@@ -380,7 +403,7 @@ def pair_gradients(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, full: np.
                    reduced: np.ndarray, *, lag_hops: int,
                    link: str) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (g_full, g_reduced) of rss_full + rss_reduced w.r.t. one pair's two columns."""
-    (_, _, g_full, ok_full, _), (_, _, g_reduced, ok_reduced, _) = _single_pair(
+    (_, _, g_full, ok_full, _, _), (_, _, g_reduced, ok_reduced, _, _) = _single_pair(
         x, y, ops, full, reduced, lag_hops, link, want_grads=True)
     if not (ok_full[0] and ok_reduced[0]):
         raise NonFiniteGradient("gradient contains NaN or infinity")
@@ -489,6 +512,25 @@ def train_all(
         state.m[:, cols] = new_s.m
         state.v[:, cols] = new_s.v
 
+    def encode_x_at_start():
+        """enc(x) of every used x under the shared start's x-encoder, (n, n_x).
+
+        Every full column starts from the x-encoder of ``init_full`` and
+        keeps it while its x-encoder gradient is 0, so while it holds that
+        encoder each x needs one encoding, whichever pairs use it.
+        """
+        def encode(cols, _):
+            w, b = (np.repeat(init_full[i * L : (i + 1) * L, None], cols.size, axis=1)
+                    for i in (2, 3))
+            with np.errstate(invalid="ignore", over="ignore"):
+                return encode_history_batch(np.take(lagged_x, cols, axis=1), ops, w, b,
+                                            config.lag_hops, lagged=True)[0]
+
+        h_x = np.empty_like(lagged_x)
+        for cols, h in run_chunks(encode, np.arange(x_used.size), False):
+            h_x[:, cols] = h
+        return h_x
+
     def start_chunk(rss_y, ok_y, d_y, grads_y):
         """Epoch 1's pair kernel, built from per-variable work.
 
@@ -499,20 +541,11 @@ def train_all(
         therefore its y's from the reduced pass (``rss_y``, ``grads_y``,
         ``d_y``); its x-encoder gradient, c times finite sums in the kernel,
         is +-0 there and 0 here, which give Adam the same parameters and
-        moments; and its c gradient needs enc(x), computed here once per x.
+        moments; and its c gradient needs enc(x), computed once per x.
         ``ok`` is the kernel's: a finite y and enc(x) and, with gradients, a
         finite lagged x (else 0 * inf in the x backward) and c gradient.
         """
-        def encode_x(cols, _):
-            w, b = (np.repeat(init_full[i * L : (i + 1) * L, None], cols.size, axis=1)
-                    for i in (2, 3))
-            with np.errstate(invalid="ignore", over="ignore"):
-                return encode_history_batch(np.take(lagged_x, cols, axis=1), ops, w, b,
-                                            config.lag_hops, lagged=True)[0]
-
-        h_x = np.empty_like(lagged_x)
-        for cols, h in run_chunks(encode_x, np.arange(x_used.size), False):
-            h_x[:, cols] = h
+        h_x = encode_x_at_start()
         ok_x = np.isfinite(h_x).all(axis=0)
         if train_full:
             ok_x &= np.isfinite(lagged_x).all(axis=0)
@@ -528,7 +561,38 @@ def train_all(
                     grads[4 * L] = _column_sums(
                         np.take(d_y, yk, axis=1) * np.take(h_x, xk, axis=1))
                 ok &= np.isfinite(grads[4 * L])
-            return rss_y[yk], None, grads, ok, None
+            return rss_y[yk], None, grads, ok, None, None
+
+        return kernel
+
+    def holds_shared_encoders(ids):
+        """Whether every pair in ``ids`` still holds the shared encoders, bit for bit.
+
+        Its y-encoder must be its y's reduced column and its x-encoder the
+        start's. The int64 views compare bit patterns, so -0.0 and +0.0
+        differ. This holds after 0 epochs, and after 1 when both banks train.
+        """
+        bits = full.view(np.int64)
+        return (np.array_equal(bits[: 2 * L, ids], reduced.view(np.int64)[:, y_at[ids]])
+                and (bits[2 * L : 4 * L, ids]
+                     == init_full.view(np.int64)[2 * L : 4 * L, None]).all())
+
+    def shared_chunk(h_y, h_x):
+        """The final evaluation's pair kernel while ``holds_shared_encoders``.
+
+        A pair's enc(y) is then its y's from the final bank pass (``h_y``, by
+        bank column) and its enc(x) the shared start's (``h_x``, by used x),
+        each encoded by the kernel's arithmetic on the same bits; only c is
+        the pair's own. The kernel's output end on them gives its losses and
+        ``ok`` bit for bit.
+        """
+        def kernel(cols, _):
+            with np.errstate(invalid="ignore", over="ignore"):
+                _, _, per_node, rss, ok = _output_losses(
+                    np.take(h_y, y_at[cols], axis=1), np.take(h_x, x_at[cols], axis=1),
+                    full[4 * L, cols], np.take(dataset.y_values, y_cols[cols], axis=1),
+                    config.link)
+            return rss, per_node, None, ok, None, None
 
         return kernel
 
@@ -545,7 +609,7 @@ def train_all(
         ok_y = np.zeros(y_used.size, dtype=bool)
         if at_start:
             d_y, grads_y = np.empty((ops.n, y_used.size)), np.empty((2 * L, y_used.size))
-        for cols, (rss, _, grads, ok, d) in run_chunks(
+        for cols, (rss, _, grads, ok, _, d) in run_chunks(
                 bank_chunk, np.unique(y_at[active]), train_reduced or at_start):
             rss_y[cols], ok_y[cols] = rss, ok
             if at_start:
@@ -558,7 +622,7 @@ def train_all(
         for start in range(0, n_pairs, config.minibatch_pairs):
             batch = perm[start : start + config.minibatch_pairs]
             batch = batch[active[batch]]
-            for cols, (rss_f, _, grads, ok, _) in run_chunks(kernel, batch, train_full):
+            for cols, (rss_f, _, grads, ok, _, _) in run_chunks(kernel, batch, train_full):
                 ok &= ok_y[y_at[cols]]
                 if not ok.all():
                     for k in cols[~ok]:
@@ -581,18 +645,29 @@ def train_all(
                 logger.info("converged after %d epochs (relative change %.3g)", epoch + 1, rel)
                 break
         prev_loss = epoch_loss
+    else:
+        logger.info("stopped after %d epochs (max_epochs)", config.max_epochs)
 
     # Final evaluation over all surviving pairs, fixed chunking again. Each
     # chunk's per-node losses are reduced to the statistics scoring needs,
     # once per y for the reduced bank; a statistic that overflows drops its
-    # model as a non-finite loss does.
+    # model as a non-finite loss does. While every full column holds the
+    # shared encoders the pairs need no encoder pass: enc(y) is kept from the
+    # bank pass and each x is encoded once.
+    ids = np.flatnonzero(active)
+    shared = holds_shared_encoders(ids)
+    h_y = np.empty_like(lagged_y) if shared else None
     stats_reduced = np.full((3, y_used.size), np.nan)
-    for cols, (_, per_node, _, ok, _) in run_chunks(bank_chunk, np.unique(y_at[active]), False):
+    for cols, (_, per_node, _, ok, enc_y, _) in run_chunks(
+            bank_chunk, np.unique(y_at[ids]), False):
         stats = _loss_stats(per_node)
         ok &= np.isfinite(stats).all(axis=0)
         stats_reduced[:, cols[ok]] = stats[:, ok]
+        if shared:
+            h_y[:, cols] = enc_y
+    kernel = shared_chunk(h_y, encode_x_at_start()) if shared else pair_chunk
     stats_full = np.full((3, n_pairs), np.nan)
-    for cols, (_, per_node, _, ok, _) in run_chunks(pair_chunk, np.flatnonzero(active), False):
+    for cols, (_, per_node, _, ok, _, _) in run_chunks(kernel, ids, False):
         stats = _loss_stats(per_node)
         ok &= np.isfinite(stats).all(axis=0) & ~np.isnan(stats_reduced[0, y_at[cols]])
         for k in cols[~ok]:

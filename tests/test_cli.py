@@ -466,6 +466,15 @@ class TestScoreFiles:
               "var_granger": "76a78ed7405cc9e84cf3e8f324958e0d89b4dad0e062b5183a78dc66d6dce0b3"},
         "welch": {"dagranger": "81b3f5af4f8285d0f45a0b412fa3697d9d044658cfb399fe78c4fbbe4107773b"},
     }
+    # dagranger's files after 0 and 1 epochs, where the final evaluation runs
+    # on the shared start; recorded before that evaluation was built from
+    # per-variable encodings, which must not change a byte
+    PINNED_SHORT = {
+        (0, "f"): "747162ae5c39f779a7f9b36bc77d17891c2bede7a3a880feca267ccfdf33349d",
+        (0, "welch"): "8e2881d4d3cfdc9d301f10133511be39acd9dca71911cd4fa9bd0a65a79ef2b9",
+        (1, "f"): "26d2f082e8c442dbc7812db2937f84ca1cd849fa51cdf28580e82ec0db7e6523",
+        (1, "welch"): "5f888bddcb5bdebbae722167742924d83d5e735e4538decba82f2926e9ab5fda",
+    }
 
     @pytest.fixture(scope="class")
     def pinned_bundle(self, tmp_path_factory):
@@ -474,12 +483,12 @@ class TestScoreFiles:
                          coupling=1.5, noise_sd=0.2, dropout_rate=0.5, seed=7)
         return write_dataset(generate(spec), tmp_path_factory.mktemp("pinned"))
 
-    def _run_all(self, paths, outdir, *extra):
+    def _run_all(self, paths, outdir, *extra, method="all", max_epochs=3):
         return run_cli("run", "--x-matrix", paths["x_matrix"], "--y-matrix",
                        paths["y_matrix"], "--pairs", paths["pairs"],
                        "--edges", paths["edges"], "--pseudotime", paths["pseudotime"],
-                       "--method", "all", "--max-epochs", 3, "--n-layers", 3, "--seed", 11,
-                       "--outdir", outdir, *extra)
+                       "--method", method, "--max-epochs", max_epochs, "--n-layers", 3,
+                       "--seed", 11, "--outdir", outdir, *extra)
 
     @pytest.mark.parametrize("rank_mode", ["f", "welch"])
     def test_bytes_equal_the_pinned_digests(self, pinned_bundle, tmp_path, rank_mode):
@@ -488,6 +497,14 @@ class TestScoreFiles:
         assert {method: hashlib.sha256(
                     (tmp_path / f"scores_{method}.jsonl").read_bytes()).hexdigest()
                 for method in pinned} == pinned
+
+    @pytest.mark.parametrize("max_epochs, rank_mode", sorted(PINNED_SHORT))
+    def test_short_runs_equal_the_pinned_digests(self, pinned_bundle, tmp_path, max_epochs,
+                                                 rank_mode):
+        assert self._run_all(pinned_bundle, tmp_path, "--rank-mode", rank_mode,
+                             method="dagranger", max_epochs=max_epochs) == 0
+        assert hashlib.sha256((tmp_path / "scores_dagranger.jsonl").read_bytes()).hexdigest() \
+            == self.PINNED_SHORT[max_epochs, rank_mode]
 
     def test_manifest_summarizes_p_values(self, pinned_bundle, tmp_path):
         assert self._run_all(pinned_bundle, tmp_path) == 0

@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from dagranger.errors import DimensionMismatch, NonFiniteParameter
 from dagranger.graph import lagged_operators
-from dagranger.model import (
-    encode_history,
-    encode_history_batch,
-    predict_full,
-    predict_reduced,
-)
+from dagranger.model import encode_history, encode_history_batch
+from dagranger.train import pair_loss
 
 from conftest import chain_dag, random_dag
 
@@ -130,49 +126,54 @@ class TestEncodeHistory:
 
 
 class TestPredictors:
+    # the predictions as the kernel makes them, seen through pair_loss's
+    # per-node squared errors (y_hat - y)^2
     def test_zero_params_identity_link(self, chain3_ops):
-        out = predict_full(np.ones(3), np.ones(3), chain3_ops, np.zeros(9), lag_hops=1,
+        y = np.array([1.0, -2.0, 3.0])
+        report = pair_loss(np.ones(3), y, chain3_ops, np.zeros(9), np.zeros(4), lag_hops=1,
                            link="identity")
-        assert np.array_equal(out, np.zeros(3))
+        assert np.array_equal(report.per_node_full, y * y)  # y_hat = 0
+        assert np.array_equal(report.per_node_reduced, y * y)
 
     def test_zero_params_exponential_link(self, chain3_ops):
-        out = predict_full(np.ones(3), np.ones(3), chain3_ops, np.zeros(9), lag_hops=1,
+        y = np.array([1.0, -2.0, 3.0])
+        report = pair_loss(np.ones(3), y, chain3_ops, np.zeros(9), np.zeros(4), lag_hops=1,
                            link="exponential")
-        assert np.array_equal(out, np.ones(3))
+        assert np.array_equal(report.per_node_full, (1.0 - y) ** 2)  # y_hat = 1
+        assert np.array_equal(report.per_node_reduced, (1.0 - y) ** 2)
 
     def test_c_zero_ignores_x(self, chain3_ops, rng):
         full = _full_column(rng, 3, c=0.0)
-        y = rng.normal(size=3)
-        a = predict_full(rng.normal(size=3), y, chain3_ops, full, lag_hops=1, link="identity")
-        b = predict_full(rng.normal(size=3), y, chain3_ops, full, lag_hops=1, link="identity")
-        assert np.array_equal(a, b)
+        reduced, y = _encoder(rng, 3), rng.normal(size=3)
+        a, b = (pair_loss(rng.normal(size=3), y, chain3_ops, full, reduced, lag_hops=1,
+                          link="identity") for _ in range(2))
+        assert np.array_equal(a.per_node_full, b.per_node_full)
 
     def test_identical_params_full_equals_reduced(self, chain3_ops, rng):
         shared = _encoder(rng, 2, b_scale=1.0)
         full = np.concatenate([shared, _encoder(rng, 2, b_scale=1.0), [0.0]])
         x, y = rng.normal(size=3), rng.normal(size=3)
-        assert np.array_equal(
-            predict_full(x, y, chain3_ops, full, lag_hops=1, link="identity"),
-            predict_reduced(y, chain3_ops, shared, lag_hops=1, link="identity"),
-        )
+        report = pair_loss(x, y, chain3_ops, full, shared, lag_hops=1, link="identity")
+        assert np.array_equal(report.per_node_full, report.per_node_reduced)
 
     def test_reduced_ignores_x(self, chain3_ops, rng):
-        reduced = _encoder(rng, 2)
+        full, reduced = _full_column(rng, 2), _encoder(rng, 2)
         y = rng.normal(size=3)
-        assert np.array_equal(
-            predict_reduced(y, chain3_ops, reduced, lag_hops=1, link="identity"),
-            predict_reduced(y, chain3_ops, reduced, lag_hops=1, link="identity"),
-        )
+        a, b = (pair_loss(rng.normal(size=3), y, chain3_ops, full, reduced, lag_hops=1,
+                          link="identity") for _ in range(2))
+        assert not np.array_equal(a.per_node_full, b.per_node_full)
+        assert np.array_equal(a.per_node_reduced, b.per_node_reduced)
 
     def test_column_checks(self, chain3_ops):
         with pytest.raises(DimensionMismatch):
-            predict_full(np.ones(3), np.ones(3), chain3_ops, np.zeros(8), lag_hops=1,
-                         link="identity")
+            pair_loss(np.ones(3), np.ones(3), chain3_ops, np.zeros(8), np.zeros(4), lag_hops=1,
+                      link="identity")
         with pytest.raises(DimensionMismatch):
-            predict_reduced(np.ones(3), chain3_ops, np.zeros(3), lag_hops=1, link="identity")
+            pair_loss(np.ones(3), np.ones(3), chain3_ops, np.zeros(13), np.zeros(3),
+                      lag_hops=1, link="identity")
         with pytest.raises(NonFiniteParameter):
-            predict_reduced(np.ones(3), chain3_ops, np.array([np.nan, 0.0]), lag_hops=1,
-                            link="identity")
+            pair_loss(np.ones(3), np.ones(3), chain3_ops, np.zeros(5),
+                      np.array([np.nan, 0.0]), lag_hops=1, link="identity")
 
 
 class TestEncodeHistoryBatch:

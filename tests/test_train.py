@@ -7,7 +7,7 @@ import dagranger.model
 import dagranger.train
 from dagranger.errors import DataError, DimensionMismatch, NonFiniteParameter
 from dagranger.graph import lagged_operators
-from dagranger.model import predict_full, predict_reduced, strict_lag
+from dagranger.model import apply_link, encode_history, strict_lag
 from dagranger.synth import SynthSpec, generate
 from dagranger.train import (
     AdamState,
@@ -84,8 +84,11 @@ class TestPairLoss:
         x, y = rng.normal(size=15), rng.normal(size=15) * 0.3
         spec = dict(lag_hops=1, link="exponential")
         report = pair_loss(x, y, ops, full, reduced, **spec)
-        yhat_full = predict_full(x, y, ops, full, **spec)
-        yhat_reduced = predict_reduced(y, ops, reduced, **spec)
+        # the predictions from each encoder alone: link(enc(y) + c * enc(x)), link(enc(y))
+        h_y, h_x, h_reduced = (encode_history(v, ops, theta, lag_hops=1)[0] for v, theta in (
+            (y, full[:6]), (x, full[6:12]), (y, reduced)))
+        yhat_full = apply_link(h_y + full[12] * h_x, "exponential")
+        yhat_reduced = apply_link(h_reduced, "exponential")
         assert report.rss_full == pytest.approx(float(((yhat_full - y) ** 2).sum()))
         assert report.rss_reduced == pytest.approx(float(((yhat_reduced - y) ** 2).sum()))
 
@@ -159,10 +162,10 @@ class TestChunkKernel:
         full, reduced = (np.stack(bank, axis=1) for bank in
                          zip(*(random_columns(rng, 3) for _ in range(width))))
         X, Y = rng.normal(size=(n, width)), rng.normal(size=(n, width)) * 0.5
-        _, _, g_full, ok_full, _ = _chunk_forward_backward(
+        _, _, g_full, ok_full, _, _ = _chunk_forward_backward(
             strict_lag(X, ops), strict_lag(Y, ops), Y, full, ops, lag_hops, link,
             want_grads=True)
-        _, _, g_reduced, ok_reduced, _ = _chunk_forward_backward(
+        _, _, g_reduced, ok_reduced, _, _ = _chunk_forward_backward(
             None, strict_lag(Y, ops), Y, reduced, ops, lag_hops, link, want_grads=True)
         assert g_full.shape == full.shape and g_reduced.shape == reduced.shape
         assert ok_full.all() and ok_reduced.all()
@@ -434,6 +437,21 @@ class TestTrainAll:
         results = train_all(dataset, ops, cfg)
         assert results.rss_full[0] < results.rss_reduced[results.y_index[0]]
 
+    @pytest.mark.parametrize("max_epochs, convergence_numerator, message", [
+        (0, 0.1, "stopped after 0 epochs (max_epochs)"),
+        (3, 0.0, "stopped after 3 epochs (max_epochs)"),
+        (3, 1e6, "converged after 2 epochs (relative change "),
+    ])
+    def test_logs_the_stop_reason(self, caplog, max_epochs, convergence_numerator, message):
+        _, dataset, ops = tiny_dataset()
+        caplog.set_level("INFO", logger="dagranger.train")
+        train_all(dataset, ops, TrainConfig(n_layers=2, max_epochs=max_epochs,
+                                            convergence_numerator=convergence_numerator))
+        stops = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith(("stopped", "converged"))]
+        assert len(stops) == 1 and stops[0].startswith(message)
+        assert all(r.levelname == "INFO" for r in caplog.records if r.getMessage() in stops)
+
     def test_independent_noise_pair_stays_in_null_band(self):
         # x pure noise: the trained residual gap should not look significant
         from dagranger.score import score_pair
@@ -460,10 +478,11 @@ class TestTrainAll:
 def kernel_oracle(dataset, ops, config, component="both"):
     """``train_all`` with every epoch's pairs run through ``_chunk_forward_backward``.
 
-    The reference for epoch 1, which ``train_all`` builds from per-variable
-    work: here every pair's full model runs forward and backward in every
-    epoch, as one chunk per minibatch. It has no convergence rule (use
-    ``convergence_numerator`` 0). Returns the ``TrainResult`` fields and the
+    The reference for epoch 1 and for a final evaluation after at most one
+    epoch, which ``train_all`` builds from per-variable work: here every
+    pair's full model runs forward and backward in every epoch, as one chunk
+    per minibatch, and forward once more in the final evaluation. It has no
+    convergence rule (use ``convergence_numerator`` 0). Returns the ``TrainResult`` fields and the
     ids of the dropped pairs in the order they were dropped.
     """
     L, lr = config.n_layers, config.learning_rate
@@ -500,13 +519,13 @@ def kernel_oracle(dataset, ops, config, component="both"):
         perm = rng.permutation(len(xs))
         ok_y = np.zeros(y_used.size, dtype=bool)
         cols = np.unique(y_at[active])
-        _, _, grads, ok_y[cols], _ = kernel(cols, train_reduced, bank=True)
+        _, _, grads, ok_y[cols], _, _ = kernel(cols, train_reduced, bank=True)
         if train_reduced:
             step(reduced, reduced_adam, cols[ok_y[cols]], grads[:, ok_y[cols]], t)
         for start in range(0, len(xs), config.minibatch_pairs):
             batch = perm[start : start + config.minibatch_pairs]
             batch = batch[active[batch]]
-            _, _, grads, ok, _ = kernel(batch, train_full)
+            _, _, grads, ok, _, _ = kernel(batch, train_full)
             ok &= ok_y[y_at[batch]]
             drop(batch, ok)
             if train_full:
@@ -514,7 +533,7 @@ def kernel_oracle(dataset, ops, config, component="both"):
 
     stats = {"reduced": np.full((3, y_used.size), np.nan), "full": np.full((3, len(xs)), np.nan)}
     for name, cols in (("reduced", np.unique(y_at[active])), ("full", np.flatnonzero(active))):
-        _, per_node, _, ok, _ = kernel(cols, False, bank=name == "reduced")
+        _, per_node, _, ok, _, _ = kernel(cols, False, bank=name == "reduced")
         chunk_stats = _loss_stats(per_node)
         ok &= np.isfinite(chunk_stats).all(axis=0)
         if name == "full":
@@ -532,7 +551,10 @@ def kernel_oracle(dataset, ops, config, component="both"):
 class TestSharedStart:
     # epoch 1 starts every full column at the reduced model with c = 0, so
     # train_all builds it from each y's reduced pass and one encoding of each
-    # x; the per-pair kernel pass it replaces is the oracle, bit for bit
+    # x; a final evaluation while every full column still holds those shared
+    # encoders (after 0 epochs, or 1 with both banks trained) takes enc(y)
+    # from the final bank pass and again encodes each x once. The per-pair
+    # kernel passes they replace are the oracle, bit for bit.
 
     @staticmethod
     def screen(bad=None):
@@ -561,7 +583,7 @@ class TestSharedStart:
         assert logged == dropped
         return result, dropped
 
-    @pytest.mark.parametrize("epochs", [1, 2])
+    @pytest.mark.parametrize("epochs", [0, 1, 2])
     @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 1)])
     @pytest.mark.parametrize("component", ["both", "full", "reduced"])
     @pytest.mark.parametrize("lag_hops", [1, 2])
@@ -574,7 +596,7 @@ class TestSharedStart:
         result, dropped = self.check(dataset, ops, cfg, component, workers, caplog)
         assert len(result) == len(dataset.pairs) and not dropped
 
-    @pytest.mark.parametrize("epochs", [1, 2])
+    @pytest.mark.parametrize("epochs", [0, 1, 2])
     @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 1)])
     @pytest.mark.parametrize("component", ["both", "full", "reduced"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -582,14 +604,75 @@ class TestSharedStart:
                                                    minibatch_pairs, epochs, caplog):
         # x1 and y2 hold one bad value: every pair of y2 goes; pairs of x1 go
         # where the kernel meets the bad lagged value (NaN: always; inf: only
-        # in the x backward pass, which runs when the full bank trains)
+        # in the x backward pass, which runs when the full bank trains for at
+        # least one epoch)
         dataset, ops = self.screen(bad)
         cfg = TrainConfig(n_layers=3, max_epochs=epochs, lag_hops=2,
                           minibatch_pairs=minibatch_pairs, seed=4, convergence_numerator=0.0)
         _, dropped = self.check(dataset, ops, cfg, component, workers, caplog)
         x1, y2 = (np.flatnonzero(dataset.pairs[:, i] == v) for i, v in ((0, 1), (1, 2)))
-        x1_dropped = np.isnan(bad) or component != "reduced"
+        x1_dropped = np.isnan(bad) or (component != "reduced" and epochs > 0)
         assert sorted(dropped) == sorted(set(y2) | (set(x1) if x1_dropped else set()))
+
+    @pytest.mark.parametrize("epochs", [0, 1, 2])
+    @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 1)])
+    @pytest.mark.parametrize("component", ["both", "full", "reduced"])
+    @pytest.mark.parametrize("link", ["identity", "exponential"])
+    def test_scaled_inputs_drop_the_same_pairs(self, link, component, workers, minibatch_pairs,
+                                               epochs, caplog):
+        # y0 and x1 scaled by 1e200: the losses of y0 overflow, and the
+        # pairs of x1 meet an overflow wherever the kernel does
+        dataset, ops = self.screen()
+        x, y = dataset.x_values.copy(), dataset.y_values.copy()
+        x[:, 1] *= 1e200
+        y[:, 0] *= 1e200
+        big = Dataset(x_values=x, y_values=y, x_names=dataset.x_names, y_names=dataset.y_names,
+                      pairs=dataset.pairs)
+        cfg = TrainConfig(n_layers=3, max_epochs=epochs, link=link,
+                          minibatch_pairs=minibatch_pairs, seed=4, convergence_numerator=0.0)
+        _, dropped = self.check(big, ops, cfg, component, workers, caplog)
+        assert set(np.flatnonzero(dataset.pairs[:, 1] == 0)) <= set(dropped)
+
+    @pytest.mark.parametrize("epochs", [0, 1, 2])
+    @pytest.mark.parametrize("component", ["both", "full", "reduced"])
+    def test_final_evaluation_per_pair_only_off_the_shared_start(self, monkeypatch, epochs,
+                                                                 component):
+        # the full model runs through the kernel once per pair in each epoch
+        # after the first, and in the final evaluation only once some full
+        # column has left the shared encoders: after 2 epochs, or after 1
+        # when only one bank trains
+        dataset, ops = self.screen()
+        full_columns = []
+        real = dagranger.train._chunk_forward_backward
+
+        def counting(lagged_x, *args):
+            if lagged_x is not None:
+                full_columns.append(lagged_x.shape[1])
+            return real(lagged_x, *args)
+
+        monkeypatch.setattr(dagranger.train, "_chunk_forward_backward", counting)
+        cfg = TrainConfig(n_layers=3, max_epochs=epochs, seed=4, convergence_numerator=0.0)
+        train_all(dataset, ops, cfg, component=component)
+        shared = epochs == 0 or (epochs == 1 and component == "both")
+        n_pairs = len(dataset.pairs)
+        assert sum(full_columns) == n_pairs * max(0, epochs - 1) + (0 if shared else n_pairs)
+
+    def test_one_epoch_encodes_no_column_per_pair(self, monkeypatch):
+        # epoch 1 and the final evaluation each encode every used x and y
+        # once: 2 (n_x + n_y) columns, fewer than the pairs
+        dataset, ops = self.screen()
+        widths = []
+        real = dagranger.train.encode_history_batch
+
+        def counting(values, *args, **kwargs):
+            widths.append(values.shape[1])
+            return real(values, *args, **kwargs)
+
+        monkeypatch.setattr(dagranger.train, "encode_history_batch", counting)
+        train_all(dataset, ops, TrainConfig(n_layers=3, max_epochs=1, seed=4))
+        n_x, n_y = (np.unique(dataset.pairs[:, i]).size for i in (0, 1))
+        assert len(dataset.pairs) > 2 * (n_x + n_y)
+        assert sum(widths) == 2 * (n_x + n_y)
 
     @pytest.mark.parametrize("scale", [1e200, 1e100])
     def test_overflowing_losses_drop_the_pairs_of_that_y(self, scale):
@@ -602,7 +685,7 @@ class TestSharedStart:
         y[:, 0] *= scale
         big = Dataset(x_values=dataset.x_values, y_values=y, x_names=dataset.x_names,
                       y_names=dataset.y_names, pairs=dataset.pairs)
-        for epochs in (0, 2):
+        for epochs in (0, 1, 2):
             result = train_all(big, ops, TrainConfig(n_layers=2, max_epochs=epochs))
             assert result.pair_ids.tolist() == np.flatnonzero(dataset.pairs[:, 1] != 0).tolist()
             ids, yk = result.pair_ids, result.y_index[result.pair_ids]
