@@ -22,6 +22,13 @@ starts from zero and adds its terms in stored index order; that fixed order
 makes results reproducible bit for bit, and it does not depend on the other
 columns of v. Training also needs the adjoint products ``M @ g``, which it
 takes on the same CSC matrices.
+
+``transpose_apply_batch`` (``M.T @ v``) and ``apply_batch`` (``M @ v``) can
+write into a caller's buffer. Both call the routine that scipy's ``@`` calls
+for a dense batch, ``scipy.sparse._sparsetools.csr_matvecs`` or
+``csc_matvecs``, on a zeroed output, so they give the bits of ``@``; a test
+compares them with ``@`` at several widths, since the routine is private to
+scipy.
 """
 from __future__ import annotations
 
@@ -29,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import (
     CycleDetected,
@@ -45,6 +53,7 @@ __all__ = [
     "LaggedOperators",
     "build_dag",
     "lagged_operators",
+    "apply_batch",
     "transpose_apply_batch",
     "read_edge_list",
     "write_edge_list",
@@ -167,19 +176,50 @@ def lagged_operators(dag: Dag) -> LaggedOperators:
     return LaggedOperators(a=a, a_plus=a_plus, n=n)
 
 
-def transpose_apply_batch(op: sp.spmatrix, values: np.ndarray) -> np.ndarray:
-    """Return ``op.T @ values`` for an n-by-m batch.
+def transpose_apply_batch(op: sp.spmatrix, values: np.ndarray, out=None) -> np.ndarray:
+    """Return ``op.T @ values`` for an n-by-m batch, written into ``out`` when given.
 
     For the strict-lag operator this is, at each node, the in-degree
     normalized mean of its parents' values (zero at parentless nodes). Each
     output column is bit-identical to the product with that column alone,
     because the sparse product accumulates every column's terms in the same
-    stored order.
+    stored order. ``op`` is CSC or CSR, and ``out`` a C-ordered float64 array
+    of the result's shape.
+    """
+    # op.T is the matrix of the other format on the same three arrays
+    return _matvecs(_TRANSPOSED[op.format], op.shape[::-1], op, values, out)
+
+
+def apply_batch(op: sp.spmatrix, values: np.ndarray, out=None) -> np.ndarray:
+    """Return ``op @ values`` for an n-by-m batch, written into ``out`` when given.
+
+    The adjoint of ``transpose_apply_batch``, with the same arguments.
+    """
+    return _matvecs(op.format, op.shape, op, values, out)
+
+
+_TRANSPOSED = {"csc": "csr", "csr": "csc"}
+
+
+def _matvecs(fmt: str, shape, op: sp.spmatrix, values, out) -> np.ndarray:
+    """The product of ``op``'s arrays, read as a ``fmt`` matrix of ``shape``, with a batch.
+
+    It calls scipy's own routine for a sparse matrix times a dense batch.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != op.shape[0]:
+    rows, cols = shape
+    if values.ndim != 2 or values.shape[0] != cols:
         raise DimensionMismatch(f"operator is {op.shape}, batch has shape {values.shape}")
-    return op.T @ values
+    m = values.shape[1]
+    if out is None:
+        out = np.zeros((rows, m))
+    elif out.shape != (rows, m) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise DimensionMismatch(f"out must be a C-ordered float64 array of shape {(rows, m)}")
+    else:
+        out.fill(0.0)
+    getattr(_sparsetools, fmt + "_matvecs")(rows, cols, m, op.indptr, op.indices, op.data,
+                                            values.ravel(), out.ravel())
+    return out
 
 
 def read_edge_list(path, n_nodes: int | None = None) -> Dag:

@@ -129,6 +129,7 @@ def encode_history_batch(
     lag_hops: int,
     keep_inputs: bool = False,
     lagged: bool = False,
+    buffers=None,
 ) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """The lagged recurrence of ``encode_history`` over an n-by-m batch.
 
@@ -139,6 +140,10 @@ def encode_history_batch(
     (h_tilde, inputs): with ``keep_inputs``, ``inputs[l]`` is the (n, m)
     input ``M.T h`` of layer l + 1, from which ``layer_output`` gives back
     that layer's output; the first entry is ``values`` itself when lagged.
+    ``buffers``, C-ordered (n, m) arrays, are written instead of new arrays:
+    the first holds each layer's output in turn, the next L - 1 the inputs
+    of layers 2..L with ``keep_inputs``, else the second holds each in turn.
+    h_tilde is always a new array.
     """
     values = np.asarray(values, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -152,12 +157,13 @@ def encode_history_batch(
         raise DimensionMismatch(f"lag_hops must be in [1, {L}], got {lag_hops}")
 
     u = values if lagged else strict_lag(values, ops)
-    h = np.empty_like(values)
+    h = np.empty_like(values) if buffers is None else buffers[0]
     acc = np.zeros_like(values)
     inputs = [] if keep_inputs else None
     for ell in range(1, L + 1):
         if ell > 1:
-            u = transpose_apply_batch(_layer_op(ops, ell, lag_hops), h)
+            out = None if buffers is None else buffers[ell - 1 if keep_inputs else 1]
+            u = transpose_apply_batch(_layer_op(ops, ell, lag_hops), h, out=out)
         if inputs is not None:
             inputs.append(u)
         layer_output(u, w[ell - 1], b[ell - 1], out=h)

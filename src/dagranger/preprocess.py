@@ -44,10 +44,11 @@ __all__ = [
 
 # knn_graph: KD-tree candidates per node beyond the k + 1 that are needed,
 # the relative distance margin that proves a candidate list complete, and
-# the most candidates (rows times m) handled at once.
+# the most candidates (rows times m) handled at once: a block's work arrays
+# take about 22 MB at 2^18, and at 2^20 were most of the peak at 10^5 nodes.
 _KNN_SLACK = 4
 _KNN_MARGIN = 1e-9
-_KNN_BLOCK = 2 ** 20
+_KNN_BLOCK = 2 ** 18
 
 
 @dataclass(frozen=True)

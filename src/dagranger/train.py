@@ -39,11 +39,24 @@ and gathers it per chunk; the forward pass keeps each later layer's input
 ``M.T h`` and the backward pass recomputes the layer output from it rather
 than repeating the product.
 
+The kernel allocates no (n, m) array per layer. The full model's two
+encoders run as one batch, y's columns then x's, and every per-layer array
+(the kept layer inputs, the layer output, and dz, t and g of the backward
+pass) is a row of a workspace that ``train_all`` makes once for each chunk
+running at a time and reuses for every later chunk, until a pass runs no
+encoder; the sparse products write into it (``graph.transpose_apply_batch``, ``apply_batch``).
+A chunk that runs an encoder holds ``_CHUNK`` = 32 pairs, so its kept layer
+inputs take 2(L-1) * n * 32 floats; the pair chunks of epoch 1 and of the
+shared final evaluation run no encoder and hold ``_WIDE_CHUNK`` = 64.
+
 Numerics are independent of minibatch size and worker count: batches are
 processed in fixed-size column chunks, every operation in the kernel treats
 each column on its own, and every sum over nodes adds rows in sequence at any
 chunk width (``_column_sums``), so a column's bits do not depend on which
 columns share its chunk and a thread pool over chunks changes wall time only.
+The epoch's total loss, which the convergence rule compares, is the exactly
+rounded sum (``math.fsum``) of each kept pair's losses, so the epoch at which
+training stops does not depend on the chunks either.
 """
 from __future__ import annotations
 
@@ -57,7 +70,7 @@ import numpy as np
 
 from .errors import (
     ConfigError, DataError, DimensionMismatch, NonFiniteGradient, NonFinitePrediction)
-from .graph import LaggedOperators
+from .graph import LaggedOperators, apply_batch
 from .model import (
     LINKS,
     _as_column,
@@ -84,10 +97,14 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Columns in flight at once, split among the workers. Neither minibatch size
-# nor worker count changes any floating-point result, only scheduling. At 64
-# columns an (n, m) block of 2,000 nodes is 1 MB and fits a core's L2 cache.
-_CHUNK = 64
+# Columns in flight at once, split among the workers. Neither minibatch size,
+# worker count nor chunk width changes any floating-point result, only
+# scheduling and memory. A chunk of m pairs keeps the inputs of layers 2..L
+# of both encoders, 2(L-1) * n * m floats: 37 MB at m = 32, n = 8,000 and
+# L = 10. A chunk that runs no encoder keeps none and is wider, which halves
+# the per-chunk overhead.
+_CHUNK = 32
+_WIDE_CHUNK = 64
 
 _GLOROT_BOUND = math.sqrt(3.0)  # sqrt(6 / (fan_in + fan_out)) with both fans 1
 
@@ -280,22 +297,39 @@ def _loss_stats(per_node: np.ndarray) -> np.ndarray:
         return np.stack([rows.sum(axis=1), rows.mean(axis=1), rows.var(axis=1, ddof=1)])
 
 
-def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops):
+def _workspace(n: int, width: int, L: int) -> np.ndarray:
+    """Room for the kernel's (n, k) buffers at any encoder width k <= ``width``.
+
+    A chunk of m pairs encodes k = 2m columns, y and x side by side, and a
+    chunk of the reduced bank k = m. One row of n * width floats per buffer
+    (``_buffers``): the layer-1 input of y and x, the backward pass's dh / L,
+    dz (each layer's output h in the forward pass), t and g, then the kept
+    inputs of layers 2..L.
+    """
+    return np.empty((L + 4, n * width))
+
+
+def _buffers(workspace: np.ndarray, n: int, k: int) -> list[np.ndarray]:
+    """The workspace's rows as C-ordered (n, k) arrays."""
+    return [row[: n * k].reshape(n, k) for row in workspace]
+
+
+def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops, buffers):
     """Reverse pass of a batch of encoders given d(loss)/d(h_tilde), all (n, m).
 
     ``inputs`` are the layer inputs u = M.T h_prev kept by the forward pass;
     each layer output is recomputed from them as tanh(w * u + b), so no
     sparse product is repeated. Every layer output feeds both the mean
     (weight 1/L) and the next layer; the adjoint of z = w * u + b sends
-    M @ (w * dz) back to h.
+    M @ (w * dz) back to h. The four ``buffers`` (dh / L, dz, t, g) are
+    written instead of new arrays; ``dh`` may be the first of them.
     """
     L = w.shape[0]
     dw = np.empty_like(w)
     db = np.empty_like(w)
-    dh_mean = dh / L
+    dh_mean, dz, t, g_out = buffers
+    np.divide(dh, L, out=dh_mean)
     g = dh_mean
-    dz = np.empty_like(dh)
-    t = np.empty_like(dh)
     for ell in range(L, 0, -1):
         u = inputs[ell - 1]
         h = layer_output(u, w[ell - 1], b[ell - 1], out=t)
@@ -306,7 +340,7 @@ def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops):
         db[ell - 1] = _column_sums(dz)
         if ell > 1:
             np.multiply(dz, w[ell - 1][None, :], out=dz)
-            g = _layer_op(ops, ell, lag_hops) @ dz
+            g = apply_batch(_layer_op(ops, ell, lag_hops), dz, out=g_out)
             np.add(dh_mean, g, out=g)
     return dw, db
 
@@ -327,7 +361,8 @@ def _output_losses(h_y, h_x, c, Y, link):
     return yhat, res, per_node, rss, np.isfinite(yhat).all(axis=0) & np.isfinite(rss)
 
 
-def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, want_grads):
+def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, want_grads,
+                            workspace=None):
     """Losses (and optionally gradients) of one model for a chunk of m columns.
 
     With ``lagged_x`` the model is the full one, link(enc(y) + c * enc(x)),
@@ -340,18 +375,28 @@ def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, w
     flags columns whose loss and forward and backward passes stayed finite;
     h_y is enc(y), (n, m). A column that overflows or meets an inf is
     reported through ok alone; numpy's floating-point warnings are silenced
-    for it.
+    for it. The full model's two encoders run as one batch of 2m columns,
+    y then x, since every operation treats each column on its own. Every
+    per-layer array is a row of ``workspace`` (``_workspace``, made for this
+    call when None); the returned arrays are new.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         full = lagged_x is not None
         L = (theta.shape[0] - 1) // 4 if full else theta.shape[0] // 2
-        w_y, b_y = theta[:L], theta[L : 2 * L]
-        h_y, u_y = encode_history_batch(lagged_y, ops, w_y, b_y, lag_hops, want_grads, lagged=True)
-        h_x = c = None
+        n, m = Y.shape
+        k = 2 * m if full else m
+        if workspace is None:
+            workspace = _workspace(n, k, L)
+        first, dh_mean, dz, t, g, *kept = _buffers(workspace, n, k)
         if full:
-            w_x, b_x, c = theta[2 * L : 3 * L], theta[3 * L : 4 * L], theta[4 * L]
-            h_x, u_x = encode_history_batch(lagged_x, ops, w_x, b_x, lag_hops, want_grads,
-                                            lagged=True)
+            lagged = np.concatenate((lagged_y, lagged_x), axis=1, out=first)
+            w = np.concatenate((theta[:L], theta[2 * L : 3 * L]), axis=1)
+            b = np.concatenate((theta[L : 2 * L], theta[3 * L : 4 * L]), axis=1)
+        else:
+            lagged, w, b = lagged_y, theta[:L], theta[L : 2 * L]
+        h, inputs = encode_history_batch(lagged, ops, w, b, lag_hops, want_grads, lagged=True,
+                                         buffers=[dz, *kept])
+        h_y, h_x, c = (h[:, :m], h[:, m:], theta[4 * L]) if full else (h, None, None)
         yhat, res, per_node, rss, ok = _output_losses(h_y, h_x, c, Y, link)
 
         grads = d = None
@@ -360,12 +405,17 @@ def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, w
             d = 2.0 * res
             if link == "exponential":
                 d = d * yhat
+            dh = d
             if full:
                 grads[4 * L] = _column_sums(d * h_x)
-            grads[:L], grads[L : 2 * L] = _encoder_backward_batch(d, u_y, ops, w_y, b_y, lag_hops)
+                dh = dh_mean
+                dh[:, :m] = d
+                np.multiply(c[None, :], d, out=dh[:, m:])
+            dw, db = _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops,
+                                             (dh_mean, dz, t, g))
+            grads[:L], grads[L : 2 * L] = dw[:, :m], db[:, :m]
             if full:
-                grads[2 * L : 3 * L], grads[3 * L : 4 * L] = _encoder_backward_batch(
-                    c[None, :] * d, u_x, ops, w_x, b_x, lag_hops)
+                grads[2 * L : 3 * L], grads[3 * L : 4 * L] = dw[:, m:], db[:, m:]
             ok &= np.isfinite(grads).all(axis=0)
     return rss, per_node, grads, ok, h_y, d
 
@@ -465,32 +515,50 @@ def train_all(
     full_adam = AdamState.zeros_like(full)
     reduced_adam = AdamState.zeros_like(reduced)
 
-    def pair_chunk(cols, want_grads):
+    def pair_chunk(cols, want_grads, workspace):
         # np.take gathers into C order, in which _column_sums adds rows
         return _chunk_forward_backward(
             np.take(lagged_x, x_at[cols], axis=1), np.take(lagged_y, y_at[cols], axis=1),
             np.take(dataset.y_values, y_cols[cols], axis=1), np.take(full, cols, axis=1),
-            ops, config.lag_hops, config.link, want_grads)
+            ops, config.lag_hops, config.link, want_grads, workspace)
 
-    def bank_chunk(cols, want_grads):
+    def bank_chunk(cols, want_grads, workspace):
         return _chunk_forward_backward(
             None, np.take(lagged_y, cols, axis=1),
             np.take(dataset.y_values, y_used[cols], axis=1), np.take(reduced, cols, axis=1),
-            ops, config.lag_hops, config.link, want_grads)
+            ops, config.lag_hops, config.link, want_grads, workspace)
 
-    def run_chunks(kernel, ids, want_grads):
+    # Workspaces not in use. A running chunk takes one, so there are never
+    # more than ``workers``; each is made once and reused by every later
+    # chunk until a pass runs no encoder.
+    spare = []
+
+    def run_chunks(kernel, ids, want_grads, encoder=True):
         """(cols, kernel result) for each fixed-size chunk of ``ids``, in order.
 
-        Chunks run lazily as the caller consumes them. One worker runs
-        ``_CHUNK``-column chunks one at a time; a pool of ``workers`` threads
-        keeps at most ``workers`` chunks of ``_CHUNK // workers`` columns in
-        flight, so the state held by running chunks does not grow with the
-        worker count.
+        Chunks run lazily as the caller consumes them. A kernel that runs an
+        ``encoder`` gets chunks of ``_CHUNK`` columns and a workspace; one
+        that runs none gets ``_WIDE_CHUNK`` columns and None, and the spare
+        workspaces are freed for the arrays such passes hold. One worker runs
+        the chunks one at a time; a pool of ``workers`` threads keeps at most
+        ``workers`` chunks, each ``workers`` times narrower, in flight, so the
+        state held by running chunks does not grow with the worker count.
         """
         def task(cols):
-            return cols, kernel(cols, want_grads)
+            if not encoder:
+                return cols, kernel(cols, want_grads, None)
+            try:
+                workspace = spare.pop()
+            except IndexError:
+                workspace = _workspace(ops.n, 2 * max(1, _CHUNK // workers), L)
+            try:
+                return cols, kernel(cols, want_grads, workspace)
+            finally:
+                spare.append(workspace)
 
-        width = max(1, _CHUNK // workers)
+        if not encoder:
+            spare.clear()
+        width = max(1, (_CHUNK if encoder else _WIDE_CHUNK) // workers)
         chunks = [ids[i : i + width] for i in range(0, ids.size, width)]
         if workers <= 1 or len(chunks) <= 1:
             yield from map(task, chunks)
@@ -519,12 +587,13 @@ def train_all(
         keeps it while its x-encoder gradient is 0, so while it holds that
         encoder each x needs one encoding, whichever pairs use it.
         """
-        def encode(cols, _):
+        def encode(cols, _, workspace):
             w, b = (np.repeat(init_full[i * L : (i + 1) * L, None], cols.size, axis=1)
                     for i in (2, 3))
             with np.errstate(invalid="ignore", over="ignore"):
                 return encode_history_batch(np.take(lagged_x, cols, axis=1), ops, w, b,
-                                            config.lag_hops, lagged=True)[0]
+                                            config.lag_hops, lagged=True,
+                                            buffers=_buffers(workspace, ops.n, cols.size))[0]
 
         h_x = np.empty_like(lagged_x)
         for cols, h in run_chunks(encode, np.arange(x_used.size), False):
@@ -550,7 +619,7 @@ def train_all(
         if train_full:
             ok_x &= np.isfinite(lagged_x).all(axis=0)
 
-        def kernel(cols, want_grads):
+        def kernel(cols, want_grads, _):
             yk, xk = y_at[cols], x_at[cols]
             ok = ok_y[yk] & ok_x[xk]
             grads = None
@@ -586,7 +655,7 @@ def train_all(
         the pair's own. The kernel's output end on them gives its losses and
         ``ok`` bit for bit.
         """
-        def kernel(cols, _):
+        def kernel(cols, _, __):
             with np.errstate(invalid="ignore", over="ignore"):
                 _, _, per_node, rss, ok = _output_losses(
                     np.take(h_y, y_at[cols], axis=1), np.take(h_x, x_at[cols], axis=1),
@@ -618,11 +687,14 @@ def train_all(
                 step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
         kernel = start_chunk(rss_y, ok_y, d_y, grads_y) if at_start else pair_chunk
 
-        epoch_loss = 0.0
+        # Each kept pair's full and reduced loss, by pair id; the epoch's
+        # total is their exactly rounded sum, whatever the chunks were.
+        losses = np.zeros((2, n_pairs))
         for start in range(0, n_pairs, config.minibatch_pairs):
             batch = perm[start : start + config.minibatch_pairs]
             batch = batch[active[batch]]
-            for cols, (rss_f, _, grads, ok, _, _) in run_chunks(kernel, batch, train_full):
+            for cols, (rss_f, _, grads, ok, _, _) in run_chunks(kernel, batch, train_full,
+                                                                not at_start):
                 ok &= ok_y[y_at[cols]]
                 if not ok.all():
                     for k in cols[~ok]:
@@ -632,12 +704,13 @@ def train_all(
                 if good.size == 0:
                     continue
                 if train_full:
-                    epoch_loss += float(rss_f[ok].sum())
-                if train_reduced:
-                    epoch_loss += float(rss_y[y_at[good]].sum())
-                if train_full:
+                    losses[0, good] = rss_f[ok]
                     step(full, full_adam, good, grads[:, ok], t)
-        kernel = d_y = grads_y = None  # epoch 1's per-variable arrays go before epoch 2
+                if train_reduced:
+                    losses[1, good] = rss_y[y_at[good]]
+        epoch_loss = math.fsum(memoryview(losses.ravel()))  # floats one by one, no list
+        kernel = d_y = grads_y = losses = None  # this epoch's arrays go before the next
+        logger.debug("epoch %d: loss %r", t, epoch_loss)
 
         if prev_loss is not None and prev_loss > 0 and n_pairs > 0:
             rel = abs(epoch_loss - prev_loss) / prev_loss
@@ -667,7 +740,7 @@ def train_all(
             h_y[:, cols] = enc_y
     kernel = shared_chunk(h_y, encode_x_at_start()) if shared else pair_chunk
     stats_full = np.full((3, n_pairs), np.nan)
-    for cols, (_, per_node, _, ok, _, _) in run_chunks(kernel, ids, False):
+    for cols, (_, per_node, _, ok, _, _) in run_chunks(kernel, ids, False, not shared):
         stats = _loss_stats(per_node)
         ok &= np.isfinite(stats).all(axis=0) & ~np.isnan(stats_reduced[0, y_at[cols]])
         for k in cols[~ok]:

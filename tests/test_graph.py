@@ -14,6 +14,7 @@ from dagranger.errors import (
     SelfLoop,
 )
 from dagranger.graph import (
+    apply_batch,
     build_dag,
     lagged_operators,
     read_edge_list,
@@ -270,6 +271,28 @@ class TestTransposeApply:
             single = ops.a.T @ batch[:, j]
             assert np.array_equal(out[:, j], single)
             assert np.array_equal(out[:, j], apply_to(ops.a, batch[:, j]))
+
+
+    @pytest.mark.parametrize("width", [1, 5, 32, 64])
+    def test_out_products_have_the_bits_of_scipy_matmul(self, rng, width):
+        # both products call a routine private to scipy on a zeroed buffer;
+        # this pins it to the bits of scipy's own @, including the width-one
+        # case, where @ takes another routine
+        ops = lagged_operators(random_dag(rng, 40))
+        batch = rng.normal(size=(40, width))
+        for op in (ops.a, ops.a_plus):
+            for product, expected in ((transpose_apply_batch, op.T @ batch),
+                                      (apply_batch, op @ batch)):
+                out = np.full((40, width), np.nan)
+                assert product(op, batch, out=out) is out
+                assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+                assert np.array_equal(product(op, batch).view(np.int64),
+                                      expected.view(np.int64))
+
+    def test_out_must_fit(self, chain3_ops):
+        for out in (np.empty((3, 2)), np.empty((2, 3)).T, np.empty((3, 3), dtype=np.float32)):
+            with pytest.raises(DimensionMismatch):
+                apply_batch(chain3_ops.a, np.zeros((3, 3)), out=out)
 
 
 class TestEdgeListIo:

@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import pytest
 import dagranger.model
 import dagranger.train
 from dagranger.errors import DataError, DimensionMismatch, NonFiniteParameter
-from dagranger.graph import lagged_operators
+from dagranger.graph import build_dag, lagged_operators
 from dagranger.model import apply_link, encode_history, strict_lag
 from dagranger.synth import SynthSpec, generate
 from dagranger.train import (
@@ -178,17 +182,17 @@ class TestChunkKernel:
                 assert (np.abs(g - single) / np.maximum(np.abs(single), 1e-8)).max() < 1e-12
 
     def test_sparse_products_done_once(self, rng, monkeypatch):
-        # a pair chunk does the 2(L-1) forward products of layers 2..L of its
-        # two encoders and a chunk of the reduced bank the (L-1) of its one,
-        # with or without gradients: the backward pass reuses the forward
-        # pass's layer inputs, and layer 1's products are done once per
-        # train_all
+        # a pair chunk does the forward products of layers 2..L of its two
+        # encoders, as (L-1) products of its y and x columns side by side,
+        # and a chunk of the reduced bank the (L-1) of its one, with or
+        # without gradients: the backward pass reuses the forward pass's
+        # layer inputs, and layer 1's products are done once per train_all
         calls = []
         real = dagranger.model.transpose_apply_batch
 
-        def counting(op, values):
+        def counting(op, values, out=None):
             calls.append(values.shape[1])
-            return real(op, values)
+            return real(op, values, out=out)
 
         n, width, L = 16, 5, 4
         ops = lagged_operators(random_dag(rng, n))
@@ -200,7 +204,7 @@ class TestChunkKernel:
         for want_grads in (True, False):
             calls.clear()
             _chunk_forward_backward(lagged_x, lagged_y, Y, full, ops, 2, "identity", want_grads)
-            assert calls == [width] * (2 * (L - 1))
+            assert calls == [2 * width] * (L - 1)
             calls.clear()
             _chunk_forward_backward(None, lagged_y, Y, reduced, ops, 2, "identity", want_grads)
             assert calls == [width] * (L - 1)
@@ -213,7 +217,7 @@ class TestChunkKernel:
         n_x, n_y = (np.unique(dataset.pairs[:, i]).size for i in (0, 1))
         # layer 1 of every x and y; epoch 1 encodes each x and y once, every
         # later epoch and the final evaluation one pair chunk and one bank chunk
-        per_pass = [6] * (2 * (L - 1)) + [n_y] * (L - 1)
+        per_pass = [2 * 6] * (L - 1) + [n_y] * (L - 1)
         first = [n_x] * (L - 1) + [n_y] * (L - 1)
         assert sorted(calls) == sorted([n_x, n_y] + first + per_pass * epochs)
 
@@ -410,6 +414,99 @@ class TestTrainAll:
             for name, array in reference.items():
                 assert np.array_equal(array, other[name], equal_nan=True), (
                     minibatch_pairs, workers, name)
+
+    def test_workspaces_stay_private_under_thread_switching(self, monkeypatch):
+        # each running chunk takes a workspace of its own: with four workers
+        # at most four exist at once, and with threads switched every
+        # microsecond a workspace shared by two chunks would change some
+        # column's bits
+        spec = SynthSpec(n_nodes=200, n_branches=2, n_x_vars=20, n_y_vars=10,
+                         n_causal_pairs=5, n_candidate_pairs=150, noise_sd=0.3, seed=1)
+        ds = generate(spec)
+        dataset = Dataset(x_values=ds.x_matrix, y_values=ds.y_matrix,
+                          x_names=ds.x_names, y_names=ds.y_names, pairs=ds.candidates)
+        ops = lagged_operators(ds.dag)
+        cfg = TrainConfig(n_layers=3, max_epochs=3, seed=0, convergence_numerator=0.0)
+        reference = train_all(dataset, ops, cfg, workers=1)
+        live = [0, 0]  # workspaces alive now, and the most at once
+        lock = threading.Lock()
+        real = dagranger.train._workspace
+
+        def release():
+            with lock:
+                live[0] -= 1
+
+        def counting(*args):
+            workspace = real(*args)
+            with lock:
+                live[0] += 1
+                live[1] = max(live)
+            weakref.finalize(workspace, release)
+            return workspace
+
+        monkeypatch.setattr(dagranger.train, "_workspace", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = train_all(dataset, ops, cfg, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= live[1] <= 4
+        for name in ("pair_ids", "full", "reduced", "rss_full", "var_full", "rss_reduced"):
+            assert np.array_equal(getattr(result, name), getattr(reference, name)), name
+
+    def test_convergence_independent_of_minibatch_size_and_workers(self, caplog):
+        # the epoch total is an exactly rounded sum over the kept pairs, so
+        # its bits, and with them the epoch the convergence rule stops at,
+        # do not depend on how the pairs were chunked
+        spec = SynthSpec(n_nodes=200, n_branches=2, n_x_vars=20, n_y_vars=10,
+                         n_causal_pairs=5, n_candidate_pairs=150, noise_sd=0.3, seed=1)
+        ds = generate(spec)
+        dataset = Dataset(x_values=ds.x_matrix, y_values=ds.y_matrix,
+                          x_names=ds.x_names, y_names=ds.y_names, pairs=ds.candidates)
+        ops = lagged_operators(ds.dag)
+        caplog.set_level("DEBUG", logger="dagranger.train")
+        runs = {}
+        for workers in (1, 2, 3):
+            for minibatch_pairs in (1, 2, 1024):
+                caplog.clear()
+                cfg = TrainConfig(n_layers=3, max_epochs=30, minibatch_pairs=minibatch_pairs,
+                                  seed=0, convergence_numerator=0.03)
+                result = train_all(dataset, ops, cfg, workers=workers)
+                log = [r.getMessage() for r in caplog.records
+                       if r.getMessage().startswith(("epoch", "converged", "stopped"))]
+                runs[workers, minibatch_pairs] = log, result.full
+        log, full = runs[1, 1024]
+        assert log[-1].startswith("converged after 4 epochs") and len(log) == 5
+        for key, (other_log, other_full) in runs.items():
+            assert other_log == log, key
+            assert np.array_equal(other_full, full), key
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_guard(self, workers):
+        # n = 2,000, L = 10: each worker's workspace holds L + 4 rows of
+        # (n, 2 * 32 / workers) floats, 14.3 MB in all, the chunk's own
+        # arrays about 5.5 MB more and the per-variable arrays about 1 MB.
+        # Another (n, m) array kept per layer, or chunks of 64 pairs, would
+        # pass the bound, which was set before measuring.
+        rng = np.random.default_rng(3)
+        n, n_x, n_y = 2000, 8, 12
+        v = np.repeat(np.arange(1, n), 3)
+        edges = np.unique(np.column_stack([(rng.random(v.size) * v).astype(np.int64), v]), axis=0)
+        ops = lagged_operators(build_dag(n, edges))
+        dataset = Dataset(x_values=rng.normal(size=(n, n_x)), y_values=rng.normal(size=(n, n_y)),
+                          x_names=tuple(f"x{i}" for i in range(n_x)),
+                          y_names=tuple(f"y{i}" for i in range(n_y)),
+                          pairs=[(i, j) for i in range(n_x) for j in range(n_y)])
+        cfg = TrainConfig(n_layers=10, max_epochs=2, convergence_numerator=0.0)
+        tracemalloc.start()
+        try:
+            result = train_all(dataset, ops, cfg, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 96
+        assert peak < 24 * 2**20
 
     def test_joint_equals_separate_training(self):
         # the two models share no parameters, so the joint run must
