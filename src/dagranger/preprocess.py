@@ -110,20 +110,25 @@ def knn_graph(embedding: Embedding, k: int) -> np.ndarray:
     id, and a node is never its own neighbor. The result is the one an
     exhaustive search gives, row for row.
 
-    A KD-tree (``scipy.spatial.cKDTree``) proposes ``m = k + 1 + 4``
-    candidates per node, self included. A node's list is complete when its
-    last candidate lies farther than its (k+1)-th by a relative margin of
-    ``1e-9``: every node left out is then strictly farther than the k-th
-    nearest other node, so it can neither be chosen nor tie with a chosen
-    one, and the margin covers any rounding in the tree's own distances.
-    Incomplete rows alone are queried again with ``m`` doubled, up to ``n``
-    (every node a candidate); rows go through in blocks of at most 2**20
-    candidates, so memory stays bounded however many points coincide.
-    Within a list the tree's distances are not used: the squared distance
-    to each candidate is recomputed as the exhaustive search computes it
+    Coincident nodes are merged first: the KD-tree (``scipy.spatial.cKDTree``)
+    holds each distinct coordinate row once, and a point stands for its
+    nodes, of which at most the k + 1 lowest ids matter. For each point the
+    tree proposes ``m = k + 1 + 4`` candidate points, itself included. The
+    point's list of its k + 1 nearest nodes (its own included, by distance
+    and then id) is complete when its last candidate lies farther than the
+    candidate that holds its (k+1)-th node by a relative margin of ``1e-9``:
+    every point left out is then strictly farther, so none of its nodes can
+    be chosen or tie with a chosen one, and the margin covers any rounding
+    in the tree's own distances. Incomplete rows alone are queried again
+    with ``m`` doubled, up to every point; rows go through in blocks of at
+    most 2**18 candidates (``_KNN_BLOCK``), so memory stays bounded, and a
+    cluster of coincident nodes costs one query, not one per node. Within a
+    list the tree's distances are not used: the squared distance to each
+    candidate is recomputed as the exhaustive search computes it
     (``einsum`` over ``coords[u] - coords[v]``, which gives the same bits
-    for the same two rows), self is set to infinity, and one row-wise
-    ``lexsort`` by (distance, node id) picks the first k.
+    for the same two rows and for every node of a point), and one row-wise
+    ``lexsort`` by (distance, node id) orders the candidates' nodes. A
+    node's k neighbours are its point's list without itself.
     """
     n = embedding.n_nodes
     if not 1 <= k < n:
@@ -139,26 +144,72 @@ def _nearest_neighbors(coords: np.ndarray, k: int) -> np.ndarray:
     from scipy.spatial import cKDTree
 
     n = coords.shape[0]
-    tree = cKDTree(coords)
-    nbrs = np.empty((n, k), dtype=np.intp)
-    todo = np.arange(n)
-    m = min(n, k + 1 + _KNN_SLACK)
+    # One tree point per distinct coordinate row; point p's nodes, ascending,
+    # are members[starts[p] : starts[p] + counts[p]], and at most its k + 1
+    # lowest ids can be among the k + 1 nearest nodes of any node.
+    points, node_point, counts = np.unique(coords, axis=0, return_inverse=True,
+                                           return_counts=True)
+    node_point = node_point.reshape(n)
+    members = np.argsort(node_point, kind="stable")
+    starts = np.cumsum(counts) - counts
+    capped = np.minimum(counts, k + 1)
+    n_points = points.shape[0]
+    tree = cKDTree(points)
+    nearest = np.empty((n_points, k + 1), dtype=np.intp)
+    todo = np.arange(n_points)
+    m = min(n_points, k + 1 + _KNN_SLACK)
     while todo.size:
         retry = []
         for block in np.array_split(todo, -(-todo.size * m // _KNN_BLOCK)):
-            dist, cand = tree.query(coords[block], k=m)
-            # complete: all nodes are candidates, or those left out are strictly farther
-            done = (m == n) | (dist[:, -1] > dist[:, k] * (1.0 + _KNN_MARGIN))
+            dist, cand = (a.reshape(block.size, m) for a in tree.query(points[block], k=m))
+            # complete: all points are candidates, or those left out are
+            # strictly farther than the (k+1)-th node, counting each point's nodes
+            reached = np.cumsum(capped[cand], axis=1) >= k + 1
+            kth = dist[np.arange(block.size), reached.argmax(axis=1)]
+            done = (m == n_points) | (reached[:, -1] & (dist[:, -1] > kth * (1.0 + _KNN_MARGIN)))
             retry.append(block[~done])
             rows, cand = block[done], cand[done]
-            diff = coords[rows][:, None, :] - coords[cand]
+            del dist, reached
+            diff = points[rows][:, None, :] - points[cand]
             d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            d2[cand == rows[:, None]] = np.inf  # never a neighbor of itself
-            order = np.lexsort((cand, d2), axis=-1)[:, :k]
-            nbrs[rows] = np.take_along_axis(cand, order, axis=1)
+            del diff
+            nearest[rows] = _first_nodes(cand, d2, capped, members, starts, k + 1)
         todo = np.concatenate(retry)
-        m = min(n, 2 * m)
-    return nbrs
+        m = min(n_points, 2 * m)
+    # a node's list is its point's without itself, or without the last when
+    # it is not among them (its point then has k + 1 lower ids)
+    lists = nearest[node_point]
+    keep = lists != np.arange(n)[:, None]
+    keep[keep.all(axis=1), k] = False
+    return lists[keep].reshape(n, k)
+
+
+def _first_nodes(cand, d2, capped, members, starts, count):
+    """The first ``count`` nodes of each row's candidate points, by (distance, node id).
+
+    Row i's candidates are the points ``cand[i]`` at squared distances
+    ``d2[i]``; point p stands for its ``capped[p]`` lowest node ids, each at
+    the point's distance. Rows are expanded in groups of equal node count,
+    in blocks of at most ``_KNN_BLOCK`` nodes, and one row-wise ``lexsort``
+    per block orders them.
+    """
+    width = capped[cand]
+    total = width.sum(axis=1)
+    out = np.empty((cand.shape[0], count), dtype=np.intp)
+    for w in np.unique(total):
+        group = np.flatnonzero(total == w)
+        for part in np.array_split(group, -(-group.size * w // _KNN_BLOCK)):
+            if w == cand.shape[1]:  # every candidate point is a single node
+                node, dist = members[starts[cand[part]]], d2[part]
+            else:
+                sizes = width[part].ravel()
+                point = np.repeat(cand[part].ravel(), sizes)
+                within = np.arange(point.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+                node = members[starts[point] + within].reshape(part.size, w)
+                dist = np.repeat(d2[part].ravel(), sizes).reshape(part.size, w)
+            order = np.lexsort((node, dist), axis=-1)[:, :count]
+            out[part] = np.take_along_axis(node, order, axis=1)
+    return out
 
 
 def orient_by_pseudotime(edges: np.ndarray, pseudotime: np.ndarray) -> Dag:

@@ -27,11 +27,17 @@ still holds those shared encoders: its y-encoder is its y's reduced model and
 its x-encoder the start's, compared bit for bit. That holds after 0 epochs,
 and after 1 when both banks train. enc(y) then comes from the final reduced
 pass, enc(x) from one encoding of each x, and each pair chunk forms only
-link(enc(y) + c * enc(x)) and its losses, with the kernel's own code. Epoch 2
-and later run the per-pair kernel: their backward pass needs every layer's
-input, and holding those per variable (L * n * (n_x + n_y) floats, 40 MB at
-L = 10, n = 2,000 and 250 variables) would raise the process's peak memory
-by about a third where training already sets it.
+link(enc(y) + c * enc(x)) and its losses, with the kernel's own code.
+
+Epoch 2 runs no forward pass per pair when it starts at the shared encoders
+(after epoch 1 with both banks trained): its bank pass computes enc(y) and
+every layer input of each y at exactly the pairs' y-encoders, one encoding of
+each x at the start gives enc(x) and its layer inputs, and each pair chunk
+runs the kernel's backward pass on gathers of them. The per-variable arrays
+live one tile at a time, the y of one bank chunk (``_CHUNK``) by one block of
+x (``_X_BLOCK``), in (L + 1) * n * 48 floats plus one workspace, a buffer at
+least as large as a per-pair chunk's workspace, which later epochs reuse.
+Later epochs run the per-pair kernel.
 
 The kernel does each sparse product once. Layer 1's product ``a.T @ v`` does
 not depend on the parameters, so ``train_all`` computes it once per variable
@@ -41,13 +47,14 @@ than repeating the product.
 
 The kernel allocates no (n, m) array per layer. The full model's two
 encoders run as one batch, y's columns then x's, and every per-layer array
-(the kept layer inputs, the layer output, and dz, t and g of the backward
-pass) is a row of a workspace that ``train_all`` makes once for each chunk
-running at a time and reuses for every later chunk, until a pass runs no
-encoder; the sparse products write into it (``graph.transpose_apply_batch``, ``apply_batch``).
-A chunk that runs an encoder holds ``_CHUNK`` = 32 pairs, so its kept layer
-inputs take 2(L-1) * n * 32 floats; the pair chunks of epoch 1 and of the
-shared final evaluation run no encoder and hold ``_WIDE_CHUNK`` = 64.
+(the layer inputs, the layer output, and dz, t and g of the backward pass)
+is a row of a workspace (``_rows``) that ``train_all`` makes once for each
+chunk running at a time, sized for its pass, and reuses for every later chunk
+that fits, until a pass runs no encoder; the sparse products write into it
+(``graph.transpose_apply_batch``, ``apply_batch``). A chunk that runs an
+encoder holds ``_CHUNK`` = 32 pairs, so its kept layer inputs take
+2L * n * 32 floats; the pair chunks of epoch 1 and of the shared final
+evaluation run no encoder and hold ``_WIDE_CHUNK`` = 64.
 
 Numerics are independent of minibatch size and worker count: batches are
 processed in fixed-size column chunks, every operation in the kernel treats
@@ -99,12 +106,15 @@ logger = logging.getLogger(__name__)
 
 # Columns in flight at once, split among the workers. Neither minibatch size,
 # worker count nor chunk width changes any floating-point result, only
-# scheduling and memory. A chunk of m pairs keeps the inputs of layers 2..L
-# of both encoders, 2(L-1) * n * m floats: 37 MB at m = 32, n = 8,000 and
+# scheduling and memory. A chunk of m pairs keeps the inputs of layers 1..L
+# of both encoders, 2L * n * m floats: 41 MB at m = 32, n = 8,000 and
 # L = 10. A chunk that runs no encoder keeps none and is wider, which halves
-# the per-chunk overhead.
+# the per-chunk overhead. An epoch from per-variable encodings holds the
+# layer inputs of ``_CHUNK`` y and ``_X_BLOCK`` x at a time, which at L = 10
+# fits with its workspaces in one per-pair chunk's workspace.
 _CHUNK = 32
 _WIDE_CHUNK = 64
+_X_BLOCK = 16
 
 _GLOROT_BOUND = math.sqrt(3.0)  # sqrt(6 / (fan_in + fan_out)) with both fans 1
 
@@ -297,32 +307,50 @@ def _loss_stats(per_node: np.ndarray) -> np.ndarray:
         return np.stack([rows.sum(axis=1), rows.mean(axis=1), rows.var(axis=1, ddof=1)])
 
 
-def _workspace(n: int, width: int, L: int) -> np.ndarray:
-    """Room for the kernel's (n, k) buffers at any encoder width k <= ``width``.
+def _workspace(size: int) -> np.ndarray:
+    """A flat buffer of ``size`` floats, viewed as a pass's rows by ``_buffers``."""
+    return np.empty(size)
 
-    A chunk of m pairs encodes k = 2m columns, y and x side by side, and a
-    chunk of the reduced bank k = m. One row of n * width floats per buffer
-    (``_buffers``): the layer-1 input of y and x, the backward pass's dh / L,
-    dz (each layer's output h in the forward pass), t and g, then the kept
-    inputs of layers 2..L.
+
+def _rows(L: int, want_grads: bool) -> int:
+    """Workspace rows of one kernel call (``_chunk_forward_backward``).
+
+    The layer inputs come first: layer 1's (the caller's gather target),
+    then with ``want_grads`` the kept inputs of layers 2..L and the backward
+    pass's dh / L, dz (each layer's output h in the forward pass), t and g;
+    without, one row for each later layer's input in turn and one for its
+    output. A backward pass that gathers each layer's input into one row
+    takes the rows of L = 1: that row and the four.
     """
-    return np.empty((L + 4, n * width))
+    return L + 4 if want_grads else 3
 
 
-def _buffers(workspace: np.ndarray, n: int, k: int) -> list[np.ndarray]:
-    """The workspace's rows as C-ordered (n, k) arrays."""
-    return [row[: n * k].reshape(n, k) for row in workspace]
+def _buffers(workspace: np.ndarray, n: int, k: int, rows: int) -> list[np.ndarray]:
+    """The first ``rows`` consecutive (n, k) C-ordered arrays of a flat workspace."""
+    return [workspace[i * n * k : (i + 1) * n * k].reshape(n, k) for i in range(rows)]
+
+
+def _encoder_params(theta: np.ndarray, full: bool):
+    """(w, b, L) of a chunk's encoders, (L, k) each: y's columns then x's for the full model."""
+    if not full:
+        L = theta.shape[0] // 2
+        return theta[:L], theta[L:], L
+    L = (theta.shape[0] - 1) // 4
+    return (np.concatenate((theta[:L], theta[2 * L : 3 * L]), axis=1),
+            np.concatenate((theta[L : 2 * L], theta[3 * L : 4 * L]), axis=1), L)
 
 
 def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops, buffers):
     """Reverse pass of a batch of encoders given d(loss)/d(h_tilde), all (n, m).
 
-    ``inputs`` are the layer inputs u = M.T h_prev kept by the forward pass;
-    each layer output is recomputed from them as tanh(w * u + b), so no
-    sparse product is repeated. Every layer output feeds both the mean
-    (weight 1/L) and the next layer; the adjoint of z = w * u + b sends
-    M @ (w * dz) back to h. The four ``buffers`` (dh / L, dz, t, g) are
-    written instead of new arrays; ``dh`` may be the first of them.
+    ``inputs(i)`` returns the input u = M.T h_prev of layer i + 1 that the
+    forward pass computed; it is called once per layer, from L down to 1,
+    and its array is read only until the next call. Each layer output is
+    recomputed from it as tanh(w * u + b), so no sparse product is
+    repeated. Every layer output feeds both the mean (weight 1/L) and the
+    next layer; the adjoint of z = w * u + b sends M @ (w * dz) back to h.
+    The four ``buffers`` (dh / L, dz, t, g) are written instead of new
+    arrays; ``dh`` may be the first of them.
     """
     L = w.shape[0]
     dw = np.empty_like(w)
@@ -331,7 +359,7 @@ def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops, buffers):
     np.divide(dh, L, out=dh_mean)
     g = dh_mean
     for ell in range(L, 0, -1):
-        u = inputs[ell - 1]
+        u = inputs(ell - 1)
         h = layer_output(u, w[ell - 1], b[ell - 1], out=t)
         np.multiply(h, h, out=t)
         np.subtract(1.0, t, out=t)
@@ -361,61 +389,77 @@ def _output_losses(h_y, h_x, c, Y, link):
     return yhat, res, per_node, rss, np.isfinite(yhat).all(axis=0) & np.isfinite(rss)
 
 
-def _chunk_forward_backward(lagged_x, lagged_y, Y, theta, ops, lag_hops, link, want_grads,
-                            workspace=None):
+def _gradients(theta, yhat, res, h_x, inputs, ops, lag_hops, link, buffers):
+    """The kernel's backward pass: (grads, d) for a chunk of m columns.
+
+    ``theta`` is the chunk's (4L+1, m) full columns when ``h_x`` (enc(x),
+    (n, m)) is given, else its (2L, m) reduced ones; ``yhat`` and ``res``
+    come from ``_output_losses``. ``inputs`` and ``buffers`` are those of
+    ``_encoder_backward_batch``, y's columns then x's for the full model.
+    grads has ``theta``'s shape and d is d(loss)/d(y_hat), (n, m).
+    """
+    m = res.shape[1]
+    full = h_x is not None
+    w, b, L = _encoder_params(theta, full)
+    grads = np.empty_like(theta)
+    d = 2.0 * res
+    if link == "exponential":
+        d = d * yhat
+    dh = d
+    if full:
+        grads[4 * L] = _column_sums(d * h_x)
+        dh = buffers[0]
+        dh[:, :m] = d
+        np.multiply(theta[4 * L][None, :], d, out=dh[:, m:])
+    dw, db = _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops, buffers)
+    grads[:L], grads[L : 2 * L] = dw[:, :m], db[:, :m]
+    if full:
+        grads[2 * L : 3 * L], grads[3 * L : 4 * L] = dw[:, m:], db[:, m:]
+    return grads, d
+
+
+def _chunk_forward_backward(lagged, Y, theta, ops, lag_hops, link, want_grads, workspace=None):
     """Losses (and optionally gradients) of one model for a chunk of m columns.
 
-    With ``lagged_x`` the model is the full one, link(enc(y) + c * enc(x)),
-    and ``theta`` is (4L+1, m), one full column per pair. With ``lagged_x``
-    None it is the reduced one, link(enc(y)), and ``theta`` is (2L, m), one
-    reduced column per y. ``lagged_x`` and ``lagged_y`` are ``strict_lag`` of
-    the chunk's x and y columns, Y the y columns themselves, all (n, m).
-    Returns (rss, per_node, grads, ok, h_y, d): grads has ``theta``'s shape
-    and d is d(loss)/d(y_hat), (n, m) (both None without ``want_grads``); ok
-    flags columns whose loss and forward and backward passes stayed finite;
-    h_y is enc(y), (n, m). A column that overflows or meets an inf is
-    reported through ok alone; numpy's floating-point warnings are silenced
-    for it. The full model's two encoders run as one batch of 2m columns,
-    y then x, since every operation treats each column on its own. Every
-    per-layer array is a row of ``workspace`` (``_workspace``, made for this
-    call when None); the returned arrays are new.
+    ``lagged`` is ``strict_lag`` of the encoders' columns and Y the chunk's
+    y columns, (n, m). With ``lagged`` (n, 2m), y's columns then x's, the
+    model is the full one, link(enc(y) + c * enc(x)), and ``theta`` is
+    (4L+1, m), one full column per pair. With ``lagged`` (n, m) it is the
+    reduced one, link(enc(y)), and ``theta`` is (2L, m), one reduced column
+    per y. Returns (rss, per_node, grads, ok, h_y, d): grads has ``theta``'s
+    shape and d is d(loss)/d(y_hat), (n, m) (both None without
+    ``want_grads``); ok flags columns whose loss and forward and backward
+    passes stayed finite; h_y is enc(y), (n, m). A column that overflows or
+    meets an inf is reported through ok alone; numpy's floating-point
+    warnings are silenced for it. The full model's two encoders run as one
+    batch of 2m columns, since every operation treats each column on its
+    own. Every per-layer array is a row of ``workspace`` (``_rows`` rows,
+    made for this call when None), and with ``want_grads`` the inputs of
+    layers 1..L are its first L rows when the call returns; ``lagged`` may
+    be the first row. The returned arrays are new.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        full = lagged_x is not None
-        L = (theta.shape[0] - 1) // 4 if full else theta.shape[0] // 2
         n, m = Y.shape
-        k = 2 * m if full else m
+        k = lagged.shape[1]
+        full = k == 2 * m
+        w, b, L = _encoder_params(theta, full)
         if workspace is None:
-            workspace = _workspace(n, k, L)
-        first, dh_mean, dz, t, g, *kept = _buffers(workspace, n, k)
-        if full:
-            lagged = np.concatenate((lagged_y, lagged_x), axis=1, out=first)
-            w = np.concatenate((theta[:L], theta[2 * L : 3 * L]), axis=1)
-            b = np.concatenate((theta[L : 2 * L], theta[3 * L : 4 * L]), axis=1)
+            workspace = _workspace(_rows(L, want_grads) * n * k)
+        rows = _buffers(workspace, n, k, _rows(L, want_grads))
+        if want_grads:
+            later, scratch = rows[1:L], rows[L:]  # dh / L, dz, t, g
+            out = scratch[1]
         else:
-            lagged, w, b = lagged_y, theta[:L], theta[L : 2 * L]
+            later, out = rows[1:2], rows[2]
         h, inputs = encode_history_batch(lagged, ops, w, b, lag_hops, want_grads, lagged=True,
-                                         buffers=[dz, *kept])
-        h_y, h_x, c = (h[:, :m], h[:, m:], theta[4 * L]) if full else (h, None, None)
-        yhat, res, per_node, rss, ok = _output_losses(h_y, h_x, c, Y, link)
-
+                                         buffers=[out, *later])
+        h_y, h_x = (h[:, :m], h[:, m:]) if full else (h, None)
+        yhat, res, per_node, rss, ok = _output_losses(
+            h_y, h_x, theta[4 * L] if full else None, Y, link)
         grads = d = None
         if want_grads:
-            grads = np.empty_like(theta)
-            d = 2.0 * res
-            if link == "exponential":
-                d = d * yhat
-            dh = d
-            if full:
-                grads[4 * L] = _column_sums(d * h_x)
-                dh = dh_mean
-                dh[:, :m] = d
-                np.multiply(c[None, :], d, out=dh[:, m:])
-            dw, db = _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops,
-                                             (dh_mean, dz, t, g))
-            grads[:L], grads[L : 2 * L] = dw[:, :m], db[:, :m]
-            if full:
-                grads[2 * L : 3 * L], grads[3 * L : 4 * L] = dw[:, m:], db[:, m:]
+            grads, d = _gradients(theta, yhat, res, h_x, inputs.__getitem__, ops, lag_hops, link,
+                                  scratch)
             ok &= np.isfinite(grads).all(axis=0)
     return rss, per_node, grads, ok, h_y, d
 
@@ -429,12 +473,11 @@ def _single_pair(x, y, ops, full, reduced, lag_hops, link, want_grads: bool):
     reduced, L_reduced = check_column(reduced, with_x=False)
     if L_reduced != L:
         raise DimensionMismatch(f"full column has L={L}, reduced column L={L_reduced}")
-    X, Y = _as_column(x, ops), _as_column(y, ops)
-    lagged_y = strict_lag(Y, ops)
+    Y = _as_column(y, ops)
+    lagged = strict_lag(np.concatenate((Y, _as_column(x, ops)), axis=1), ops)
     return (
-        _chunk_forward_backward(strict_lag(X, ops), lagged_y, Y, full[:, None], ops, lag_hops,
-                                link, want_grads),
-        _chunk_forward_backward(None, lagged_y, Y, reduced[:, None], ops, lag_hops, link,
+        _chunk_forward_backward(lagged, Y, full[:, None], ops, lag_hops, link, want_grads),
+        _chunk_forward_backward(lagged[:, :1], Y, reduced[:, None], ops, lag_hops, link,
                                 want_grads),
     )
 
@@ -480,9 +523,10 @@ def train_all(
     "full", "reduced"); because the models share no parameters the
     restricted runs reproduce the joint run exactly. A pair whose full model
     goes non-finite, or whose y's reduced model does, is dropped from the
-    results with a logged diagnostic. The final evaluation returns no
-    per-node losses, only their sum, mean and variance: per pair for the full
-    model and per y for the reduced one (``TrainResult``).
+    results with a logged diagnostic (once per pass, in pair-id order). The
+    final evaluation returns no per-node losses, only their sum, mean and
+    variance: per pair for the full model and per y for the reduced one
+    (``TrainResult``).
     """
     if component not in ("both", "full", "reduced"):
         raise ConfigError(f"component must be both/full/reduced, got {component!r}")
@@ -497,11 +541,13 @@ def train_all(
     x_cols, y_cols = dataset.pairs[:, 0], dataset.pairs[:, 1]
     active = np.ones(n_pairs, dtype=bool)
     # Layer 1's product does not depend on the parameters: compute it once for
-    # each variable some pair uses, and gather its columns per chunk.
+    # each variable some pair uses, y's then x's (column n_y + i is the i-th
+    # used x), and gather its columns per chunk.
     x_used, x_at = np.unique(x_cols, return_inverse=True)
     y_used, y_at = np.unique(y_cols, return_inverse=True)
-    lagged_x = strict_lag(dataset.x_values[:, x_used], ops)
-    lagged_y = strict_lag(dataset.y_values[:, y_used], ops)
+    n_y = y_used.size
+    lagged = strict_lag(np.concatenate(
+        (dataset.y_values[:, y_used], dataset.x_values[:, x_used]), axis=1), ops)
     # Two parameter banks, each with its own Adam state: the full model of
     # every pair, one column per pair, and the reduced model of every y some
     # pair uses, one column per y. The reduced model sees y alone, so the
@@ -511,54 +557,66 @@ def train_all(
     # inject between-pair variance into the ranking.
     init_full, init_reduced = glorot_init(L, rng)
     full = np.repeat(init_full[:, None], n_pairs, axis=1)
-    reduced = np.repeat(init_reduced[:, None], y_used.size, axis=1)
+    reduced = np.repeat(init_reduced[:, None], n_y, axis=1)
     full_adam = AdamState.zeros_like(full)
     reduced_adam = AdamState.zeros_like(reduced)
 
+    def gather(cols, out):
+        """Columns ``cols`` of ``lagged`` written into ``out``, (n, cols.size) C-ordered.
+
+        The indices are valid, so ``mode="clip"`` changes nothing but lets
+        ``np.take`` write straight into ``out`` instead of through a copy.
+        """
+        return np.take(lagged, cols, axis=1, out=out, mode="clip")
+
     def pair_chunk(cols, want_grads, workspace):
-        # np.take gathers into C order, in which _column_sums adds rows
+        k = 2 * cols.size
         return _chunk_forward_backward(
-            np.take(lagged_x, x_at[cols], axis=1), np.take(lagged_y, y_at[cols], axis=1),
+            gather(np.concatenate((y_at[cols], n_y + x_at[cols])),
+                   _buffers(workspace, ops.n, k, 1)[0]),
             np.take(dataset.y_values, y_cols[cols], axis=1), np.take(full, cols, axis=1),
             ops, config.lag_hops, config.link, want_grads, workspace)
 
     def bank_chunk(cols, want_grads, workspace):
         return _chunk_forward_backward(
-            None, np.take(lagged_y, cols, axis=1),
+            gather(cols, _buffers(workspace, ops.n, cols.size, 1)[0]),
             np.take(dataset.y_values, y_used[cols], axis=1), np.take(reduced, cols, axis=1),
             ops, config.lag_hops, config.link, want_grads, workspace)
 
     # Workspaces not in use. A running chunk takes one, so there are never
-    # more than ``workers``; each is made once and reused by every later
-    # chunk until a pass runs no encoder.
+    # more than ``workers``; each is reused by every later chunk that fits in
+    # it, until a pass needs more room or runs no encoder.
     spare = []
 
-    def run_chunks(kernel, ids, want_grads, encoder=True):
+    def run_chunks(kernel, ids, want_grads, rows=0, per_id=1):
         """(cols, kernel result) for each fixed-size chunk of ``ids``, in order.
 
-        Chunks run lazily as the caller consumes them. A kernel that runs an
-        ``encoder`` gets chunks of ``_CHUNK`` columns and a workspace; one
-        that runs none gets ``_WIDE_CHUNK`` columns and None, and the spare
-        workspaces are freed for the arrays such passes hold. One worker runs
-        the chunks one at a time; a pool of ``workers`` threads keeps at most
+        Chunks run lazily as the caller consumes them. A kernel that takes a
+        workspace of ``rows`` rows gets chunks of ``_CHUNK`` ids and a
+        workspace with room for ``per_id`` columns per id of its widest
+        chunk; spare workspaces with less room are freed first. With
+        ``rows`` 0 the kernel gets chunks of ``_WIDE_CHUNK`` ids and None,
+        and every spare is freed for the arrays such passes hold. One worker
+        runs the chunks one at a time; a pool of ``workers`` threads keeps at most
         ``workers`` chunks, each ``workers`` times narrower, in flight, so the
         state held by running chunks does not grow with the worker count.
         """
+        width = max(1, (_CHUNK if rows else _WIDE_CHUNK) // workers)
+        size = rows * ops.n * per_id * min(width, ids.size)
+        spare[:] = [w for w in spare if rows and w.size >= size]
+
         def task(cols):
-            if not encoder:
+            if not rows:
                 return cols, kernel(cols, want_grads, None)
             try:
                 workspace = spare.pop()
             except IndexError:
-                workspace = _workspace(ops.n, 2 * max(1, _CHUNK // workers), L)
+                workspace = _workspace(size)
             try:
                 return cols, kernel(cols, want_grads, workspace)
             finally:
                 spare.append(workspace)
 
-        if not encoder:
-            spare.clear()
-        width = max(1, (_CHUNK if encoder else _WIDE_CHUNK) // workers)
         chunks = [ids[i : i + width] for i in range(0, ids.size, width)]
         if workers <= 1 or len(chunks) <= 1:
             yield from map(task, chunks)
@@ -580,25 +638,31 @@ def train_all(
         state.m[:, cols] = new_s.m
         state.v[:, cols] = new_s.v
 
-    def encode_x_at_start():
-        """enc(x) of every used x under the shared start's x-encoder, (n, n_x).
+    def encode_x(cols, rows, keep):
+        """(enc(x), layer inputs) of the used x ``cols`` under the shared start's x-encoder.
 
         Every full column starts from the x-encoder of ``init_full`` and
         keeps it while its x-encoder gradient is 0, so while it holds that
-        encoder each x needs one encoding, whichever pairs use it.
+        encoder each x needs one encoding, whichever pairs use it. ``rows``
+        are (n, cols.size) arrays laid out as a kernel's (``_rows``): the
+        layer inputs, all L kept with ``keep`` and two without, then the
+        layer output. The inputs are returned with ``keep`` only.
         """
-        def encode(cols, _, workspace):
-            w, b = (np.repeat(init_full[i * L : (i + 1) * L, None], cols.size, axis=1)
-                    for i in (2, 3))
-            with np.errstate(invalid="ignore", over="ignore"):
-                return encode_history_batch(np.take(lagged_x, cols, axis=1), ops, w, b,
-                                            config.lag_hops, lagged=True,
-                                            buffers=_buffers(workspace, ops.n, cols.size))[0]
+        w, b = (np.repeat(init_full[i * L : (i + 1) * L, None], cols.size, axis=1)
+                for i in (2, 3))
+        with np.errstate(invalid="ignore", over="ignore"):
+            return encode_history_batch(gather(n_y + cols, rows[0]), ops, w, b,
+                                        config.lag_hops, keep, lagged=True,
+                                        buffers=[rows[-1], *rows[1:-1]])
 
-        h_x = np.empty_like(lagged_x)
-        for cols, h in run_chunks(encode, np.arange(x_used.size), False):
-            h_x[:, cols] = h
-        return h_x
+    def encode_x_at_start(out):
+        """enc(x) of every used x under the shared start's x-encoder, into ``out``, (n, n_x)."""
+        def encode(cols, _, workspace):
+            return encode_x(cols, _buffers(workspace, ops.n, cols.size, _rows(L, False)), False)
+
+        for cols, (h, _) in run_chunks(encode, np.arange(x_used.size), False, _rows(L, False)):
+            out[:, cols] = h
+        return out
 
     def start_chunk(rss_y, ok_y, d_y, grads_y):
         """Epoch 1's pair kernel, built from per-variable work.
@@ -614,10 +678,10 @@ def train_all(
         ``ok`` is the kernel's: a finite y and enc(x) and, with gradients, a
         finite lagged x (else 0 * inf in the x backward) and c gradient.
         """
-        h_x = encode_x_at_start()
+        h_x = encode_x_at_start(np.empty((ops.n, x_used.size)))
         ok_x = np.isfinite(h_x).all(axis=0)
         if train_full:
-            ok_x &= np.isfinite(lagged_x).all(axis=0)
+            ok_x &= np.isfinite(lagged[:, n_y:]).all(axis=0)
 
         def kernel(cols, want_grads, _):
             yk, xk = y_at[cols], x_at[cols]
@@ -646,70 +710,169 @@ def train_all(
                 and (bits[2 * L : 4 * L, ids]
                      == init_full.view(np.int64)[2 * L : 4 * L, None]).all())
 
-    def shared_chunk(h_y, h_x):
-        """The final evaluation's pair kernel while ``holds_shared_encoders``.
+    def stored_chunk(store, y_slot, x_slot):
+        """The pair kernel from per-variable encodings, while ``holds_shared_encoders``.
 
-        A pair's enc(y) is then its y's from the final bank pass (``h_y``, by
-        bank column) and its enc(x) the shared start's (``h_x``, by used x),
-        each encoded by the kernel's arithmetic on the same bits; only c is
-        the pair's own. The kernel's output end on them gives its losses and
-        ``ok`` bit for bit.
+        A pair's enc(y) is then its y's from a reduced-bank pass at the same
+        parameters and its enc(x) the shared start's, each computed by the
+        kernel's arithmetic on the same bits. ``store`` holds them, one
+        (n, ·) array per layer input and then one of encodings, with pair
+        k's y in column ``y_slot[k]`` and its x in ``x_slot[k]``; the
+        backward pass needs the layer inputs, a forward pass the encodings
+        alone. A chunk gathers its encodings, y's columns then x's as in the
+        kernel, forms link(enc(y) + c * enc(x)) and its losses with the
+        kernel's output end and, with gradients, runs the kernel's backward
+        pass, gathering each layer's input into the workspace's first row
+        when the pass reaches it. Only c and the gradients are the pair's
+        own. Losses, gradients and ``ok`` are the kernel's, bit for bit.
         """
-        def kernel(cols, _, __):
+        def kernel(cols, want_grads, workspace):
+            m = cols.size
+            at = np.concatenate((y_slot[cols], x_slot[cols]))
+            theta = np.take(full, cols, axis=1)
+            h = np.take(store[-1], at, axis=1)
+            grads = None
             with np.errstate(invalid="ignore", over="ignore"):
-                _, _, per_node, rss, ok = _output_losses(
-                    np.take(h_y, y_at[cols], axis=1), np.take(h_x, x_at[cols], axis=1),
-                    full[4 * L, cols], np.take(dataset.y_values, y_cols[cols], axis=1),
-                    config.link)
-            return rss, per_node, None, ok, None, None
+                yhat, res, per_node, rss, ok = _output_losses(
+                    h[:, :m], h[:, m:], theta[4 * L],
+                    np.take(dataset.y_values, y_cols[cols], axis=1), config.link)
+                if want_grads:
+                    u, *scratch = _buffers(workspace, ops.n, 2 * m, _rows(1, True))
+
+                    def layer_input(i):
+                        return np.take(store[i], at, axis=1, out=u, mode="clip")
+
+                    grads, _ = _gradients(theta, yhat, res, h[:, m:], layer_input, ops,
+                                          config.lag_hops, config.link, scratch)
+                    ok &= np.isfinite(grads).all(axis=0)
+            return rss, per_node, grads, ok, None, None
 
         return kernel
+
+    def stored_pass(ids, t, rss_y, ok_y):
+        """An epoch's reduced-bank steps and pair results while ``ids`` hold the shared encoders.
+
+        Each pair's y-encoder is then its y's reduced column before this
+        epoch's step, so the bank pass, which runs at those parameters,
+        computes enc(y) and the layer inputs of each y; one encoding of each
+        x at the shared start gives enc(x) and its layer inputs; and only the
+        backward pass runs per pair (``stored_chunk``). These per-variable
+        arrays live one tile at a time, the y of one bank chunk (``_CHUNK``)
+        by one block of the x their pairs use (``_X_BLOCK``): each is copied
+        from its pass's workspace into a store of one array per layer, so
+        that a pair chunk gathers a layer's input with one ``np.take``, and
+        the tile's pairs run in chunks. Yields (cols, kernel result) of each
+        pair chunk; ``rss_y`` and ``ok_y`` are set for a bank chunk's y
+        before its first.
+        """
+        n = ops.n
+        ys = np.unique(y_at[ids])
+        y_pos = np.searchsorted(ys, y_at[ids])
+        y_slot, x_slot = np.empty(n_pairs, np.intp), np.empty(n_pairs, np.intp)
+        # The store: layer inputs 1..L and encodings, one (n, width) array
+        # each, a bank chunk's y in its first ``offset`` columns and an x
+        # block's after them. One buffer holds it and then the workspace of
+        # the bank passes (run here in chunks of half width), the x passes
+        # and the pair chunks on one worker. It is at least as large as one
+        # per-pair chunk's workspace, which later epochs then reuse.
+        offset = min(_CHUNK, ys.size)
+        width = offset + min(_X_BLOCK, x_used.size)
+        half = max(1, _CHUNK // 2)
+        pairs = min(_CHUNK, ids.size)
+        size = (L + 1) * n * width
+        rest = n * max(_rows(L, True) * min(half, ys.size), (L + 1) * (width - offset),
+                       _rows(1, True) * 2 * pairs)
+        arena = _workspace(max(size + rest, _rows(L, True) * n * 2 * pairs))
+        store = _buffers(arena, n, width, L + 1)
+        workspace = arena[size:]
+        spare[:] = [workspace]
+
+        def keep(start, enc):
+            """Copy a pass's layer inputs and encodings to the store from column ``start``."""
+            at = slice(start, start + enc.shape[1])
+            for column, row in zip(store, _buffers(workspace, n, enc.shape[1], L)):
+                column[:, at] = row
+            store[L][:, at] = enc
+
+        for c0 in range(0, ys.size, _CHUNK):
+            bank = ys[c0 : c0 + _CHUNK]
+            for p0 in range(0, bank.size, half):
+                cols = bank[p0 : p0 + half]
+                rss, _, grads, ok, enc_y, _ = bank_chunk(cols, True, workspace)
+                keep(p0, enc_y)
+                rss_y[cols], ok_y[cols] = rss, ok
+                if train_reduced and ok.any():
+                    step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
+            in_bank = (y_pos >= c0) & (y_pos < c0 + bank.size)
+            mine = ids[in_bank]
+            y_slot[mine] = y_pos[in_bank] - c0
+            xs = np.unique(x_at[mine])
+            x_pos = np.searchsorted(xs, x_at[mine])
+            for b0 in range(0, xs.size, _X_BLOCK):
+                block = xs[b0 : b0 + _X_BLOCK]
+                keep(offset, encode_x(block, _buffers(workspace, n, block.size, L + 1), True)[0])
+                in_block = (x_pos >= b0) & (x_pos < b0 + block.size)
+                tile = mine[in_block]
+                x_slot[tile] = offset + x_pos[in_block] - b0
+                yield from run_chunks(stored_chunk(store, y_slot, x_slot), tile, train_full,
+                                      _rows(1, True) if train_full else 0, 2)
+        spare[:] = [arena]
+
+    def per_pair_pass(kernel, perm, rows):
+        """(cols, kernel result) of every active pair, minibatch by minibatch in ``perm`` order."""
+        for start in range(0, n_pairs, config.minibatch_pairs):
+            batch = perm[start : start + config.minibatch_pairs]
+            yield from run_chunks(kernel, batch[active[batch]], train_full, rows, 2)
 
     prev_loss = None
     for epoch in range(config.max_epochs):
         t = epoch + 1
         at_start = epoch == 0
         perm = rng.permutation(n_pairs)
+        was_active = active.copy()
         # The reduced bank first, over the y of the active pairs. Each pair's
         # reduced loss is its y's loss before this step, as if it trained its
         # own copy; a y that goes non-finite drops every pair of it below.
-        # In epoch 1 it also keeps what start_chunk needs of each y.
-        rss_y = np.zeros(y_used.size)
-        ok_y = np.zeros(y_used.size, dtype=bool)
-        if at_start:
-            d_y, grads_y = np.empty((ops.n, y_used.size)), np.empty((2 * L, y_used.size))
-        for cols, (rss, _, grads, ok, _, d) in run_chunks(
-                bank_chunk, np.unique(y_at[active]), train_reduced or at_start):
-            rss_y[cols], ok_y[cols] = rss, ok
+        # In epoch 1 it also keeps what start_chunk needs of each y; while
+        # the pairs hold the shared encoders, stored_pass runs it per tile.
+        rss_y = np.zeros(n_y)
+        ok_y = np.zeros(n_y, dtype=bool)
+        if not at_start and holds_shared_encoders(np.flatnonzero(active)):
+            results = stored_pass(np.flatnonzero(active), t, rss_y, ok_y)
+        else:
+            want_grads = train_reduced or at_start
             if at_start:
-                d_y[:, cols], grads_y[:, cols] = d, grads
-            if train_reduced and ok.any():
-                step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
-        kernel = start_chunk(rss_y, ok_y, d_y, grads_y) if at_start else pair_chunk
+                d_y, grads_y = np.empty((ops.n, n_y)), np.empty((2 * L, n_y))
+            for cols, (rss, _, grads, ok, _, d) in run_chunks(
+                    bank_chunk, np.unique(y_at[active]), want_grads, _rows(L, want_grads)):
+                rss_y[cols], ok_y[cols] = rss, ok
+                if at_start:
+                    d_y[:, cols], grads_y[:, cols] = d, grads
+                if train_reduced and ok.any():
+                    step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
+            if at_start:
+                results = per_pair_pass(start_chunk(rss_y, ok_y, d_y, grads_y), perm, 0)
+            else:
+                results = per_pair_pass(pair_chunk, perm, _rows(L, train_full))
 
         # Each kept pair's full and reduced loss, by pair id; the epoch's
         # total is their exactly rounded sum, whatever the chunks were.
         losses = np.zeros((2, n_pairs))
-        for start in range(0, n_pairs, config.minibatch_pairs):
-            batch = perm[start : start + config.minibatch_pairs]
-            batch = batch[active[batch]]
-            for cols, (rss_f, _, grads, ok, _, _) in run_chunks(kernel, batch, train_full,
-                                                                not at_start):
-                ok &= ok_y[y_at[cols]]
-                if not ok.all():
-                    for k in cols[~ok]:
-                        logger.warning("pair %d went non-finite; excluded from results", k)
-                    active[cols[~ok]] = False
-                good = cols[ok]
-                if good.size == 0:
-                    continue
-                if train_full:
-                    losses[0, good] = rss_f[ok]
-                    step(full, full_adam, good, grads[:, ok], t)
-                if train_reduced:
-                    losses[1, good] = rss_y[y_at[good]]
+        for cols, (rss_f, _, grads, ok, _, _) in results:
+            ok &= ok_y[y_at[cols]]
+            active[cols[~ok]] = False
+            good = cols[ok]
+            if good.size == 0:
+                continue
+            if train_full:
+                losses[0, good] = rss_f[ok]
+                step(full, full_adam, good, grads[:, ok], t)
+            if train_reduced:
+                losses[1, good] = rss_y[y_at[good]]
+        for k in np.flatnonzero(was_active & ~active):  # once per pass, by pair id
+            logger.warning("pair %d went non-finite; excluded from results", k)
         epoch_loss = math.fsum(memoryview(losses.ravel()))  # floats one by one, no list
-        kernel = d_y = grads_y = losses = None  # this epoch's arrays go before the next
+        results = d_y = grads_y = losses = was_active = None  # this epoch's arrays go first
         logger.debug("epoch %d: loss %r", t, epoch_loss)
 
         if prev_loss is not None and prev_loss > 0 and n_pairs > 0:
@@ -729,24 +892,28 @@ def train_all(
     # bank pass and each x is encoded once.
     ids = np.flatnonzero(active)
     shared = holds_shared_encoders(ids)
-    h_y = np.empty_like(lagged_y) if shared else None
-    stats_reduced = np.full((3, y_used.size), np.nan)
+    enc = np.empty((ops.n, lagged.shape[1])) if shared else None  # columns as in lagged
+    stats_reduced = np.full((3, n_y), np.nan)
     for cols, (_, per_node, _, ok, enc_y, _) in run_chunks(
-            bank_chunk, np.unique(y_at[ids]), False):
+            bank_chunk, np.unique(y_at[ids]), False, _rows(L, False)):
         stats = _loss_stats(per_node)
         ok &= np.isfinite(stats).all(axis=0)
         stats_reduced[:, cols[ok]] = stats[:, ok]
         if shared:
-            h_y[:, cols] = enc_y
-    kernel = shared_chunk(h_y, encode_x_at_start()) if shared else pair_chunk
+            enc[:, cols] = enc_y
+    if shared:
+        encode_x_at_start(enc[:, n_y:])
+        kernel, rows = stored_chunk([enc], y_at, n_y + x_at), 0
+    else:
+        kernel, rows = pair_chunk, _rows(L, False)
     stats_full = np.full((3, n_pairs), np.nan)
-    for cols, (_, per_node, _, ok, _, _) in run_chunks(kernel, ids, False, not shared):
+    for cols, (_, per_node, _, ok, _, _) in run_chunks(kernel, ids, False, rows, 2):
         stats = _loss_stats(per_node)
         ok &= np.isfinite(stats).all(axis=0) & ~np.isnan(stats_reduced[0, y_at[cols]])
-        for k in cols[~ok]:
-            logger.warning("pair %d non-finite at final evaluation; excluded", k)
         active[cols[~ok]] = False
         stats_full[:, cols[ok]] = stats[:, ok]
+    for k in ids[~active[ids]]:
+        logger.warning("pair %d non-finite at final evaluation; excluded", k)
     return TrainResult(
         pair_ids=np.flatnonzero(active), y_index=y_at, full=full, reduced=reduced,
         rss_full=stats_full[0], mean_full=stats_full[1], var_full=stats_full[2],

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -103,6 +104,34 @@ class TestKnnGraphExact:
     def test_continuous_coordinates(self, rng):
         emb = Embedding(coords=rng.normal(size=(2000, 3)), pseudotime=np.zeros(2000))
         assert np.array_equal(knn_graph(emb, 15), brute_force_knn(emb, 15))
+
+    @pytest.mark.parametrize("k", [1, 15, 299, 400])
+    def test_large_clusters_match_the_oracle(self, rng, k):
+        # 300 nodes at one point and 40 at another (half of them with -0.0
+        # where the rest have +0.0), among 2,000: more coincident nodes than
+        # k + 1, exactly k + 1 or fewer
+        coords = rng.normal(size=(2000, 3))
+        coords[rng.choice(2000, 300, replace=False)] = coords[5]
+        coords[1000:1040] = 0.0
+        coords[1000:1020, 1] = -0.0
+        emb = Embedding(coords=coords, pseudotime=np.zeros(2000))
+        assert np.array_equal(knn_graph(emb, k), brute_force_knn(emb, k))
+
+    def test_coincident_cluster_costs_one_query(self):
+        # 3,000 of 20,000 random 3-D points coincide. Querying each of them
+        # until m passed the cluster took 4.3-6.1 s; the bound, 2 s, was set
+        # before measuring the deduplicated query. Each cluster node's
+        # neighbours are the 15 lowest other ids of the cluster.
+        coords = np.random.default_rng(7).random((20_000, 3))
+        cluster = np.random.default_rng(8).choice(20_000, 3_000, replace=False)
+        coords[cluster] = coords[cluster[0]]
+        emb = Embedding(coords=coords, pseudotime=np.zeros(20_000))
+        start = time.perf_counter()
+        nbrs = knn_graph(emb, 15)[:, 1].reshape(20_000, 15)
+        assert time.perf_counter() - start < 2.0
+        cluster.sort()
+        for u in cluster[[0, 1, 15, 16, 2999]]:
+            assert nbrs[u].tolist() == cluster[cluster != u][:15].tolist()
 
     def test_memory_stays_linear_in_nodes(self):
         # An all-pairs distance block of 20,000 nodes would be hundreds of MB;

@@ -167,10 +167,9 @@ class TestChunkKernel:
                          zip(*(random_columns(rng, 3) for _ in range(width))))
         X, Y = rng.normal(size=(n, width)), rng.normal(size=(n, width)) * 0.5
         _, _, g_full, ok_full, _, _ = _chunk_forward_backward(
-            strict_lag(X, ops), strict_lag(Y, ops), Y, full, ops, lag_hops, link,
-            want_grads=True)
+            strict_lag(np.hstack((Y, X)), ops), Y, full, ops, lag_hops, link, want_grads=True)
         _, _, g_reduced, ok_reduced, _, _ = _chunk_forward_backward(
-            None, strict_lag(Y, ops), Y, reduced, ops, lag_hops, link, want_grads=True)
+            strict_lag(Y, ops), Y, reduced, ops, lag_hops, link, want_grads=True)
         assert g_full.shape == full.shape and g_reduced.shape == reduced.shape
         assert ok_full.all() and ok_reduced.all()
         for j in range(width):
@@ -199,14 +198,14 @@ class TestChunkKernel:
         X, Y = rng.normal(size=(n, width)), rng.normal(size=(n, width))
         full, reduced = (np.stack(bank, axis=1) for bank in
                          zip(*(random_columns(rng, L) for _ in range(width))))
-        lagged_x, lagged_y = strict_lag(X, ops), strict_lag(Y, ops)
+        lagged_y, lagged = strict_lag(Y, ops), strict_lag(np.hstack((Y, X)), ops)
         monkeypatch.setattr(dagranger.model, "transpose_apply_batch", counting)
         for want_grads in (True, False):
             calls.clear()
-            _chunk_forward_backward(lagged_x, lagged_y, Y, full, ops, 2, "identity", want_grads)
+            _chunk_forward_backward(lagged, Y, full, ops, 2, "identity", want_grads)
             assert calls == [2 * width] * (L - 1)
             calls.clear()
-            _chunk_forward_backward(None, lagged_y, Y, reduced, ops, 2, "identity", want_grads)
+            _chunk_forward_backward(lagged_y, Y, reduced, ops, 2, "identity", want_grads)
             assert calls == [width] * (L - 1)
 
         ds, dataset, ops = tiny_dataset(seed=2, n_pairs=6)
@@ -215,17 +214,19 @@ class TestChunkKernel:
         train_all(dataset, ops, TrainConfig(n_layers=L, max_epochs=epochs, seed=0,
                                             convergence_numerator=0.0))
         n_x, n_y = (np.unique(dataset.pairs[:, i]).size for i in (0, 1))
-        # layer 1 of every x and y; epoch 1 encodes each x and y once, every
-        # later epoch and the final evaluation one pair chunk and one bank chunk
+        # layer 1 of every y and x as one product; epochs 1 and 2 encode each
+        # x and y once (epoch 2 from the shared encoders), every later epoch
+        # and the final evaluation one pair chunk and one bank chunk
         per_pass = [2 * 6] * (L - 1) + [n_y] * (L - 1)
-        first = [n_x] * (L - 1) + [n_y] * (L - 1)
-        assert sorted(calls) == sorted([n_x, n_y] + first + per_pass * epochs)
+        per_variable = [n_x] * (L - 1) + [n_y] * (L - 1)
+        assert sorted(calls) == sorted([n_y + n_x] + per_variable * 2 + per_pass * (epochs - 1))
 
     def test_reduced_model_trained_once_per_y(self, monkeypatch):
         # five pairs over two y variables: every pass (each epoch and the
         # final evaluation) runs the reduced encoder on two columns, every
-        # pass but epoch 1's the full model on five, and the pairs of one y
-        # report one shared reduced model with one set of reduced statistics
+        # pass but those of epochs 1 and 2 the full model on five, and the
+        # pairs of one y report one shared reduced model with one set of
+        # reduced statistics
         ds, _, ops = tiny_dataset(seed=5)
         pairs = ((0, 0), (1, 0), (2, 0), (3, 1), (0, 1))
         dataset = Dataset(x_values=ds.x_matrix, y_values=ds.y_matrix, x_names=ds.x_names,
@@ -233,9 +234,9 @@ class TestChunkKernel:
         widths = {"full": [], "reduced": []}
         real = dagranger.train._chunk_forward_backward
 
-        def counting(lagged_x, lagged_y, *args):
-            widths["reduced" if lagged_x is None else "full"].append(lagged_y.shape[1])
-            return real(lagged_x, lagged_y, *args)
+        def counting(lagged, Y, *args):
+            widths["full" if lagged.shape[1] > Y.shape[1] else "reduced"].append(Y.shape[1])
+            return real(lagged, Y, *args)
 
         monkeypatch.setattr(dagranger.train, "_chunk_forward_backward", counting)
         epochs = 3
@@ -243,7 +244,7 @@ class TestChunkKernel:
                                                       minibatch_pairs=2,
                                                       convergence_numerator=0.0))
         assert widths["reduced"] == [2] * (epochs + 1)
-        assert sum(widths["full"]) == len(pairs) * epochs
+        assert sum(widths["full"]) == len(pairs) * (epochs - 1)
         assert results.reduced.shape == (6, 2) and results.rss_reduced.shape == (2,)
         assert results.y_index.tolist() == [0, 0, 0, 1, 1]
         # each y's statistics are those of its model's per-node losses
@@ -508,6 +509,35 @@ class TestTrainAll:
         assert len(result) == 96
         assert peak < 24 * 2**20
 
+    def test_memory_does_not_grow_with_the_x_count(self):
+        # Epoch 2 runs from per-variable layer inputs, which live one tile of
+        # y by x at a time. With 200 distinct x in place of 8 only the
+        # per-variable layer-1 products grow, by 192 columns (3.1 MB);
+        # holding every x's layer inputs at once would add another 27.6 MB.
+        # The bound, 8 MiB over the 8-x peak, was set before measuring.
+        rng = np.random.default_rng(3)
+        n, n_y = 2000, 12
+        v = np.repeat(np.arange(1, n), 3)
+        edges = np.unique(np.column_stack([(rng.random(v.size) * v).astype(np.int64), v]), axis=0)
+        ops = lagged_operators(build_dag(n, edges))
+        cfg = TrainConfig(n_layers=10, max_epochs=2, convergence_numerator=0.0)
+        peaks = {}
+        for n_x in (8, 200):
+            pairs = ([(i, j) for i in range(n_x) for j in range(n_y)] if n_x == 8
+                     else [(i, i % n_y) for i in range(n_x)])
+            dataset = Dataset(x_values=rng.normal(size=(n, n_x)),
+                              y_values=rng.normal(size=(n, n_y)),
+                              x_names=tuple(f"x{i}" for i in range(n_x)),
+                              y_names=tuple(f"y{i}" for i in range(n_y)), pairs=pairs)
+            tracemalloc.start()
+            try:
+                result = train_all(dataset, ops, cfg)
+                peaks[n_x] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(result) == len(pairs)
+        assert peaks[200] < peaks[8] + 8 * 2**20
+
     def test_joint_equals_separate_training(self):
         # the two models share no parameters, so the joint run must
         # reproduce each restricted run bit for bit
@@ -575,12 +605,13 @@ class TestTrainAll:
 def kernel_oracle(dataset, ops, config, component="both"):
     """``train_all`` with every epoch's pairs run through ``_chunk_forward_backward``.
 
-    The reference for epoch 1 and for a final evaluation after at most one
-    epoch, which ``train_all`` builds from per-variable work: here every
-    pair's full model runs forward and backward in every epoch, as one chunk
-    per minibatch, and forward once more in the final evaluation. It has no
-    convergence rule (use ``convergence_numerator`` 0). Returns the ``TrainResult`` fields and the
-    ids of the dropped pairs in the order they were dropped.
+    The reference for epochs 1 and 2 and for a final evaluation after at
+    most one epoch, which ``train_all`` builds from per-variable work: here
+    every pair's full model runs forward and backward in every epoch, as one
+    chunk per minibatch, and forward once more in the final evaluation. It
+    has no convergence rule (use ``convergence_numerator`` 0). Returns the
+    ``TrainResult`` fields and the ids of the dropped pairs in the order
+    they are logged: pass by pass, by id within a pass.
     """
     L, lr = config.n_layers, config.learning_rate
     train_full, train_reduced = component != "reduced", component != "full"
@@ -597,9 +628,11 @@ def kernel_oracle(dataset, ops, config, component="both"):
 
     def kernel(cols, want_grads, bank=False):
         y = y_used[cols] if bank else ys[cols]
+        lagged = np.take(lagged_y, y, axis=1)
+        if not bank:
+            lagged = np.hstack((lagged, np.take(lagged_x, xs[cols], axis=1)))
         return _chunk_forward_backward(
-            None if bank else np.take(lagged_x, xs[cols], axis=1),
-            np.take(lagged_y, y, axis=1), np.take(dataset.y_values, y, axis=1),
+            lagged, np.take(dataset.y_values, y, axis=1),
             np.take(reduced if bank else full, cols, axis=1), ops, config.lag_hops,
             config.link, want_grads)
 
@@ -609,11 +642,11 @@ def kernel_oracle(dataset, ops, config, component="both"):
         params[:, cols], state.m[:, cols], state.v[:, cols] = p, s.m, s.v
 
     def drop(cols, ok):
-        dropped.extend(cols[~ok].tolist())
         active[cols[~ok]] = False
 
     for t in range(1, config.max_epochs + 1):
         perm = rng.permutation(len(xs))
+        was_active = active.copy()
         ok_y = np.zeros(y_used.size, dtype=bool)
         cols = np.unique(y_at[active])
         _, _, grads, ok_y[cols], _, _ = kernel(cols, train_reduced, bank=True)
@@ -627,7 +660,9 @@ def kernel_oracle(dataset, ops, config, component="both"):
             drop(batch, ok)
             if train_full:
                 step(full, full_adam, batch[ok], grads[:, ok], t)
+        dropped.extend(np.flatnonzero(was_active & ~active).tolist())  # each pass's by id
 
+    was_active = active.copy()
     stats = {"reduced": np.full((3, y_used.size), np.nan), "full": np.full((3, len(xs)), np.nan)}
     for name, cols in (("reduced", np.unique(y_at[active])), ("full", np.flatnonzero(active))):
         _, per_node, _, ok, _, _ = kernel(cols, False, bank=name == "reduced")
@@ -637,6 +672,7 @@ def kernel_oracle(dataset, ops, config, component="both"):
             ok &= ~np.isnan(stats["reduced"][0, y_at[cols]])
             drop(cols, ok)
         stats[name][:, cols[ok]] = chunk_stats[:, ok]
+    dropped.extend(np.flatnonzero(was_active & ~active).tolist())
     fields = {"pair_ids": np.flatnonzero(active), "y_index": y_at, "full": full,
               "reduced": reduced}
     for name in ("full", "reduced"):
@@ -650,8 +686,10 @@ class TestSharedStart:
     # train_all builds it from each y's reduced pass and one encoding of each
     # x; a final evaluation while every full column still holds those shared
     # encoders (after 0 epochs, or 1 with both banks trained) takes enc(y)
-    # from the final bank pass and again encodes each x once. The per-pair
-    # kernel passes they replace are the oracle, bit for bit.
+    # from the final bank pass and again encodes each x once; so does epoch 2
+    # when it starts at them, which then runs only the backward pass per
+    # pair. The per-pair kernel passes they replace are the oracle, bit for
+    # bit.
 
     @staticmethod
     def screen(bad=None):
@@ -680,7 +718,7 @@ class TestSharedStart:
         assert logged == dropped
         return result, dropped
 
-    @pytest.mark.parametrize("epochs", [0, 1, 2])
+    @pytest.mark.parametrize("epochs", [0, 1, 2, 3])
     @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 1)])
     @pytest.mark.parametrize("component", ["both", "full", "reduced"])
     @pytest.mark.parametrize("lag_hops", [1, 2])
@@ -693,7 +731,7 @@ class TestSharedStart:
         result, dropped = self.check(dataset, ops, cfg, component, workers, caplog)
         assert len(result) == len(dataset.pairs) and not dropped
 
-    @pytest.mark.parametrize("epochs", [0, 1, 2])
+    @pytest.mark.parametrize("epochs", [0, 1, 2, 3])
     @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 1)])
     @pytest.mark.parametrize("component", ["both", "full", "reduced"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -711,7 +749,7 @@ class TestSharedStart:
         x1_dropped = np.isnan(bad) or (component != "reduced" and epochs > 0)
         assert sorted(dropped) == sorted(set(y2) | (set(x1) if x1_dropped else set()))
 
-    @pytest.mark.parametrize("epochs", [0, 1, 2])
+    @pytest.mark.parametrize("epochs", [0, 1, 2, 3])
     @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 1)])
     @pytest.mark.parametrize("component", ["both", "full", "reduced"])
     @pytest.mark.parametrize("link", ["identity", "exponential"])
@@ -730,29 +768,48 @@ class TestSharedStart:
         _, dropped = self.check(big, ops, cfg, component, workers, caplog)
         assert set(np.flatnonzero(dataset.pairs[:, 1] == 0)) <= set(dropped)
 
-    @pytest.mark.parametrize("epochs", [0, 1, 2])
+    @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 7)])
+    def test_several_tiles_equal_the_per_pair_pass(self, workers, minibatch_pairs, caplog):
+        # 40 y and 40 x: epoch 2 runs two bank chunks of y (32 and 8) by
+        # three blocks of x (16, 16, 8), with an inf in one x column
+        spec = SynthSpec(n_nodes=60, n_branches=2, depth=6, k_neighbors=2, n_x_vars=40,
+                         n_y_vars=40, n_causal_pairs=10, n_candidate_pairs=400, noise_sd=0.3,
+                         seed=3)
+        ds = generate(spec)
+        x = ds.x_matrix.copy()
+        x[int(np.flatnonzero(np.diff(lagged_operators(ds.dag).a.indptr))[0]), 5] = np.inf
+        dataset = Dataset(x_values=x, y_values=ds.y_matrix, x_names=ds.x_names,
+                          y_names=ds.y_names, pairs=ds.candidates)
+        assert np.unique(dataset.pairs[:, 1]).size > 32
+        cfg = TrainConfig(n_layers=2, max_epochs=3, minibatch_pairs=minibatch_pairs, seed=1,
+                          convergence_numerator=0.0)
+        _, dropped = self.check(dataset, lagged_operators(ds.dag), cfg, "both", workers, caplog)
+        assert sorted(dropped) == np.flatnonzero(dataset.pairs[:, 0] == 5).tolist()
+
+    @pytest.mark.parametrize("epochs", [0, 1, 2, 3])
     @pytest.mark.parametrize("component", ["both", "full", "reduced"])
     def test_final_evaluation_per_pair_only_off_the_shared_start(self, monkeypatch, epochs,
                                                                  component):
         # the full model runs through the kernel once per pair in each epoch
-        # after the first, and in the final evaluation only once some full
-        # column has left the shared encoders: after 2 epochs, or after 1
-        # when only one bank trains
+        # that starts off the shared encoders, and so does the final
+        # evaluation: from epoch 3 on when both banks train (epoch 2 starts
+        # at them), from epoch 2 on when only one does
         dataset, ops = self.screen()
         full_columns = []
         real = dagranger.train._chunk_forward_backward
 
-        def counting(lagged_x, *args):
-            if lagged_x is not None:
-                full_columns.append(lagged_x.shape[1])
-            return real(lagged_x, *args)
+        def counting(lagged, Y, *args):
+            if lagged.shape[1] > Y.shape[1]:
+                full_columns.append(Y.shape[1])
+            return real(lagged, Y, *args)
 
         monkeypatch.setattr(dagranger.train, "_chunk_forward_backward", counting)
         cfg = TrainConfig(n_layers=3, max_epochs=epochs, seed=4, convergence_numerator=0.0)
         train_all(dataset, ops, cfg, component=component)
-        shared = epochs == 0 or (epochs == 1 and component == "both")
+        per_variable = 2 if component == "both" else 1  # epochs at the shared encoders
         n_pairs = len(dataset.pairs)
-        assert sum(full_columns) == n_pairs * max(0, epochs - 1) + (0 if shared else n_pairs)
+        assert sum(full_columns) == (n_pairs * max(0, epochs - per_variable)
+                                     + (0 if epochs < per_variable else n_pairs))
 
     def test_one_epoch_encodes_no_column_per_pair(self, monkeypatch):
         # epoch 1 and the final evaluation each encode every used x and y
@@ -770,6 +827,26 @@ class TestSharedStart:
         n_x, n_y = (np.unique(dataset.pairs[:, i]).size for i in (0, 1))
         assert len(dataset.pairs) > 2 * (n_x + n_y)
         assert sum(widths) == 2 * (n_x + n_y)
+
+    def test_two_epochs_encode_no_column_per_pair_before_the_final_evaluation(
+            self, monkeypatch):
+        # epoch 1 encodes each used y and x once, and so does epoch 2, which
+        # starts at the shared encoders: its pairs run the backward pass
+        # alone. Only the final evaluation, after 2 epochs, encodes per pair.
+        dataset, ops = self.screen()
+        widths = []
+        real = dagranger.train.encode_history_batch
+
+        def counting(values, *args, **kwargs):
+            widths.append(values.shape[1])
+            return real(values, *args, **kwargs)
+
+        monkeypatch.setattr(dagranger.train, "encode_history_batch", counting)
+        train_all(dataset, ops, TrainConfig(n_layers=3, max_epochs=2, seed=4,
+                                            convergence_numerator=0.0))
+        n_x, n_y = (np.unique(dataset.pairs[:, i]).size for i in (0, 1))
+        assert widths[:4] == [n_y, n_x, n_y, n_x]
+        assert sum(widths[4:]) == n_y + 2 * len(dataset.pairs)
 
     @pytest.mark.parametrize("scale", [1e200, 1e100])
     def test_overflowing_losses_drop_the_pairs_of_that_y(self, scale):
