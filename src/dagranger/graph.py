@@ -47,6 +47,7 @@ from .errors import (
     ParseError,
     SelfLoop,
 )
+from .textio import read_table
 
 __all__ = [
     "Dag",
@@ -225,9 +226,30 @@ def _matvecs(fmt: str, shape, op: sp.spmatrix, values, out) -> np.ndarray:
 def read_edge_list(path, n_nodes: int | None = None) -> Dag:
     """Read a two-column ``src<TAB>dst`` edge file into a validated Dag.
 
-    Lines starting with ``#`` are ignored. When ``n_nodes`` is not supplied it
-    is inferred as max node id + 1. A rejected edge is reported with the
-    file and line it came from; a cycle with the file.
+    Any whitespace separates the two ids. Blank lines and lines whose first
+    non-blank character is ``#`` are ignored. When ``n_nodes`` is not
+    supplied it is inferred as max node id + 1. A rejected edge is reported
+    with the file and line it came from; a cycle with the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        edges = read_table(fh, np.int64, comment_lines=True)
+    if edges is None or edges.shape[1] != 2:
+        edges = _read_edge_lines(path)[0]
+    if n_nodes is None:
+        n_nodes = int(edges.max(initial=-1)) + 1
+    try:
+        return build_dag(n_nodes, edges)
+    except DataError as exc:
+        i = getattr(exc, "edge_index", None)
+        where = path if i is None else f"{path}:{_read_edge_lines(path)[1][i]}"
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _read_edge_lines(path) -> tuple[np.ndarray, list[int]]:
+    """The (E, 2) edges of an edge file and the line number of each, line by line with ``int()``.
+
+    For a file that ``read_table`` refuses, where it raises the error of the
+    first bad line, and for the line of an edge that ``build_dag`` rejects.
     """
     ids: list[int] = []
     linenos: list[int] = []
@@ -250,14 +272,7 @@ def read_edge_list(path, n_nodes: int | None = None) -> Dag:
         i = next(i for i, x in enumerate(ids) if x.bit_length() > 63)
         raise NodeIdOutOfRange(f"{path}:{linenos[i // 2]}: node id {ids[i]} is out of "
                                f"range") from exc
-    if n_nodes is None:
-        n_nodes = int(edges.max(initial=-1)) + 1
-    try:
-        return build_dag(n_nodes, edges)
-    except DataError as exc:
-        i = getattr(exc, "edge_index", None)
-        where = path if i is None else f"{path}:{linenos[i]}"
-        raise type(exc)(f"{where}: {exc}") from exc
+    return edges, linenos
 
 
 def write_edge_list(path, dag: Dag) -> None:

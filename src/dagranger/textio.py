@@ -1,0 +1,41 @@
+"""Numeric text tables read by numpy's C reader.
+
+The matrix, pseudotime and edge readers parse a file's body here first.
+``np.loadtxt`` makes no Python object per value, so a table is read at about
+1.1 times the memory of its array, and it converts with
+``PyOS_string_to_double``, as ``float()`` does, so the values keep the bits
+of ``float()`` and ``int()``. Where it refuses the text, each reader reads
+the file again with its line loop, which names the first bad line or accepts
+what ``float()`` and ``int()`` accept beyond numpy (``1_000``,
+whitespace-only lines in a comma-delimited file).
+"""
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+__all__ = ["read_table"]
+
+
+def read_table(fh, dtype, delimiter=None, comment_lines=False) -> np.ndarray | None:
+    """The rest of the open text file ``fh`` as a 2-D ``dtype`` array, or None where numpy refuses it.
+
+    ``delimiter`` None splits on whitespace. Empty lines are skipped (and
+    whitespace-only ones with the whitespace delimiter), and with
+    ``comment_lines`` so are the blank and ``#`` lines before the first data
+    line; any other ``#`` is data, which numpy refuses. Rows of unequal
+    length, a field that does not convert or overflows, and a body with no
+    data line give None. The first data line is not blank, so numpy reads
+    at least one row and never warns of an empty input.
+    """
+    line = fh.readline()
+    while line and (not line.strip() or comment_lines and line.lstrip().startswith("#")):
+        line = fh.readline()
+    if not line:
+        return None
+    try:
+        return np.loadtxt(itertools.chain([line], fh), dtype=dtype, delimiter=delimiter,
+                          comments=None, ndmin=2)
+    except ValueError:
+        return None

@@ -41,6 +41,25 @@ class TestEntryPoint:
         assert "build-dag" in proc.stdout and "synth" in proc.stdout
 
 
+    def test_csv_run_does_not_import_scipy_io(self, bundle, tmp_path):
+        import os, subprocess, sys
+
+        import dagranger
+
+        _, paths, _ = bundle
+        argv = ["run", "--x-matrix", paths["x_matrix"], "--y-matrix", paths["y_matrix"],
+                "--pairs", paths["pairs"], "--edges", paths["edges"],
+                "--pseudotime", paths["pseudotime"], "--method", "all", "--max-epochs", 1,
+                "--n-layers", 2, "--outdir", tmp_path / "out"]
+        script = ("import sys; from dagranger.cli import main; "
+                  f"code = main({[str(a) for a in argv]!r}); "
+                  "print(code, 'scipy.io' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ,
+                                   "PYTHONPATH": str(Path(dagranger.__file__).parents[1])})
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
 class TestSynthCommand:
     def test_writes_bundle(self, tmp_path, capsys):
         code = run_cli("synth", "--n-nodes", 60, "--depth", 6, "--n-x-vars", 3,

@@ -201,6 +201,14 @@ class TestMatrixIo:
         assert loaded.values[0, 0] == 5.0 and loaded.values[2, 1] == 7.0
         assert loaded.values.sum() == 12.0
 
+    def test_complex_matrixmarket_rejected(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 5.0 2.0\n"
+        )
+        with pytest.raises(ParseError, match=r"m\.mtx: complex MatrixMarket"):
+            read_matrix(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,b\n1,2\n3\n")
