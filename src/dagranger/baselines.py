@@ -4,7 +4,9 @@ Pearson correlation, and linear VAR Granger causality on pseudotime-binned serie
 The VAR baseline forces the partially ordered observations into a total order
 by averaging them inside 100 equal-width pseudotime bins, then fits restricted
 (own lags) and unrestricted (own + candidate lags) OLS models and compares
-them with an F-test.
+them with an F-test. The restricted model of each y is one thin QR; a pair's
+x lags are projected off it, and the F-test takes the sum they explain of
+its residual directly, not as a difference of two residual sums.
 
 Each method scores a whole pair list from arrays (``pearson_pairs``,
 ``var_granger_pairs``): every variable some pair uses is centred, or binned,
@@ -49,6 +51,15 @@ def _blocks(n_items: int, item_bytes: int):
     return (slice(i, i + width) for i in range(0, n_items, width))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two C-ordered arrays over their last axis.
+
+    Each row is reduced as one contiguous row, which gives the bits of the
+    1-D sum of that row alone, however many rows share the call.
+    """
+    return (a * b).sum(axis=-1)
+
+
 def _centred_rows(values: np.ndarray, used: np.ndarray):
     """Each used column, centred, as one contiguous row, and the row's root sum of squares.
 
@@ -57,7 +68,7 @@ def _centred_rows(values: np.ndarray, used: np.ndarray):
     """
     rows = np.ascontiguousarray(np.asarray(values, dtype=np.float64)[:, used].T)
     rows -= rows.mean(axis=1)[:, None]
-    return rows, np.sqrt((rows * rows).sum(axis=1))
+    return rows, np.sqrt(_dot(rows, rows))
 
 
 def pearson_pairs(x_values, y_values, pairs, *, method: str = "pearson", x_names=None,
@@ -79,7 +90,7 @@ def pearson_pairs(x_values, y_values, pairs, *, method: str = "pearson", x_names
         yc, sy = _centred_rows(y_values, y_used)
         for blk in _blocks(pairs.shape[0], 3 * xc.itemsize * xc.shape[1]):
             xa, ya = x_at[blk], y_at[blk]
-            r[blk] = (xc[xa] * yc[ya]).sum(axis=1) / (sx[xa] * sy[ya])
+            r[blk] = _dot(xc[xa], yc[ya]) / (sx[xa] * sy[ya])
     for side, norms, used, at, names in (("x", sx, x_used, x_at, x_names),
                                          ("y", sy, y_used, y_at, y_names)):
         flat = norms == 0.0
@@ -210,53 +221,69 @@ def _ridge_rss(design: np.ndarray, target: np.ndarray) -> float:
     return float((resid * resid).sum())
 
 
-def _ols_rss(design: np.ndarray, target: np.ndarray) -> tuple[float, bool]:
-    """(residual sum of squares of the least-squares fit, whether the design was singular).
-
-    A rank-deficient design gets the ridge fit instead.
-    """
+def _ols_rss(design: np.ndarray, target: np.ndarray) -> float:
+    """Residual sum of squares of the ``lstsq`` fit; a rank-deficient design gets the ridge fit."""
     beta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < design.shape[1]:
-        return _ridge_rss(design, target), True
+        return _ridge_rss(design, target)
     resid = target - design @ beta
-    return float((resid * resid).sum()), False
+    return float((resid * resid).sum())
 
 
-def _stacked_rss(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(residual sums of squares, rank deficiency) of the least-squares fits of a
-    stack of designs (k, rows, cols) to targets (k, rows).
-
-    A design is rank-deficient by ``lstsq``'s rule (a singular value at most
-    eps * max(rows, cols) * the largest) and gets the ridge fit instead.
-    """
-    rows, cols = design.shape[1:]
-    u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    singular = (sv <= np.finfo(np.float64).eps * max(rows, cols) * sv[:, :1]).any(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.matmul(target[:, None, :], u)[:, 0] / sv
-    beta = np.matmul(coef[:, None, :], vt)[:, 0]
-    resid = target - np.matmul(design, beta[:, :, None])[:, :, 0]
-    rss = (resid * resid).sum(axis=1)
-    for i in np.flatnonzero(singular).tolist():
-        rss[i] = _ridge_rss(design[i], target[i])
-    return rss, singular
+def _scaled_rows(bins: np.ndarray) -> np.ndarray:
+    """Each column of a (T, m) series as one contiguous row divided by its largest
+    magnitude; an all-zero column stays 0."""
+    top = np.abs(bins).max(axis=0)
+    return np.ascontiguousarray((bins / np.where(top > 0.0, top, 1.0)).T)
 
 
-def _lags(series: np.ndarray, L: int) -> np.ndarray:
-    """(m, T - L, L) lag matrices of the m columns of a (T, m) series: [..., k-1] is lag k."""
+def _centred_windows(rows: np.ndarray, L: int) -> np.ndarray:
+    """(L + 1, m, T - L) windows of the m rows of (m, T), each minus its mean:
+    [0] is the regression target, [k] its lag k."""
+    T = rows.shape[1]
+    windows = np.stack([rows[:, L - k : T - k] for k in range(L + 1)])
+    windows -= windows.mean(axis=-1)[..., None]
+    return windows
+
+
+def _orthogonalize(columns: np.ndarray, basis: np.ndarray, basis_sq: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt in place: each of the (k, B, n) ``columns`` loses its
+    projection on the (j, B, n) ``basis`` rows, of squared norms ``basis_sq``,
+    then on the columns before it. Returns the (k, B) squared norms left."""
+    left = np.empty(columns.shape[:2])
+    for i, v in enumerate(columns):
+        for q, qq in zip((*basis, *columns[:i]), (*basis_sq, *left[:i])):
+            v -= (_dot(q, v) / qq)[:, None] * q
+        left[i] = _dot(v, v)
+    return left
+
+
+def _lag_matrix(series: np.ndarray, L: int) -> np.ndarray:
+    """(T - L, L) lags of one series: column k - 1 is lag k."""
     T = series.shape[0]
-    return np.stack([series[L - k : T - k].T for k in range(1, L + 1)], axis=2)
+    return np.column_stack([series[L - k : T - k] for k in range(1, L + 1)])
 
 
 def _var_tests(x_bins: np.ndarray, y_bins: np.ndarray, x_at, y_at, max_lag: int):
     """VAR F-tests of the pairs (x_bins[:, x_at[k]], y_bins[:, y_at[k]]): (f, p) arrays.
 
-    The series are (T, m) arrays without empty bins. The restricted model of
-    each y is fitted once, by ``_ols_rss``: its RSS is then the one-pair
-    ``lstsq`` RSS bit for bit, so a pair whose unrestricted design is singular
-    (x adds nothing, f = 0 up to rounding) keeps the p-value of the lstsq
-    F-test exactly. The unrestricted models are solved in stacked blocks by
-    ``_stacked_rss``. One warning counts the pairs with a ridge fit.
+    The series are (T, m) arrays without empty bins. Each is divided by its
+    largest magnitude, which leaves F unchanged and keeps every sum finite.
+    Centring a lag window projects it off the intercept. Each y's restricted
+    design ``[1, y lags]`` is fitted once by a thin QR (modified Gram-Schmidt
+    of its centred lags), which leaves its residual e and RSS. For a pair,
+    its centred x lags are projected off that Q and off each other in one
+    pass, and the explained sum is ‖Q̃ᵀe‖², the sum over x lags of
+    (x̃ · e)² / (x̃ · x̃); then F = (explained / L) / ((RSS - explained) / df2).
+    Every reduction runs on contiguous rows, so a pair's bits do not depend
+    on which pairs share the call.
+
+    A design is rank-deficient when some lag column (y's, then x's) keeps at
+    most rows · eps of its squared norm after its projection off the
+    intercept and the columns before it. Such a pair keeps the ``lstsq`` fit
+    of the restricted and the ridge fit (``_ridge_rss``) of the unrestricted
+    model on the unscaled series, F from the difference of their RSS. One
+    warning counts these pairs.
     """
     L = int(max_lag)
     if L < 1:
@@ -268,29 +295,46 @@ def _var_tests(x_bins: np.ndarray, y_bins: np.ndarray, x_at, y_at, max_lag: int)
     df2 = rows - 2 * L - 1
     if df2 <= 0:
         raise DegenerateSampleSize(f"too few usable bins ({rows}) for max_lag={L}")
-    x_lags, y_lags = _lags(x_bins, L), _lags(y_bins, L)
-    targets = np.ascontiguousarray(y_bins[L:].T)
-    ones = np.ones((rows, 1))
     n_pairs = len(x_at)
-    rss_y, ridge_y = np.empty(y_bins.shape[1]), np.zeros(y_bins.shape[1], dtype=bool)
-    rss_u = np.empty(n_pairs)
-    # Values whose squares overflow give NaN or inf sums and f = NaN without a
-    # numpy warning; the run manifest counts NaN scores.
+    tol = rows * np.finfo(np.float64).eps
+    explained = np.zeros(n_pairs)
+    # Non-finite values give f = NaN without a numpy warning; the run
+    # manifest counts NaN scores.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in np.unique(y_at).tolist():
-            rss_y[j], ridge_y[j] = _ols_rss(np.hstack([ones, y_lags[j]]), targets[j])
-        rss_r, ridge = rss_y[y_at], ridge_y[y_at]
-        for blk in _blocks(n_pairs, 3 * 8 * rows * (2 * L + 1)):
+        x_lags = _centred_windows(_scaled_rows(x_bins), L)[1:]
+        x_sq = _dot(x_lags, x_lags)
+        y_windows = _centred_windows(_scaled_rows(y_bins), L)
+        e, q = y_windows[0], y_windows[1:]
+        y_sq = _dot(q, q)
+        q_sq = _orthogonalize(q, (), ())
+        _orthogonalize(e[None], q, q_sq)
+        rss_r = _dot(e, e)[y_at]
+        ridge = (q_sq <= tol * y_sq).any(axis=0)[y_at]
+        for blk in _blocks(n_pairs, 8 * rows * (2 * L + 3)):
             xa, ya = x_at[blk], y_at[blk]
-            design = np.concatenate(
-                [np.broadcast_to(ones, (xa.size, rows, 1)), y_lags[ya], x_lags[xa]], axis=2)
-            rss_u[blk], singular = _stacked_rss(design, targets[ya])
-            ridge[blk] |= singular
-        numerator = np.maximum(rss_r - rss_u, 0.0) / L  # nesting: negative only via ridge noise
-        f = numerator / (rss_u / df2)
-    if ridge.any():
-        logger.warning("var_granger: %d of %d pairs have a singular design; ridge fit "
-                       "(lambda=%g)", int(ridge.sum()), n_pairs, _RIDGE)
+            xt = x_lags[:, xa]
+            left = _orthogonalize(xt, q[:, ya], q_sq[:, ya])
+            ridge[blk] |= (left <= tol * x_sq[:, xa]).any(axis=0)
+            ey = e[ya]
+            for k in range(L):
+                explained[blk] += _dot(xt[k], ey) ** 2 / left[k]
+        rss_u = rss_r - explained
+        f = (explained / L) / (rss_u / df2)
+        if ridge.any():
+            ones, restricted = np.ones((rows, 1)), {}
+            at = np.flatnonzero(ridge)
+            for k in at.tolist():
+                x = np.ascontiguousarray(x_bins[:, x_at[k]])
+                y = np.ascontiguousarray(y_bins[:, y_at[k]])
+                design = np.hstack([ones, _lag_matrix(y, L)])
+                if y_at[k] not in restricted:
+                    restricted[y_at[k]] = _ols_rss(design, y[L:])
+                rss_r[k] = restricted[y_at[k]]
+                rss_u[k] = _ridge_rss(np.hstack([design, _lag_matrix(x, L)]), y[L:])
+            # nesting: negative only via ridge noise
+            f[at] = np.maximum(rss_r[at] - rss_u[at], 0.0) / L / (rss_u[at] / df2)
+            logger.warning("var_granger: %d of %d pairs have a singular design; ridge fit "
+                           "(lambda=%g)", int(ridge.sum()), n_pairs, _RIDGE)
     zero = rss_u <= 0.0
     f[zero] = math.inf
     p = special.fdtrc(L, df2, f)

@@ -237,6 +237,9 @@ def read_edge_list(path, n_nodes: int | None = None) -> Dag:
         edges = _read_edge_lines(path)[0]
     if n_nodes is None:
         n_nodes = int(edges.max(initial=-1)) + 1
+        if n_nodes > np.iinfo(np.int64).max:  # 2**63 nodes: one more than int64 counts
+            line = _read_edge_lines(path)[1][int(edges.max(axis=1).argmax())]
+            raise NodeIdOutOfRange(f"{path}:{line}: node id {n_nodes - 1} is out of range")
     try:
         return build_dag(n_nodes, edges)
     except DataError as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -271,18 +272,47 @@ def _column_text(key: str, values: np.ndarray) -> list[str]:
     return [names[v] for v in values.tolist()]
 
 
+def _uniform(values: np.ndarray) -> bool:
+    """Whether every entry of a column is the first (bit for bit, or the same name), so that
+    each line holds the same text for it."""
+    if values.size == 0 or not values[-1] == values[0]:
+        return False
+    if values.dtype == object:
+        return bool((values == values[0]).all())
+    bits = np.ascontiguousarray(values).view(np.uint8).reshape(values.size, -1)
+    return bool((bits == bits[0]).all())
+
+
 def write_score_records(path, columns: dict[str, np.ndarray]) -> None:
     """One JSON line per record: the bytes of ``json.JSONEncoder(sort_keys=True)``, with
-    ``flags`` as its list of names, from per-column text a block of records at a time."""
+    ``flags`` as its list of names, from per-column text a block of records at a time.
+
+    Text is made once where it can be: a column with one value throughout (``method``,
+    ``df1``, ``df2``) goes into the line template, an array under two keys (f rank mode's
+    ``score`` is ``f_stat``) is made text once, and a ``score`` whose bits are |``r``| is
+    ``r``'s text without its sign.
+    """
     keys = sorted(columns)
-    template = "{" + ", ".join(f"{encode_basestring_ascii(k)}: %s" for k in keys) + "}\n"
-    # An array under two keys (f rank mode's score is f_stat) is made text once.
-    source = {k: next(j for j in keys if columns[j] is columns[k]) for k in keys}
+    n = len(columns["pair_id"])
+    fixed = {k: _column_text(k, columns[k][:1])[0].replace("%", "%%")
+             for k in keys if _uniform(columns[k])}
+    template = "{" + ", ".join(f"{encode_basestring_ascii(k)}: {fixed.get(k, '%s')}"
+                               for k in keys) + "}\n"
+    varying = [k for k in keys if k not in fixed]
+    source = {k: next(j for j in varying if columns[j] is columns[k]) for k in varying}
+    unsigned = (source.get("score") == "score" and source.get("r") == "r"
+                and columns["r"].dtype == columns["score"].dtype == np.float64
+                and np.array_equal(np.abs(columns["r"]).view(np.int64),
+                                   columns["score"].view(np.int64)))
     with open(path, "w", encoding="utf-8") as fh:
-        for at in range(0, len(columns["pair_id"]), _WRITE_BLOCK):
+        for at in range(0, n, _WRITE_BLOCK):
             made = {j: _column_text(j, columns[j][at:at + _WRITE_BLOCK])
-                    for j in set(source.values())}
-            fh.writelines(template % row for row in zip(*(made[source[k]] for k in keys)))
+                    for j in set(source.values()) if not (unsigned and j == "score")}
+            if unsigned:
+                made["score"] = list(map(str.lstrip, made["r"], repeat("-")))
+            text = [made[source[k]] for k in varying]
+            rows = zip(*text) if text else repeat((), min(_WRITE_BLOCK, n - at))
+            fh.writelines(template % row for row in rows)
 
 
 def read_score_records(path) -> list[dict]:

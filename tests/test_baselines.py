@@ -2,6 +2,7 @@ import logging
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from dagranger.baselines import (
     var_granger_pairs,
 )
 from dagranger.errors import AllOneBin, DegenerateSampleSize
+from dagranger.synth import SynthSpec, generate
 
 
 class TestPearson:
@@ -311,6 +313,71 @@ class TestBatchedAgainstOnePair:
             b = bin_by_pseudotime(x[:, i], y[:, j], pt)
             assert (f[k], p[k]) == var_granger(b.x_bins, b.y_bins, max_lag=1)
         assert np.isfinite(f).all()
+
+
+def mpmath_var_f(x, y, L):
+    """Oracle: one pair's VAR F from least-squares fits in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        T = len(y)
+        rows = T - L
+        target = mpmath.matrix([float(v) for v in y[L:]])
+
+        def lags(s):
+            return [[float(v) for v in s[L - k : T - k]] for k in range(1, L + 1)]
+
+        def rss(columns):
+            design = mpmath.matrix([[c[i] for c in columns] for i in range(rows)])
+            beta = mpmath.lu_solve(design.T * design, design.T * target)
+            return sum(r * r for r in target - design * beta)
+
+        restricted = [[1.0] * rows] + lags(y)
+        rss_r, rss_u = rss(restricted), rss(restricted + lags(x))
+        return float((rss_r - rss_u) / L / (rss_u / (rows - 2 * L - 1)))
+
+
+class TestVarAccuracy:
+    def test_f_near_zero_matches_a_high_precision_oracle(self):
+        # x's lag holds 1e-5 of y's restricted residual and nothing else of
+        # it, so x adds almost nothing: F is near 1e-8, where the difference
+        # of the two RSS keeps only about half of F's digits
+        rng = np.random.default_rng(3)
+        T = 100
+        y = rng.normal(size=T)
+        design = np.column_stack([np.ones(T - 1), y[:-1]])
+        e = y[1:] - design @ np.linalg.lstsq(design, y[1:], rcond=None)[0]
+        lag = rng.normal(size=T - 1)
+        lag -= ((lag @ e) / (e @ e) - 1e-5) * e
+        x = np.append(lag, 0.0)  # x[t - 1] is the lag of y[t]
+        f, _ = var_granger(x, y, max_lag=1)
+        assert 0.0 < f < 1e-6
+        assert f == pytest.approx(mpmath_var_f(x, y, 1), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_affine_copy_of_y_is_rank_deficient(self, L, caplog):
+        # x = 3y + 1 lies in the span of [1, y lags] only up to rounding, so
+        # its projection leaves noise, not zero: the rank rule must send the
+        # pair to the ridge fallback, which gives the oracle's bits
+        y = np.random.default_rng(5).normal(size=80)
+        x = 3.0 * y + 1.0
+        with caplog.at_level(logging.WARNING, logger="dagranger.baselines"):
+            f, p = var_granger(x, y, max_lag=L)
+        assert [r.getMessage() for r in caplog.records] == [
+            "var_granger: 1 of 1 pairs have a singular design; ridge fit (lambda=1e-08)"]
+        assert (f, p) == lstsq_var_granger(x, y, L)
+
+    def test_scale_free(self):
+        # column 0 of x and of y times 1e200: F does not depend on the scale
+        # of a series, and no sum of squares may overflow
+        ds = generate(SynthSpec(n_nodes=80, n_x_vars=4, n_y_vars=3, seed=0))
+        assert len(ds.candidates) == 12
+        f, _ = var_granger_pairs(ds.x_matrix, ds.y_matrix, ds.candidates, ds.pseudotime, 1)
+        x, y = ds.x_matrix.copy(), ds.y_matrix.copy()
+        x[:, 0] *= 1e200
+        y[:, 0] *= 1e200
+        scaled, p = var_granger_pairs(x, y, ds.candidates, ds.pseudotime, 1)
+        assert np.isfinite(scaled).all() and np.isfinite(p).all()
+        for k in range(12):
+            assert scaled[k] == pytest.approx(f[k], rel=1e-9, abs=1e-9)
 
 
 class TestScreenWarnings:

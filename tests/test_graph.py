@@ -312,6 +312,14 @@ class TestEdgeListIo:
         assert dag.n_nodes == 5
         assert dag.edges.tolist() == [[0, 1], [1, 4]]
 
+    def test_largest_int64_id_without_n_nodes(self, tmp_path):
+        # the inferred node count, 2**63, is one more than int64 holds
+        path = tmp_path / "e.tsv"
+        path.write_text("9223372036854775807\t0\n")
+        with pytest.raises(NodeIdOutOfRange) as exc:
+            read_edge_list(path)
+        assert str(exc.value) == f"{path}:1: node id 9223372036854775807 is out of range"
+
     @pytest.mark.parametrize("text, error, where", [
         ("0\t1\n# c\n\n1\t1\n", SelfLoop, "e.tsv:4: self-loop at node 1"),
         ("0\t99999999999999999999\n", NodeIdOutOfRange, "e.tsv:1: node id 9999"),

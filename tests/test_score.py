@@ -390,6 +390,23 @@ class TestScoreRecordsIo:
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
+    def test_unsigned_score_and_one_value_columns(self, tmp_path_factory, data):
+        # a correlation's score is |r|, written from r's text without its
+        # sign; a column with one value throughout is written into the line
+        # template, its % escaped
+        n = data.draw(st.integers(0, 12))
+        r = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=np.float64)
+        score = np.abs(r)
+        if n and data.draw(st.booleans()):  # a score that is not |r| at one record
+            score[data.draw(st.integers(0, n - 1))] = data.draw(FLOATS)
+        columns = {"pair_id": np.arange(n), "r": r, "score": score,
+                   "method": np.full(n, "100% pearson", dtype=object), "df2": np.full(n, 7)}
+        path = tmp_path_factory.mktemp("w") / "scores.jsonl"
+        write_score_records(path, columns)
+        assert path.read_bytes() == reference_bytes(columns)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
     def test_bytes_equal_the_stdlib_encoder(self, tmp_path_factory, data):
         n = data.draw(st.integers(0, 12))
         column = lambda elements: data.draw(st.lists(elements, min_size=n, max_size=n))
