@@ -1,8 +1,13 @@
 """Command-line pipeline: build-dag, candidates, run, eval, synth.
 
-The defaults of the training protocol (learning rate 1e-3, 20 epochs,
-minibatch 1024 pairs, 10 layers, one-hop lag) are declared once, in
-``train.TrainConfig``; ``RunConfig`` takes them from there.
+The ``run`` and ``synth`` flags are the fields of ``RunConfig`` and
+``synth.SynthSpec`` (``_add_fields``), so each option and its default is
+declared once, in a dataclass that also checks its range. The training
+protocol's defaults (learning rate 1e-3, 20 epochs, 10 layers, one-hop lag)
+live in ``train.TrainConfig``, and ``RunConfig`` takes them from there. Its
+minibatch of 1,024 pairs has no setting: no parameter is shared between
+pairs, so they train in pair-id order, unshuffled, in chunks of at most
+``train._CHUNK`` pairs that bound a pass's memory.
 All randomness flows from one seed recorded in the run manifest; reruns with
 the same config and seed produce byte-identical score files regardless of
 worker count. ``run`` carries the candidate pairs and the score records as
@@ -22,22 +27,28 @@ import logging
 import math
 import sys
 import time
+import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, evaluate, graph, preprocess, score, synth, train
+from . import __version__, evaluate, graph, model, preprocess, score, synth, train
 from .errors import ConfigError, DataError, ParseError
 
 logger = logging.getLogger(__name__)
+
+# The choices of each option that takes one, as the modules declare them.
+_CHOICES = {"method": score.METHODS + ("all",), "link": model.LINKS,
+            "rank_mode": score.RANK_MODES, "nonlinearity": synth.NONLINEARITIES}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything cmd_run needs; echoed verbatim into the manifest.
 
-    The training fields share their names and defaults with TrainConfig.
+    Each field is a ``run`` flag and a config-file key. The training fields
+    share their names and defaults with TrainConfig, which checks them.
     """
 
     x_matrix: str
@@ -52,7 +63,6 @@ class RunConfig:
     workers: int = 1
     learning_rate: float = train.TrainConfig.learning_rate
     max_epochs: int = train.TrainConfig.max_epochs
-    minibatch_pairs: int = train.TrainConfig.minibatch_pairs
     n_layers: int = train.TrainConfig.n_layers
     lag_hops: int = train.TrainConfig.lag_hops
     convergence_numerator: float = train.TrainConfig.convergence_numerator
@@ -69,8 +79,19 @@ class RunConfig:
             raise ConfigError("specify exactly one DAG source: --edges or --embedding")
         if have_embedding and self.pseudotime is None:
             raise ConfigError("--embedding requires --pseudotime")
-        if self.method not in score.METHODS + ("all",):
-            raise ConfigError(f"method must be one of {score.METHODS + ('all',)}")
+        for name in ("method", "rank_mode"):
+            if getattr(self, name) not in _CHOICES[name]:
+                raise ConfigError(f"{name} must be one of {_CHOICES[name]}, "
+                                  f"got {getattr(self, name)!r}")
+        for name, low in (("k", 1), ("workers", 1), ("var_max_lag", 1),
+                          ("pseudocell_neighborhood", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        self.train_config()  # TrainConfig checks the training fields
+
+    def train_config(self) -> train.TrainConfig:
+        return train.TrainConfig(**{f.name: getattr(self, f.name)
+                                    for f in fields(train.TrainConfig)})
 
 
 def _sha256(path) -> str:
@@ -106,8 +127,8 @@ class _Manifest:
             fh.write("\n")
 
 
-def _read_config_file(path) -> dict[str, str]:
-    """Flat ``key=value`` lines; ``#`` comments and blanks ignored."""
+def _read_config_file(path, keys) -> dict[str, str]:
+    """Flat ``key=value`` lines, each key one of ``keys``; ``#`` comments and blanks ignored."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -117,20 +138,11 @@ def _read_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            out[key] = value.strip()
     return out
-
-
-def _merged(args, file_config: dict, key: str, default, cast):
-    cli_value = getattr(args, key.replace("-", "_"), None)
-    if cli_value is not None:
-        return cli_value
-    if key in file_config:
-        try:
-            return cast(file_config[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from exc
-    return default
 
 
 def _read_pairs_file(path, x_names, y_names) -> np.ndarray:
@@ -248,9 +260,7 @@ def cmd_run(cfg: RunConfig) -> int:
         dag, neighbor_edges, coords = _build_dag_for_run(cfg, dataset.n_nodes, pt)
         ops = graph.lagged_operators(dag)
 
-    tcfg = train.TrainConfig(**{
-        f.name: getattr(cfg, f.name) for f in fields(train.TrainConfig) if hasattr(cfg, f.name)
-    })
+    tcfg = cfg.train_config()
     methods = list(score.METHODS) if cfg.method == "all" else [cfg.method]
     for method in methods:
         with manifest.stage(method) as st:
@@ -342,6 +352,7 @@ def cmd_eval(args) -> int:
     records = score.read_score_records(args.scores)
     if not records:
         raise DataError(f"{args.scores}: no score records")
+    first: dict[tuple[str, str], int] = {}  # pair -> number of its record
     for i, rec in enumerate(records, start=1):
         names_ok = isinstance(rec.get("x_name"), str) and isinstance(rec.get("y_name"), str)
         value = rec.get("score")
@@ -349,6 +360,11 @@ def cmd_eval(args) -> int:
                 or math.isnan(value)):
             raise DataError(f"{args.scores}: record {i} needs string x_name and y_name "
                             "and a numeric score")
+        pair = (rec["x_name"], rec["y_name"])
+        if pair in first:
+            raise DataError(f"{args.scores}: record {i} repeats the pair {pair[0]!r} -> "
+                            f"{pair[1]!r} of record {first[pair]}")
+        first[pair] = i
     method = records[0].get("method", "unknown")
     reference = evaluate.read_reference(args.reference)
     candidates = [(r["x_name"], r["y_name"]) for r in records]
@@ -369,26 +385,33 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = synth.SynthSpec(
-        n_nodes=args.n_nodes,
-        n_branches=args.n_branches,
-        depth=args.depth,
-        k_neighbors=args.k_neighbors,
-        n_x_vars=args.n_x_vars,
-        n_y_vars=args.n_y_vars,
-        n_causal_pairs=args.n_causal_pairs,
-        lag_steps=args.lag_steps,
-        coupling=args.coupling,
-        noise_sd=args.noise_sd,
-        nonlinearity=args.nonlinearity,
-        dropout_rate=args.dropout_rate,
-        seed=args.seed,
-        n_candidate_pairs=args.n_candidate_pairs,
-    )
+    spec = synth.SynthSpec(**{f.name: getattr(args, f.name) for f in fields(synth.SynthSpec)})
     ds = synth.generate(spec)
     paths = synth.write_dataset(ds, args.outdir)
     print(json.dumps(paths, sort_keys=True))
     return 0
+
+
+def _field_types(cls) -> dict[str, type]:
+    """The annotation of each field of the dataclass ``cls``, without ``| None``."""
+    return {name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
+def _add_fields(parser, cls, defaults: bool) -> None:
+    """One ``--kebab-name`` flag per field of the dataclass ``cls``.
+
+    A flag's type is its field's (``_field_types``) and its choices are
+    those of ``_CHOICES``. With ``defaults`` a flag defaults to its field's
+    default and a field without one is required; without, every flag
+    defaults to None, so that a flag left out can give way to a config file.
+    """
+    types = _field_types(cls)
+    for f in fields(cls):
+        default = None if f.default is MISSING or not defaults else f.default
+        parser.add_argument("--" + f.name.replace("_", "-"), type=types[f.name],
+                            choices=_CHOICES.get(f.name), default=default,
+                            required=defaults and f.default is MISSING)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -415,27 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="train, score and rank all candidate pairs")
     p_run.add_argument("--config", help="flat key=value file; flags override")
-    p_run.add_argument("--x-matrix")
-    p_run.add_argument("--y-matrix")
-    p_run.add_argument("--pairs")
-    p_run.add_argument("--outdir")
-    p_run.add_argument("--edges")
-    p_run.add_argument("--embedding")
-    p_run.add_argument("--pseudotime")
-    p_run.add_argument("--k", type=int)
-    p_run.add_argument("--method", choices=score.METHODS + ("all",))
-    p_run.add_argument("--workers", type=int)
-    p_run.add_argument("--learning-rate", type=float)
-    p_run.add_argument("--max-epochs", type=int)
-    p_run.add_argument("--minibatch-pairs", type=int)
-    p_run.add_argument("--n-layers", type=int)
-    p_run.add_argument("--lag-hops", type=int)
-    p_run.add_argument("--convergence-numerator", type=float)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--link", choices=("identity", "exponential"))
-    p_run.add_argument("--rank-mode", choices=score.RANK_MODES)
-    p_run.add_argument("--var-max-lag", type=int)
-    p_run.add_argument("--pseudocell-neighborhood", type=int)
+    _add_fields(p_run, RunConfig, defaults=False)
 
     p_eval = sub.add_parser("eval", help="AUPRC/AUROC of a score file vs a reference")
     p_eval.add_argument("--scores", required=True)
@@ -445,35 +448,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic benchmark bundle")
-    p_synth.add_argument("--n-nodes", type=int, required=True)
-    p_synth.add_argument("--n-branches", type=int, default=1)
-    p_synth.add_argument("--depth", type=int, default=10)
-    p_synth.add_argument("--k-neighbors", type=int, default=15)
-    p_synth.add_argument("--n-x-vars", type=int, default=10)
-    p_synth.add_argument("--n-y-vars", type=int, default=5)
-    p_synth.add_argument("--n-causal-pairs", type=int, default=5)
-    p_synth.add_argument("--lag-steps", type=int, default=2)
-    p_synth.add_argument("--coupling", type=float, default=1.0)
-    p_synth.add_argument("--noise-sd", type=float, default=0.3)
-    p_synth.add_argument("--nonlinearity", choices=synth.NONLINEARITIES, default="tanh")
-    p_synth.add_argument("--dropout-rate", type=float, default=0.0)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--n-candidate-pairs", type=int)
+    _add_fields(p_synth, synth.SynthSpec, defaults=True)
     p_synth.add_argument("--outdir", required=True)
     return parser
 
 
 def _run_config_from_args(args) -> RunConfig:
     """Flags over config-file values over the RunConfig defaults."""
-    file_config = _read_config_file(args.config) if args.config else {}
+    types = _field_types(RunConfig)
+    file_config = _read_config_file(args.config, types) if args.config else {}
     values = {}
     for f in fields(RunConfig):
-        default = None if f.default is MISSING else f.default
-        cast = str if default is None else type(default)
-        value = _merged(args, file_config, f.name, default, cast)
+        value = getattr(args, f.name)
+        if value is None and f.name in file_config:
+            try:
+                value = types[f.name](file_config[f.name])
+            except ValueError as exc:
+                raise ConfigError(f"config key {f.name}: {exc}") from exc
         if value is None and f.default is MISSING:
             raise ConfigError(f"missing required option --{f.name.replace('_', '-')}")
-        values[f.name] = value
+        values[f.name] = f.default if value is None else value
     return RunConfig(**values)
 
 

@@ -6,14 +6,16 @@ reduced model a (2L,) column [w_y, b_y] (``model``), so the total objective
 per pair and per model. The reduced model sees only y's own history, so it
 depends on y and not on x: ``train_all`` keeps one reduced column per y
 variable (the reduced bank) and one full column per pair (the full bank).
-Every epoch the reduced bank takes one Adam step per y, then the pairs,
-shuffled into minibatches (seeded), are evaluated in chunks as one batched
-forward/backward of the full model over shared sparse operators, and each pair
-takes one Adam step on its own gradient. The pairs of one y start from one
-draw and take the same steps on the same gradients, so the bank gives each
-pair the bits that a copy of its own would have. Gradients are exact reverse
-accumulation through the tanh layers: tanh' = 1 - h^2, and the adjoint of each
-M.T product is the corresponding non-transposed M product.
+Every epoch the reduced bank takes one Adam step per y, then the pairs, in
+pair-id order, are evaluated in chunks as one batched forward/backward of the
+full model over shared sparse operators, and each pair takes one Adam step on
+its own gradient. No parameter is shared between pairs, so the protocol's
+minibatch of 1,024 pairs has nothing to act on and the pairs are not
+shuffled; ``_CHUNK`` bounds a pass's memory. The pairs of one y start from
+one draw and take the same steps on the same gradients, so the bank gives
+each pair the bits that a copy of its own would have. Gradients are exact
+reverse accumulation through the tanh layers: tanh' = 1 - h^2, and the
+adjoint of each M.T product is the corresponding non-transposed M product.
 
 Epoch 1 needs no pass over the pairs. Every full column starts from one
 Glorot draw with c = 0 and the reduced model's y-encoder, so there the full
@@ -56,7 +58,7 @@ encoder holds ``_CHUNK`` = 32 pairs, so its kept layer inputs take
 2L * n * 32 floats; the pair chunks of epoch 1 and of the shared final
 evaluation run no encoder and hold ``_WIDE_CHUNK`` = 64.
 
-Numerics are independent of minibatch size and worker count: batches are
+Numerics are independent of chunk width and worker count: pairs are
 processed in fixed-size column chunks, every operation in the kernel treats
 each column on its own, and every sum over nodes adds rows in sequence at any
 chunk width (``_column_sums``), so a column's bits do not depend on which
@@ -104,11 +106,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Columns in flight at once, split among the workers. Neither minibatch size,
-# worker count nor chunk width changes any floating-point result, only
-# scheduling and memory. A chunk of m pairs keeps the inputs of layers 1..L
-# of both encoders, 2L * n * m floats: 41 MB at m = 32, n = 8,000 and
-# L = 10. A chunk that runs no encoder keeps none and is wider, which halves
+# Columns in flight at once, split among the workers. Neither worker count
+# nor chunk width changes any floating-point result, only scheduling and
+# memory. A chunk of m pairs keeps the inputs of layers 1..L of both
+# encoders, 2L * n * m floats: 41 MB at m = 32, n = 8,000 and L = 10. A
+# chunk that runs no encoder keeps none and is wider, which halves
 # the per-chunk overhead. An epoch from per-variable encodings holds the
 # layer inputs of ``_CHUNK`` y and ``_X_BLOCK`` x at a time, which at L = 10
 # fits with its workspaces in one per-pair chunk's workspace.
@@ -123,7 +125,6 @@ _GLOROT_BOUND = math.sqrt(3.0)  # sqrt(6 / (fan_in + fan_out)) with both fans 1
 class TrainConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 20
-    minibatch_pairs: int = 1024
     n_layers: int = 10
     lag_hops: int = 1
     convergence_numerator: float = 0.1
@@ -131,12 +132,17 @@ class TrainConfig:
     link: str = "identity"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.minibatch_pairs < 1:
-            raise ConfigError("minibatch_pairs must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.max_epochs < 0:
+            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if not 1 <= self.lag_hops <= self.n_layers:
             raise ConfigError("lag_hops must be in [1, n_layers]")
+        if not self.convergence_numerator >= 0:
+            raise ConfigError("convergence_numerator must be >= 0, "
+                              f"got {self.convergence_numerator}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.link not in LINKS:
             raise ConfigError(f"link must be one of {LINKS}")
 
@@ -515,8 +521,10 @@ def train_all(
 ) -> TrainResult:
     """Fit every candidate pair; return both parameter banks and each model's loss statistics.
 
-    Pairs are shuffled into minibatches each epoch (seeded); every pair takes
-    one Adam step per epoch. Training stops after ``max_epochs`` epochs or
+    Every pass runs the pairs in pair-id order, unshuffled, in chunks of at
+    most ``_CHUNK`` pairs (``_WIDE_CHUNK`` without an encoder) that bound its
+    memory; every pair takes one Adam step per epoch. The seed draws only
+    the shared Glorot start. Training stops after ``max_epochs`` epochs or
     when the relative change of the epoch-total loss (each pair's full and
     reduced loss) drops below ``convergence_numerator / n_pairs``.
     ``component`` restricts which model's parameters are updated ("both",
@@ -530,6 +538,8 @@ def train_all(
     """
     if component not in ("both", "full", "reduced"):
         raise ConfigError(f"component must be both/full/reduced, got {component!r}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     if dataset.n_nodes != ops.n:
         raise DataError("dataset and operators disagree on the node count")
 
@@ -537,7 +547,6 @@ def train_all(
     L = config.n_layers
     train_full = component in ("both", "full")
     train_reduced = component in ("both", "reduced")
-    rng = np.random.default_rng(config.seed)
     x_cols, y_cols = dataset.pairs[:, 0], dataset.pairs[:, 1]
     active = np.ones(n_pairs, dtype=bool)
     # Layer 1's product does not depend on the parameters: compute it once for
@@ -555,7 +564,7 @@ def train_all(
     # shared by every column (common random numbers): pairs are compared
     # against each other downstream, so giving each its own draw would only
     # inject between-pair variance into the ranking.
-    init_full, init_reduced = glorot_init(L, rng)
+    init_full, init_reduced = glorot_init(L, np.random.default_rng(config.seed))
     full = np.repeat(init_full[:, None], n_pairs, axis=1)
     reduced = np.repeat(init_reduced[:, None], n_y, axis=1)
     full_adam = AdamState.zeros_like(full)
@@ -818,18 +827,11 @@ def train_all(
                                       _rows(1, True) if train_full else 0, 2)
         spare[:] = [arena]
 
-    def per_pair_pass(kernel, perm, rows):
-        """(cols, kernel result) of every active pair, minibatch by minibatch in ``perm`` order."""
-        for start in range(0, n_pairs, config.minibatch_pairs):
-            batch = perm[start : start + config.minibatch_pairs]
-            yield from run_chunks(kernel, batch[active[batch]], train_full, rows, 2)
-
     prev_loss = None
     for epoch in range(config.max_epochs):
         t = epoch + 1
         at_start = epoch == 0
-        perm = rng.permutation(n_pairs)
-        was_active = active.copy()
+        ids = np.flatnonzero(active)
         # The reduced bank first, over the y of the active pairs. Each pair's
         # reduced loss is its y's loss before this step, as if it trained its
         # own copy; a y that goes non-finite drops every pair of it below.
@@ -837,23 +839,24 @@ def train_all(
         # the pairs hold the shared encoders, stored_pass runs it per tile.
         rss_y = np.zeros(n_y)
         ok_y = np.zeros(n_y, dtype=bool)
-        if not at_start and holds_shared_encoders(np.flatnonzero(active)):
-            results = stored_pass(np.flatnonzero(active), t, rss_y, ok_y)
+        if not at_start and holds_shared_encoders(ids):
+            results = stored_pass(ids, t, rss_y, ok_y)
         else:
             want_grads = train_reduced or at_start
             if at_start:
                 d_y, grads_y = np.empty((ops.n, n_y)), np.empty((2 * L, n_y))
             for cols, (rss, _, grads, ok, _, d) in run_chunks(
-                    bank_chunk, np.unique(y_at[active]), want_grads, _rows(L, want_grads)):
+                    bank_chunk, np.unique(y_at[ids]), want_grads, _rows(L, want_grads)):
                 rss_y[cols], ok_y[cols] = rss, ok
                 if at_start:
                     d_y[:, cols], grads_y[:, cols] = d, grads
                 if train_reduced and ok.any():
                     step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
             if at_start:
-                results = per_pair_pass(start_chunk(rss_y, ok_y, d_y, grads_y), perm, 0)
+                kernel, rows = start_chunk(rss_y, ok_y, d_y, grads_y), 0
             else:
-                results = per_pair_pass(pair_chunk, perm, _rows(L, train_full))
+                kernel, rows = pair_chunk, _rows(L, train_full)
+            results = run_chunks(kernel, ids, train_full, rows, 2)
 
         # Each kept pair's full and reduced loss, by pair id; the epoch's
         # total is their exactly rounded sum, whatever the chunks were.
@@ -869,10 +872,10 @@ def train_all(
                 step(full, full_adam, good, grads[:, ok], t)
             if train_reduced:
                 losses[1, good] = rss_y[y_at[good]]
-        for k in np.flatnonzero(was_active & ~active):  # once per pass, by pair id
+        for k in ids[~active[ids]]:  # once per pass, by pair id
             logger.warning("pair %d went non-finite; excluded from results", k)
         epoch_loss = math.fsum(memoryview(losses.ravel()))  # floats one by one, no list
-        results = d_y = grads_y = losses = was_active = None  # this epoch's arrays go first
+        results = kernel = d_y = grads_y = losses = None  # this epoch's arrays go first
         logger.debug("epoch %d: loss %r", t, epoch_loss)
 
         if prev_loss is not None and prev_loss > 0 and n_pairs > 0:

@@ -23,7 +23,7 @@ from dagranger.score import METHODS, f_test, score_dataset, welch_t
 from dagranger.synth import SynthSpec, generate
 from dagranger.train import Dataset, TrainConfig, pair_gradients, pair_loss, train_all
 
-from conftest import chain_dag, random_dag
+from dag_factories import chain_dag, random_dag
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -51,7 +51,7 @@ def run_recovery(dropout: float, seed: int, workers: int = 1):
     dataset = Dataset(x_values=ds.x_matrix, y_values=ds.y_matrix,
                       x_names=ds.x_names, y_names=ds.y_names, pairs=ds.candidates)
     ops = lagged_operators(ds.dag)
-    cfg = TrainConfig(seed=0)  # defaults: lr 1e-3, 20 epochs, minibatch 1024, L=10
+    cfg = TrainConfig(seed=0)  # defaults: lr 1e-3, 20 epochs, L=10
     columns = {
         method: score_dataset(
             dataset, method, ops=ops, neighbor_edges=ds.dag.edges, coords=None,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dagranger.cli import main
+from dagranger.cli import RunConfig, _build_parser, _run_config_from_args, main
 from dagranger.errors import DataError
 from dagranger.evaluate import auprc, read_reference
 from dagranger.preprocess import write_matrix, write_pseudotime
@@ -27,6 +27,50 @@ def bundle(tmp_path_factory):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+class TestParser:
+    # the run and synth flags are built from the fields of RunConfig and
+    # SynthSpec: their flag sets, and their defaults, are those of the
+    # dataclasses
+    RUN_FLAGS = ["--config", "--x-matrix", "--y-matrix", "--pairs", "--outdir", "--edges",
+                 "--embedding", "--pseudotime", "--k", "--method", "--workers",
+                 "--learning-rate", "--max-epochs", "--n-layers", "--lag-hops",
+                 "--convergence-numerator", "--seed", "--link", "--rank-mode", "--var-max-lag",
+                 "--pseudocell-neighborhood"]
+    SYNTH_FLAGS = ["--n-nodes", "--n-branches", "--depth", "--k-neighbors", "--n-x-vars",
+                   "--n-y-vars", "--n-causal-pairs", "--lag-steps", "--coupling", "--noise-sd",
+                   "--nonlinearity", "--dropout-rate", "--seed", "--n-candidate-pairs",
+                   "--outdir"]
+
+    @staticmethod
+    def flags(command):
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        return [a.option_strings[0] for a in sub.choices[command]._actions[1:]]
+
+    def test_flag_sets(self):
+        assert self.flags("run") == self.RUN_FLAGS
+        assert self.flags("synth") == self.SYNTH_FLAGS
+
+    def test_run_defaults_are_the_run_config_defaults(self):
+        args = _build_parser().parse_args(["run", "--x-matrix", "x.csv", "--y-matrix", "y.csv",
+                                           "--pairs", "p.tsv", "--outdir", "o",
+                                           "--edges", "e.tsv"])
+        assert _run_config_from_args(args) == RunConfig(x_matrix="x.csv", y_matrix="y.csv",
+                                                        pairs="p.tsv", outdir="o", edges="e.tsv")
+
+    def test_synth_defaults_are_the_spec_defaults(self):
+        args = _build_parser().parse_args(["synth", "--n-nodes", "50", "--outdir", "o"])
+        assert SynthSpec(**{k: v for k, v in vars(args).items()
+                            if k not in ("command", "outdir")}) == SynthSpec(n_nodes=50)
+
+    @pytest.mark.parametrize("argv", [["synth", "--outdir", "o"], ["synth", "--n-nodes", "50"],
+                                      ["run", "--minibatch-pairs", "2"],
+                                      ["run", "--link", "logistic"]])
+    def test_missing_or_unknown_flag_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestEntryPoint:
@@ -360,6 +404,35 @@ class TestRunCommand:
         assert code == 0
         assert (tmp_path / "cli_out" / "scores_pearson.jsonl").exists()
 
+    @pytest.mark.parametrize("key", ["learning_rte", "minibatch_pairs", "learning-rate"])
+    def test_unknown_config_key_is_config_error(self, bundle, tmp_path, caplog, key):
+        _, paths, _ = bundle
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a run\nmethod=pearson\n{key}=0.5\n")
+        code = run_cli("run", "--config", cfg, "--x-matrix", paths["x_matrix"],
+                       "--y-matrix", paths["y_matrix"], "--pairs", paths["pairs"],
+                       "--edges", paths["edges"], "--outdir", tmp_path / "o")
+        assert code == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"configuration error: {cfg}:3: unknown key {key!r}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("workers", 0), ("workers", -2), ("var_max_lag", 0), ("max_epochs", -3),
+        ("pseudocell_neighborhood", -1), ("convergence_numerator", -1),
+        ("learning_rate", "nan"), ("learning_rate", "inf"), ("seed", -1), ("k", 0)])
+    def test_out_of_range_option_is_config_error(self, tmp_path, caplog, option, value):
+        # checked before any file is read: none of the input files exists,
+        # and the output directory is not made
+        missing = tmp_path / "missing"
+        code = run_cli("run", "--x-matrix", missing, "--y-matrix", missing, "--pairs", missing,
+                       "--edges", missing, "--outdir", tmp_path / "o",
+                       f"--{option.replace('_', '-')}", value)
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith(f"configuration error: {option} ")
+        assert not (tmp_path / "o").exists()
+
     def test_conflicting_dag_sources_config_error(self, bundle, tmp_path):
         ds, paths, _ = bundle
         code = run_cli("run", "--x-matrix", paths["x_matrix"], "--y-matrix",
@@ -599,6 +672,28 @@ class TestEvalCommand:
                        "--out", tmp_path / "m.json")
         assert code == 3
         assert any(str(scores) in r.getMessage() for r in caplog.records)
+
+    def test_repeated_pair_is_data_error(self, bundle, tmp_path, caplog):
+        # eval keys the scores by pair: a repeated pair would keep only its
+        # last record's score
+        _, paths, _ = bundle
+        outdir = tmp_path / "run"
+        assert run_cli("run", "--x-matrix", paths["x_matrix"], "--y-matrix",
+                       paths["y_matrix"], "--pairs", paths["pairs"], "--edges", paths["edges"],
+                       "--method", "pearson", "--outdir", outdir) == 0
+        scores = outdir / "scores_pearson.jsonl"
+        lines = scores.read_text().splitlines()
+        repeat = json.loads(lines[0])
+        repeat["score"] = 99.0
+        scores.write_text("\n".join(lines + [json.dumps(repeat)]) + "\n")
+        code = run_cli("eval", "--scores", scores, "--reference", paths["reference"],
+                       "--out", tmp_path / "m.json")
+        assert code == 3
+        assert any(r.getMessage() == (
+            f"data error: {scores}: record {len(lines) + 1} repeats the pair "
+            f"{repeat['x_name']!r} -> {repeat['y_name']!r} of record 1")
+            for r in caplog.records)
+        assert not (tmp_path / "m.json").exists()
 
     def test_disjoint_reference_is_data_error(self, bundle, tmp_path):
         ds, paths, _ = bundle

@@ -22,7 +22,7 @@ from dagranger.graph import (
     write_edge_list,
 )
 
-from conftest import random_dag
+from dag_factories import random_dag
 
 
 def reference_build_dag(n_nodes, edges):

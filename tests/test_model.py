@@ -10,7 +10,7 @@ from dagranger.graph import lagged_operators
 from dagranger.model import encode_history, encode_history_batch
 from dagranger.train import pair_loss
 
-from conftest import chain_dag, random_dag
+from dag_factories import chain_dag, random_dag
 
 
 def _encoder(rng, L, b_scale=0.3):

@@ -9,7 +9,7 @@ import pytest
 
 import dagranger.model
 import dagranger.train
-from dagranger.errors import DataError, DimensionMismatch, NonFiniteParameter
+from dagranger.errors import ConfigError, DataError, DimensionMismatch, NonFiniteParameter
 from dagranger.graph import build_dag, lagged_operators
 from dagranger.model import apply_link, encode_history, strict_lag
 from dagranger.synth import SynthSpec, generate
@@ -26,7 +26,7 @@ from dagranger.train import (
     train_all,
 )
 
-from conftest import random_dag
+from dag_factories import random_dag
 
 
 def finite_difference(x, y, ops, full, reduced, lag_hops, link, h=1e-6):
@@ -52,6 +52,12 @@ def random_columns(rng, L):
                            rng.normal(size=L) * 0.3, [rng.normal() * 0.5]])
     reduced = np.concatenate([rng.normal(size=L), rng.normal(size=L) * 0.3])
     return full, reduced
+
+
+def cap_chunks(monkeypatch, width):
+    """Cap ``train_all``'s chunks, ``_CHUNK`` and ``_WIDE_CHUNK``, at ``width`` columns."""
+    for name in ("_CHUNK", "_WIDE_CHUNK"):
+        monkeypatch.setattr(dagranger.train, name, min(width, getattr(dagranger.train, name)))
 
 
 def tiny_dataset(seed=0, n_pairs=4):
@@ -241,7 +247,6 @@ class TestChunkKernel:
         monkeypatch.setattr(dagranger.train, "_chunk_forward_backward", counting)
         epochs = 3
         results = train_all(dataset, ops, TrainConfig(n_layers=3, max_epochs=epochs, seed=0,
-                                                      minibatch_pairs=2,
                                                       convergence_numerator=0.0))
         assert widths["reduced"] == [2] * (epochs + 1)
         assert sum(widths["full"]) == len(pairs) * (epochs - 1)
@@ -377,6 +382,19 @@ class TestTrainAll:
                           for r in (r0, r5))
         assert total5 < total0
 
+    @pytest.mark.parametrize("option, value", [
+        ("learning_rate", 0.0), ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("max_epochs", -1), ("convergence_numerator", -0.1),
+        ("convergence_numerator", math.nan), ("seed", -1)])
+    def test_out_of_range_option_is_config_error(self, option, value):
+        with pytest.raises(ConfigError, match=option):
+            TrainConfig(**{option: value})
+
+    def test_fewer_than_one_worker_is_config_error(self):
+        _, dataset, ops = tiny_dataset()
+        with pytest.raises(ConfigError, match="workers"):
+            train_all(dataset, ops, TrainConfig(max_epochs=0), workers=0)
+
     def test_determinism_across_worker_counts(self):
         ds, dataset, ops = tiny_dataset(seed=8)
         cfg = TrainConfig(n_layers=2, max_epochs=3, seed=5)
@@ -390,9 +408,10 @@ class TestTrainAll:
             assert np.array_equal(r1.reduced[:, j], r2.reduced[:, j])
             assert r1.rss_full[pid] == r2.rss_full[pid]
 
-    def test_bit_identical_across_minibatch_sizes_and_workers(self):
-        # chunk widths differ (1, 2, 64 and the remainder) but no pair's
-        # arithmetic may depend on which pairs share its chunk
+    def test_bit_identical_across_chunk_widths_and_workers(self, monkeypatch):
+        # chunk widths differ (1, 2, 32, 64 and the remainders) but no pair's
+        # arithmetic may depend on which pairs share its chunk; chunks of 1
+        # sum a column on its own (_column_sums)
         spec = SynthSpec(n_nodes=200, n_branches=2, n_x_vars=20, n_y_vars=10,
                          n_causal_pairs=5, n_candidate_pairs=150, noise_sd=0.3, seed=1)
         ds = generate(spec)
@@ -400,21 +419,22 @@ class TestTrainAll:
                           x_names=ds.x_names, y_names=ds.y_names, pairs=ds.candidates)
         ops = lagged_operators(ds.dag)
 
-        def run(minibatch_pairs, workers):
-            cfg = TrainConfig(n_layers=3, max_epochs=2, minibatch_pairs=minibatch_pairs,
-                              seed=0, convergence_numerator=0.0)
-            results = train_all(dataset, ops, cfg, workers=workers)
+        def run(width, workers):
+            cfg = TrainConfig(n_layers=3, max_epochs=2, seed=0, convergence_numerator=0.0)
+            with monkeypatch.context() as patch:
+                cap_chunks(patch, width)
+                results = train_all(dataset, ops, cfg, workers=workers)
             # the statistics of dropped pairs are NaN, which equal_nan compares
             return {name: getattr(results, name) for name in (
                 "pair_ids", "y_index", "full", "reduced", "rss_full", "mean_full", "var_full",
                 "rss_reduced", "mean_reduced", "var_reduced")}
 
         reference = run(1024, 1)
-        for minibatch_pairs, workers in ((1, 1), (2, 1), (1024, 2)):
-            other = run(minibatch_pairs, workers)
+        for width, workers in ((1, 1), (2, 1), (1024, 2)):
+            other = run(width, workers)
             for name, array in reference.items():
                 assert np.array_equal(array, other[name], equal_nan=True), (
-                    minibatch_pairs, workers, name)
+                    width, workers, name)
 
     def test_workspaces_stay_private_under_thread_switching(self, monkeypatch):
         # each running chunk takes a workspace of its own: with four workers
@@ -456,7 +476,7 @@ class TestTrainAll:
         for name in ("pair_ids", "full", "reduced", "rss_full", "var_full", "rss_reduced"):
             assert np.array_equal(getattr(result, name), getattr(reference, name)), name
 
-    def test_convergence_independent_of_minibatch_size_and_workers(self, caplog):
+    def test_convergence_independent_of_chunk_width_and_workers(self, caplog, monkeypatch):
         # the epoch total is an exactly rounded sum over the kept pairs, so
         # its bits, and with them the epoch the convergence rule stops at,
         # do not depend on how the pairs were chunked
@@ -469,14 +489,15 @@ class TestTrainAll:
         caplog.set_level("DEBUG", logger="dagranger.train")
         runs = {}
         for workers in (1, 2, 3):
-            for minibatch_pairs in (1, 2, 1024):
+            for width in (1, 2, 1024):
                 caplog.clear()
-                cfg = TrainConfig(n_layers=3, max_epochs=30, minibatch_pairs=minibatch_pairs,
-                                  seed=0, convergence_numerator=0.03)
-                result = train_all(dataset, ops, cfg, workers=workers)
+                cfg = TrainConfig(n_layers=3, max_epochs=30, seed=0, convergence_numerator=0.03)
+                with monkeypatch.context() as patch:
+                    cap_chunks(patch, width)
+                    result = train_all(dataset, ops, cfg, workers=workers)
                 log = [r.getMessage() for r in caplog.records
                        if r.getMessage().startswith(("epoch", "converged", "stopped"))]
-                runs[workers, minibatch_pairs] = log, result.full
+                runs[workers, width] = log, result.full
         log, full = runs[1, 1024]
         assert log[-1].startswith("converged after 4 epochs") and len(log) == 5
         for key, (other_log, other_full) in runs.items():
@@ -607,19 +628,19 @@ def kernel_oracle(dataset, ops, config, component="both"):
 
     The reference for epochs 1 and 2 and for a final evaluation after at
     most one epoch, which ``train_all`` builds from per-variable work: here
-    every pair's full model runs forward and backward in every epoch, as one
-    chunk per minibatch, and forward once more in the final evaluation. It
+    every pair's full model runs forward and backward in every epoch, all
+    active pairs as one chunk in pair-id order, and forward once more in the
+    final evaluation. It
     has no convergence rule (use ``convergence_numerator`` 0). Returns the
     ``TrainResult`` fields and the ids of the dropped pairs in the order
     they are logged: pass by pass, by id within a pass.
     """
     L, lr = config.n_layers, config.learning_rate
     train_full, train_reduced = component != "reduced", component != "full"
-    rng = np.random.default_rng(config.seed)
     xs, ys = dataset.pairs[:, 0], dataset.pairs[:, 1]
     y_used, y_at = np.unique(ys, return_inverse=True)
     lagged_x, lagged_y = strict_lag(dataset.x_values, ops), strict_lag(dataset.y_values, ops)
-    init_full, init_reduced = glorot_init(L, rng)
+    init_full, init_reduced = glorot_init(L, np.random.default_rng(config.seed))
     full = np.repeat(init_full[:, None], len(xs), axis=1)
     reduced = np.repeat(init_reduced[:, None], y_used.size, axis=1)
     full_adam, reduced_adam = AdamState.zeros_like(full), AdamState.zeros_like(reduced)
@@ -645,21 +666,18 @@ def kernel_oracle(dataset, ops, config, component="both"):
         active[cols[~ok]] = False
 
     for t in range(1, config.max_epochs + 1):
-        perm = rng.permutation(len(xs))
         was_active = active.copy()
         ok_y = np.zeros(y_used.size, dtype=bool)
         cols = np.unique(y_at[active])
         _, _, grads, ok_y[cols], _, _ = kernel(cols, train_reduced, bank=True)
         if train_reduced:
             step(reduced, reduced_adam, cols[ok_y[cols]], grads[:, ok_y[cols]], t)
-        for start in range(0, len(xs), config.minibatch_pairs):
-            batch = perm[start : start + config.minibatch_pairs]
-            batch = batch[active[batch]]
-            _, _, grads, ok, _, _ = kernel(batch, train_full)
-            ok &= ok_y[y_at[batch]]
-            drop(batch, ok)
-            if train_full:
-                step(full, full_adam, batch[ok], grads[:, ok], t)
+        batch = np.flatnonzero(active)
+        _, _, grads, ok, _, _ = kernel(batch, train_full)
+        ok &= ok_y[y_at[batch]]
+        drop(batch, ok)
+        if train_full:
+            step(full, full_adam, batch[ok], grads[:, ok], t)
         dropped.extend(np.flatnonzero(was_active & ~active).tolist())  # each pass's by id
 
     was_active = active.copy()
@@ -719,42 +737,44 @@ class TestSharedStart:
         return result, dropped
 
     @pytest.mark.parametrize("epochs", [0, 1, 2, 3])
-    @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 1)])
+    @pytest.mark.parametrize("workers, width", [(1, 1024), (3, 1)])
     @pytest.mark.parametrize("component", ["both", "full", "reduced"])
     @pytest.mark.parametrize("lag_hops", [1, 2])
     @pytest.mark.parametrize("link", ["identity", "exponential"])
-    def test_equals_the_per_pair_pass(self, link, lag_hops, component, workers,
-                                      minibatch_pairs, epochs, caplog):
+    def test_equals_the_per_pair_pass(self, link, lag_hops, component, workers, width, epochs,
+                                      caplog, monkeypatch):
         dataset, ops = self.screen()
-        cfg = TrainConfig(n_layers=3, max_epochs=epochs, lag_hops=lag_hops, link=link,
-                          minibatch_pairs=minibatch_pairs, seed=4, convergence_numerator=0.0)
+        cap_chunks(monkeypatch, width)
+        cfg = TrainConfig(n_layers=3, max_epochs=epochs, lag_hops=lag_hops, link=link, seed=4,
+                          convergence_numerator=0.0)
         result, dropped = self.check(dataset, ops, cfg, component, workers, caplog)
         assert len(result) == len(dataset.pairs) and not dropped
 
     @pytest.mark.parametrize("epochs", [0, 1, 2, 3])
-    @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 1)])
+    @pytest.mark.parametrize("workers, width", [(1, 1024), (3, 1)])
     @pytest.mark.parametrize("component", ["both", "full", "reduced"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_inputs_drop_the_same_pairs(self, bad, component, workers,
-                                                   minibatch_pairs, epochs, caplog):
+    def test_non_finite_inputs_drop_the_same_pairs(self, bad, component, workers, width,
+                                                   epochs, caplog, monkeypatch):
         # x1 and y2 hold one bad value: every pair of y2 goes; pairs of x1 go
         # where the kernel meets the bad lagged value (NaN: always; inf: only
         # in the x backward pass, which runs when the full bank trains for at
         # least one epoch)
         dataset, ops = self.screen(bad)
-        cfg = TrainConfig(n_layers=3, max_epochs=epochs, lag_hops=2,
-                          minibatch_pairs=minibatch_pairs, seed=4, convergence_numerator=0.0)
+        cap_chunks(monkeypatch, width)
+        cfg = TrainConfig(n_layers=3, max_epochs=epochs, lag_hops=2, seed=4,
+                          convergence_numerator=0.0)
         _, dropped = self.check(dataset, ops, cfg, component, workers, caplog)
         x1, y2 = (np.flatnonzero(dataset.pairs[:, i] == v) for i, v in ((0, 1), (1, 2)))
         x1_dropped = np.isnan(bad) or (component != "reduced" and epochs > 0)
         assert sorted(dropped) == sorted(set(y2) | (set(x1) if x1_dropped else set()))
 
     @pytest.mark.parametrize("epochs", [0, 1, 2, 3])
-    @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 1)])
+    @pytest.mark.parametrize("workers, width", [(1, 1024), (3, 1)])
     @pytest.mark.parametrize("component", ["both", "full", "reduced"])
     @pytest.mark.parametrize("link", ["identity", "exponential"])
-    def test_scaled_inputs_drop_the_same_pairs(self, link, component, workers, minibatch_pairs,
-                                               epochs, caplog):
+    def test_scaled_inputs_drop_the_same_pairs(self, link, component, workers, width, epochs,
+                                               caplog, monkeypatch):
         # y0 and x1 scaled by 1e200: the losses of y0 overflow, and the
         # pairs of x1 meet an overflow wherever the kernel does
         dataset, ops = self.screen()
@@ -763,15 +783,45 @@ class TestSharedStart:
         y[:, 0] *= 1e200
         big = Dataset(x_values=x, y_values=y, x_names=dataset.x_names, y_names=dataset.y_names,
                       pairs=dataset.pairs)
-        cfg = TrainConfig(n_layers=3, max_epochs=epochs, link=link,
-                          minibatch_pairs=minibatch_pairs, seed=4, convergence_numerator=0.0)
+        cap_chunks(monkeypatch, width)
+        cfg = TrainConfig(n_layers=3, max_epochs=epochs, link=link, seed=4,
+                          convergence_numerator=0.0)
         _, dropped = self.check(big, ops, cfg, component, workers, caplog)
         assert set(np.flatnonzero(dataset.pairs[:, 1] == 0)) <= set(dropped)
 
-    @pytest.mark.parametrize("workers, minibatch_pairs", [(1, 1024), (3, 7)])
-    def test_several_tiles_equal_the_per_pair_pass(self, workers, minibatch_pairs, caplog):
-        # 40 y and 40 x: epoch 2 runs two bank chunks of y (32 and 8) by
-        # three blocks of x (16, 16, 8), with an inf in one x column
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_permuted_pairs_permute_every_result(self, workers, caplog):
+        # no parameter is shared between pairs, so the order of the pairs
+        # changes no bit of any pair's result: a shuffle of the pairs would
+        # change nothing, and train_all runs them in pair-id order
+        dataset, ops = self.screen(np.inf)
+        perm = np.random.default_rng(0).permutation(len(dataset.pairs))
+        shuffled = Dataset(x_values=dataset.x_values, y_values=dataset.y_values,
+                           x_names=dataset.x_names, y_names=dataset.y_names,
+                           pairs=dataset.pairs[perm])  # its pair k is pair perm[k]
+        cfg = TrainConfig(n_layers=3, max_epochs=3, lag_hops=2, seed=4,
+                          convergence_numerator=0.0)
+        runs = []
+        for data in (dataset, shuffled):
+            caplog.clear()
+            result = train_all(data, ops, cfg, workers=workers)
+            runs.append((result, [int(r.getMessage().split()[1]) for r in caplog.records
+                                  if r.getMessage().startswith("pair ")]))
+        (a, dropped_a), (b, dropped_b) = runs
+        assert dropped_a and sorted(perm[dropped_b]) == sorted(dropped_a)
+        assert np.array_equal(np.sort(perm[b.pair_ids]), a.pair_ids)
+        assert np.array_equal(b.y_index, a.y_index[perm])
+        for name in ("full", "rss_full", "mean_full", "var_full"):
+            assert np.array_equal(getattr(b, name), getattr(a, name)[..., perm],
+                                  equal_nan=True), name
+        for name in ("reduced", "rss_reduced", "mean_reduced", "var_reduced"):
+            assert np.array_equal(getattr(b, name), getattr(a, name), equal_nan=True), name
+
+    @pytest.mark.parametrize("workers, width", [(1, 1024), (3, 7)])
+    def test_several_tiles_equal_the_per_pair_pass(self, workers, width, caplog, monkeypatch):
+        # 40 y and 40 x: epoch 2 runs bank chunks of y (32 and 8, or six of
+        # at most 7 with chunks capped at 7) by three blocks of x (16, 16,
+        # 8), with an inf in one x column
         spec = SynthSpec(n_nodes=60, n_branches=2, depth=6, k_neighbors=2, n_x_vars=40,
                          n_y_vars=40, n_causal_pairs=10, n_candidate_pairs=400, noise_sd=0.3,
                          seed=3)
@@ -781,8 +831,8 @@ class TestSharedStart:
         dataset = Dataset(x_values=x, y_values=ds.y_matrix, x_names=ds.x_names,
                           y_names=ds.y_names, pairs=ds.candidates)
         assert np.unique(dataset.pairs[:, 1]).size > 32
-        cfg = TrainConfig(n_layers=2, max_epochs=3, minibatch_pairs=minibatch_pairs, seed=1,
-                          convergence_numerator=0.0)
+        cap_chunks(monkeypatch, width)
+        cfg = TrainConfig(n_layers=2, max_epochs=3, seed=1, convergence_numerator=0.0)
         _, dropped = self.check(dataset, lagged_operators(ds.dag), cfg, "both", workers, caplog)
         assert sorted(dropped) == np.flatnonzero(dataset.pairs[:, 0] == 5).tolist()
 
