@@ -128,28 +128,39 @@ def build_dag(n_nodes: int, edges) -> Dag:
         exc.edge_index = i
         raise exc
 
-    # Kahn peel over CSR child lists: a node is popped after all its parents,
-    # so its level is final. A node never reaching in-degree 0 is on or below a cycle.
+    # Kahn peel over CSR child lists, one frontier at a time: a node joins the
+    # frontier when its last parent is peeled, so its level, the longest path
+    # from a root, is the frontier's depth. A node never reaching in-degree 0
+    # is on or below a cycle.
     in_degree = np.bincount(v, minlength=n_nodes)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=n_nodes)))).tolist()
-    children = v[np.argsort(u, kind="stable")].tolist()
-    remaining = in_degree.tolist()
-    level = [0] * n_nodes
-    stack = np.flatnonzero(in_degree == 0).tolist()
-    while stack:
-        p = stack.pop()
-        for c in children[indptr[p]:indptr[p + 1]]:
-            level[c] = max(level[c], level[p] + 1)
-            remaining[c] -= 1
-            if remaining[c] == 0:
-                stack.append(c)
-    cyclic = [w for w, r in enumerate(remaining) if r > 0]
-    if cyclic:
-        raise CycleDetected(f"cycle through nodes {cyclic[:10]}")
+    out_degree = np.bincount(u, minlength=n_nodes)
+    start = np.concatenate(([0], np.cumsum(out_degree)))
+    children = v[np.argsort(u, kind="stable")]
+    remaining = in_degree.copy()
+    level = np.zeros(n_nodes, dtype=np.int64)
+    frontier = np.flatnonzero(in_degree == 0)
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        depth += 1
+        if frontier.size == 1:  # a node's children are distinct, and a chain is quick
+            kids = children[start[frontier[0]] : start[frontier[0] + 1]]
+            remaining[kids] -= 1
+        else:
+            count = out_degree[frontier]
+            last = np.cumsum(count)
+            kids = children[np.repeat(start[frontier] - last + count, count)
+                            + np.arange(last[-1])]
+            np.subtract.at(remaining, kids, 1)
+        frontier = kids[remaining[kids] == 0]
+        if frontier.size > 1:
+            frontier = np.unique(frontier)  # a child of several frontier nodes once
+    cyclic = np.flatnonzero(remaining)
+    if cyclic.size:
+        raise CycleDetected(f"cycle through nodes {cyclic[:10].tolist()}")
 
     ends.setflags(write=False)
-    return Dag(n_nodes=n_nodes, edges=ends, in_degree=in_degree,
-               level=np.array(level, dtype=np.int64))
+    return Dag(n_nodes=n_nodes, edges=ends, in_degree=in_degree, level=level)
 
 
 def lagged_operators(dag: Dag) -> LaggedOperators:

@@ -36,11 +36,12 @@ __all__ = [
 LINKS = ("identity", "exponential")
 
 
-def apply_link(s: np.ndarray, link: str) -> np.ndarray:
+def apply_link(s: np.ndarray, link: str, out=None) -> np.ndarray:
+    """link(s): ``s`` itself for the identity link, else written into ``out`` when given."""
     if link == "identity":
         return s
     if link == "exponential":
-        return np.exp(s)
+        return np.exp(s, out=out)
     raise ValueError(f"unknown link {link!r}")
 
 
@@ -130,6 +131,7 @@ def encode_history_batch(
     keep_inputs: bool = False,
     lagged: bool = False,
     buffers=None,
+    out=None,
 ) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """The lagged recurrence of ``encode_history`` over an n-by-m batch.
 
@@ -143,7 +145,8 @@ def encode_history_batch(
     ``buffers``, C-ordered (n, m) arrays, are written instead of new arrays:
     the first holds each layer's output in turn, the next L - 1 the inputs
     of layers 2..L with ``keep_inputs``, else the second holds each in turn.
-    h_tilde is always a new array.
+    h_tilde is written into ``out``, an (n, m) array, when given, else into
+    a new array.
     """
     values = np.asarray(values, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -158,7 +161,8 @@ def encode_history_batch(
 
     u = values if lagged else strict_lag(values, ops)
     h = np.empty_like(values) if buffers is None else buffers[0]
-    acc = np.zeros_like(values)
+    acc = np.empty_like(values) if out is None else out
+    acc.fill(0.0)
     inputs = [] if keep_inputs else None
     for ell in range(1, L + 1):
         if ell > 1:

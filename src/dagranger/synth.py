@@ -13,6 +13,7 @@ model class can represent; it exists to keep the benchmark honest.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +59,15 @@ class SynthSpec:
     n_candidate_pairs: int | None = None  # None: full cross product
 
     def __post_init__(self):
+        for name in ("n_x_vars", "n_y_vars"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_causal_pairs < 0:
+            raise ConfigError(f"n_causal_pairs must be >= 0, got {self.n_causal_pairs}")
+        if not math.isfinite(self.coupling):
+            raise ConfigError(f"coupling must be finite, got {self.coupling}")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ConfigError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.n_causal_pairs > self.n_x_vars * self.n_y_vars:
             raise ConfigError("more causal pairs than the variable cross product")
         if self.lag_steps < 1:

@@ -35,11 +35,11 @@ Epoch 2 runs no forward pass per pair when it starts at the shared encoders
 (after epoch 1 with both banks trained): its bank pass computes enc(y) and
 every layer input of each y at exactly the pairs' y-encoders, one encoding of
 each x at the start gives enc(x) and its layer inputs, and each pair chunk
-runs the kernel's backward pass on gathers of them. The per-variable arrays
-live one tile at a time, the y of one bank chunk (``_CHUNK``) by one block of
-x (``_X_BLOCK``), in (L + 1) * n * 48 floats plus one workspace, a buffer at
-least as large as a per-pair chunk's workspace, which later epochs reuse.
-Later epochs run the per-pair kernel.
+runs the kernel's backward pass on gathers of them, taking layer 1's input
+from the per-variable layer-1 products. The per-variable arrays of layers
+2..L and the encodings live one tile at a time, the y of one bank chunk
+(``_CHUNK``) by one block of x (``_X_BLOCK``), in L * n * 48 floats at the
+start of the workspace. Later epochs run the per-pair kernel.
 
 The kernel does each sparse product once. Layer 1's product ``a.T @ v`` does
 not depend on the parameters, so ``train_all`` computes it once per variable
@@ -47,16 +47,21 @@ and gathers it per chunk; the forward pass keeps each later layer's input
 ``M.T h`` and the backward pass recomputes the layer output from it rather
 than repeating the product.
 
-The kernel allocates no (n, m) array per layer. The full model's two
-encoders run as one batch, y's columns then x's, and every per-layer array
-(the layer inputs, the layer output, and dz, t and g of the backward pass)
-is a row of a workspace (``_rows``) that ``train_all`` makes once for each
-chunk running at a time, sized for its pass, and reuses for every later chunk
-that fits, until a pass runs no encoder; the sparse products write into it
-(``graph.transpose_apply_batch``, ``apply_batch``). A chunk that runs an
-encoder holds ``_CHUNK`` = 32 pairs, so its kept layer inputs take
-2L * n * 32 floats; the pair chunks of epoch 1 and of the shared final
-evaluation run no encoder and hold ``_WIDE_CHUNK`` = 64.
+A chunk allocates no (n, ·) array. The full model's two encoders run as one
+batch, y's columns then x's, and every array of a chunk (the layer inputs,
+the encodings, the layer output, dz and g of the backward pass, Y, y_hat,
+the residual, d and the per-node losses) is a row or a part of a row of one
+workspace (``_layout``) that ``train_all`` makes once, one segment per
+worker; the sparse products write into it (``graph.transpose_apply_batch``,
+``apply_batch``). A segment holds L + 3 rows of n * 2 * ``_CHUNK`` /
+workers floats, the per-pair kernel with gradients, and every other chunk
+fits in it: the reduced bank, the x encodings, epoch 1's pairs and the
+final evaluation's. Epoch 2's tile takes the workspace from its start
+(which is larger than the segments where the tile needs it, as at small L),
+so the passes after it reuse its pages instead of freeing buffers and
+faulting in new ones. A chunk that runs an encoder holds ``_CHUNK`` = 32
+pairs; the pair chunks of epoch 1 and of the shared final evaluation run no
+encoder and hold ``_WIDE_CHUNK`` = 64.
 
 Numerics are independent of chunk width and worker count: pairs are
 processed in fixed-size column chunks, every operation in the kernel treats
@@ -113,7 +118,7 @@ logger = logging.getLogger(__name__)
 # chunk that runs no encoder keeps none and is wider, which halves
 # the per-chunk overhead. An epoch from per-variable encodings holds the
 # layer inputs of ``_CHUNK`` y and ``_X_BLOCK`` x at a time, which at L = 10
-# fits with its workspaces in one per-pair chunk's workspace.
+# fits with its pair chunks in the workspace of the per-pair epochs.
 _CHUNK = 32
 _WIDE_CHUNK = 64
 _X_BLOCK = 16
@@ -300,40 +305,75 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.sum(a, axis=0)
 
 
-def _loss_stats(per_node: np.ndarray) -> np.ndarray:
+def _loss_stats(per_node: np.ndarray, rows=None) -> np.ndarray:
     """(sum, mean, var(ddof=1)) rows, (3, m), of an (n, m) array of per-node losses.
 
-    Each column is reduced as one contiguous row, which gives the bits of
-    the 1-D ``sum``, ``mean`` and ``var`` of that column alone; reducing
+    Each column is copied to a contiguous row of ``rows`` (a C-ordered
+    buffer of n * m floats, made when None) and summed once; its mean is
+    sum / n, and its variance the sum of its squared deviations from that
+    mean over n - 1. These are the operations of numpy's 1-D ``mean`` and
+    ``var(ddof=1)`` of that column alone, so they give its bits; reducing
     ``per_node`` over axis 0 would not. A variance that overflows is inf,
     without a numpy warning.
     """
-    rows = np.ascontiguousarray(per_node.T)
+    n, m = per_node.shape
+    rows = np.empty((m, n)) if rows is None else rows.reshape(m, n)
+    np.copyto(rows, per_node.T)
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.stack([rows.sum(axis=1), rows.mean(axis=1), rows.var(axis=1, ddof=1)])
+        sums = rows.sum(axis=1)
+        means = sums / n
+        np.subtract(rows, means[:, None], out=rows)
+        np.multiply(rows, rows, out=rows)
+        return np.stack([sums, means, rows.sum(axis=1) / (n - 1)])
 
 
 def _workspace(size: int) -> np.ndarray:
-    """A flat buffer of ``size`` floats, viewed as a pass's rows by ``_buffers``."""
+    """A flat buffer of ``size`` floats, laid out by ``_layout``."""
     return np.empty(size)
 
 
-def _rows(L: int, want_grads: bool) -> int:
-    """Workspace rows of one kernel call (``_chunk_forward_backward``).
+def _buffers(workspace: np.ndarray, n: int, k: int, count: int, start: int = 0):
+    """``count`` consecutive (n, k) C-ordered arrays of a flat workspace, from float ``start``."""
+    return [workspace[start + i * n * k : start + (i + 1) * n * k].reshape(n, k)
+            for i in range(count)]
 
-    The layer inputs come first: layer 1's (the caller's gather target),
-    then with ``want_grads`` the kept inputs of layers 2..L and the backward
-    pass's dh / L, dz (each layer's output h in the forward pass), t and g;
-    without, one row for each later layer's input in turn and one for its
-    output. A backward pass that gathers each layer's input into one row
-    takes the rows of L = 1: that row and the four.
+
+def _n_inputs(L: int, keep: bool) -> int:
+    """Layer-input rows of an encoder pass: all L kept, else layer 1's and each later one in turn."""
+    return L if keep else min(L, 2)
+
+
+def _layout(workspace: np.ndarray, n: int, k: int, m: int, n_in: int, want_grads: bool):
+    """Where a kernel call on k encoder columns and m outputs keeps its arrays.
+
+    Returns (inputs, acc, (dh, dz, g), temps), views of the flat
+    ``workspace``. Rows of n * k floats follow each other: the ``n_in``
+    layer inputs, the encodings ``acc``, dz (each layer output in the
+    forward pass) and with ``want_grads`` g. ``temps`` are the three (n, m)
+    arrays of ``_output_losses``, one after the other from the end of
+    ``acc``; the backward pass overwrites those in the dz and g rows. With
+    ``want_grads``, dh / L of the backward pass is ``acc`` for the full
+    model (k = 2m), whose encodings are spent once dh is formed; for the
+    reduced model it lies past the temporaries, so that the third of them,
+    d, and the encodings outlive the call. dh and g are None without
+    ``want_grads``.
     """
-    return L + 4 if want_grads else 3
+    rows = _buffers(workspace, n, k, n_in + 2 + int(want_grads))
+    temps = _buffers(workspace, n, m, 3, (n_in + 1) * n * k)
+    dh = None
+    if want_grads:
+        dh = rows[n_in] if k == 2 * m else _buffers(workspace, n, k, 1,
+                                                     (n_in + 1) * n * k + 3 * n * m)[0]
+    return (rows[:n_in], rows[n_in],
+            (dh, rows[n_in + 1], rows[n_in + 2] if want_grads else None), temps)
 
 
-def _buffers(workspace: np.ndarray, n: int, k: int, rows: int) -> list[np.ndarray]:
-    """The first ``rows`` consecutive (n, k) C-ordered arrays of a flat workspace."""
-    return [workspace[i * n * k : (i + 1) * n * k].reshape(n, k) for i in range(rows)]
+def _layout_size(n: int, k: int, m: int, n_in: int, want_grads: bool) -> int:
+    """The floats of a ``_layout``."""
+    acc_end = (n_in + 1) * n * k
+    if want_grads and k != 2 * m:
+        return acc_end + 3 * n * m + n * k
+    return acc_end + max((1 + int(want_grads)) * n * k, 3 * n * m)
 
 
 def _encoder_params(theta: np.ndarray, full: bool):
@@ -355,22 +395,24 @@ def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops, buffers):
     recomputed from it as tanh(w * u + b), so no sparse product is
     repeated. Every layer output feeds both the mean (weight 1/L) and the
     next layer; the adjoint of z = w * u + b sends M @ (w * dz) back to h.
-    The four ``buffers`` (dh / L, dz, t, g) are written instead of new
-    arrays; ``dh`` may be the first of them.
+    The three ``buffers`` (dh / L, dz, g) are written instead of new
+    arrays; ``dh`` may be the first of them. dz holds tanh' = 1 - h^2
+    before it becomes dz, and dz * u goes into g's row before the product
+    overwrites it.
     """
     L = w.shape[0]
     dw = np.empty_like(w)
     db = np.empty_like(w)
-    dh_mean, dz, t, g_out = buffers
+    dh_mean, dz, g_out = buffers
     np.divide(dh, L, out=dh_mean)
     g = dh_mean
     for ell in range(L, 0, -1):
         u = inputs(ell - 1)
-        h = layer_output(u, w[ell - 1], b[ell - 1], out=t)
-        np.multiply(h, h, out=t)
-        np.subtract(1.0, t, out=t)
-        np.multiply(g, t, out=dz)
-        dw[ell - 1] = _column_sums(np.multiply(dz, u, out=t))
+        h = layer_output(u, w[ell - 1], b[ell - 1], out=dz)
+        np.multiply(h, h, out=dz)
+        np.subtract(1.0, dz, out=dz)
+        np.multiply(g, dz, out=dz)
+        dw[ell - 1] = _column_sums(np.multiply(dz, u, out=g_out))
         db[ell - 1] = _column_sums(dz)
         if ell > 1:
             np.multiply(dz, w[ell - 1][None, :], out=dz)
@@ -379,20 +421,28 @@ def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops, buffers):
     return dw, db
 
 
-def _output_losses(h_y, h_x, c, Y, link):
+def _output_losses(h_y, h_x, c, Y, temps, link):
     """The kernel's forward pass from the encodings on: y_hat, residual and losses.
 
     y_hat = link(h_y + c * h_x), or link(h_y) with ``h_x`` None; ``h_y``,
-    ``h_x`` and Y are (n, m) and c is (m,). Returns (yhat, res, per_node,
-    rss, ok), ok flagging columns with a finite y_hat and rss. Call it
+    ``h_x`` and Y are (n, m) and c is (m,). ``temps`` are three (n, m)
+    arrays: the per-node losses go into the first, y_hat (unless it is h_y
+    itself) into the second and the residual into the third, which may be
+    Y. Returns (yhat, res, per_node, rss, ok), ok flagging columns with a
+    finite rss, which every non-finite y_hat makes non-finite. Call it
     under ``np.errstate``, as the kernel does.
     """
-    s = h_y if h_x is None else h_y + c[None, :] * h_x
-    yhat = apply_link(s, link)
-    res = yhat - Y
-    per_node = res * res
+    losses, s, res = temps  # Y may be res
+    if h_x is None:
+        s = h_y
+    else:
+        np.multiply(c[None, :], h_x, out=s)
+        np.add(h_y, s, out=s)
+    yhat = apply_link(s, link, out=temps[1])
+    np.subtract(yhat, Y, out=res)
+    per_node = np.multiply(res, res, out=losses)
     rss = _column_sums(per_node)
-    return yhat, res, per_node, rss, np.isfinite(yhat).all(axis=0) & np.isfinite(rss)
+    return yhat, res, per_node, rss, np.isfinite(rss)
 
 
 def _gradients(theta, yhat, res, h_x, inputs, ops, lag_hops, link, buffers):
@@ -402,18 +452,19 @@ def _gradients(theta, yhat, res, h_x, inputs, ops, lag_hops, link, buffers):
     (n, m)) is given, else its (2L, m) reduced ones; ``yhat`` and ``res``
     come from ``_output_losses``. ``inputs`` and ``buffers`` are those of
     ``_encoder_backward_batch``, y's columns then x's for the full model.
-    grads has ``theta``'s shape and d is d(loss)/d(y_hat), (n, m).
+    grads has ``theta``'s shape and d is d(loss)/d(y_hat), (n, m), written
+    over ``res``; the full model writes d * enc(x) over ``yhat``.
     """
     m = res.shape[1]
     full = h_x is not None
     w, b, L = _encoder_params(theta, full)
     grads = np.empty_like(theta)
-    d = 2.0 * res
+    d = np.multiply(2.0, res, out=res)
     if link == "exponential":
-        d = d * yhat
+        np.multiply(d, yhat, out=d)
     dh = d
     if full:
-        grads[4 * L] = _column_sums(d * h_x)
+        grads[4 * L] = _column_sums(np.multiply(d, h_x, out=yhat))
         dh = buffers[0]
         dh[:, :m] = d
         np.multiply(theta[4 * L][None, :], d, out=dh[:, m:])
@@ -433,40 +484,41 @@ def _chunk_forward_backward(lagged, Y, theta, ops, lag_hops, link, want_grads, w
     (4L+1, m), one full column per pair. With ``lagged`` (n, m) it is the
     reduced one, link(enc(y)), and ``theta`` is (2L, m), one reduced column
     per y. Returns (rss, per_node, grads, ok, h_y, d): grads has ``theta``'s
-    shape and d is d(loss)/d(y_hat), (n, m) (both None without
-    ``want_grads``); ok flags columns whose loss and forward and backward
-    passes stayed finite; h_y is enc(y), (n, m). A column that overflows or
-    meets an inf is reported through ok alone; numpy's floating-point
-    warnings are silenced for it. The full model's two encoders run as one
-    batch of 2m columns, since every operation treats each column on its
-    own. Every per-layer array is a row of ``workspace`` (``_rows`` rows,
-    made for this call when None), and with ``want_grads`` the inputs of
-    layers 1..L are its first L rows when the call returns; ``lagged`` may
-    be the first row. The returned arrays are new.
+    shape and d is d(loss)/d(y_hat), (n, m), of the reduced model (None
+    without ``want_grads``); ok flags columns whose loss and forward and
+    backward passes stayed finite; h_y is enc(y), (n, m). The backward pass
+    overwrites per_node, and for the full model h_y and d, which are then
+    None. A column that overflows or meets an inf is reported through ok
+    alone; numpy's floating-point warnings are silenced for it. The full
+    model's two encoders run as one batch of 2m columns, since every
+    operation treats each column on its own. Every (n, ·) array of the call
+    is in ``workspace`` (``_layout``, made for this call when None):
+    ``lagged`` may be its first layer input and Y its last temporary, and
+    the returned arrays other than rss, grads and ok are its views, valid
+    until its next use.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         n, m = Y.shape
         k = lagged.shape[1]
         full = k == 2 * m
         w, b, L = _encoder_params(theta, full)
+        n_in = _n_inputs(L, want_grads)
         if workspace is None:
-            workspace = _workspace(_rows(L, want_grads) * n * k)
-        rows = _buffers(workspace, n, k, _rows(L, want_grads))
-        if want_grads:
-            later, scratch = rows[1:L], rows[L:]  # dh / L, dz, t, g
-            out = scratch[1]
-        else:
-            later, out = rows[1:2], rows[2]
-        h, inputs = encode_history_batch(lagged, ops, w, b, lag_hops, want_grads, lagged=True,
-                                         buffers=[out, *later])
+            workspace = _workspace(_layout_size(n, k, m, n_in, want_grads))
+        inputs, acc, backward, temps = _layout(workspace, n, k, m, n_in, want_grads)
+        h, kept = encode_history_batch(lagged, ops, w, b, lag_hops, want_grads, lagged=True,
+                                       buffers=[backward[1], *inputs[1:]], out=acc)
         h_y, h_x = (h[:, :m], h[:, m:]) if full else (h, None)
         yhat, res, per_node, rss, ok = _output_losses(
-            h_y, h_x, theta[4 * L] if full else None, Y, link)
+            h_y, h_x, theta[4 * L] if full else None, Y, temps, link)
         grads = d = None
         if want_grads:
-            grads, d = _gradients(theta, yhat, res, h_x, inputs.__getitem__, ops, lag_hops, link,
-                                  scratch)
+            grads, d = _gradients(theta, yhat, res, h_x, kept.__getitem__, ops, lag_hops, link,
+                                  backward)
             ok &= np.isfinite(grads).all(axis=0)
+            per_node = None
+            if full:
+                h_y = d = None
     return rss, per_node, grads, ok, h_y, d
 
 
@@ -544,7 +596,7 @@ def train_all(
         raise DataError("dataset and operators disagree on the node count")
 
     n_pairs = len(dataset.pairs)
-    L = config.n_layers
+    n, L = ops.n, config.n_layers
     train_full = component in ("both", "full")
     train_reduced = component in ("both", "reduced")
     x_cols, y_cols = dataset.pairs[:, 0], dataset.pairs[:, 1]
@@ -570,6 +622,26 @@ def train_all(
     full_adam = AdamState.zeros_like(full)
     reduced_adam = AdamState.zeros_like(reduced)
 
+    # One workspace holds every (n, ·) array of every chunk, one segment per
+    # worker. A segment fits the per-pair kernel with gradients on ``width``
+    # pairs, L + 3 rows of n * 2 * width floats, and a chunk of ``wide``
+    # pairs that runs no encoder, and with them every other chunk
+    # (``_layout``). Epoch 2's tile (``stored_pass``) takes the workspace
+    # from its start: its store, then the bank and x passes or the pair
+    # chunks of every worker. Later passes reuse the same pages.
+    width = max(1, _CHUNK // workers)
+    wide = max(1, _WIDE_CHUNK // workers)
+    segment = max(_layout_size(n, 2 * width, width, L, True),
+                  _layout_size(n, 2 * wide, wide, 0, False))
+    half = max(1, _CHUNK // 2)  # bank columns per pass in the tile
+    offset, x_width = min(_CHUNK, n_y), min(_X_BLOCK, x_used.size)
+    store_size = L * n * (offset + x_width)
+    pair_size = _layout_size(n, 2 * width, width, 1, True)
+    arena = _workspace(max(workers * segment, store_size + max(
+        _layout_size(n, min(half, n_y), min(half, n_y), L, True),
+        _layout_size(n, x_width, x_width, L, False), workers * pair_size)))
+    segments = [arena[i * segment : (i + 1) * segment] for i in range(workers)]
+
     def gather(cols, out):
         """Columns ``cols`` of ``lagged`` written into ``out``, (n, cols.size) C-ordered.
 
@@ -578,64 +650,61 @@ def train_all(
         """
         return np.take(lagged, cols, axis=1, out=out, mode="clip")
 
+    def take_y(cols, out):
+        """Columns ``cols`` of the y matrix written into ``out``, as ``gather``."""
+        return np.take(dataset.y_values, cols, axis=1, out=out, mode="clip")
+
+    def kernel_chunk(lag_cols, ys, theta, want_grads, workspace):
+        """The kernel on columns ``lag_cols`` of ``lagged`` against columns ``ys`` of Y.
+
+        Both are gathered into ``workspace``, where the kernel runs. Without
+        gradients the per-node losses come back as their ``_loss_stats``,
+        made in y_hat's array.
+        """
+        m = ys.size
+        inputs, _, _, temps = _layout(workspace, n, lag_cols.size, m,
+                                      _n_inputs(L, want_grads), want_grads)
+        rss, per_node, grads, ok, h_y, d = _chunk_forward_backward(
+            gather(lag_cols, inputs[0]), take_y(ys, temps[2]), theta, ops, config.lag_hops,
+            config.link, want_grads, workspace)
+        if not want_grads:
+            per_node = _loss_stats(per_node, temps[1])
+        return rss, per_node, grads, ok, h_y, d
+
     def pair_chunk(cols, want_grads, workspace):
-        k = 2 * cols.size
-        return _chunk_forward_backward(
-            gather(np.concatenate((y_at[cols], n_y + x_at[cols])),
-                   _buffers(workspace, ops.n, k, 1)[0]),
-            np.take(dataset.y_values, y_cols[cols], axis=1), np.take(full, cols, axis=1),
-            ops, config.lag_hops, config.link, want_grads, workspace)
+        return kernel_chunk(np.concatenate((y_at[cols], n_y + x_at[cols])), y_cols[cols],
+                            np.take(full, cols, axis=1), want_grads, workspace)
 
     def bank_chunk(cols, want_grads, workspace):
-        return _chunk_forward_backward(
-            gather(cols, _buffers(workspace, ops.n, cols.size, 1)[0]),
-            np.take(dataset.y_values, y_used[cols], axis=1), np.take(reduced, cols, axis=1),
-            ops, config.lag_hops, config.link, want_grads, workspace)
+        return kernel_chunk(cols, y_used[cols], np.take(reduced, cols, axis=1), want_grads,
+                            workspace)
 
-    # Workspaces not in use. A running chunk takes one, so there are never
-    # more than ``workers``; each is reused by every later chunk that fits in
-    # it, until a pass needs more room or runs no encoder.
-    spare = []
-
-    def run_chunks(kernel, ids, want_grads, rows=0, per_id=1):
+    def run_chunks(kernel, ids, want_grads, wide_chunks=False, spaces=segments):
         """(cols, kernel result) for each fixed-size chunk of ``ids``, in order.
 
-        Chunks run lazily as the caller consumes them. A kernel that takes a
-        workspace of ``rows`` rows gets chunks of ``_CHUNK`` ids and a
-        workspace with room for ``per_id`` columns per id of its widest
-        chunk; spare workspaces with less room are freed first. With
-        ``rows`` 0 the kernel gets chunks of ``_WIDE_CHUNK`` ids and None,
-        and every spare is freed for the arrays such passes hold. One worker
-        runs the chunks one at a time; a pool of ``workers`` threads keeps at most
-        ``workers`` chunks, each ``workers`` times narrower, in flight, so the
-        state held by running chunks does not grow with the worker count.
+        Chunks of ``_CHUNK`` ids (``_WIDE_CHUNK`` with ``wide_chunks``) run
+        lazily as the caller consumes them; chunk i runs in ``spaces[i %
+        workers]``, and its result may be views of it until the caller asks
+        for the next chunk. One worker runs the chunks one at a time; a pool
+        of ``workers`` threads keeps at most ``workers`` chunks, each
+        ``workers`` times narrower, running or held by the caller, so a
+        chunk starts only when the one before it in its space is done with.
         """
-        width = max(1, (_CHUNK if rows else _WIDE_CHUNK) // workers)
-        size = rows * ops.n * per_id * min(width, ids.size)
-        spare[:] = [w for w in spare if rows and w.size >= size]
+        size = wide if wide_chunks else width
+        chunks = [ids[i : i + size] for i in range(0, ids.size, size)]
 
-        def task(cols):
-            if not rows:
-                return cols, kernel(cols, want_grads, None)
-            try:
-                workspace = spare.pop()
-            except IndexError:
-                workspace = _workspace(size)
-            try:
-                return cols, kernel(cols, want_grads, workspace)
-            finally:
-                spare.append(workspace)
+        def task(i):
+            return chunks[i], kernel(chunks[i], want_grads, spaces[i % workers])
 
-        chunks = [ids[i : i + width] for i in range(0, ids.size, width)]
         if workers <= 1 or len(chunks) <= 1:
-            yield from map(task, chunks)
+            yield from map(task, range(len(chunks)))
             return
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pending = deque()
-            for cols in chunks:
+            for i in range(len(chunks)):
                 if len(pending) == workers:
                     yield pending.popleft().result()
-                pending.append(pool.submit(task, cols))
+                pending.append(pool.submit(task, i))
             while pending:
                 yield pending.popleft().result()
 
@@ -647,29 +716,30 @@ def train_all(
         state.m[:, cols] = new_s.m
         state.v[:, cols] = new_s.v
 
-    def encode_x(cols, rows, keep):
+    def encode_x(cols, workspace, keep):
         """(enc(x), layer inputs) of the used x ``cols`` under the shared start's x-encoder.
 
         Every full column starts from the x-encoder of ``init_full`` and
         keeps it while its x-encoder gradient is 0, so while it holds that
-        encoder each x needs one encoding, whichever pairs use it. ``rows``
-        are (n, cols.size) arrays laid out as a kernel's (``_rows``): the
-        layer inputs, all L kept with ``keep`` and two without, then the
-        layer output. The inputs are returned with ``keep`` only.
+        encoder each x needs one encoding, whichever pairs use it. It runs in
+        ``workspace`` as a kernel's forward pass (``_layout``); the inputs of
+        all L layers are returned with ``keep`` only.
         """
         w, b = (np.repeat(init_full[i * L : (i + 1) * L, None], cols.size, axis=1)
                 for i in (2, 3))
+        inputs, acc, (_, h, _), _ = _layout(workspace, n, cols.size, cols.size,
+                                            _n_inputs(L, keep), False)
         with np.errstate(invalid="ignore", over="ignore"):
-            return encode_history_batch(gather(n_y + cols, rows[0]), ops, w, b,
+            return encode_history_batch(gather(n_y + cols, inputs[0]), ops, w, b,
                                         config.lag_hops, keep, lagged=True,
-                                        buffers=[rows[-1], *rows[1:-1]])
+                                        buffers=[h, *inputs[1:]], out=acc)
 
     def encode_x_at_start(out):
         """enc(x) of every used x under the shared start's x-encoder, into ``out``, (n, n_x)."""
         def encode(cols, _, workspace):
-            return encode_x(cols, _buffers(workspace, ops.n, cols.size, _rows(L, False)), False)
+            return encode_x(cols, workspace, False)
 
-        for cols, (h, _) in run_chunks(encode, np.arange(x_used.size), False, _rows(L, False)):
+        for cols, (h, _) in run_chunks(encode, np.arange(x_used.size), False):
             out[:, cols] = h
         return out
 
@@ -687,21 +757,23 @@ def train_all(
         ``ok`` is the kernel's: a finite y and enc(x) and, with gradients, a
         finite lagged x (else 0 * inf in the x backward) and c gradient.
         """
-        h_x = encode_x_at_start(np.empty((ops.n, x_used.size)))
+        h_x = encode_x_at_start(np.empty((n, x_used.size)))
         ok_x = np.isfinite(h_x).all(axis=0)
         if train_full:
             ok_x &= np.isfinite(lagged[:, n_y:]).all(axis=0)
 
-        def kernel(cols, want_grads, _):
+        def kernel(cols, want_grads, workspace):
             yk, xk = y_at[cols], x_at[cols]
             ok = ok_y[yk] & ok_x[xk]
             grads = None
             if want_grads:
+                d, h = _buffers(workspace, n, cols.size, 2)
                 grads = np.zeros((4 * L + 1, cols.size))
                 grads[: 2 * L] = np.take(grads_y, yk, axis=1)
                 with np.errstate(invalid="ignore", over="ignore"):
-                    grads[4 * L] = _column_sums(
-                        np.take(d_y, yk, axis=1) * np.take(h_x, xk, axis=1))
+                    grads[4 * L] = _column_sums(np.multiply(
+                        np.take(d_y, yk, axis=1, out=d, mode="clip"),
+                        np.take(h_x, xk, axis=1, out=h, mode="clip"), out=d))
                 ok &= np.isfinite(grads[4 * L])
             return rss_y[yk], None, grads, ok, None, None
 
@@ -725,36 +797,45 @@ def train_all(
         A pair's enc(y) is then its y's from a reduced-bank pass at the same
         parameters and its enc(x) the shared start's, each computed by the
         kernel's arithmetic on the same bits. ``store`` holds them, one
-        (n, ·) array per layer input and then one of encodings, with pair
-        k's y in column ``y_slot[k]`` and its x in ``x_slot[k]``; the
-        backward pass needs the layer inputs, a forward pass the encodings
-        alone. A chunk gathers its encodings, y's columns then x's as in the
-        kernel, forms link(enc(y) + c * enc(x)) and its losses with the
-        kernel's output end and, with gradients, runs the kernel's backward
-        pass, gathering each layer's input into the workspace's first row
-        when the pass reaches it. Only c and the gradients are the pair's
-        own. Losses, gradients and ``ok`` are the kernel's, bit for bit.
+        (n, ·) array per layer input from layer 2 on and then one of
+        encodings, with pair k's y in column ``y_slot[k]`` and its x in
+        ``x_slot[k]``; layer 1's inputs are the pair's columns of
+        ``lagged``. The backward pass needs the layer inputs, a forward pass
+        the encodings alone. A chunk gathers its encodings, y's columns then
+        x's as in the kernel, into its workspace's ``acc``, forms
+        link(enc(y) + c * enc(x)) and its losses with the kernel's output
+        end and, with gradients, runs the kernel's backward pass, gathering
+        each layer's input into its one layer-input row when the pass
+        reaches it. Only c and the gradients are the pair's own. Losses,
+        gradients and ``ok`` are the kernel's, bit for bit; without
+        gradients the losses come back as their ``_loss_stats``.
         """
         def kernel(cols, want_grads, workspace):
             m = cols.size
             at = np.concatenate((y_slot[cols], x_slot[cols]))
             theta = np.take(full, cols, axis=1)
-            h = np.take(store[-1], at, axis=1)
-            grads = None
+            inputs, h, backward, temps = _layout(workspace, n, 2 * m, m, int(want_grads),
+                                                 want_grads)
+            np.take(store[-1], at, axis=1, out=h, mode="clip")
+            grads = stats = None
             with np.errstate(invalid="ignore", over="ignore"):
                 yhat, res, per_node, rss, ok = _output_losses(
-                    h[:, :m], h[:, m:], theta[4 * L],
-                    np.take(dataset.y_values, y_cols[cols], axis=1), config.link)
+                    h[:, :m], h[:, m:], theta[4 * L], take_y(y_cols[cols], temps[2]), temps,
+                    config.link)
                 if want_grads:
-                    u, *scratch = _buffers(workspace, ops.n, 2 * m, _rows(1, True))
+                    first = np.concatenate((y_at[cols], n_y + x_at[cols]))
 
                     def layer_input(i):
-                        return np.take(store[i], at, axis=1, out=u, mode="clip")
+                        if i == 0:
+                            return gather(first, inputs[0])
+                        return np.take(store[i - 1], at, axis=1, out=inputs[0], mode="clip")
 
                     grads, _ = _gradients(theta, yhat, res, h[:, m:], layer_input, ops,
-                                          config.lag_hops, config.link, scratch)
+                                          config.lag_hops, config.link, backward)
                     ok &= np.isfinite(grads).all(axis=0)
-            return rss, per_node, grads, ok, None, None
+                else:
+                    stats = _loss_stats(per_node, temps[1])
+            return rss, stats, grads, ok, None, None
 
         return kernel
 
@@ -767,48 +848,33 @@ def train_all(
         x at the shared start gives enc(x) and its layer inputs; and only the
         backward pass runs per pair (``stored_chunk``). These per-variable
         arrays live one tile at a time, the y of one bank chunk (``_CHUNK``)
-        by one block of the x their pairs use (``_X_BLOCK``): each is copied
-        from its pass's workspace into a store of one array per layer, so
+        by one block of the x their pairs use (``_X_BLOCK``): the inputs of
+        layers 2..L and the encodings are copied from their pass's rows into
+        a store of one array per layer at the start of the workspace, so
         that a pair chunk gathers a layer's input with one ``np.take``, and
-        the tile's pairs run in chunks. Yields (cols, kernel result) of each
-        pair chunk; ``rss_y`` and ``ok_y`` are set for a bank chunk's y
-        before its first.
+        the tile's pairs run in chunks in the workspace after it. Yields
+        (cols, kernel result) of each pair chunk; ``rss_y`` and ``ok_y`` are
+        set for a bank chunk's y before its first.
         """
-        n = ops.n
         ys = np.unique(y_at[ids])
         y_pos = np.searchsorted(ys, y_at[ids])
         y_slot, x_slot = np.empty(n_pairs, np.intp), np.empty(n_pairs, np.intp)
-        # The store: layer inputs 1..L and encodings, one (n, width) array
-        # each, a bank chunk's y in its first ``offset`` columns and an x
-        # block's after them. One buffer holds it and then the workspace of
-        # the bank passes (run here in chunks of half width), the x passes
-        # and the pair chunks on one worker. It is at least as large as one
-        # per-pair chunk's workspace, which later epochs then reuse.
-        offset = min(_CHUNK, ys.size)
-        width = offset + min(_X_BLOCK, x_used.size)
-        half = max(1, _CHUNK // 2)
-        pairs = min(_CHUNK, ids.size)
-        size = (L + 1) * n * width
-        rest = n * max(_rows(L, True) * min(half, ys.size), (L + 1) * (width - offset),
-                       _rows(1, True) * 2 * pairs)
-        arena = _workspace(max(size + rest, _rows(L, True) * n * 2 * pairs))
-        store = _buffers(arena, n, width, L + 1)
-        workspace = arena[size:]
-        spare[:] = [workspace]
+        store = _buffers(arena, n, offset + x_width, L)
+        rest = arena[store_size:]
+        spaces = [rest[i * pair_size : (i + 1) * pair_size] for i in range(workers)]
 
-        def keep(start, enc):
-            """Copy a pass's layer inputs and encodings to the store from column ``start``."""
+        def keep(start, inputs, enc):
+            """Copy a pass's inputs of layers 2..L and its encodings to the store from ``start``."""
             at = slice(start, start + enc.shape[1])
-            for column, row in zip(store, _buffers(workspace, n, enc.shape[1], L)):
+            for column, row in zip(store, [*inputs[1:], enc]):
                 column[:, at] = row
-            store[L][:, at] = enc
 
         for c0 in range(0, ys.size, _CHUNK):
             bank = ys[c0 : c0 + _CHUNK]
             for p0 in range(0, bank.size, half):
                 cols = bank[p0 : p0 + half]
-                rss, _, grads, ok, enc_y, _ = bank_chunk(cols, True, workspace)
-                keep(p0, enc_y)
+                rss, _, grads, ok, enc_y, _ = bank_chunk(cols, True, rest)
+                keep(p0, _layout(rest, n, cols.size, cols.size, L, True)[0], enc_y)
                 rss_y[cols], ok_y[cols] = rss, ok
                 if train_reduced and ok.any():
                     step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
@@ -819,13 +885,13 @@ def train_all(
             x_pos = np.searchsorted(xs, x_at[mine])
             for b0 in range(0, xs.size, _X_BLOCK):
                 block = xs[b0 : b0 + _X_BLOCK]
-                keep(offset, encode_x(block, _buffers(workspace, n, block.size, L + 1), True)[0])
+                enc, inputs = encode_x(block, rest, True)
+                keep(offset, inputs, enc)
                 in_block = (x_pos >= b0) & (x_pos < b0 + block.size)
                 tile = mine[in_block]
                 x_slot[tile] = offset + x_pos[in_block] - b0
                 yield from run_chunks(stored_chunk(store, y_slot, x_slot), tile, train_full,
-                                      _rows(1, True) if train_full else 0, 2)
-        spare[:] = [arena]
+                                      spaces=spaces)
 
     prev_loss = None
     for epoch in range(config.max_epochs):
@@ -842,21 +908,20 @@ def train_all(
         if not at_start and holds_shared_encoders(ids):
             results = stored_pass(ids, t, rss_y, ok_y)
         else:
-            want_grads = train_reduced or at_start
             if at_start:
-                d_y, grads_y = np.empty((ops.n, n_y)), np.empty((2 * L, n_y))
+                d_y, grads_y = np.empty((n, n_y)), np.empty((2 * L, n_y))
             for cols, (rss, _, grads, ok, _, d) in run_chunks(
-                    bank_chunk, np.unique(y_at[ids]), want_grads, _rows(L, want_grads)):
+                    bank_chunk, np.unique(y_at[ids]), train_reduced or at_start):
                 rss_y[cols], ok_y[cols] = rss, ok
                 if at_start:
                     d_y[:, cols], grads_y[:, cols] = d, grads
                 if train_reduced and ok.any():
                     step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
             if at_start:
-                kernel, rows = start_chunk(rss_y, ok_y, d_y, grads_y), 0
+                results = run_chunks(start_chunk(rss_y, ok_y, d_y, grads_y), ids, train_full,
+                                     wide_chunks=True)
             else:
-                kernel, rows = pair_chunk, _rows(L, train_full)
-            results = run_chunks(kernel, ids, train_full, rows, 2)
+                results = run_chunks(pair_chunk, ids, train_full)
 
         # Each kept pair's full and reduced loss, by pair id; the epoch's
         # total is their exactly rounded sum, whatever the chunks were.
@@ -875,7 +940,7 @@ def train_all(
         for k in ids[~active[ids]]:  # once per pass, by pair id
             logger.warning("pair %d went non-finite; excluded from results", k)
         epoch_loss = math.fsum(memoryview(losses.ravel()))  # floats one by one, no list
-        results = kernel = d_y = grads_y = losses = None  # this epoch's arrays go first
+        results = d_y = grads_y = losses = None  # this epoch's arrays go first
         logger.debug("epoch %d: loss %r", t, epoch_loss)
 
         if prev_loss is not None and prev_loss > 0 and n_pairs > 0:
@@ -895,23 +960,22 @@ def train_all(
     # bank pass and each x is encoded once.
     ids = np.flatnonzero(active)
     shared = holds_shared_encoders(ids)
-    enc = np.empty((ops.n, lagged.shape[1])) if shared else None  # columns as in lagged
+    enc = np.empty((n, lagged.shape[1])) if shared else None  # columns as in lagged
     stats_reduced = np.full((3, n_y), np.nan)
-    for cols, (_, per_node, _, ok, enc_y, _) in run_chunks(
-            bank_chunk, np.unique(y_at[ids]), False, _rows(L, False)):
-        stats = _loss_stats(per_node)
+    for cols, (_, stats, _, ok, enc_y, _) in run_chunks(bank_chunk, np.unique(y_at[ids]),
+                                                        False):
         ok &= np.isfinite(stats).all(axis=0)
         stats_reduced[:, cols[ok]] = stats[:, ok]
         if shared:
             enc[:, cols] = enc_y
     if shared:
         encode_x_at_start(enc[:, n_y:])
-        kernel, rows = stored_chunk([enc], y_at, n_y + x_at), 0
+        results = run_chunks(stored_chunk([enc], y_at, n_y + x_at), ids, False,
+                             wide_chunks=True)
     else:
-        kernel, rows = pair_chunk, _rows(L, False)
+        results = run_chunks(pair_chunk, ids, False)
     stats_full = np.full((3, n_pairs), np.nan)
-    for cols, (_, per_node, _, ok, _, _) in run_chunks(kernel, ids, False, rows, 2):
-        stats = _loss_stats(per_node)
+    for cols, (_, stats, _, ok, _, _) in results:
         ok &= np.isfinite(stats).all(axis=0) & ~np.isnan(stats_reduced[0, y_at[cols]])
         active[cols[~ok]] = False
         stats_full[:, cols[ok]] = stats[:, ok]

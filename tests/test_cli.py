@@ -115,6 +115,19 @@ class TestSynthCommand:
             assert Path(paths[key]).exists()
 
 
+    @pytest.mark.parametrize("option, value", [
+        ("coupling", "nan"), ("noise_sd", -1), ("noise_sd", "inf"), ("n_x_vars", 0),
+        ("n_y_vars", 0), ("n_causal_pairs", -1)])
+    def test_out_of_range_option_is_config_error(self, tmp_path, caplog, option, value):
+        # checked before anything is written: the output directory is not made
+        code = run_cli("synth", "--n-nodes", 40, "--depth", 4, "--outdir", tmp_path / "o",
+                       f"--{option.replace('_', '-')}", value)
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith(f"configuration error: {option} ")
+        assert not (tmp_path / "o").exists()
+
+
 class TestBuildDagCommand:
     def test_forced_chain(self, tmp_path, capsys):
         # spacing makes each node's nearest neighbor unambiguous

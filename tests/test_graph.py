@@ -99,6 +99,43 @@ def edge_lists(draw):
     return n, edges
 
 
+def kahn_loop(n_nodes, edges):
+    """(level, cyclic) by ``build_dag``'s former peel, one popped node and one edge at a time."""
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    in_degree = np.bincount(v, minlength=n_nodes)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=n_nodes)))).tolist()
+    children = v[np.argsort(u, kind="stable")].tolist()
+    remaining = in_degree.tolist()
+    level = [0] * n_nodes
+    stack = np.flatnonzero(in_degree == 0).tolist()
+    while stack:
+        p = stack.pop()
+        for c in children[indptr[p]:indptr[p + 1]]:
+            level[c] = max(level[c], level[p] + 1)
+            remaining[c] -= 1
+            if remaining[c] == 0:
+                stack.append(c)
+    return level, [w for w, r in enumerate(remaining) if r > 0]
+
+
+@st.composite
+def wide_graphs(draw):
+    """A relabelled random DAG of up to 60 nodes, dense or sparse, maybe with back edges."""
+    n = draw(st.integers(2, 60))
+    perm = draw(st.permutations(range(n)))
+    density = draw(st.sampled_from([0.02, 0.1, 0.4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = np.triu_indices(n, 1)
+    keep = rng.random(a.size) < density
+    edges = [(perm[i], perm[j]) for i, j in zip(a[keep].tolist(), b[keep].tolist())]
+    for _ in range(draw(st.integers(0, 2)) if edges else 0):
+        i, j = edges[draw(st.integers(0, len(edges) - 1))]
+        if (j, i) not in edges:
+            edges.append((j, i))  # closes a cycle
+    rng.shuffle(edges)
+    return n, edges
+
+
 class TestBuildDag:
     def test_chain(self):
         dag = build_dag(3, [(0, 1), (1, 2)])
@@ -153,8 +190,23 @@ class TestBuildDag:
         assert np.array_equal(dag.in_degree, ref_in_degree)
         assert np.array_equal(dag.level, reference_levels(n, ref_edges, ref_in_degree))
 
+    @given(wide_graphs())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_frontier_peel_matches_the_edge_loop(self, case):
+        # frontiers of many nodes that share children, long and short paths,
+        # and cycles with nodes below them
+        n, edges = case
+        level, cyclic = kahn_loop(n, edges)
+        if cyclic:
+            with pytest.raises(CycleDetected) as got:
+                build_dag(n, edges)
+            assert str(got.value) == f"cycle through nodes {cyclic[:10]}"
+        else:
+            assert build_dag(n, edges).level.tolist() == level
+
     def test_long_chain_is_fast(self):
-        # 10**5 levels: a peel that advances one level per numpy pass takes seconds
+        # 10**5 levels of one node each: the frontier peel takes about 0.5 s
+        # on a 2-vCPU host, the former loop over edges about 0.1 s
         n = 100_000
         chain = np.column_stack((np.arange(n - 1), np.arange(1, n)))
         seconds = []

@@ -111,6 +111,26 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             small_spec(n_candidate_pairs=2, n_causal_pairs=3)
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("coupling", float("nan"), "coupling must be finite, got nan"),
+        ("coupling", float("-inf"), "coupling must be finite, got -inf"),
+        ("noise_sd", -1.0, "noise_sd must be finite and >= 0, got -1.0"),
+        ("noise_sd", float("inf"), "noise_sd must be finite and >= 0, got inf"),
+        ("noise_sd", float("nan"), "noise_sd must be finite and >= 0, got nan"),
+        ("n_x_vars", 0, "n_x_vars must be >= 1, got 0"),
+        ("n_y_vars", -1, "n_y_vars must be >= 1, got -1"),
+        ("n_causal_pairs", -1, "n_causal_pairs must be >= 0, got -1"),
+    ])
+    def test_out_of_range_option(self, option, value, message):
+        with pytest.raises(ConfigError) as exc:
+            small_spec(**{option: value})
+        assert str(exc.value) == message
+
+    def test_edges_of_the_ranges_accepted(self):
+        ds = generate(small_spec(n_x_vars=1, n_y_vars=1, n_causal_pairs=0, coupling=-2.0,
+                                 noise_sd=0.0))
+        assert ds.x_matrix.shape[1] == ds.y_matrix.shape[1] == 1 and not ds.truth
+
     def test_truth_subset_of_candidates(self):
         ds = generate(small_spec(n_candidate_pairs=10))
         assert ds.truth <= set(ds.candidates)

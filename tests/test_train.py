@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dagranger.model
 import dagranger.train
@@ -275,6 +277,24 @@ class TestChunkKernel:
                 assert (sums[j], means[j], variances[j]) == (
                     col.sum(), col.mean(), col.var(ddof=1))
 
+    @given(st.integers(2, 8000), st.integers(1, 4), st.sampled_from([1e-3, 1.0, 1e160]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_loss_stats_are_numpys_mean_and_var(self, n, m, scale, seed):
+        # one sum per column gives the bits of numpy's 1-D sum, mean and
+        # var(ddof=1) of that column; at 1e160 the squared deviations
+        # overflow, and the variance is inf without a warning (pytest turns
+        # a RuntimeWarning into an error)
+        per_node = np.random.default_rng(seed).gamma(1.0, size=(n, m)) * scale
+        for rows in (None, np.empty(n * m)):
+            stats = _loss_stats(per_node, rows)
+            for j in range(m):
+                col = per_node[:, j].copy()
+                with np.errstate(over="ignore"):
+                    expected = [col.sum(), col.mean(), col.var(ddof=1)]
+                assert stats[:, j].tobytes() == np.array(expected).tobytes()
+        assert np.isinf(stats[2]).all() == (scale == 1e160)
+
 
 class TestAdamStep:
     def test_zero_gradient_no_move_from_fresh_state(self):
@@ -437,10 +457,10 @@ class TestTrainAll:
                     width, workers, name)
 
     def test_workspaces_stay_private_under_thread_switching(self, monkeypatch):
-        # each running chunk takes a workspace of its own: with four workers
-        # at most four exist at once, and with threads switched every
-        # microsecond a workspace shared by two chunks would change some
-        # column's bits
+        # each running chunk takes a segment of its own of the one
+        # workspace: with four workers at most four workspaces may exist at
+        # once, and with threads switched every microsecond a segment shared
+        # by two chunks would change some column's bits
         spec = SynthSpec(n_nodes=200, n_branches=2, n_x_vars=20, n_y_vars=10,
                          n_causal_pairs=5, n_candidate_pairs=150, noise_sd=0.3, seed=1)
         ds = generate(spec)
@@ -529,6 +549,44 @@ class TestTrainAll:
             tracemalloc.stop()
         assert len(result) == 96
         assert peak < 24 * 2**20
+
+    @pytest.mark.parametrize("epochs", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_arrays_live_in_the_workspace(self, workers, epochs, monkeypatch):
+        # n = 8,000, L = 10, 6 x by 4 y: every (n, .) array of a chunk is a
+        # row of the one workspace, so beside it train_all holds only the
+        # per-variable arrays, at most two of (n, 10) floats at a time
+        # (1.28 MB: the layer-1 products and their input, or the products
+        # with epoch 1's d of each y and enc(x) of each x), and arrays the
+        # size of the parameters. The bound, 1.28 MB + 0.5 MiB, was set
+        # before measuring; one chunk array of (n, 16) floats outside the
+        # workspace (1.02 MB) would pass it.
+        rng = np.random.default_rng(4)
+        n, n_x, n_y = 8000, 6, 4
+        v = np.repeat(np.arange(1, n), 3)
+        edges = np.unique(np.column_stack([(rng.random(v.size) * v).astype(np.int64), v]), axis=0)
+        ops = lagged_operators(build_dag(n, edges))
+        dataset = Dataset(x_values=rng.normal(size=(n, n_x)), y_values=rng.normal(size=(n, n_y)),
+                          x_names=tuple(f"x{i}" for i in range(n_x)),
+                          y_names=tuple(f"y{i}" for i in range(n_y)),
+                          pairs=[(i, j) for i in range(n_x) for j in range(n_y)])
+        cfg = TrainConfig(n_layers=10, max_epochs=epochs, convergence_numerator=0.0)
+        sizes = []
+        real = dagranger.train._workspace
+
+        def recording(size):
+            sizes.append(size)
+            return real(size)
+
+        monkeypatch.setattr(dagranger.train, "_workspace", recording)
+        tracemalloc.start()
+        try:
+            result = train_all(dataset, ops, cfg, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result) == n_x * n_y and len(sizes) == 1
+        assert peak - 8 * sizes[0] < 2 * 8 * n * (n_x + n_y) + 2**19
 
     def test_memory_does_not_grow_with_the_x_count(self):
         # Epoch 2 runs from per-variable layer inputs, which live one tile of
