@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Three broad families map onto CLI exit codes: ConfigError (2), DataError (3)
-and InternalError (4). Everything else derives from one of them so the CLI
-can classify failures without knowing each concrete type.
+Two broad families map onto CLI exit codes: ConfigError (2) and DataError
+(3). Everything else derives from one of them so the CLI can classify
+failures without knowing each concrete type; ``cli.main`` maps any other
+exception to exit code 4.
 """
 
 
@@ -16,10 +17,6 @@ class ConfigError(DagrangerError):
 
 class DataError(DagrangerError):
     """Malformed, inconsistent or degenerate input data."""
-
-
-class InternalError(DagrangerError):
-    """A condition that should be impossible; indicates a bug."""
 
 
 # --- graph construction -----------------------------------------------------
@@ -56,20 +53,6 @@ class KTooLarge(ConfigError):
 
 class ParseError(DataError):
     """A data file could not be parsed; message carries path and line."""
-
-
-# --- model / training -------------------------------------------------------
-
-class NonFiniteParameter(DataError):
-    """Model parameters contain NaN or infinity."""
-
-
-class NonFinitePrediction(DataError):
-    """Forward pass produced NaN or infinity (e.g. exp-link overflow)."""
-
-
-class NonFiniteGradient(DataError):
-    """Backward pass produced NaN or infinity."""
 
 
 # --- statistics -------------------------------------------------------------

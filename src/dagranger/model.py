@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteParameter
+from .errors import DimensionMismatch
 from .graph import LaggedOperators, transpose_apply_batch
 
 __all__ = [
-    "check_column",
-    "encode_history",
     "encode_history_batch",
     "strict_lag",
     "layer_output",
@@ -48,61 +46,6 @@ def apply_link(s: np.ndarray, link: str, out=None) -> np.ndarray:
 def _layer_op(ops: LaggedOperators, layer: int, lag_hops: int):
     # Layers 1..lag_hops propagate with the strict-lag matrix; the rest retain self-state.
     return ops.a if layer <= lag_hops else ops.a_plus
-
-
-def _as_column(v: np.ndarray, ops: LaggedOperators) -> np.ndarray:
-    """One node-value vector as an (n, 1) batch."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != ops.n:
-        raise DimensionMismatch(f"expected vector of length {ops.n}, got shape {v.shape}")
-    return v[:, None]
-
-
-def check_column(theta: np.ndarray, *, with_x: bool) -> tuple[np.ndarray, int]:
-    """One parameter column as floats, with its layer count L.
-
-    With ``with_x`` it is a full column [w_y, b_y, w_x, b_x, c] of 4L+1
-    values, else an encoder's (or reduced) column [w, b] of 2L values.
-    Raises DimensionMismatch unless it is 1-D of that length for some
-    L >= 1, and NonFiniteParameter unless every value is finite.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    per_layer, extra = (4, 1) if with_x else (2, 0)
-    L, rest = divmod(theta.shape[0] - extra, per_layer) if theta.ndim == 1 else (0, 0)
-    if L < 1 or rest:
-        raise DimensionMismatch(f"expected a column of {per_layer}L{'+1' if with_x else ''} "
-                                f"values with L >= 1, got shape {theta.shape}")
-    if not np.isfinite(theta).all():
-        raise NonFiniteParameter("parameters must be finite")
-    return theta, L
-
-
-def encode_history(
-    v: np.ndarray,
-    ops: LaggedOperators,
-    theta: np.ndarray,
-    *,
-    lag_hops: int,
-    keep_layers: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run the L-layer lagged recurrence on one node-value vector.
-
-    ``theta`` is the encoder's column [w, b]. h(1) = tanh(w1 * A.T v + b1);
-    subsequent layers apply tanh(w * M.T h + b) with M the strict-lag
-    operator up to ``lag_hops`` and the self-retaining operator beyond.
-    Returns (h_tilde, layers): the mean of the L layer outputs and, with
-    ``keep_layers``, the (L, n) layer outputs (else None). This is
-    ``encode_history_batch`` on a batch of width one; the layer outputs are
-    recomputed from its kept layer inputs, with the same arithmetic.
-    """
-    theta, L = check_column(theta, with_x=False)
-    w, b = theta[:L, None], theta[L:, None]
-    h_tilde, inputs = encode_history_batch(
-        _as_column(v, ops), ops, w, b, lag_hops, keep_inputs=keep_layers)
-    layers = None
-    if inputs is not None:
-        layers = np.stack([layer_output(u, w[i], b[i])[:, 0] for i, u in enumerate(inputs)])
-    return h_tilde[:, 0], layers
 
 
 def strict_lag(values: np.ndarray, ops: LaggedOperators) -> np.ndarray:
@@ -133,11 +76,14 @@ def encode_history_batch(
     buffers=None,
     out=None,
 ) -> tuple[np.ndarray, list[np.ndarray] | None]:
-    """The lagged recurrence of ``encode_history`` over an n-by-m batch.
+    """Run the L-layer lagged recurrence on each column of an n-by-m batch.
 
     ``w`` and ``b`` are (L, m): column j of the batch is encoded with the
-    j-th parameter column. One shared sparse product per layer feeds a
-    per-column affine + tanh. With ``lagged`` the batch already holds
+    j-th parameter column. h(1) = tanh(w1 * A.T v + b1); later layers apply
+    tanh(w * M.T h + b) with M the strict-lag operator up to ``lag_hops``
+    and the self-retaining operator beyond, and h_tilde is the mean of the L
+    layer outputs. One shared sparse product per layer feeds a per-column
+    affine + tanh. With ``lagged`` the batch already holds
     ``strict_lag(values, ops)`` and layer 1 does no product. Returns
     (h_tilde, inputs): with ``keep_inputs``, ``inputs[l]`` is the (n, m)
     input ``M.T h`` of layer l + 1, from which ``layer_output`` gives back

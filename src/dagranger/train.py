@@ -82,15 +82,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError, DataError, DimensionMismatch, NonFiniteGradient, NonFinitePrediction)
+from .errors import ConfigError, DataError
 from .graph import LaggedOperators, apply_batch
 from .model import (
     LINKS,
-    _as_column,
     _layer_op,
     apply_link,
-    check_column,
     encode_history_batch,
     layer_output,
     strict_lag,
@@ -99,13 +96,10 @@ from .model import (
 __all__ = [
     "TrainConfig",
     "Dataset",
-    "LossReport",
     "AdamState",
     "TrainResult",
     "glorot_init",
     "adam_step",
-    "pair_loss",
-    "pair_gradients",
     "train_all",
 ]
 
@@ -190,27 +184,6 @@ class Dataset:
     @property
     def n_nodes(self) -> int:
         return self.x_values.shape[0]
-
-
-@dataclass(frozen=True)
-class LossReport:
-    """Per-node squared errors of both models with their totals."""
-
-    per_node_full: np.ndarray
-    per_node_reduced: np.ndarray
-    rss_full: float
-    rss_reduced: float
-
-    @classmethod
-    def from_per_node(cls, per_node_full, per_node_reduced) -> "LossReport":
-        pf = np.asarray(per_node_full, dtype=np.float64)
-        pr = np.asarray(per_node_reduced, dtype=np.float64)
-        return cls(
-            per_node_full=pf,
-            per_node_reduced=pr,
-            rss_full=float(pf.sum()),
-            rss_reduced=float(pr.sum()),
-        )
 
 
 @dataclass(frozen=True)
@@ -520,45 +493,6 @@ def _chunk_forward_backward(lagged, Y, theta, ops, lag_hops, link, want_grads, w
             if full:
                 h_y = d = None
     return rss, per_node, grads, ok, h_y, d
-
-
-# --- single-pair loss and gradients: the kernel at width one -------------------
-
-
-def _single_pair(x, y, ops, full, reduced, lag_hops, link, want_grads: bool):
-    """The kernel's (full, reduced) results for one pair's two columns."""
-    full, L = check_column(full, with_x=True)
-    reduced, L_reduced = check_column(reduced, with_x=False)
-    if L_reduced != L:
-        raise DimensionMismatch(f"full column has L={L}, reduced column L={L_reduced}")
-    Y = _as_column(y, ops)
-    lagged = strict_lag(np.concatenate((Y, _as_column(x, ops)), axis=1), ops)
-    return (
-        _chunk_forward_backward(lagged, Y, full[:, None], ops, lag_hops, link, want_grads),
-        _chunk_forward_backward(lagged[:, :1], Y, reduced[:, None], ops, lag_hops, link,
-                                want_grads),
-    )
-
-
-def pair_loss(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, full: np.ndarray,
-              reduced: np.ndarray, *, lag_hops: int, link: str) -> LossReport:
-    """Per-node squared errors of the full and reduced predictions of one pair."""
-    (_, per_node_full, _, ok_full, _, _), (_, per_node_reduced, _, ok_reduced, _, _) = (
-        _single_pair(x, y, ops, full, reduced, lag_hops, link, want_grads=False))
-    if not (ok_full[0] and ok_reduced[0]):
-        raise NonFinitePrediction("prediction overflowed (exponential link?)")
-    return LossReport.from_per_node(per_node_full[:, 0], per_node_reduced[:, 0])
-
-
-def pair_gradients(x: np.ndarray, y: np.ndarray, ops: LaggedOperators, full: np.ndarray,
-                   reduced: np.ndarray, *, lag_hops: int,
-                   link: str) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (g_full, g_reduced) of rss_full + rss_reduced w.r.t. one pair's two columns."""
-    (_, _, g_full, ok_full, _, _), (_, _, g_reduced, ok_reduced, _, _) = _single_pair(
-        x, y, ops, full, reduced, lag_hops, link, want_grads=True)
-    if not (ok_full[0] and ok_reduced[0]):
-        raise NonFiniteGradient("gradient contains NaN or infinity")
-    return g_full[:, 0], g_reduced[:, 0]
 
 
 # --- batched training ---------------------------------------------------------
@@ -944,9 +878,9 @@ def train_all(
         logger.debug("epoch %d: loss %r", t, epoch_loss)
 
         if prev_loss is not None and prev_loss > 0 and n_pairs > 0:
-            rel = abs(epoch_loss - prev_loss) / prev_loss
-            if rel < config.convergence_numerator / n_pairs:
-                logger.info("converged after %d epochs (relative change %.3g)", epoch + 1, rel)
+            rel = (epoch_loss - prev_loss) / prev_loss
+            if abs(rel) < config.convergence_numerator / n_pairs:
+                logger.info("converged after %d epochs (relative change %+.3g)", epoch + 1, rel)
                 break
         prev_loss = epoch_loss
     else:

@@ -18,12 +18,12 @@ from dagranger.baselines import var_granger
 from dagranger.cli import RunConfig, main as cli_main
 from dagranger.evaluate import auprc, auroc
 from dagranger.graph import LaggedOperators, lagged_operators
-from dagranger.model import encode_history
 from dagranger.score import METHODS, f_test, score_dataset, welch_t
 from dagranger.synth import SynthSpec, generate
-from dagranger.train import Dataset, TrainConfig, pair_gradients, pair_loss, train_all
+from dagranger.train import Dataset, TrainConfig, train_all
 
 from dag_factories import chain_dag, random_dag
+from pair_kernel import encode_one, gradients_of_one_pair, losses_of_one_pair
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -117,11 +117,11 @@ def test_criterion_1_gradient_correctness():
         x = rng.normal(size=n)
         y = rng.normal(size=n) * 0.5
         spec = dict(lag_hops=lag_hops, link=link)
-        g_full, g_reduced = pair_gradients(x, y, ops, full, reduced, **spec)
+        g_full, g_reduced = gradients_of_one_pair(x, y, ops, full, reduced, **spec)
         h = 1e-6
         for column, g, loss in (
-                (full, g_full, lambda f: pair_loss(x, y, ops, f, reduced, **spec)),
-                (reduced, g_reduced, lambda r: pair_loss(x, y, ops, full, r, **spec))):
+                (full, g_full, lambda f: losses_of_one_pair(x, y, ops, f, reduced, **spec)),
+                (reduced, g_reduced, lambda r: losses_of_one_pair(x, y, ops, full, r, **spec))):
             for j, e in enumerate(h * np.eye(column.size)):
                 rp, rm = loss(column + e), loss(column - e)
                 fd = ((rp.rss_full + rp.rss_reduced) - (rm.rss_full + rm.rss_reduced)) / (2 * h)
@@ -138,7 +138,7 @@ def lag_violation_detector(ops, n, rng, L=3, trials_per_node=1):
     itself or at a non-ancestor within L steps (exact comparison)."""
     p = np.concatenate([rng.normal(size=L), rng.normal(size=L) * 0.2])  # w, then b
     v = rng.normal(size=n)
-    base = encode_history(v, ops, p, lag_hops=1)[0]
+    base = encode_one(v, ops, p, lag_hops=1)
     # ancestor sets within L steps from the strict-lag operator's pattern
     a = ops.a.tocoo()
     parents: dict[int, set[int]] = {i: set() for i in range(n)}
@@ -151,13 +151,13 @@ def lag_violation_detector(ops, n, rng, L=3, trials_per_node=1):
             frontier = {q for f in frontier for q in parents[f]}
         v2 = v.copy()
         v2[node] += 1.0
-        if encode_history(v2, ops, p, lag_hops=1)[0][node] != base[node]:
+        if encode_one(v2, ops, p, lag_hops=1)[node] != base[node]:
             return True
         outsiders = [u for u in range(n) if u not in anc and u != node]
         if outsiders:
             v3 = v.copy()
             v3[rng.choice(outsiders)] += 1.0
-            if encode_history(v3, ops, p, lag_hops=1)[0][node] != base[node]:
+            if encode_one(v3, ops, p, lag_hops=1)[node] != base[node]:
                 return True
     return False
 
@@ -209,7 +209,7 @@ def test_criterion_4_chain_graph_reduction():
     ops = lagged_operators(chain_dag(n))
     w, b = rng.normal(size=L), rng.normal(size=L) * 0.2
     v = rng.normal(size=n)
-    out = encode_history(v, ops, np.concatenate([w, b]), lag_hops=1)[0]
+    out = encode_one(v, ops, np.concatenate([w, b]), lag_hops=1)
     h_prev, acc = v.copy(), np.zeros(n)
     for ell in range(L):
         h = np.empty(n)

@@ -21,7 +21,9 @@ from dagranger.score import (
     write_score_records,
 )
 from dagranger.synth import SynthSpec, generate
-from dagranger.train import Dataset, TrainConfig, pair_loss, train_all
+from dagranger.train import Dataset, TrainConfig, train_all
+
+from pair_kernel import losses_of_one_pair
 
 
 def beta_quadrature(x, a, b):
@@ -280,9 +282,10 @@ class TestScoreDataset:
         assert cols["pair_id"].tolist() == results.pair_ids.tolist()
         for i, pid in enumerate(cols["pair_id"].tolist()):
             xi, yi = dataset.pairs[pid]
-            rep = pair_loss(dataset.x_values[:, xi], dataset.y_values[:, yi], ops,
-                            results.full[:, pid], results.reduced[:, results.y_index[pid]],
-                            lag_hops=TINY_CONFIG.lag_hops, link=TINY_CONFIG.link)
+            rep = losses_of_one_pair(dataset.x_values[:, xi], dataset.y_values[:, yi], ops,
+                                     results.full[:, pid],
+                                     results.reduced[:, results.y_index[pid]],
+                                     lag_hops=TINY_CONFIG.lag_hops, link=TINY_CONFIG.link)
             s = score_pair(pid, rep.per_node_full, rep.per_node_reduced, TINY_CONFIG.n_layers)
             assert (cols["f_stat"][i], cols["f_pvalue"][i], cols["t_stat"][i],
                     cols["t_pvalue"][i], flag_names(cols["flags"][i]),
