@@ -116,14 +116,16 @@ def pearson(x, y) -> float:
 
 
 def pseudocell_smooth(
-    values: np.ndarray,
+    values,
     knn_edges: np.ndarray,
     neighborhood: int,
     coords: np.ndarray | None = None,
-) -> np.ndarray:
+):
     """Replace each row by the mean of itself and up to ``neighborhood`` graph neighbors.
 
-    Neighborhoods are the undirected union of the (E, 2) kNN edges. When ``coords``
+    ``values`` is an (n, m) array, or a tuple of them, which are smoothed
+    with one set of neighbor lists and returned as a tuple. Neighborhoods
+    are the undirected union of the (E, 2) kNN edges. When ``coords``
     are given the nearest neighbors (Euclidean) are kept; otherwise neighbors
     are kept in ascending node-id order. Nodes with fewer neighbors use all
     of them; ``neighborhood = 0`` is the identity.
@@ -135,10 +137,12 @@ def pseudocell_smooth(
     together: one gather and one mean over the rows axis, which adds each
     node's rows in the same order with the same arithmetic.
     """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
+    several = isinstance(values, tuple)
+    matrices = [np.asarray(v, dtype=np.float64) for v in (values if several else (values,))]
     if neighborhood == 0:
-        return values.copy()
+        out = tuple(v.copy() for v in matrices)
+        return out if several else out[0]
+    n = matrices[0].shape[0]
     # both directions of every edge as codes node·n + neighbor: one sort
     # leaves each node's distinct neighbors together, in ascending order
     # (np.unique would hash the codes first, which costs ten times the sort)
@@ -155,12 +159,13 @@ def pseudocell_smooth(
         d2[capped] = ((coords[nbr[capped]] - coords[node[capped]]) ** 2).sum(axis=1)
         nbr = nbr[np.lexsort((nbr, d2, node))]
     kept = np.minimum(degree, neighborhood)
-    out = np.empty_like(values)
+    out = tuple(np.empty_like(v) for v in matrices)
     for r in np.unique(kept):
         group = np.flatnonzero(kept == r)
         rows = np.column_stack((group, nbr[indptr[group, None] + np.arange(r)]))
-        out[group] = values[rows].mean(axis=1)
-    return out
+        for v, smoothed in zip(matrices, out):
+            smoothed[group] = v[rows].mean(axis=1)
+    return out if several else out[0]
 
 
 @dataclass(frozen=True)

@@ -146,10 +146,39 @@ def _read_config_file(path, keys) -> dict[str, str]:
 
 
 def _read_pairs_file(path, x_names, y_names) -> np.ndarray:
-    """The candidate pairs as a ``(P, 2)`` array of (x index, y index), in file order."""
+    """The candidate pairs as a ``(P, 2)`` array of (x index, y index), in file order.
+
+    A file of plain ``x_name<TAB>y_name`` lines is read at once: one split
+    of its text into names, which must join back into that text, and name
+    lookups by ``map``. Any other file (comment, blank or padded lines,
+    extra fields, names with whitespace), and one with an unknown name, a
+    duplicate pair or no pair, is read again line by line
+    (``_read_pairs_lines``), which skips what it may skip and names the
+    first bad line.
+    """
     x_index = {name: i for i, name in enumerate(x_names)}
     y_index = {name: j for j, name in enumerate(y_names)}
-    first_line: dict[int, int] = {}  # pair code x index * len(y_names) + y index -> line
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    words = text.split()
+    xs, ys = words[::2], words[1::2]
+    if (xs and "\n".join(map("\t".join, zip(xs, ys))) == text.rstrip("\n")
+            and not text.startswith("#") and "\n#" not in text):
+        try:
+            xs, ys = (np.fromiter(map(index.__getitem__, names), dtype=np.int64,
+                                  count=len(names))
+                      for index, names in ((x_index, xs), (y_index, ys)))
+        except KeyError:
+            pass
+        else:
+            if np.diff(np.sort(xs * len(y_names) + ys)).all():  # no duplicate pair
+                return np.column_stack((xs, ys))
+    return _read_pairs_lines(path, x_index, y_index, len(y_names))
+
+
+def _read_pairs_lines(path, x_index, y_index, n_y) -> np.ndarray:
+    """``_read_pairs_file`` line by line, raising the error of the first bad line."""
+    first_line: dict[int, int] = {}  # pair code x index * n_y + y index -> line
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -163,7 +192,7 @@ def _read_pairs_file(path, x_names, y_names) -> np.ndarray:
                 raise DataError(f"{path}:{lineno}: unknown x variable {xn!r}")
             if yn not in y_index:
                 raise DataError(f"{path}:{lineno}: unknown y variable {yn!r}")
-            code = x_index[xn] * len(y_names) + y_index[yn]
+            code = x_index[xn] * n_y + y_index[yn]
             if code in first_line:
                 raise DataError(f"{path}:{lineno}: duplicate pair {xn!r} -> {yn!r} "
                                 f"(first on line {first_line[code]})")
@@ -171,7 +200,7 @@ def _read_pairs_file(path, x_names, y_names) -> np.ndarray:
     if not first_line:
         raise DataError(f"{path}: no candidate pairs")
     codes = np.fromiter(first_line, dtype=np.int64, count=len(first_line))
-    return np.column_stack(np.divmod(codes, len(y_names)))
+    return np.column_stack(np.divmod(codes, n_y))
 
 
 def _embedding(path, coords, pt) -> preprocess.Embedding:

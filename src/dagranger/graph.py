@@ -61,6 +61,10 @@ __all__ = [
 ]
 
 
+# The child edges up to which ``build_dag`` peels a frontier item by item.
+_FEW_EDGES = 256
+
+
 @dataclass(frozen=True)
 class Dag:
     """A validated directed acyclic graph over nodes 0..n_nodes-1.
@@ -131,30 +135,45 @@ def build_dag(n_nodes: int, edges) -> Dag:
     # Kahn peel over CSR child lists, one frontier at a time: a node joins the
     # frontier when its last parent is peeled, so its level, the longest path
     # from a root, is the frontier's depth. A node never reaching in-degree 0
-    # is on or below a cycle.
+    # is on or below a cycle. A frontier with few child edges is peeled item
+    # by item through memoryviews of the same arrays, which costs less than
+    # the dozen numpy calls of a large one.
     in_degree = np.bincount(v, minlength=n_nodes)
     out_degree = np.bincount(u, minlength=n_nodes)
     start = np.concatenate(([0], np.cumsum(out_degree)))
     children = v[np.argsort(u, kind="stable")]
     remaining = in_degree.copy()
     level = np.zeros(n_nodes, dtype=np.int64)
-    frontier = np.flatnonzero(in_degree == 0)
+    left, depth_of, child = memoryview(remaining), memoryview(level), memoryview(children)
+    first = fanout = None  # start and out_degree as lists, made for the first small frontier
+
+    def listed(nodes):
+        """A frontier of few nodes as a list, to be peeled item by item if its edges are few."""
+        return nodes.tolist() if nodes.size <= _FEW_EDGES else nodes
+
+    frontier = listed(np.flatnonzero(in_degree == 0))
     depth = 0
-    while frontier.size:
-        level[frontier] = depth
-        depth += 1
-        if frontier.size == 1:  # a node's children are distinct, and a chain is quick
-            kids = children[start[frontier[0]] : start[frontier[0] + 1]]
-            remaining[kids] -= 1
+    while len(frontier):
+        if isinstance(frontier, list) and first is None:
+            first, fanout = start.tolist(), out_degree.tolist()
+        if isinstance(frontier, list) and sum(map(fanout.__getitem__, frontier)) <= _FEW_EDGES:
+            peeled = []
+            for node in frontier:
+                depth_of[node] = depth
+                for kid in child[first[node] : first[node + 1]]:
+                    left[kid] -= 1
+                    if not left[kid]:
+                        peeled.append(kid)
+            frontier = peeled
         else:
-            count = out_degree[frontier]
+            nodes = np.asarray(frontier)
+            level[nodes] = depth
+            count = out_degree[nodes]
             last = np.cumsum(count)
-            kids = children[np.repeat(start[frontier] - last + count, count)
-                            + np.arange(last[-1])]
+            kids = children[np.repeat(start[nodes] - last + count, count) + np.arange(last[-1])]
             np.subtract.at(remaining, kids, 1)
-        frontier = kids[remaining[kids] == 0]
-        if frontier.size > 1:
-            frontier = np.unique(frontier)  # a child of several frontier nodes once
+            frontier = listed(np.unique(kids[remaining[kids] == 0]))  # a child of several once
+        depth += 1
     cyclic = np.flatnonzero(remaining)
     if cyclic.size:
         raise CycleDetected(f"cycle through nodes {cyclic[:10].tolist()}")

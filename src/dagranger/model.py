@@ -48,14 +48,15 @@ def _layer_op(ops: LaggedOperators, layer: int, lag_hops: int):
     return ops.a if layer <= lag_hops else ops.a_plus
 
 
-def strict_lag(values: np.ndarray, ops: LaggedOperators) -> np.ndarray:
+def strict_lag(values: np.ndarray, ops: LaggedOperators, out=None) -> np.ndarray:
     """``a.T @ values``: the sparse product of layer 1, for an n-by-m batch.
 
-    It does not depend on the parameters, so a caller that encodes the same
-    columns many times computes it once and passes (columns of) it to
-    ``encode_history_batch(..., lagged=True)``.
+    It does not depend on the parameters, so a caller may compute it
+    itself, into ``out`` when given, and pass it to
+    ``encode_history_batch(..., lagged=True)``. Each column has the bits of
+    its own product, whatever columns share the batch.
     """
-    return transpose_apply_batch(ops.a, values)
+    return transpose_apply_batch(ops.a, values, out=out)
 
 
 def layer_output(u: np.ndarray, w: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:

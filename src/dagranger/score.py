@@ -236,10 +236,8 @@ def score_dataset(dataset, method: str, *, ops, neighbor_edges, coords, pseudoti
     else:
         x_all, y_all = dataset.x_values, dataset.y_values
         if method == "pseudocell":
-            x_all = baselines.pseudocell_smooth(
-                x_all, neighbor_edges, pseudocell_neighborhood, coords=coords)
-            y_all = baselines.pseudocell_smooth(
-                y_all, neighbor_edges, pseudocell_neighborhood, coords=coords)
+            x_all, y_all = baselines.pseudocell_smooth(
+                (x_all, y_all), neighbor_edges, pseudocell_neighborhood, coords=coords)
         r = baselines.pearson_pairs(x_all, y_all, dataset.pairs, method=method,
                                     x_names=dataset.x_names, y_names=dataset.y_names)
         columns = {"r": r, "score": np.abs(r)}

@@ -6,46 +6,44 @@ reduced model a (2L,) column [w_y, b_y] (``model``), so the total objective
 per pair and per model. The reduced model sees only y's own history, so it
 depends on y and not on x: ``train_all`` keeps one reduced column per y
 variable (the reduced bank) and one full column per pair (the full bank).
-Every epoch the reduced bank takes one Adam step per y, then the pairs, in
-pair-id order, are evaluated in chunks as one batched forward/backward of the
-full model over shared sparse operators, and each pair takes one Adam step on
-its own gradient. No parameter is shared between pairs, so the protocol's
-minibatch of 1,024 pairs has nothing to act on and the pairs are not
-shuffled; ``_CHUNK`` bounds a pass's memory. The pairs of one y start from
+Every epoch the reduced bank takes one Adam step per y, then the pairs are
+evaluated in chunks, in pair-id order or tile by tile, as one batched
+forward/backward of the full model over shared sparse operators, and each
+pair takes one Adam step on its own gradient. No parameter is shared between
+pairs, so the protocol's minibatch of 1,024 pairs has nothing to act on and
+the pairs are not shuffled; ``_CHUNK`` bounds a pass's memory. The pairs of one y start from
 one draw and take the same steps on the same gradients, so the bank gives
 each pair the bits that a copy of its own would have. Gradients are exact
 reverse accumulation through the tanh layers: tanh' = 1 - h^2, and the
 adjoint of each M.T product is the corresponding non-transposed M product.
 
-Epoch 1 needs no pass over the pairs. Every full column starts from one
-Glorot draw with c = 0 and the reduced model's y-encoder, so there the full
-model is the reduced one: a pair's loss, y-encoder gradient and d(loss)/d(y_hat)
-are its y's from the reduced pass, its x-encoder gradient is 0, and its c
-gradient sum(d * enc(x)) needs only one forward encoding of each x. Each of
-these is the kernel's own arithmetic, so every bit is the same.
+Three passes run the encoders per variable while every pair still holds the
+shared encoders: its y-encoder is its y's reduced model and its x-encoder the
+start's, compared bit for bit. A pair's enc(y) is then its y's from the bank
+pass and its enc(x) one encoding of its x. Epoch 1 starts there: every full
+column starts from one Glorot draw with c = 0 and the reduced model's
+y-encoder, so the full model is the reduced one, a pair's loss, y-encoder
+gradient and d(loss)/d(y_hat) are its y's, its x-encoder gradient is 0, and
+its c gradient sum(d * enc(x)) is the only sum of its own. Epoch 2 starts
+there when both banks trained in epoch 1: its pair chunks run the kernel's
+backward pass alone, on gathers of each variable's layer inputs. The final
+evaluation starts there after 0 epochs, or 1 when both banks train: its
+pair chunks form only link(enc(y) + c * enc(x)) and its losses. Each of
+these is the kernel's own arithmetic, so every bit is the same. The three
+share one loop (``shared_pass``) over tiles of one bank of y by one block of
+the x their pairs use, whose per-variable arrays live in a store at the
+start of the workspace, one tile at a time; as many variables as fit, a
+third of them x. Later epochs, and the final evaluation after them, run the
+per-pair kernel.
 
-The final evaluation needs no pass over the pairs either while every pair
-still holds those shared encoders: its y-encoder is its y's reduced model and
-its x-encoder the start's, compared bit for bit. That holds after 0 epochs,
-and after 1 when both banks train. enc(y) then comes from the final reduced
-pass, enc(x) from one encoding of each x, and each pair chunk forms only
-link(enc(y) + c * enc(x)) and its losses, with the kernel's own code.
-
-Epoch 2 runs no forward pass per pair when it starts at the shared encoders
-(after epoch 1 with both banks trained): its bank pass computes enc(y) and
-every layer input of each y at exactly the pairs' y-encoders, one encoding of
-each x at the start gives enc(x) and its layer inputs, and each pair chunk
-runs the kernel's backward pass on gathers of them, taking layer 1's input
-from the per-variable layer-1 products. The per-variable arrays of layers
-2..L and the encodings live one tile at a time, the y of one bank chunk
-(``_CHUNK``) by one block of x (``_X_BLOCK``), in L * n * 48 floats at the
-start of the workspace. Later epochs run the per-pair kernel.
-
-The kernel does each sparse product once. Layer 1's product ``a.T @ v`` does
-not depend on the parameters, so ``train_all`` computes it once per variable
-and gathers it per chunk; the forward pass keeps each later layer's input
-``M.T h`` and the backward pass recomputes the layer output from it rather
-than repeating the product.
+The kernel does each sparse product once. A chunk gathers its y columns
+and, for the full model, its x columns beside them into a workspace row and
+computes layer 1's product ``a.T @ [y | x]`` from it; each product column
+has the bits of its variable's own product. The forward pass keeps each
+later layer's input ``M.T h`` and the backward pass recomputes the layer
+output from it rather than repeating the product. No array of ``train_all``
+has a column per used variable: its memory bound is the workspace, whose
+size depends on the variable counts only up to one tile.
 
 A chunk allocates no (n, ·) array. The full model's two encoders run as one
 batch, y's columns then x's, and every array of a chunk (the layer inputs,
@@ -55,13 +53,13 @@ workspace (``_layout``) that ``train_all`` makes once, one segment per
 worker; the sparse products write into it (``graph.transpose_apply_batch``,
 ``apply_batch``). A segment holds L + 3 rows of n * 2 * ``_CHUNK`` /
 workers floats, the per-pair kernel with gradients, and every other chunk
-fits in it: the reduced bank, the x encodings, epoch 1's pairs and the
-final evaluation's. Epoch 2's tile takes the workspace from its start
-(which is larger than the segments where the tile needs it, as at small L),
-so the passes after it reuse its pages instead of freeing buffers and
-faulting in new ones. A chunk that runs an encoder holds ``_CHUNK`` = 32
-pairs; the pair chunks of epoch 1 and of the shared final evaluation run no
-encoder and hold ``_WIDE_CHUNK`` = 64.
+fits in it: the reduced bank, the x encodings and the pair chunks of the
+shared passes. A shared pass takes the workspace from its start (which is
+larger than the segments where a tile of ``_CHUNK`` y by ``_X_BLOCK`` x
+needs it, as at small L), so the passes after it reuse its pages instead of
+freeing buffers and faulting in new ones. A chunk that runs an encoder
+holds ``_CHUNK`` = 32 pairs; the pair chunks of epoch 1 and of the shared
+final evaluation run no encoder and hold ``_WIDE_CHUNK`` = 64.
 
 Numerics are independent of chunk width and worker count: pairs are
 processed in fixed-size column chunks, every operation in the kernel treats
@@ -110,9 +108,9 @@ logger = logging.getLogger(__name__)
 # memory. A chunk of m pairs keeps the inputs of layers 1..L of both
 # encoders, 2L * n * m floats: 41 MB at m = 32, n = 8,000 and L = 10. A
 # chunk that runs no encoder keeps none and is wider, which halves
-# the per-chunk overhead. An epoch from per-variable encodings holds the
-# layer inputs of ``_CHUNK`` y and ``_X_BLOCK`` x at a time, which at L = 10
-# fits with its pair chunks in the workspace of the per-pair epochs.
+# the per-chunk overhead. An epoch from per-variable layer inputs holds
+# those of a tile of at least ``_CHUNK`` y by ``_X_BLOCK`` x, which at
+# L = 10 fits with its pair chunks in the workspace of the per-pair epochs.
 _CHUNK = 32
 _WIDE_CHUNK = 64
 _X_BLOCK = 16
@@ -152,6 +150,8 @@ class Dataset:
 
     ``pairs`` becomes a read-only (P, 2) int64 array: row k = (xi, yi) means column
     xi of x_values putatively drives column yi of y_values; k is the pair id.
+    The matrices are kept C-ordered (copied only if they are not), so that
+    ``np.take`` gathers a chunk's columns from them without a copy.
     """
 
     x_values: np.ndarray
@@ -161,8 +161,8 @@ class Dataset:
     pairs: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x_values, dtype=np.float64)
-        y = np.asarray(self.y_values, dtype=np.float64)
+        x = np.ascontiguousarray(self.x_values, dtype=np.float64)
+        y = np.ascontiguousarray(self.y_values, dtype=np.float64)
         object.__setattr__(self, "x_values", x)
         object.__setattr__(self, "y_values", y)
         if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -507,16 +507,16 @@ def train_all(
 ) -> TrainResult:
     """Fit every candidate pair; return both parameter banks and each model's loss statistics.
 
-    Every pass runs the pairs in pair-id order, unshuffled, in chunks of at
-    most ``_CHUNK`` pairs (``_WIDE_CHUNK`` without an encoder) that bound its
-    memory; every pair takes one Adam step per epoch. The seed draws only
-    the shared Glorot start. Training stops after ``max_epochs`` epochs or
-    when the relative change of the epoch-total loss (each pair's full and
-    reduced loss) drops below ``convergence_numerator / n_pairs``.
-    ``component`` restricts which model's parameters are updated ("both",
-    "full", "reduced"); because the models share no parameters the
-    restricted runs reproduce the joint run exactly. A pair whose full model
-    goes non-finite, or whose y's reduced model does, is dropped from the
+    Every pass runs the pairs unshuffled, in chunks of at most ``_CHUNK``
+    pairs (``_WIDE_CHUNK`` without an encoder) that bound its memory; every
+    pair takes one Adam step per epoch. The seed draws only the shared
+    Glorot start. Training stops after ``max_epochs`` epochs or when the
+    relative change of the epoch-total loss (each pair's full and reduced
+    loss) drops below ``convergence_numerator / n_pairs``. ``component``
+    restricts which model's parameters are updated ("both", "full",
+    "reduced"); because the models share no parameters the restricted runs
+    reproduce the joint run exactly. A pair whose full model goes
+    non-finite, or whose y's reduced model does, is dropped from the
     results with a logged diagnostic (once per pass, in pair-id order). The
     final evaluation returns no per-node losses, only their sum, mean and
     variance: per pair for the full model and per y for the reduced one
@@ -535,14 +535,8 @@ def train_all(
     train_reduced = component in ("both", "reduced")
     x_cols, y_cols = dataset.pairs[:, 0], dataset.pairs[:, 1]
     active = np.ones(n_pairs, dtype=bool)
-    # Layer 1's product does not depend on the parameters: compute it once for
-    # each variable some pair uses, y's then x's (column n_y + i is the i-th
-    # used x), and gather its columns per chunk.
-    x_used, x_at = np.unique(x_cols, return_inverse=True)
     y_used, y_at = np.unique(y_cols, return_inverse=True)
     n_y = y_used.size
-    lagged = strict_lag(np.concatenate(
-        (dataset.y_values[:, y_used], dataset.x_values[:, x_used]), axis=1), ops)
     # Two parameter banks, each with its own Adam state: the full model of
     # every pair, one column per pair, and the reduced model of every y some
     # pair uses, one column per y. The reduced model sees y alone, so the
@@ -556,61 +550,72 @@ def train_all(
     full_adam = AdamState.zeros_like(full)
     reduced_adam = AdamState.zeros_like(reduced)
 
-    # One workspace holds every (n, ·) array of every chunk, one segment per
+    # One workspace holds every (n, ·) array of every pass, one segment per
     # worker. A segment fits the per-pair kernel with gradients on ``width``
     # pairs, L + 3 rows of n * 2 * width floats, and a chunk of ``wide``
     # pairs that runs no encoder, and with them every other chunk
-    # (``_layout``). Epoch 2's tile (``stored_pass``) takes the workspace
-    # from its start: its store, then the bank and x passes or the pair
-    # chunks of every worker. Later passes reuse the same pages.
+    # (``_layout``). A pass from the shared encoders (``shared_pass``) takes
+    # the workspace from its start: the store of its tile, then its bank
+    # passes of ``half`` y and x passes of ``_X_BLOCK`` x or the pair chunks
+    # of every worker. The workspace fits a tile of at least ``_CHUNK`` y by
+    # ``_X_BLOCK`` x in each kind of pass.
     width = max(1, _CHUNK // workers)
     wide = max(1, _WIDE_CHUNK // workers)
+    half = max(1, _CHUNK // 2)
+    n_x = np.unique(x_cols).size
+    bank_width, x_width = min(half, n_y), min(_X_BLOCK, n_x)
     segment = max(_layout_size(n, 2 * width, width, L, True),
                   _layout_size(n, 2 * wide, wide, 0, False))
-    half = max(1, _CHUNK // 2)  # bank columns per pass in the tile
-    offset, x_width = min(_CHUNK, n_y), min(_X_BLOCK, x_used.size)
-    store_size = L * n * (offset + x_width)
-    pair_size = _layout_size(n, 2 * width, width, 1, True)
-    arena = _workspace(max(workers * segment, store_size + max(
-        _layout_size(n, min(half, n_y), min(half, n_y), L, True),
-        _layout_size(n, x_width, x_width, L, False), workers * pair_size)))
+
+    def past_store(stored):
+        """Floats a tile's bank and x passes or its pair chunks need after its store."""
+        pairs = (_layout_size(n, 2 * width, width, 1, True) if stored
+                 else _layout_size(n, 2 * wide, wide, 0, False))
+        return max(_layout_size(n, bank_width, bank_width, L, True),
+                   _layout_size(n, x_width, x_width, L, False), workers * pairs)
+
+    least = min(_CHUNK, n_y) + x_width
+    arena = _workspace(max(workers * segment, (L + 1) * n * least + past_store(True),
+                           n * least + past_store(False)))
     segments = [arena[i * segment : (i + 1) * segment] for i in range(workers)]
 
-    def gather(cols, out):
-        """Columns ``cols`` of ``lagged`` written into ``out``, (n, cols.size) C-ordered.
+    def take(values, cols, out):
+        """Columns ``cols`` of ``values`` written into ``out``, (n, cols.size) C-ordered.
 
         The indices are valid, so ``mode="clip"`` changes nothing but lets
         ``np.take`` write straight into ``out`` instead of through a copy.
         """
-        return np.take(lagged, cols, axis=1, out=out, mode="clip")
+        return np.take(values, cols, axis=1, out=out, mode="clip")
 
-    def take_y(cols, out):
-        """Columns ``cols`` of the y matrix written into ``out``, as ``gather``."""
-        return np.take(dataset.y_values, cols, axis=1, out=out, mode="clip")
+    def kernel_chunk(ys, xs, theta, want_grads, workspace):
+        """The kernel on y matrix columns ``ys`` and, for the full model, x matrix columns ``xs``.
 
-    def kernel_chunk(lag_cols, ys, theta, want_grads, workspace):
-        """The kernel on columns ``lag_cols`` of ``lagged`` against columns ``ys`` of Y.
-
-        Both are gathered into ``workspace``, where the kernel runs. Without
-        gradients the per-node losses come back as their ``_loss_stats``,
-        made in y_hat's array.
+        Y goes into the residual's array and, for the full model, the x
+        columns into the per-node losses', from which y's then x's are
+        copied side by side into the encodings' row; layer 1's product of
+        Y or of that row, the kernel's first layer input, has the bits of
+        each column's own product. Without gradients the per-node losses
+        come back as their ``_loss_stats``, made in y_hat's array.
         """
         m = ys.size
-        inputs, _, _, temps = _layout(workspace, n, lag_cols.size, m,
-                                      _n_inputs(L, want_grads), want_grads)
+        inputs, acc, _, temps = _layout(workspace, n, m if xs is None else 2 * m, m,
+                                        _n_inputs(L, want_grads), want_grads)
+        Y = take(dataset.y_values, ys, temps[2])
+        values = Y if xs is None else np.concatenate(
+            (Y, take(dataset.x_values, xs, temps[0])), axis=1, out=acc)
         rss, per_node, grads, ok, h_y, d = _chunk_forward_backward(
-            gather(lag_cols, inputs[0]), take_y(ys, temps[2]), theta, ops, config.lag_hops,
+            strict_lag(values, ops, out=inputs[0]), Y, theta, ops, config.lag_hops,
             config.link, want_grads, workspace)
         if not want_grads:
             per_node = _loss_stats(per_node, temps[1])
         return rss, per_node, grads, ok, h_y, d
 
     def pair_chunk(cols, want_grads, workspace):
-        return kernel_chunk(np.concatenate((y_at[cols], n_y + x_at[cols])), y_cols[cols],
-                            np.take(full, cols, axis=1), want_grads, workspace)
+        return kernel_chunk(y_cols[cols], x_cols[cols], np.take(full, cols, axis=1), want_grads,
+                            workspace)
 
     def bank_chunk(cols, want_grads, workspace):
-        return kernel_chunk(cols, y_used[cols], np.take(reduced, cols, axis=1), want_grads,
+        return kernel_chunk(y_used[cols], None, np.take(reduced, cols, axis=1), want_grads,
                             workspace)
 
     def run_chunks(kernel, ids, want_grads, wide_chunks=False, spaces=segments):
@@ -651,67 +656,25 @@ def train_all(
         state.v[:, cols] = new_s.v
 
     def encode_x(cols, workspace, keep):
-        """(enc(x), layer inputs) of the used x ``cols`` under the shared start's x-encoder.
+        """(enc(x), layer inputs) of x matrix columns ``cols`` under the shared start's x-encoder.
 
         Every full column starts from the x-encoder of ``init_full`` and
         keeps it while its x-encoder gradient is 0, so while it holds that
         encoder each x needs one encoding, whichever pairs use it. It runs in
-        ``workspace`` as a kernel's forward pass (``_layout``); the inputs of
-        all L layers are returned with ``keep`` only.
+        ``workspace`` as a kernel's forward pass (``_layout``), from layer
+        1's product of the x columns, which the first layer input holds
+        after the call; the inputs of all L layers are kept with ``keep``
+        only.
         """
         w, b = (np.repeat(init_full[i * L : (i + 1) * L, None], cols.size, axis=1)
                 for i in (2, 3))
         inputs, acc, (_, h, _), _ = _layout(workspace, n, cols.size, cols.size,
                                             _n_inputs(L, keep), False)
+        lagged = strict_lag(take(dataset.x_values, cols, acc), ops, out=inputs[0])
         with np.errstate(invalid="ignore", over="ignore"):
-            return encode_history_batch(gather(n_y + cols, inputs[0]), ops, w, b,
-                                        config.lag_hops, keep, lagged=True,
-                                        buffers=[h, *inputs[1:]], out=acc)
-
-    def encode_x_at_start(out):
-        """enc(x) of every used x under the shared start's x-encoder, into ``out``, (n, n_x)."""
-        def encode(cols, _, workspace):
-            return encode_x(cols, workspace, False)
-
-        for cols, (h, _) in run_chunks(encode, np.arange(x_used.size), False):
-            out[:, cols] = h
-        return out
-
-    def start_chunk(rss_y, ok_y, d_y, grads_y):
-        """Epoch 1's pair kernel, built from per-variable work.
-
-        Every full column still holds the shared start, where c = 0 and the
-        y-encoder is the reduced model's: y_hat = enc(y) + 0 * enc(x) is the
-        reduced y_hat bit for bit (enc(y), a mean started from +0, is never
-        -0.0). A pair's loss, y-encoder gradient and d(loss)/d(y_hat) are
-        therefore its y's from the reduced pass (``rss_y``, ``grads_y``,
-        ``d_y``); its x-encoder gradient, c times finite sums in the kernel,
-        is +-0 there and 0 here, which give Adam the same parameters and
-        moments; and its c gradient needs enc(x), computed once per x.
-        ``ok`` is the kernel's: a finite y and enc(x) and, with gradients, a
-        finite lagged x (else 0 * inf in the x backward) and c gradient.
-        """
-        h_x = encode_x_at_start(np.empty((n, x_used.size)))
-        ok_x = np.isfinite(h_x).all(axis=0)
-        if train_full:
-            ok_x &= np.isfinite(lagged[:, n_y:]).all(axis=0)
-
-        def kernel(cols, want_grads, workspace):
-            yk, xk = y_at[cols], x_at[cols]
-            ok = ok_y[yk] & ok_x[xk]
-            grads = None
-            if want_grads:
-                d, h = _buffers(workspace, n, cols.size, 2)
-                grads = np.zeros((4 * L + 1, cols.size))
-                grads[: 2 * L] = np.take(grads_y, yk, axis=1)
-                with np.errstate(invalid="ignore", over="ignore"):
-                    grads[4 * L] = _column_sums(np.multiply(
-                        np.take(d_y, yk, axis=1, out=d, mode="clip"),
-                        np.take(h_x, xk, axis=1, out=h, mode="clip"), out=d))
-                ok &= np.isfinite(grads[4 * L])
-            return rss_y[yk], None, grads, ok, None, None
-
-        return kernel
+            enc, _ = encode_history_batch(lagged, ops, w, b, config.lag_hops, keep,
+                                          lagged=True, buffers=[h, *inputs[1:]], out=acc)
+        return enc, inputs
 
     def holds_shared_encoders(ids):
         """Whether every pair in ``ids`` still holds the shared encoders, bit for bit.
@@ -725,137 +688,165 @@ def train_all(
                 and (bits[2 * L : 4 * L, ids]
                      == init_full.view(np.int64)[2 * L : 4 * L, None]).all())
 
-    def stored_chunk(store, y_slot, x_slot):
-        """The pair kernel from per-variable encodings, while ``holds_shared_encoders``.
+    def shared_pass(ids, kind, on_bank):
+        """(cols, kernel result) of each pair chunk of a pass from the shared encoders.
 
-        A pair's enc(y) is then its y's from a reduced-bank pass at the same
-        parameters and its enc(x) the shared start's, each computed by the
-        kernel's arithmetic on the same bits. ``store`` holds them, one
-        (n, ·) array per layer input from layer 2 on and then one of
-        encodings, with pair k's y in column ``y_slot[k]`` and its x in
-        ``x_slot[k]``; layer 1's inputs are the pair's columns of
-        ``lagged``. The backward pass needs the layer inputs, a forward pass
-        the encodings alone. A chunk gathers its encodings, y's columns then
-        x's as in the kernel, into its workspace's ``acc``, forms
-        link(enc(y) + c * enc(x)) and its losses with the kernel's output
-        end and, with gradients, runs the kernel's backward pass, gathering
-        each layer's input into its one layer-input row when the pass
-        reaches it. Only c and the gradients are the pair's own. Losses,
-        gradients and ``ok`` are the kernel's, bit for bit; without
-        gradients the losses come back as their ``_loss_stats``.
+        ``kind`` is the pass (see the module docstring): "start" (epoch 1,
+        ``start_chunk``), "stored" (a later epoch, ``stored_chunk`` with
+        gradients) or "final" (the final evaluation, ``stored_chunk``
+        without). It runs one tile at a time: a bank of the y of ``ids`` by
+        a block of the x their pairs use, as many as the store at the start
+        of the workspace fits, a third of them x unless the y run out first.
+        The store holds one (n, ·) array per row kept, y's columns and then
+        x's: d of each y and enc(x) in epoch 1, the L layer inputs and the
+        encodings in a later epoch, the encodings in the final evaluation.
+        Bank passes of ``half`` y and x passes of ``_X_BLOCK`` x fill it
+        from their rows, each bank pass's result going to ``on_bank``
+        first, and the tile's pairs run in chunks in the workspace after it.
         """
-        def kernel(cols, want_grads, workspace):
+        stored = kind == "stored"
+        rows = L + 1 if stored else 1
+        room = (arena.size - past_store(stored)) // max(1, rows * n)  # columns of the store
+        banked = min(n_y, room - min(n_x, room // 3))
+        blocked = min(n_x, room - banked)
+        store = _buffers(arena, n, banked + blocked, rows)
+        rest = arena[rows * n * (banked + blocked) :]
+        share = rest.size // workers
+        spaces = [rest[i * share : (i + 1) * share] for i in range(workers)]
+        slot = np.empty((2, n_pairs), np.intp)  # store columns of each pair's y and x
+        rss_bank, grads_bank = np.empty(banked), np.empty((2 * L, banked))
+        ok_block = np.empty(blocked, dtype=bool)
+
+        def keep(start, arrays):
+            """Copy (n, m) ``arrays`` to the last rows of the store, from column ``start``."""
+            at = slice(start, start + arrays[0].shape[1])
+            for row, array in zip(store[rows - len(arrays) :], arrays):
+                row[:, at] = array
+
+        def start_chunk(cols, want_grads, workspace):
+            """Epoch 1's pair kernel, built from per-variable work.
+
+            A pair's loss, y-encoder gradient and d(loss)/d(y_hat) are its
+            y's from the bank pass. Its x-encoder gradient, c times finite
+            sums in the kernel, is +-0 there and 0 here, which give Adam the
+            same parameters and moments; its c gradient is sum(d * enc(x)).
+            ``ok`` is the kernel's: a finite enc(x) and, with gradients, a
+            finite layer-1 product of x (else 0 * inf in the x backward) and
+            c gradient; a finite y is ``on_bank``'s.
+            """
+            y_slot, x_slot = slot[:, cols]
+            ok = ok_block[x_slot - banked]
+            grads = None
+            if want_grads:
+                d, h = _buffers(workspace, n, cols.size, 2)
+                grads = np.zeros((4 * L + 1, cols.size))
+                grads[: 2 * L] = grads_bank[:, y_slot]
+                with np.errstate(invalid="ignore", over="ignore"):
+                    grads[4 * L] = _column_sums(np.multiply(
+                        take(store[0], y_slot, d), take(store[0], x_slot, h), out=d))
+                ok &= np.isfinite(grads[4 * L])
+            return rss_bank[y_slot], None, grads, ok, None, None
+
+        def stored_chunk(cols, want_grads, workspace):
+            """The pair kernel from the tile's encodings and, with gradients, its layer inputs.
+
+            A chunk gathers its encodings, y's columns then x's as in the
+            kernel, into its ``acc`` row, forms link(enc(y) + c * enc(x))
+            and its losses with the kernel's output end and, with gradients,
+            runs the kernel's backward pass, gathering each layer's input
+            into its one layer-input row when the pass reaches it. Without
+            gradients the losses come back as their ``_loss_stats``.
+            """
             m = cols.size
-            at = np.concatenate((y_slot[cols], x_slot[cols]))
+            at = slot[:, cols].ravel()
             theta = np.take(full, cols, axis=1)
             inputs, h, backward, temps = _layout(workspace, n, 2 * m, m, int(want_grads),
                                                  want_grads)
-            np.take(store[-1], at, axis=1, out=h, mode="clip")
+            take(store[-1], at, h)
             grads = stats = None
             with np.errstate(invalid="ignore", over="ignore"):
                 yhat, res, per_node, rss, ok = _output_losses(
-                    h[:, :m], h[:, m:], theta[4 * L], take_y(y_cols[cols], temps[2]), temps,
-                    config.link)
+                    h[:, :m], h[:, m:], theta[4 * L],
+                    take(dataset.y_values, y_cols[cols], temps[2]), temps, config.link)
                 if want_grads:
-                    first = np.concatenate((y_at[cols], n_y + x_at[cols]))
-
-                    def layer_input(i):
-                        if i == 0:
-                            return gather(first, inputs[0])
-                        return np.take(store[i - 1], at, axis=1, out=inputs[0], mode="clip")
-
-                    grads, _ = _gradients(theta, yhat, res, h[:, m:], layer_input, ops,
+                    grads, _ = _gradients(theta, yhat, res, h[:, m:],
+                                          lambda i: take(store[i], at, inputs[0]), ops,
                                           config.lag_hops, config.link, backward)
                     ok &= np.isfinite(grads).all(axis=0)
                 else:
                     stats = _loss_stats(per_node, temps[1])
             return rss, stats, grads, ok, None, None
 
-        return kernel
-
-    def stored_pass(ids, t, rss_y, ok_y):
-        """An epoch's reduced-bank steps and pair results while ``ids`` hold the shared encoders.
-
-        Each pair's y-encoder is then its y's reduced column before this
-        epoch's step, so the bank pass, which runs at those parameters,
-        computes enc(y) and the layer inputs of each y; one encoding of each
-        x at the shared start gives enc(x) and its layer inputs; and only the
-        backward pass runs per pair (``stored_chunk``). These per-variable
-        arrays live one tile at a time, the y of one bank chunk (``_CHUNK``)
-        by one block of the x their pairs use (``_X_BLOCK``): the inputs of
-        layers 2..L and the encodings are copied from their pass's rows into
-        a store of one array per layer at the start of the workspace, so
-        that a pair chunk gathers a layer's input with one ``np.take``, and
-        the tile's pairs run in chunks in the workspace after it. Yields
-        (cols, kernel result) of each pair chunk; ``rss_y`` and ``ok_y`` are
-        set for a bank chunk's y before its first.
-        """
+        if ids.size == 0:
+            return
+        kernel = start_chunk if kind == "start" else stored_chunk
         ys = np.unique(y_at[ids])
         y_pos = np.searchsorted(ys, y_at[ids])
-        y_slot, x_slot = np.empty(n_pairs, np.intp), np.empty(n_pairs, np.intp)
-        store = _buffers(arena, n, offset + x_width, L)
-        rest = arena[store_size:]
-        spaces = [rest[i * pair_size : (i + 1) * pair_size] for i in range(workers)]
-
-        def keep(start, inputs, enc):
-            """Copy a pass's inputs of layers 2..L and its encodings to the store from ``start``."""
-            at = slice(start, start + enc.shape[1])
-            for column, row in zip(store, [*inputs[1:], enc]):
-                column[:, at] = row
-
-        for c0 in range(0, ys.size, _CHUNK):
-            bank = ys[c0 : c0 + _CHUNK]
+        for c0 in range(0, ys.size, banked):
+            bank = ys[c0 : c0 + banked]
             for p0 in range(0, bank.size, half):
                 cols = bank[p0 : p0 + half]
-                rss, _, grads, ok, enc_y, _ = bank_chunk(cols, True, rest)
-                keep(p0, _layout(rest, n, cols.size, cols.size, L, True)[0], enc_y)
-                rss_y[cols], ok_y[cols] = rss, ok
-                if train_reduced and ok.any():
-                    step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
+                rss, _, grads, ok, enc, d = result = bank_chunk(cols, kind != "final", rest)
+                on_bank(cols, result)
+                if stored:
+                    keep(p0, [*_layout(rest, n, cols.size, cols.size, L, True)[0], enc])
+                else:
+                    keep(p0, [d if kind == "start" else enc])
+                if kind == "start":
+                    rss_bank[p0 : p0 + cols.size], grads_bank[:, p0 : p0 + cols.size] = rss, grads
             in_bank = (y_pos >= c0) & (y_pos < c0 + bank.size)
             mine = ids[in_bank]
-            y_slot[mine] = y_pos[in_bank] - c0
-            xs = np.unique(x_at[mine])
-            x_pos = np.searchsorted(xs, x_at[mine])
-            for b0 in range(0, xs.size, _X_BLOCK):
-                block = xs[b0 : b0 + _X_BLOCK]
-                enc, inputs = encode_x(block, rest, True)
-                keep(offset, inputs, enc)
+            slot[0, mine] = y_pos[in_bank] - c0
+            xs = np.unique(x_cols[mine])
+            x_pos = np.searchsorted(xs, x_cols[mine])
+            for b0 in range(0, xs.size, blocked):
+                block = xs[b0 : b0 + blocked]
+                for q0 in range(0, block.size, _X_BLOCK):
+                    cols = block[q0 : q0 + _X_BLOCK]
+                    enc, inputs = encode_x(cols, rest, stored)
+                    keep(banked + q0, [*inputs, enc] if stored else [enc])
+                    if kind == "start":
+                        ok = ok_block[q0 : q0 + cols.size]
+                        np.isfinite(enc).all(axis=0, out=ok)
+                        if train_full:
+                            ok &= np.isfinite(inputs[0]).all(axis=0)
                 in_block = (x_pos >= b0) & (x_pos < b0 + block.size)
-                tile = mine[in_block]
-                x_slot[tile] = offset + x_pos[in_block] - b0
-                yield from run_chunks(stored_chunk(store, y_slot, x_slot), tile, train_full,
-                                      spaces=spaces)
+                pairs = mine[in_block]
+                slot[1, pairs] = banked + x_pos[in_block] - b0
+                yield from run_chunks(kernel, pairs, train_full and kind != "final",
+                                      wide_chunks=not stored, spaces=spaces)
+
+    def per_pair_pass(ids, bank_grads, pair_grads, on_bank):
+        """(cols, kernel result) of each pair chunk of a pass that runs the kernel per pair.
+
+        The bank pass runs first, each chunk's result going to ``on_bank``.
+        """
+        for cols, result in run_chunks(bank_chunk, np.unique(y_at[ids]), bank_grads):
+            on_bank(cols, result)
+        return run_chunks(pair_chunk, ids, pair_grads)
 
     prev_loss = None
     for epoch in range(config.max_epochs):
         t = epoch + 1
-        at_start = epoch == 0
         ids = np.flatnonzero(active)
         # The reduced bank first, over the y of the active pairs. Each pair's
         # reduced loss is its y's loss before this step, as if it trained its
         # own copy; a y that goes non-finite drops every pair of it below.
-        # In epoch 1 it also keeps what start_chunk needs of each y; while
-        # the pairs hold the shared encoders, stored_pass runs it per tile.
         rss_y = np.zeros(n_y)
         ok_y = np.zeros(n_y, dtype=bool)
-        if not at_start and holds_shared_encoders(ids):
-            results = stored_pass(ids, t, rss_y, ok_y)
+
+        def train_bank(cols, result):
+            rss, _, grads, ok, _, _ = result
+            rss_y[cols], ok_y[cols] = rss, ok
+            if train_reduced and ok.any():
+                step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
+
+        if epoch == 0:
+            results = shared_pass(ids, "start", train_bank)
+        elif holds_shared_encoders(ids):
+            results = shared_pass(ids, "stored", train_bank)
         else:
-            if at_start:
-                d_y, grads_y = np.empty((n, n_y)), np.empty((2 * L, n_y))
-            for cols, (rss, _, grads, ok, _, d) in run_chunks(
-                    bank_chunk, np.unique(y_at[ids]), train_reduced or at_start):
-                rss_y[cols], ok_y[cols] = rss, ok
-                if at_start:
-                    d_y[:, cols], grads_y[:, cols] = d, grads
-                if train_reduced and ok.any():
-                    step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
-            if at_start:
-                results = run_chunks(start_chunk(rss_y, ok_y, d_y, grads_y), ids, train_full,
-                                     wide_chunks=True)
-            else:
-                results = run_chunks(pair_chunk, ids, train_full)
+            results = per_pair_pass(ids, train_reduced, train_full, train_bank)
 
         # Each kept pair's full and reduced loss, by pair id; the epoch's
         # total is their exactly rounded sum, whatever the chunks were.
@@ -874,7 +865,7 @@ def train_all(
         for k in ids[~active[ids]]:  # once per pass, by pair id
             logger.warning("pair %d went non-finite; excluded from results", k)
         epoch_loss = math.fsum(memoryview(losses.ravel()))  # floats one by one, no list
-        results = d_y = grads_y = losses = None  # this epoch's arrays go first
+        results = losses = None  # this epoch's arrays go first
         logger.debug("epoch %d: loss %r", t, epoch_loss)
 
         if prev_loss is not None and prev_loss > 0 and n_pairs > 0:
@@ -886,28 +877,22 @@ def train_all(
     else:
         logger.info("stopped after %d epochs (max_epochs)", config.max_epochs)
 
-    # Final evaluation over all surviving pairs, fixed chunking again. Each
-    # chunk's per-node losses are reduced to the statistics scoring needs,
-    # once per y for the reduced bank; a statistic that overflows drops its
-    # model as a non-finite loss does. While every full column holds the
-    # shared encoders the pairs need no encoder pass: enc(y) is kept from the
-    # bank pass and each x is encoded once.
+    # Final evaluation over all surviving pairs. Each chunk's per-node
+    # losses are reduced to the statistics scoring needs, once per y for the
+    # reduced bank; a statistic that overflows drops its model as a
+    # non-finite loss does.
     ids = np.flatnonzero(active)
-    shared = holds_shared_encoders(ids)
-    enc = np.empty((n, lagged.shape[1])) if shared else None  # columns as in lagged
     stats_reduced = np.full((3, n_y), np.nan)
-    for cols, (_, stats, _, ok, enc_y, _) in run_chunks(bank_chunk, np.unique(y_at[ids]),
-                                                        False):
+
+    def evaluate_bank(cols, result):
+        stats, ok = result[1], result[3]
         ok &= np.isfinite(stats).all(axis=0)
         stats_reduced[:, cols[ok]] = stats[:, ok]
-        if shared:
-            enc[:, cols] = enc_y
-    if shared:
-        encode_x_at_start(enc[:, n_y:])
-        results = run_chunks(stored_chunk([enc], y_at, n_y + x_at), ids, False,
-                             wide_chunks=True)
+
+    if holds_shared_encoders(ids):
+        results = shared_pass(ids, "final", evaluate_bank)
     else:
-        results = run_chunks(pair_chunk, ids, False)
+        results = per_pair_pass(ids, False, False, evaluate_bank)
     stats_full = np.full((3, n_pairs), np.nan)
     for cols, (_, stats, _, ok, _, _) in results:
         ok &= np.isfinite(stats).all(axis=0) & ~np.isnan(stats_reduced[0, y_at[cols]])

@@ -90,6 +90,22 @@ class TestPseudocellSmooth:
         assert out.dtype == expected.dtype and out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("neighborhood", [0, 3, 50])
+    @pytest.mark.parametrize("with_coords", [False, True])
+    def test_a_tuple_is_each_matrix_smoothed_alone(self, rng, neighborhood, with_coords):
+        # x and y smoothed with one set of neighbor lists come back with the
+        # bits of two calls, at width 1 too, where numpy adds a mean pairwise
+        n = 40
+        edges = np.array([(u, v) for u in range(n)
+                          for v in rng.choice(np.delete(np.arange(n), u), 6, replace=False)])
+        coords = rng.normal(size=(n, 2)) if with_coords else None
+        x, y = rng.normal(size=(n, 1)), rng.normal(size=(n, 4))
+        both = pseudocell_smooth((x, y), edges, neighborhood, coords=coords)
+        assert isinstance(both, tuple) and len(both) == 2
+        for out, values in zip(both, (x, y)):
+            alone = pseudocell_smooth(values, edges, neighborhood, coords=coords)
+            assert out.shape == values.shape and out.tobytes() == alone.tobytes()
+
     def test_constant_column_unchanged(self):
         values = np.ones((4, 2))
         out = pseudocell_smooth(values, np.array([(0, 1), (1, 2), (2, 3)]), neighborhood=2)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagranger.cli import RunConfig, _build_parser, _run_config_from_args, main
 from dagranger.errors import DataError
@@ -542,6 +544,32 @@ class TestRunErrors:
         with pytest.raises(DataError, match=r"pairs.tsv:4: duplicate pair 'b' -> 'v' "
                                             r"\(first on line 2\)"):
             _read_pairs_file(pairs, ("a", "b"), ("u", "v"))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(lines=st.lists(st.one_of(
+        st.tuples(st.sampled_from(["a", "b", "c", "zz", " a", ""]),
+                  st.sampled_from(["u", "v", "w", "u\textra", "", "\t"]))
+        .map("\t".join),
+        st.sampled_from(["", "  ", "# note", "a", "a u", "\ta\tu"])), max_size=12),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_pairs_file_reads_as_the_line_loop(self, tmp_path_factory, lines, newline):
+        # one read and one split give the line loop's array, or the line
+        # loop runs and raises its error naming the line
+        from dagranger.cli import _read_pairs_file, _read_pairs_lines
+
+        pairs = tmp_path_factory.mktemp("pairs") / "pairs.tsv"
+        pairs.write_bytes(newline.join(lines).encode())
+        x_names, y_names = ("a", "b", "c"), ("u", "v")
+        outcomes = []
+        for read in (lambda: _read_pairs_file(pairs, x_names, y_names),
+                     lambda: _read_pairs_lines(pairs, {n: i for i, n in enumerate(x_names)},
+                                               {n: i for i, n in enumerate(y_names)}, 2)):
+            try:
+                got = read()
+                outcomes.append((got.dtype, got.shape, got.tolist()))
+            except DataError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     def test_unexpected_exception_is_internal_error(self, bundle, tmp_path, caplog,
                                                     capsys, monkeypatch):

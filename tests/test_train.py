@@ -172,12 +172,12 @@ class TestChunkKernel:
         # encoders, as (L-1) products of its y and x columns side by side,
         # and a chunk of the reduced bank the (L-1) of its one, with or
         # without gradients: the backward pass reuses the forward pass's
-        # layer inputs, and layer 1's products are done once per train_all
+        # layer inputs; layer 1's product is the caller's
         calls = []
         real = dagranger.model.transpose_apply_batch
 
         def counting(op, values, out=None):
-            calls.append(values.shape[1])
+            calls.append((op is ops.a, values.shape[1]))
             return real(op, values, out=out)
 
         n, width, L = 16, 5, 4
@@ -190,10 +190,10 @@ class TestChunkKernel:
         for want_grads in (True, False):
             calls.clear()
             _chunk_forward_backward(lagged, Y, full, ops, 2, "identity", want_grads)
-            assert calls == [2 * width] * (L - 1)
+            assert [w for _, w in calls] == [2 * width] * (L - 1)
             calls.clear()
             _chunk_forward_backward(lagged_y, Y, reduced, ops, 2, "identity", want_grads)
-            assert calls == [width] * (L - 1)
+            assert [w for _, w in calls] == [width] * (L - 1)
 
         ds, dataset, ops = tiny_dataset(seed=2, n_pairs=6)
         epochs = 3
@@ -201,12 +201,16 @@ class TestChunkKernel:
         train_all(dataset, ops, TrainConfig(n_layers=L, max_epochs=epochs, seed=0,
                                             convergence_numerator=0.0))
         n_x, n_y = (np.unique(dataset.pairs[:, i]).size for i in (0, 1))
-        # layer 1 of every y and x as one product; epochs 1 and 2 encode each
-        # x and y once (epoch 2 from the shared encoders), every later epoch
-        # and the final evaluation one pair chunk and one bank chunk
-        per_pass = [2 * 6] * (L - 1) + [n_y] * (L - 1)
-        per_variable = [n_x] * (L - 1) + [n_y] * (L - 1)
-        assert sorted(calls) == sorted([n_y + n_x] + per_variable * 2 + per_pass * (epochs - 1))
+        # with lag_hops 1 only layer 1 uses ops.a. Every pass does two
+        # layer-1 products: epochs 1 and 2 (from the shared encoders) one of
+        # the bank's y and one of the block's x, every later epoch and the
+        # final evaluation one of the bank chunk and one of the pair chunk,
+        # y's and x's columns side by side; the L - 1 later layers follow
+        # each on the same columns
+        shared, per_pair = [n_y, n_x], [n_y, 2 * 6]
+        passes = [shared] * 2 + [per_pair] * (epochs - 1)
+        assert sorted(w for first, w in calls if first) == sorted(sum(passes, []))
+        assert sorted(w for _, w in calls) == sorted(sum(passes, []) * L)
 
     def test_reduced_model_trained_once_per_y(self, monkeypatch):
         # five pairs over two y variables: every pass (each epoch and the
@@ -529,17 +533,14 @@ class TestTrainAll:
         assert len(result) == 96
         assert peak < 24 * 2**20
 
-    @pytest.mark.parametrize("epochs", [2, 3])
+    @pytest.mark.parametrize("epochs", [1, 2, 3])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunk_arrays_live_in_the_workspace(self, workers, epochs, monkeypatch):
-        # n = 8,000, L = 10, 6 x by 4 y: every (n, .) array of a chunk is a
-        # row of the one workspace, so beside it train_all holds only the
-        # per-variable arrays, at most two of (n, 10) floats at a time
-        # (1.28 MB: the layer-1 products and their input, or the products
-        # with epoch 1's d of each y and enc(x) of each x), and arrays the
-        # size of the parameters. The bound, 1.28 MB + 0.5 MiB, was set
-        # before measuring; one chunk array of (n, 16) floats outside the
-        # workspace (1.02 MB) would pass it.
+        # n = 8,000, L = 10, 6 x by 4 y: every (n, .) array of a chunk and
+        # of a tile of variables is a row of the one workspace, so beside it
+        # train_all holds only arrays the size of the parameters or of the
+        # pairs. The bound, 0.5 MiB, was set before measuring; one (n, 10)
+        # array of the variables outside the workspace (0.64 MB) fails it.
         rng = np.random.default_rng(4)
         n, n_x, n_y = 8000, 6, 4
         v = np.repeat(np.arange(1, n), 3)
@@ -565,14 +566,15 @@ class TestTrainAll:
         finally:
             tracemalloc.stop()
         assert len(result) == n_x * n_y and len(sizes) == 1
-        assert peak - 8 * sizes[0] < 2 * 8 * n * (n_x + n_y) + 2**19
+        assert peak - 8 * sizes[0] < 2**19
 
     def test_memory_does_not_grow_with_the_x_count(self):
-        # Epoch 2 runs from per-variable layer inputs, which live one tile of
-        # y by x at a time. With 200 distinct x in place of 8 only the
-        # per-variable layer-1 products grow, by 192 columns (3.1 MB);
-        # holding every x's layer inputs at once would add another 27.6 MB.
-        # The bound, 8 MiB over the 8-x peak, was set before measuring.
+        # Every pass keeps its per-variable arrays one tile of y by x at a
+        # time, in the workspace, whose size depends on the x count only up
+        # to one block of x (16). With 200 distinct x in place of 8 only the
+        # arrays of the pairs grow, 96 -> 200 of them; the layer-1 products
+        # of the 192 extra x alone would add 3.1 MB. The bound, 1 MiB over
+        # the 8-x peak, was set before measuring.
         rng = np.random.default_rng(3)
         n, n_y = 2000, 12
         v = np.repeat(np.arange(1, n), 3)
@@ -594,7 +596,39 @@ class TestTrainAll:
             finally:
                 tracemalloc.stop()
             assert len(result) == len(pairs)
-        assert peaks[200] < peaks[8] + 8 * 2**20
+        assert peaks[200] < peaks[8] + 2**20
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_peak_is_the_same_for_200_and_2000_x(self, epochs):
+        # n = 4,000, L = 2, 2,000 pairs over 20 y: the x of the pairs are
+        # 200, each in 10 pairs, or 2,000, each in one. After 1 epoch every
+        # pass runs from the shared encoders; after 3, epoch 2 does too, and
+        # epoch 3 and the final evaluation run per pair. No pass holds an
+        # array of one column per used x, which at 2,000 x would be 64 MB.
+        # The bound, 4 MiB, was set before measuring.
+        rng = np.random.default_rng(5)
+        n, n_y, n_pairs = 4000, 20, 2000
+        v = np.repeat(np.arange(1, n), 3)
+        edges = np.unique(np.column_stack([(rng.random(v.size) * v).astype(np.int64), v]), axis=0)
+        ops = lagged_operators(build_dag(n, edges))
+        cfg = TrainConfig(n_layers=2, max_epochs=epochs, convergence_numerator=0.0)
+        y = rng.normal(size=(n, n_y))
+        peaks = {}
+        for n_x in (200, 2000):
+            k = np.arange(n_pairs)
+            pairs = np.column_stack((k % n_x, (k // n_x + k) % n_y))
+            dataset = Dataset(x_values=rng.normal(size=(n, n_x)), y_values=y,
+                              x_names=tuple(f"x{i}" for i in range(n_x)),
+                              y_names=tuple(f"y{i}" for i in range(n_y)), pairs=pairs)
+            tracemalloc.start()
+            try:
+                result = train_all(dataset, ops, cfg)
+                peaks[n_x] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(result) == n_pairs
+            dataset = None
+        assert peaks[2000] < peaks[200] + 4 * 2**20
 
     def test_joint_equals_separate_training(self):
         # the two models share no parameters, so the joint run must
