@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__, evaluate, graph, model, preprocess, score, synth, train
 from .errors import ConfigError, DataError, ParseError
+from .textio import cited, numbered_lines
 
 logger = logging.getLogger(__name__)
 
@@ -77,8 +78,11 @@ class RunConfig:
         have_embedding = self.embedding is not None
         if have_edges == have_embedding:
             raise ConfigError("specify exactly one DAG source: --edges or --embedding")
-        if have_embedding and self.pseudotime is None:
-            raise ConfigError("--embedding requires --pseudotime")
+        if self.pseudotime is None:
+            if have_embedding:
+                raise ConfigError("--embedding requires --pseudotime")
+            if self.method in ("all", "var-granger"):
+                raise ConfigError(f"--method {self.method} requires --pseudotime")
         for name in ("method", "rank_mode"):
             if getattr(self, name) not in _CHOICES[name]:
                 raise ConfigError(f"{name} must be one of {_CHOICES[name]}, "
@@ -130,18 +134,14 @@ class _Manifest:
 def _read_config_file(path, keys) -> dict[str, str]:
     """Flat ``key=value`` lines, each key one of ``keys``; ``#`` comments and blanks ignored."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in keys:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value.strip()
+    for lineno, line in numbered_lines(path):
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -179,36 +179,24 @@ def _read_pairs_file(path, x_names, y_names) -> np.ndarray:
 def _read_pairs_lines(path, x_index, y_index, n_y) -> np.ndarray:
     """``_read_pairs_file`` line by line, raising the error of the first bad line."""
     first_line: dict[int, int] = {}  # pair code x index * n_y + y index -> line
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ParseError(f"{path}:{lineno}: expected x_name<TAB>y_name")
-            xn, yn = parts[0], parts[1]
-            if xn not in x_index:
-                raise DataError(f"{path}:{lineno}: unknown x variable {xn!r}")
-            if yn not in y_index:
-                raise DataError(f"{path}:{lineno}: unknown y variable {yn!r}")
-            code = x_index[xn] * n_y + y_index[yn]
-            if code in first_line:
-                raise DataError(f"{path}:{lineno}: duplicate pair {xn!r} -> {yn!r} "
-                                f"(first on line {first_line[code]})")
-            first_line[code] = lineno
+    for lineno, line in numbered_lines(path):
+        parts = line.split("\t")
+        if len(parts) < 2:
+            raise ParseError(f"{path}:{lineno}: expected x_name<TAB>y_name")
+        xn, yn = parts[0], parts[1]
+        if xn not in x_index:
+            raise DataError(f"{path}:{lineno}: unknown x variable {xn!r}")
+        if yn not in y_index:
+            raise DataError(f"{path}:{lineno}: unknown y variable {yn!r}")
+        code = x_index[xn] * n_y + y_index[yn]
+        if code in first_line:
+            raise DataError(f"{path}:{lineno}: duplicate pair {xn!r} -> {yn!r} "
+                            f"(first on line {first_line[code]})")
+        first_line[code] = lineno
     if not first_line:
         raise DataError(f"{path}: no candidate pairs")
     codes = np.fromiter(first_line, dtype=np.int64, count=len(first_line))
     return np.column_stack(np.divmod(codes, n_y))
-
-
-def _embedding(path, coords, pt) -> preprocess.Embedding:
-    """``Embedding(coords, pt)``, with ``path`` in the message of a rejection."""
-    try:
-        return preprocess.Embedding(coords=coords, pseudotime=pt)
-    except DataError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _build_dag_for_run(cfg: RunConfig, n_nodes: int, pt):
@@ -227,14 +215,11 @@ def _build_dag_for_run(cfg: RunConfig, n_nodes: int, pt):
         if emb_matrix.values.shape[0] != n_nodes:
             raise DataError(f"{cfg.embedding} has {emb_matrix.values.shape[0]} rows but "
                             f"the matrices have {n_nodes}")
-        embedding = _embedding(cfg.embedding, emb_matrix.values, pt)
+        with cited(cfg.embedding):
+            embedding = preprocess.Embedding(coords=emb_matrix.values, pseudotime=pt)
         neighbor_edges = preprocess.knn_graph(embedding, cfg.k)
         dag = preprocess.orient_by_pseudotime(neighbor_edges, pt)
         coords = embedding.coords
-    if dag.n_nodes != n_nodes:
-        raise DataError(
-            f"DAG has {dag.n_nodes} nodes but matrices have {n_nodes} rows"
-        )
     return dag, neighbor_edges, coords
 
 
@@ -313,7 +298,8 @@ def cmd_build_dag(args) -> int:
     if emb_matrix.values.shape[0] != pt.shape[0]:
         raise DataError(f"{args.embedding} has {emb_matrix.values.shape[0]} rows but "
                         f"{args.pseudotime} has {pt.shape[0]} values")
-    embedding = _embedding(args.embedding, emb_matrix.values, pt)
+    with cited(args.embedding):
+        embedding = preprocess.Embedding(coords=emb_matrix.values, pseudotime=pt)
     edges = preprocess.knn_graph(embedding, args.k)
     dag = preprocess.orient_by_pseudotime(edges, pt)
     if dag.n_edges == 0:
@@ -337,43 +323,31 @@ def cmd_build_dag(args) -> int:
 def _read_positions(path) -> dict[str, tuple[str, float]]:
     """TSV ``name<TAB>sequence_key<TAB>position``."""
     out: dict[str, tuple[str, float]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected name, key, position")
-            try:
-                out[parts[0]] = (parts[1], float(parts[2]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric position") from exc
+    for lineno, line in numbered_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected name, key, position")
+        try:
+            out[parts[0]] = (parts[1], float(parts[2]))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric position") from exc
     return out
 
 
 def cmd_candidates(args) -> int:
+    if (args.x_positions is None) != (args.y_positions is None):
+        raise ConfigError("--x-positions and --y-positions must be given together")
     x_names = preprocess.read_matrix(args.x_matrix).var_names
     y_names = preprocess.read_matrix(args.y_matrix).var_names
-    have_positions = args.x_positions is not None and args.y_positions is not None
+    pairs = ((xn, yn) for xn in x_names for yn in y_names)
+    if args.x_positions is not None:  # read before the output file is opened
+        xpos = _read_positions(args.x_positions)
+        ypos = _read_positions(args.y_positions)
+        pairs = ((xn, yn) for xn, yn in pairs if xn in xpos and yn in ypos
+                 and xpos[xn][0] == ypos[yn][0]
+                 and abs(xpos[xn][1] - ypos[yn][1]) <= args.max_distance)
     with open(args.out_pairs, "w", encoding="utf-8") as fh:
-        if not have_positions:
-            for xn in x_names:
-                for yn in y_names:
-                    fh.write(f"{xn}\t{yn}\n")
-        else:
-            xpos = _read_positions(args.x_positions)
-            ypos = _read_positions(args.y_positions)
-            for xn in x_names:
-                if xn not in xpos:
-                    continue
-                xkey, xp = xpos[xn]
-                for yn in y_names:
-                    if yn not in ypos:
-                        continue
-                    ykey, yp = ypos[yn]
-                    if xkey == ykey and abs(xp - yp) <= args.max_distance:
-                        fh.write(f"{xn}\t{yn}\n")
+        fh.writelines(f"{xn}\t{yn}\n" for xn, yn in pairs)
     return 0
 
 
@@ -397,16 +371,15 @@ def cmd_eval(args) -> int:
     method = records[0].get("method", "unknown")
     reference = evaluate.read_reference(args.reference)
     candidates = [(r["x_name"], r["y_name"]) for r in records]
-    labeled = evaluate.label_from_reference(
-        candidates, reference, args.true_threshold, args.false_threshold,
-        provenance=str(args.reference),
-    )
     keyed = {(r["x_name"], r["y_name"]): r["score"] for r in records}
-    pairs = sorted(labeled.labels)
-    scores_vec = [keyed[p] for p in pairs]
-    labels_vec = [labeled.labels[p] for p in pairs]
-    auprc_value = evaluate.auprc(scores_vec, labels_vec)
-    auroc_value = evaluate.auroc(scores_vec, labels_vec)
+    with cited(f"{args.scores} against {args.reference}"):
+        labeled = evaluate.label_from_reference(
+            candidates, reference, args.true_threshold, args.false_threshold)
+        pairs = sorted(labeled.labels)
+        scores_vec = [keyed[p] for p in pairs]
+        labels_vec = [labeled.labels[p] for p in pairs]
+        auprc_value = evaluate.auprc(scores_vec, labels_vec)
+        auroc_value = evaluate.auroc(scores_vec, labels_vec)
     evaluate.write_metric_report(
         args.out, method, auprc_value, auroc_value, labeled.n_true, labeled.n_false)
     print(json.dumps({"method": method, "auprc": auprc_value, "auroc": auroc_value}))

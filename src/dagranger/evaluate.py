@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoLabeledPairs, OneClassOnly, ParseError
+from .textio import numbered_lines
 
 __all__ = [
     "LabeledPairs",
@@ -27,10 +28,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LabeledPairs:
-    """Binary labels keyed by pair id, with a note on where they came from."""
+    """Binary labels keyed by pair."""
 
     labels: dict
-    provenance: str = ""
 
     def __post_init__(self):
         if not self.labels:
@@ -50,7 +50,6 @@ def label_from_reference(
     reference,
     true_threshold: float,
     false_threshold: float,
-    provenance: str = "",
 ) -> LabeledPairs:
     """Label candidate pairs from (pair, value) reference entries.
 
@@ -71,7 +70,7 @@ def label_from_reference(
         raise NoLabeledPairs(
             "no candidate pair fell below the true threshold or above the false threshold"
         )
-    return LabeledPairs(labels=labels, provenance=provenance)
+    return LabeledPairs(labels=labels)
 
 
 def _score_blocks(scores, labels):
@@ -137,19 +136,15 @@ def auprc(scores, labels) -> float:
 def read_reference(path) -> list[tuple[tuple[str, str], float]]:
     """TSV rows ``x_name<TAB>y_name<TAB>value``; ``#`` lines ignored."""
     out: list[tuple[tuple[str, str], float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated columns")
-            try:
-                value = float(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric value") from exc
-            out.append(((parts[0], parts[1]), value))
+    for lineno, line in numbered_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated columns")
+        try:
+            value = float(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric value") from exc
+        out.append(((parts[0], parts[1]), value))
     return out
 
 

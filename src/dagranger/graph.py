@@ -47,7 +47,7 @@ from .errors import (
     ParseError,
     SelfLoop,
 )
-from .textio import read_table
+from .textio import numbered_lines, read_table
 
 __all__ = [
     "Dag",
@@ -286,19 +286,15 @@ def _read_edge_lines(path) -> tuple[np.ndarray, list[int]]:
     """
     ids: list[int] = []
     linenos: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-            try:
-                ids += (int(parts[0]), int(parts[1]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer node id") from exc
-            linenos.append(lineno)
+    for lineno, line in numbered_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
+        try:
+            ids += (int(parts[0]), int(parts[1]))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-integer node id") from exc
+        linenos.append(lineno)
     try:
         edges = np.array(ids, dtype=np.int64).reshape(-1, 2)
     except OverflowError as exc:

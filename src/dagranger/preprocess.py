@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from .errors import DataError, KTooLarge, NonFiniteInput, ParseError
 from .graph import Dag, build_dag
-from .textio import read_table
+from .textio import cited, numbered_lines, read_table
 
 __all__ = [
     "ValueMatrix",
@@ -262,7 +262,8 @@ def read_matrix(path) -> ValueMatrix:
             mat = mat.toarray()
         values = np.asarray(mat, dtype=np.float64)
         names = tuple(f"v{j}" for j in range(values.shape[1]))
-        return _value_matrix(path, values, names)
+        with cited(path):
+            return ValueMatrix(values=values, var_names=names)
 
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -278,7 +279,8 @@ def read_matrix(path) -> ValueMatrix:
         values = read_table(fh, np.float64, delim)
     if values is None or values.shape[1] != len(names):
         values = _read_matrix_lines(path, delim, len(names))
-    return _value_matrix(path, values, names)
+    with cited(path):
+        return ValueMatrix(values=values, var_names=names)
 
 
 def _read_matrix_lines(path, delim, n_cols: int) -> np.ndarray:
@@ -288,30 +290,19 @@ def _read_matrix_lines(path, delim, n_cols: int) -> np.ndarray:
     bad line, or returns the values of one that ``float()`` accepts.
     """
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(delim)
-            if len(parts) != n_cols:
-                raise ParseError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric entry") from exc
+    lines = numbered_lines(path, comments=False)
+    next(lines)  # the header, which is not blank
+    for lineno, line in lines:
+        parts = line.split(delim)
+        if len(parts) != n_cols:
+            raise ParseError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric entry") from exc
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)
-
-
-def _value_matrix(path, values, names) -> ValueMatrix:
-    """``ValueMatrix(values, names)``, with ``path`` in the message of a rejection."""
-    try:
-        return ValueMatrix(values=values, var_names=names)
-    except DataError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_matrix(path, values: np.ndarray, var_names) -> None:
@@ -343,18 +334,14 @@ def _read_pseudotime_lines(path) -> np.ndarray:
     and for one with a non-finite value, whose line it names.
     """
     out: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric pseudotime") from exc
-            if not np.isfinite(value):
-                raise NonFiniteInput(f"{path}:{lineno}: pseudotime is NaN or infinite")
-            out.append(value)
+    for lineno, line in numbered_lines(path):
+        try:
+            value = float(line)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric pseudotime") from exc
+        if not np.isfinite(value):
+            raise NonFiniteInput(f"{path}:{lineno}: pseudotime is NaN or infinite")
+        out.append(value)
     if not out:
         raise ParseError(f"{path}: no pseudotime values")
     return np.array(out, dtype=np.float64)

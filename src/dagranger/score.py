@@ -31,6 +31,7 @@ from scipy import special
 
 from . import baselines, train
 from .errors import ConfigError, DegenerateSampleSize, DomainError, ParseError
+from .textio import numbered_lines
 
 __all__ = [
     "METHODS",
@@ -316,16 +317,12 @@ def write_score_records(path, columns: dict[str, np.ndarray]) -> None:
 def read_score_records(path) -> list[dict]:
     """The records of a score file; a line that is not a JSON object raises ParseError."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: not a JSON record ({exc})") from exc
-            if not isinstance(rec, dict):
-                raise ParseError(f"{path}:{lineno}: not a JSON object")
-            records.append(rec)
+    for lineno, line in numbered_lines(path, comments=False):
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: not a JSON record ({exc})") from exc
+        if not isinstance(rec, dict):
+            raise ParseError(f"{path}:{lineno}: not a JSON object")
+        records.append(rec)
     return records

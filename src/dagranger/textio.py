@@ -1,21 +1,52 @@
-"""Numeric text tables read by numpy's C reader.
+"""The one reading policy of every text input, and numeric tables read by numpy's C reader.
 
-The matrix, pseudotime and edge readers parse a file's body here first.
-``np.loadtxt`` makes no Python object per value, so a table is read at about
-1.1 times the memory of its array, and it converts with
-``PyOS_string_to_double``, as ``float()`` does, so the values keep the bits
-of ``float()`` and ``int()``. Where it refuses the text, each reader reads
-the file again with its line loop, which names the first bad line or accepts
-what ``float()`` and ``int()`` accept beyond numpy (``1_000``,
-whitespace-only lines in a comma-delimited file).
+Every text file is UTF-8. ``numbered_lines`` yields its lines stripped and
+numbered from 1, without blank lines and, unless told otherwise, without
+``#`` lines; a reader that rejects a line starts its message with
+``path:line:``. ``cited`` puts a file's name in front of the message of a
+``DataError`` raised while its contents are checked.
+
+The matrix, pseudotime and edge readers parse a file's body with
+``read_table`` first. ``np.loadtxt`` makes no Python object per value, so a
+table is read at about 1.1 times the memory of its array, and it converts
+with ``PyOS_string_to_double``, as ``float()`` does, so the values keep the
+bits of ``float()`` and ``int()``. Where it refuses the text, each reader
+reads the file again through ``numbered_lines``, which names the first bad
+line or accepts what ``float()`` and ``int()`` accept beyond numpy
+(``1_000``, whitespace-only lines in a comma-delimited file).
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
 
-__all__ = ["read_table"]
+from .errors import DataError
+
+__all__ = ["numbered_lines", "cited", "read_table"]
+
+
+def numbered_lines(path, comments=True):
+    """(line number, stripped line) for each line of the UTF-8 file ``path``.
+
+    Blank lines are skipped, and so are lines whose first non-blank
+    character is ``#`` unless ``comments`` is False.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and not (comments and line.startswith("#")):
+                yield lineno, line
+
+
+@contextlib.contextmanager
+def cited(where):
+    """Re-raises a ``DataError`` of the block as its own class, with ``where: `` in front."""
+    try:
+        yield
+    except DataError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def read_table(fh, dtype, delimiter=None, comment_lines=False) -> np.ndarray | None:

@@ -216,6 +216,21 @@ class TestCandidatesCommand:
         assert code == 0
         assert (tmp_path / "pairs.tsv").read_text() == ""
 
+    def test_bad_positions_file_keeps_the_pairs_file(self, tmp_path):
+        # the positions are read before the output is opened, so a rejected
+        # file leaves an existing pairs file as it was
+        self._matrices(tmp_path)
+        (tmp_path / "xp.tsv").write_text("p1\tchr1\t100\n")
+        (tmp_path / "yp.tsv").write_text("g1\tchr1\n")
+        (tmp_path / "pairs.tsv").write_text("p1\tg1\n")
+        code = run_cli("candidates", "--x-matrix", tmp_path / "x.csv",
+                       "--y-matrix", tmp_path / "y.csv",
+                       "--x-positions", tmp_path / "xp.tsv",
+                       "--y-positions", tmp_path / "yp.tsv",
+                       "--out-pairs", tmp_path / "pairs.tsv")
+        assert code == 3
+        assert (tmp_path / "pairs.tsv").read_text() == "p1\tg1\n"
+
 
 class TestRunCommand:
     def test_pearson_bypasses_training(self, bundle, tmp_path):
@@ -588,6 +603,96 @@ class TestRunErrors:
         assert self._error_lines(caplog) == ["internal error: RuntimeError: boom"]
         assert all(r.exc_info is None for r in caplog.records)
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestExits:
+    """Each command's exits on bad input: the exit code and the start of the one error line.
+
+    ``{d}`` is the case's own directory, and ``{x_matrix}`` and the like are
+    the files of the bundle. A configuration error (exit 2) is found before
+    any file is read, so it leaves no output behind.
+    """
+
+    RUN = ["run", "--x-matrix", "{x_matrix}", "--y-matrix", "{y_matrix}", "--pairs", "{pairs}",
+           "--outdir", "{d}/o"]
+    RUN_CFG = RUN + ["--edges", "{edges}", "--config", "{d}/run.cfg"]
+    CANDIDATES = ["candidates", "--x-matrix", "{x_matrix}", "--y-matrix", "{y_matrix}",
+                  "--x-positions", "{d}/xp.tsv", "--y-positions", "{d}/yp.tsv",
+                  "--out-pairs", "{d}/out.tsv"]
+    EVAL = ["eval", "--scores", "{d}/scores.jsonl", "--reference", "{d}/ref.tsv",
+            "--out", "{d}/m.json"]
+    SCORES = ('{"method": "m", "score": 2.0, "x_name": "a", "y_name": "b"}\n'
+              '{"method": "m", "score": 1.0, "x_name": "a", "y_name": "c"}\n')
+    LABELS = "{d}/scores.jsonl against {d}/ref.tsv:"
+    CASES = {  # files, argv, exit code, start of the error line (None: no error)
+        "embedding without pseudotime": (
+            {}, RUN + ["--embedding", "{x_matrix}"], 2,
+            "configuration error: --embedding requires --pseudotime"),
+        "all without pseudotime": (
+            {}, RUN + ["--edges", "{edges}", "--method", "all"], 2,
+            "configuration error: --method all requires --pseudotime"),
+        "var-granger without pseudotime": (
+            {}, RUN + ["--edges", "{edges}", "--method", "var-granger"], 2,
+            "configuration error: --method var-granger requires --pseudotime"),
+        "unknown method in a config file": (
+            {"run.cfg": "method=granger\n"}, RUN_CFG, 2,
+            "configuration error: method must be one of"),
+        "config line without =": (
+            {"run.cfg": "# a run\n\nmethod\n"}, RUN_CFG, 2,
+            "configuration error: {d}/run.cfg:3: expected key=value"),
+        "config value that does not convert": (
+            {"run.cfg": "seed=one\n"}, RUN_CFG, 2,
+            "configuration error: config key seed: invalid literal"),
+        "missing required flag": (
+            {}, RUN[:5] + RUN[7:] + ["--edges", "{edges}"], 2,
+            "configuration error: missing required option --pairs"),
+        "matrices of different row counts": (
+            {"y.csv": "g\n1\n2\n"},
+            ["run", "--x-matrix", "{x_matrix}", "--y-matrix", "{d}/y.csv", "--pairs", "{pairs}",
+             "--edges", "{edges}", "--method", "pearson", "--outdir", "{d}/o"], 3,
+            "data error: {x_matrix} has 120 rows but {d}/y.csv has 2"),
+        "build-dag embedding and pseudotime of different lengths": (
+            {"emb.csv": "d0\n0\n1\n2\n", "pt.txt": "0\n1\n"},
+            ["build-dag", "--embedding", "{d}/emb.csv", "--pseudotime", "{d}/pt.txt",
+             "--out-edges", "{d}/e.tsv", "--out-stats", "{d}/s.json"], 3,
+            "data error: {d}/emb.csv has 3 rows but {d}/pt.txt has 2 values"),
+        "one positions file": (
+            {"xp.tsv": "p1\tchr1\t100\n"}, CANDIDATES[:7] + CANDIDATES[9:], 2,
+            "configuration error: --x-positions and --y-positions must be given together"),
+        "positions line of two columns": (
+            {"xp.tsv": "p1\tchr1\n", "yp.tsv": "g1\tchr1\t600\n"}, CANDIDATES, 3,
+            "data error: {d}/xp.tsv:1: expected name, key, position"),
+        "non-numeric position": (
+            {"xp.tsv": "# peaks\np1\tchr1\tfar\n", "yp.tsv": "g1\tchr1\t600\n"}, CANDIDATES, 3,
+            "data error: {d}/xp.tsv:2: non-numeric position"),
+        "non-numeric reference value": (
+            {"scores.jsonl": SCORES, "ref.tsv": "a\tb\t0.0\na\tc\tlow\n"}, EVAL, 3,
+            "data error: {d}/ref.tsv:2: non-numeric value"),
+        "no labeled pair": (
+            {"scores.jsonl": SCORES, "ref.tsv": "a\tz\t0.0\n"}, EVAL, 3,
+            f"data error: {LABELS} no candidate pair fell below the true threshold"),
+        "one-class reference": (
+            {"scores.jsonl": SCORES, "ref.tsv": "a\tb\t0.0\na\tc\t0.0\n"}, EVAL, 3,
+            f"data error: {LABELS} need at least one true and one false label"),
+        "blank lines in a score file": (
+            {"scores.jsonl": "\n" + SCORES.replace("\n", "\n  \n"),
+             "ref.tsv": "a\tb\t0\na\tc\t1\n"}, EVAL, 0, None),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_and_message(self, bundle, tmp_path, caplog, case):
+        files, argv, code, start = self.CASES[case]
+        fill = {**bundle[1], "d": tmp_path}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main([a.format(**fill) for a in argv]) == code
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        if start is None:
+            assert errors == []
+        else:
+            assert len(errors) == 1 and errors[0].startswith(start.format(**fill)), errors
+        if code == 2:
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 class TestScoreFiles:

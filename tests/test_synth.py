@@ -151,7 +151,7 @@ class TestWriteDataset:
         assert np.array_equal(dag.edges, ds.dag.edges)
         pt = read_pseudotime(paths["pseudotime"])
         assert np.allclose(pt, ds.pseudotime)
-        ref_lines = [l.split("\t") for l in open(paths["reference"]).read().splitlines()]
+        ref_lines = [l.split("\t") for l in Path(paths["reference"]).read_text().splitlines()]
         assert len(ref_lines) == len(ds.candidates)
         truth_values = {tuple(l[:2]): float(l[2]) for l in ref_lines}
         for xi, yi in ds.truth:
