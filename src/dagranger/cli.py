@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, evaluate, graph, model, preprocess, score, synth, train
+from . import __version__, baselines, evaluate, graph, model, preprocess, score, synth, train
 from .errors import ConfigError, DataError, ParseError
 from .textio import cited, numbered_lines
 
@@ -87,10 +87,15 @@ class RunConfig:
             if getattr(self, name) not in _CHOICES[name]:
                 raise ConfigError(f"{name} must be one of {_CHOICES[name]}, "
                                   f"got {getattr(self, name)!r}")
-        for name, low in (("k", 1), ("workers", 1), ("var_max_lag", 1),
-                          ("pseudocell_neighborhood", 0)):
+        for name, low in (("k", 1), ("pseudocell_neighborhood", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # More workers than a chunk has pairs would only add threads and
+        # workspace segments; a VAR fit of L lags needs 3L + 2 pseudotime bins.
+        for name, high in (("workers", train._MAX_WORKERS),
+                           ("var_max_lag", (baselines._N_BINS - 2) // 3)):
+            if not 1 <= getattr(self, name) <= high:
+                raise ConfigError(f"{name} must be in [1, {high}], got {getattr(self, name)}")
         self.train_config()  # TrainConfig checks the training fields
 
     def train_config(self) -> train.TrainConfig:
@@ -251,7 +256,6 @@ def _record_counts(columns, n_pairs: int) -> dict:
 
 def cmd_run(cfg: RunConfig) -> int:
     outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(asdict(cfg), cfg.seed)
 
     with manifest.stage("load"):
@@ -284,6 +288,7 @@ def cmd_run(cfg: RunConfig) -> int:
                 var_max_lag=cfg.var_max_lag,
                 pseudocell_neighborhood=cfg.pseudocell_neighborhood)
             out_path = outdir / f"scores_{method.replace('-', '_')}.jsonl"
+            outdir.mkdir(parents=True, exist_ok=True)  # no input error leaves it behind
             score.write_score_records(out_path, columns)
             st["outputs"][str(out_path)] = _sha256(out_path)
             st.update(_record_counts(columns, len(dataset.pairs)))

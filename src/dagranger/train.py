@@ -25,11 +25,11 @@ column starts from one Glorot draw with c = 0 and the reduced model's
 y-encoder, so the full model is the reduced one, a pair's loss, y-encoder
 gradient and d(loss)/d(y_hat) are its y's, its x-encoder gradient is 0, and
 its c gradient sum(d * enc(x)) is the only sum of its own. Epoch 2 starts
-there when both banks trained in epoch 1: its pair chunks run the kernel's
-backward pass alone, on gathers of each variable's layer inputs. The final
-evaluation starts there after 0 epochs, or 1 when both banks train: its
-pair chunks form only link(enc(y) + c * enc(x)) and its losses. Each of
-these is the kernel's own arithmetic, so every bit is the same. The three
+there when both banks trained in epoch 1, and the final evaluation after 0
+epochs, or 1 when both banks train: their pair chunks gather the encodings
+(and, in epoch 2, each layer's input for the backward pass) and run the
+kernel's own end on them, ``_loss_and_gradients``, as a per-pair chunk does
+once its encoders have run. So every bit is the same. The three
 share one loop (``shared_pass``) over tiles of one bank of y by one block of
 the x their pairs use, whose per-variable arrays live in a store at the
 start of the workspace, one tile at a time; as many variables as fit, a
@@ -114,6 +114,7 @@ logger = logging.getLogger(__name__)
 _CHUNK = 32
 _WIDE_CHUNK = 64
 _X_BLOCK = 16
+_MAX_WORKERS = _CHUNK  # beyond it every chunk is one pair wide
 
 _GLOROT_BOUND = math.sqrt(3.0)  # sqrt(6 / (fan_in + fan_out)) with both fans 1
 
@@ -323,7 +324,7 @@ def _layout(workspace: np.ndarray, n: int, k: int, m: int, n_in: int, want_grads
     ``workspace``. Rows of n * k floats follow each other: the ``n_in``
     layer inputs, the encodings ``acc``, dz (each layer output in the
     forward pass) and with ``want_grads`` g. ``temps`` are the three (n, m)
-    arrays of ``_output_losses``, one after the other from the end of
+    arrays of ``_loss_and_gradients``, one after the other from the end of
     ``acc``; the backward pass overwrites those in the dz and g rows. With
     ``want_grads``, dh / L of the backward pass is ``acc`` for the full
     model (k = 2m), whose encodings are spent once dh is formed; for the
@@ -394,58 +395,54 @@ def _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops, buffers):
     return dw, db
 
 
-def _output_losses(h_y, h_x, c, Y, temps, link):
-    """The kernel's forward pass from the encodings on: y_hat, residual and losses.
+def _loss_and_gradients(h, Y, theta, inputs, ops, lag_hops, link, backward, temps):
+    """The kernel from a chunk's encodings on: (rss, per_node, grads, ok) of m columns.
 
-    y_hat = link(h_y + c * h_x), or link(h_y) with ``h_x`` None; ``h_y``,
-    ``h_x`` and Y are (n, m) and c is (m,). ``temps`` are three (n, m)
-    arrays: the per-node losses go into the first, y_hat (unless it is h_y
-    itself) into the second and the residual into the third, which may be
-    Y. Returns (yhat, res, per_node, rss, ok), ok flagging columns with a
-    finite rss, which every non-finite y_hat makes non-finite. Call it
-    under ``np.errstate``, as the kernel does.
+    ``h`` is enc(y), (n, m), for the reduced model with its (2L, m)
+    ``theta``, or enc(y) then enc(x), (n, 2m), for the full model with its
+    (4L+1, m) ``theta``: y_hat = link(enc(y)) or link(enc(y) + c * enc(x)).
+    ``temps`` are three (n, m) arrays for the per-node losses, y_hat (unless
+    it is enc(y)) and the residual, which may be Y. With ``inputs`` (those of
+    ``_encoder_backward_batch``, which takes the three ``backward`` buffers)
+    the backward pass runs: grads has ``theta``'s shape, d = d(loss)/d(y_hat)
+    overwrites the residual and the full model's d * enc(x) y_hat, and
+    per_node is None; without, grads is None. ok flags columns whose loss
+    (non-finite with any y_hat) and grads are finite; numpy's floating-point
+    warnings are silenced for the others.
     """
-    losses, s, res = temps  # Y may be res
-    if h_x is None:
-        s = h_y
-    else:
-        np.multiply(c[None, :], h_x, out=s)
-        np.add(h_y, s, out=s)
-    yhat = apply_link(s, link, out=temps[1])
-    np.subtract(yhat, Y, out=res)
-    per_node = np.multiply(res, res, out=losses)
-    rss = _column_sums(per_node)
-    return yhat, res, per_node, rss, np.isfinite(rss)
-
-
-def _gradients(theta, yhat, res, h_x, inputs, ops, lag_hops, link, buffers):
-    """The kernel's backward pass: (grads, d) for a chunk of m columns.
-
-    ``theta`` is the chunk's (4L+1, m) full columns when ``h_x`` (enc(x),
-    (n, m)) is given, else its (2L, m) reduced ones; ``yhat`` and ``res``
-    come from ``_output_losses``. ``inputs`` and ``buffers`` are those of
-    ``_encoder_backward_batch``, y's columns then x's for the full model.
-    grads has ``theta``'s shape and d is d(loss)/d(y_hat), (n, m), written
-    over ``res``; the full model writes d * enc(x) over ``yhat``.
-    """
-    m = res.shape[1]
-    full = h_x is not None
-    w, b, L = _encoder_params(theta, full)
-    grads = np.empty_like(theta)
-    d = np.multiply(2.0, res, out=res)
-    if link == "exponential":
-        np.multiply(d, yhat, out=d)
-    dh = d
-    if full:
-        grads[4 * L] = _column_sums(np.multiply(d, h_x, out=yhat))
-        dh = buffers[0]
-        dh[:, :m] = d
-        np.multiply(theta[4 * L][None, :], d, out=dh[:, m:])
-    dw, db = _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops, buffers)
-    grads[:L], grads[L : 2 * L] = dw[:, :m], db[:, :m]
-    if full:
-        grads[2 * L : 3 * L], grads[3 * L : 4 * L] = dw[:, m:], db[:, m:]
-    return grads, d
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = Y.shape[1]
+        full = h.shape[1] == 2 * m
+        losses, s, res = temps  # Y may be res
+        if full:
+            np.multiply(theta[-1][None, :], h[:, m:], out=s)
+            np.add(h[:, :m], s, out=s)
+        else:
+            s = h
+        yhat = apply_link(s, link, out=temps[1])
+        np.subtract(yhat, Y, out=res)
+        per_node = np.multiply(res, res, out=losses)
+        rss = _column_sums(per_node)
+        ok = np.isfinite(rss)
+        if inputs is None:
+            return rss, per_node, None, ok
+        w, b, L = _encoder_params(theta, full)
+        grads = np.empty_like(theta)
+        d = np.multiply(2.0, res, out=res)
+        if link == "exponential":
+            np.multiply(d, yhat, out=d)
+        dh = d
+        if full:
+            grads[-1] = _column_sums(np.multiply(d, h[:, m:], out=yhat))
+            dh = backward[0]
+            dh[:, :m] = d
+            np.multiply(theta[-1][None, :], d, out=dh[:, m:])
+        dw, db = _encoder_backward_batch(dh, inputs, ops, w, b, lag_hops, backward)
+        grads[:L], grads[L : 2 * L] = dw[:, :m], db[:, :m]
+        if full:
+            grads[2 * L : 3 * L], grads[3 * L : 4 * L] = dw[:, m:], db[:, m:]
+        ok &= np.isfinite(grads).all(axis=0)
+    return rss, None, grads, ok
 
 
 def _chunk_forward_backward(lagged, Y, theta, ops, lag_hops, link, want_grads, workspace=None):
@@ -453,46 +450,27 @@ def _chunk_forward_backward(lagged, Y, theta, ops, lag_hops, link, want_grads, w
 
     ``lagged`` is ``strict_lag`` of the encoders' columns and Y the chunk's
     y columns, (n, m). With ``lagged`` (n, 2m), y's columns then x's, the
-    model is the full one, link(enc(y) + c * enc(x)), and ``theta`` is
-    (4L+1, m), one full column per pair. With ``lagged`` (n, m) it is the
-    reduced one, link(enc(y)), and ``theta`` is (2L, m), one reduced column
-    per y. Returns (rss, per_node, grads, ok, h_y, d): grads has ``theta``'s
-    shape and d is d(loss)/d(y_hat), (n, m), of the reduced model (None
-    without ``want_grads``); ok flags columns whose loss and forward and
-    backward passes stayed finite; h_y is enc(y), (n, m). The backward pass
-    overwrites per_node, and for the full model h_y and d, which are then
-    None. A column that overflows or meets an inf is reported through ok
-    alone; numpy's floating-point warnings are silenced for it. The full
-    model's two encoders run as one batch of 2m columns, since every
-    operation treats each column on its own. Every (n, ·) array of the call
-    is in ``workspace`` (``_layout``, made for this call when None):
+    model is the full one and ``theta`` (4L+1, m), one full column per
+    pair; with ``lagged`` (n, m) it is the reduced one and ``theta`` (2L, m),
+    one reduced column per y. The encoders run as one batch (every operation
+    treats each column on its own), and ``_loss_and_gradients`` turns their
+    encodings into (rss, per_node, grads, ok). Every (n, ·) array of the
+    call is in ``workspace`` (``_layout``, made for this call when None):
     ``lagged`` may be its first layer input and Y its last temporary, and
-    the returned arrays other than rss, grads and ok are its views, valid
-    until its next use.
+    per_node is its view, valid until its next use.
     """
+    n, m = Y.shape
+    k = lagged.shape[1]
+    w, b, L = _encoder_params(theta, k == 2 * m)
+    n_in = _n_inputs(L, want_grads)
+    if workspace is None:
+        workspace = _workspace(_layout_size(n, k, m, n_in, want_grads))
+    inputs, acc, backward, temps = _layout(workspace, n, k, m, n_in, want_grads)
     with np.errstate(invalid="ignore", over="ignore"):
-        n, m = Y.shape
-        k = lagged.shape[1]
-        full = k == 2 * m
-        w, b, L = _encoder_params(theta, full)
-        n_in = _n_inputs(L, want_grads)
-        if workspace is None:
-            workspace = _workspace(_layout_size(n, k, m, n_in, want_grads))
-        inputs, acc, backward, temps = _layout(workspace, n, k, m, n_in, want_grads)
         h, kept = encode_history_batch(lagged, ops, w, b, lag_hops, want_grads, lagged=True,
                                        buffers=[backward[1], *inputs[1:]], out=acc)
-        h_y, h_x = (h[:, :m], h[:, m:]) if full else (h, None)
-        yhat, res, per_node, rss, ok = _output_losses(
-            h_y, h_x, theta[4 * L] if full else None, Y, temps, link)
-        grads = d = None
-        if want_grads:
-            grads, d = _gradients(theta, yhat, res, h_x, kept.__getitem__, ops, lag_hops, link,
-                                  backward)
-            ok &= np.isfinite(grads).all(axis=0)
-            per_node = None
-            if full:
-                h_y = d = None
-    return rss, per_node, grads, ok, h_y, d
+    return _loss_and_gradients(h, Y, theta, kept.__getitem__ if want_grads else None, ops,
+                               lag_hops, link, backward, temps)
 
 
 # --- batched training ---------------------------------------------------------
@@ -524,8 +502,8 @@ def train_all(
     """
     if component not in ("both", "full", "reduced"):
         raise ConfigError(f"component must be both/full/reduced, got {component!r}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ConfigError(f"workers must be in [1, {_MAX_WORKERS}], got {workers}")
     if dataset.n_nodes != ops.n:
         raise DataError("dataset and operators disagree on the node count")
 
@@ -603,12 +581,12 @@ def train_all(
         Y = take(dataset.y_values, ys, temps[2])
         values = Y if xs is None else np.concatenate(
             (Y, take(dataset.x_values, xs, temps[0])), axis=1, out=acc)
-        rss, per_node, grads, ok, h_y, d = _chunk_forward_backward(
+        rss, per_node, grads, ok = _chunk_forward_backward(
             strict_lag(values, ops, out=inputs[0]), Y, theta, ops, config.lag_hops,
             config.link, want_grads, workspace)
         if not want_grads:
             per_node = _loss_stats(per_node, temps[1])
-        return rss, per_node, grads, ok, h_y, d
+        return rss, per_node, grads, ok
 
     def pair_chunk(cols, want_grads, workspace):
         return kernel_chunk(y_cols[cols], x_cols[cols], np.take(full, cols, axis=1), want_grads,
@@ -745,53 +723,46 @@ def train_all(
                     grads[4 * L] = _column_sums(np.multiply(
                         take(store[0], y_slot, d), take(store[0], x_slot, h), out=d))
                 ok &= np.isfinite(grads[4 * L])
-            return rss_bank[y_slot], None, grads, ok, None, None
+            return rss_bank[y_slot], None, grads, ok
 
         def stored_chunk(cols, want_grads, workspace):
             """The pair kernel from the tile's encodings and, with gradients, its layer inputs.
 
             A chunk gathers its encodings, y's columns then x's as in the
-            kernel, into its ``acc`` row, forms link(enc(y) + c * enc(x))
-            and its losses with the kernel's output end and, with gradients,
-            runs the kernel's backward pass, gathering each layer's input
-            into its one layer-input row when the pass reaches it. Without
-            gradients the losses come back as their ``_loss_stats``.
+            kernel, into its ``acc`` row and runs the kernel from there
+            (``_loss_and_gradients``); the backward pass gathers each
+            layer's input into its one layer-input row when it reaches it.
+            Without gradients the losses come back as their ``_loss_stats``.
             """
             m = cols.size
             at = slot[:, cols].ravel()
-            theta = np.take(full, cols, axis=1)
-            inputs, h, backward, temps = _layout(workspace, n, 2 * m, m, int(want_grads),
-                                                 want_grads)
-            take(store[-1], at, h)
-            grads = stats = None
-            with np.errstate(invalid="ignore", over="ignore"):
-                yhat, res, per_node, rss, ok = _output_losses(
-                    h[:, :m], h[:, m:], theta[4 * L],
-                    take(dataset.y_values, y_cols[cols], temps[2]), temps, config.link)
-                if want_grads:
-                    grads, _ = _gradients(theta, yhat, res, h[:, m:],
-                                          lambda i: take(store[i], at, inputs[0]), ops,
-                                          config.lag_hops, config.link, backward)
-                    ok &= np.isfinite(grads).all(axis=0)
-                else:
-                    stats = _loss_stats(per_node, temps[1])
-            return rss, stats, grads, ok, None, None
+            inputs, acc, backward, temps = _layout(workspace, n, 2 * m, m, int(want_grads),
+                                                   want_grads)
+            rss, per_node, grads, ok = _loss_and_gradients(
+                take(store[-1], at, acc), take(dataset.y_values, y_cols[cols], temps[2]),
+                np.take(full, cols, axis=1),
+                (lambda i: take(store[i], at, inputs[0])) if want_grads else None, ops,
+                config.lag_hops, config.link, backward, temps)
+            if not want_grads:
+                per_node = _loss_stats(per_node, temps[1])
+            return rss, per_node, grads, ok
 
         if ids.size == 0:
             return
         kernel = start_chunk if kind == "start" else stored_chunk
+        bank_grads = kind != "final"
         ys = np.unique(y_at[ids])
         y_pos = np.searchsorted(ys, y_at[ids])
         for c0 in range(0, ys.size, banked):
             bank = ys[c0 : c0 + banked]
             for p0 in range(0, bank.size, half):
                 cols = bank[p0 : p0 + half]
-                rss, _, grads, ok, enc, d = result = bank_chunk(cols, kind != "final", rest)
+                rss, _, grads, _ = result = bank_chunk(cols, bank_grads, rest)
                 on_bank(cols, result)
-                if stored:
-                    keep(p0, [*_layout(rest, n, cols.size, cols.size, L, True)[0], enc])
-                else:
-                    keep(p0, [d if kind == "start" else enc])
+                # the chunk's layer inputs, encodings and d stay in its layout
+                inputs, enc, _, (_, _, d) = _layout(rest, n, cols.size, cols.size,
+                                                    _n_inputs(L, bank_grads), bank_grads)
+                keep(p0, [*inputs, enc] if stored else [d if kind == "start" else enc])
                 if kind == "start":
                     rss_bank[p0 : p0 + cols.size], grads_bank[:, p0 : p0 + cols.size] = rss, grads
             in_bank = (y_pos >= c0) & (y_pos < c0 + bank.size)
@@ -836,7 +807,7 @@ def train_all(
         ok_y = np.zeros(n_y, dtype=bool)
 
         def train_bank(cols, result):
-            rss, _, grads, ok, _, _ = result
+            rss, _, grads, ok = result
             rss_y[cols], ok_y[cols] = rss, ok
             if train_reduced and ok.any():
                 step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
@@ -851,7 +822,7 @@ def train_all(
         # Each kept pair's full and reduced loss, by pair id; the epoch's
         # total is their exactly rounded sum, whatever the chunks were.
         losses = np.zeros((2, n_pairs))
-        for cols, (rss_f, _, grads, ok, _, _) in results:
+        for cols, (rss_f, _, grads, ok) in results:
             ok &= ok_y[y_at[cols]]
             active[cols[~ok]] = False
             good = cols[ok]
@@ -894,7 +865,7 @@ def train_all(
     else:
         results = per_pair_pass(ids, False, False, evaluate_bank)
     stats_full = np.full((3, n_pairs), np.nan)
-    for cols, (_, stats, _, ok, _, _) in results:
+    for cols, (_, stats, _, ok) in results:
         ok &= np.isfinite(stats).all(axis=0) & ~np.isnan(stats_reduced[0, y_at[cols]])
         active[cols[~ok]] = False
         stats_full[:, cols[ok]] = stats[:, ok]

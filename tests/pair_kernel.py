@@ -1,9 +1,11 @@
 """One pair through the training kernel, for the tests (``from pair_kernel import ...``).
 
-``train_all`` runs ``train._chunk_forward_backward`` on every chunk of pairs,
-and the kernel runs ``model.encode_history_batch``. These helpers call the
-same two functions on one pair's columns, a batch of width one, so a test
-of them checks the code that trains and scores every pair. A full column is
+``train_all`` runs ``train._chunk_forward_backward`` on every chunk of pairs
+that encodes its own columns, and the kernel runs
+``model.encode_history_batch`` and then its end, ``_loss_and_gradients``,
+which the chunks from stored encodings run too. These helpers call the same
+functions on one pair's columns, a batch of width one, so a test of them
+checks the code that trains and scores every pair. A full column is
 [w_y, b_y, w_x, b_x, c] (4L+1 values) and a reduced or encoder column
 [w, b] (2L values), the layouts of ``model``.
 """
@@ -37,7 +39,7 @@ def _kernel(x, y, ops, full, reduced, lag_hops, link, want_grads):
     results = [_chunk_forward_backward(lagged[:, :width], Y, np.asarray(theta)[:, None], ops,
                                        lag_hops, link, want_grads)
                for width, theta in ((2, full), (1, reduced))]
-    assert all(ok[0] for _, _, _, ok, _, _ in results), "non-finite kernel result"
+    assert all(ok[0] for _, _, _, ok in results), "non-finite kernel result"
     return results
 
 

@@ -609,8 +609,9 @@ class TestExits:
     """Each command's exits on bad input: the exit code and the start of the one error line.
 
     ``{d}`` is the case's own directory, and ``{x_matrix}`` and the like are
-    the files of the bundle. A configuration error (exit 2) is found before
-    any file is read, so it leaves no output behind.
+    the files of the bundle. No failing exit leaves output behind: a
+    configuration error (exit 2) is found before any file is read, and
+    ``run`` makes its output directory only to write its first score file.
     """
 
     RUN = ["run", "--x-matrix", "{x_matrix}", "--y-matrix", "{y_matrix}", "--pairs", "{pairs}",
@@ -643,6 +644,13 @@ class TestExits:
         "config value that does not convert": (
             {"run.cfg": "seed=one\n"}, RUN_CFG, 2,
             "configuration error: config key seed: invalid literal"),
+        "more workers than a chunk has pairs": (
+            {}, RUN + ["--edges", "{edges}", "--workers", "33"], 2,
+            "configuration error: workers must be in [1, 32], got 33"),
+        "VAR lag that no binned series fits": (
+            {}, RUN + ["--edges", "{edges}", "--pseudotime", "{pseudotime}", "--method", "all",
+                       "--var-max-lag", "33"], 2,
+            "configuration error: var_max_lag must be in [1, 32], got 33"),
         "missing required flag": (
             {}, RUN[:5] + RUN[7:] + ["--edges", "{edges}"], 2,
             "configuration error: missing required option --pairs"),
@@ -691,7 +699,7 @@ class TestExits:
             assert errors == []
         else:
             assert len(errors) == 1 and errors[0].startswith(start.format(**fill)), errors
-        if code == 2:
+        if code != 0:
             assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
@@ -717,6 +725,19 @@ class TestScoreFiles:
         (0, "welch"): "8e2881d4d3cfdc9d301f10133511be39acd9dca71911cd4fa9bd0a65a79ef2b9",
         (1, "f"): "26d2f082e8c442dbc7812db2937f84ca1cd849fa51cdf28580e82ec0db7e6523",
         (1, "welch"): "5f888bddcb5bdebbae722167742924d83d5e735e4538decba82f2926e9ab5fda",
+    }
+    # dagranger's files when no run may stop early (--convergence-numerator
+    # 0), so that epoch 3 trains per pair: the identity link, the exponential
+    # link after 1 and 3 epochs, and two strict-lag layers; recorded before
+    # the per-pair and stored chunks shared one loss-and-gradient function
+    PINNED_TRAINED = {
+        (3, ()): "9224e1db617475ba63fe9a1ee6044bdfe12c7189cb3035ef113159e855fe607e",
+        (1, ("--link", "exponential")):
+            "4178ac6564789e1e486cfddceccb7995f21286b0b2094e7453f83ccbd8fd5645",
+        (3, ("--link", "exponential")):
+            "9a8b623f6d23569b30c45502b1be2269f1718885be894f4db76ef17c131ba4e7",
+        (3, ("--lag-hops", "2")):
+            "42bbbdec1f76f556c1c63b66130ba8f0e0c67cb7668240bf2acbf2489e046b87",
     }
 
     @pytest.fixture(scope="class")
@@ -748,6 +769,14 @@ class TestScoreFiles:
                              method="dagranger", max_epochs=max_epochs) == 0
         assert hashlib.sha256((tmp_path / "scores_dagranger.jsonl").read_bytes()).hexdigest() \
             == self.PINNED_SHORT[max_epochs, rank_mode]
+
+    @pytest.mark.parametrize("max_epochs, extra", sorted(PINNED_TRAINED))
+    def test_trained_runs_equal_the_pinned_digests(self, pinned_bundle, tmp_path, max_epochs,
+                                                   extra):
+        assert self._run_all(pinned_bundle, tmp_path, "--convergence-numerator", 0, *extra,
+                             method="dagranger", max_epochs=max_epochs) == 0
+        assert hashlib.sha256((tmp_path / "scores_dagranger.jsonl").read_bytes()).hexdigest() \
+            == self.PINNED_TRAINED[max_epochs, extra]
 
     def test_manifest_summarizes_p_values(self, pinned_bundle, tmp_path):
         assert self._run_all(pinned_bundle, tmp_path) == 0

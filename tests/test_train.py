@@ -153,9 +153,9 @@ class TestChunkKernel:
         full, reduced = (np.stack(bank, axis=1) for bank in
                          zip(*(random_columns(rng, 3) for _ in range(width))))
         X, Y = rng.normal(size=(n, width)), rng.normal(size=(n, width)) * 0.5
-        _, _, g_full, ok_full, _, _ = _chunk_forward_backward(
+        _, _, g_full, ok_full = _chunk_forward_backward(
             strict_lag(np.hstack((Y, X)), ops), Y, full, ops, lag_hops, link, want_grads=True)
-        _, _, g_reduced, ok_reduced, _, _ = _chunk_forward_backward(
+        _, _, g_reduced, ok_reduced = _chunk_forward_backward(
             strict_lag(Y, ops), Y, reduced, ops, lag_hops, link, want_grads=True)
         assert g_full.shape == full.shape and g_reduced.shape == reduced.shape
         assert ok_full.all() and ok_reduced.all()
@@ -397,6 +397,12 @@ class TestTrainAll:
         _, dataset, ops = tiny_dataset()
         with pytest.raises(ConfigError, match="workers"):
             train_all(dataset, ops, TrainConfig(max_epochs=0), workers=0)
+
+    def test_more_workers_than_a_chunk_has_pairs_is_config_error(self):
+        # checked before any thread or workspace exists
+        _, dataset, ops = tiny_dataset()
+        with pytest.raises(ConfigError, match=r"workers must be in \[1, 32\], got 33"):
+            train_all(dataset, ops, TrainConfig(max_epochs=0), workers=33)
 
     def test_determinism_across_worker_counts(self):
         ds, dataset, ops = tiny_dataset(seed=8)
@@ -754,11 +760,11 @@ def kernel_oracle(dataset, ops, config, component="both"):
         was_active = active.copy()
         ok_y = np.zeros(y_used.size, dtype=bool)
         cols = np.unique(y_at[active])
-        _, _, grads, ok_y[cols], _, _ = kernel(cols, train_reduced, bank=True)
+        _, _, grads, ok_y[cols] = kernel(cols, train_reduced, bank=True)
         if train_reduced:
             step(reduced, reduced_adam, cols[ok_y[cols]], grads[:, ok_y[cols]], t)
         batch = np.flatnonzero(active)
-        _, _, grads, ok, _, _ = kernel(batch, train_full)
+        _, _, grads, ok = kernel(batch, train_full)
         ok &= ok_y[y_at[batch]]
         drop(batch, ok)
         if train_full:
@@ -768,7 +774,7 @@ def kernel_oracle(dataset, ops, config, component="both"):
     was_active = active.copy()
     stats = {"reduced": np.full((3, y_used.size), np.nan), "full": np.full((3, len(xs)), np.nan)}
     for name, cols in (("reduced", np.unique(y_at[active])), ("full", np.flatnonzero(active))):
-        _, per_node, _, ok, _, _ = kernel(cols, False, bank=name == "reduced")
+        _, per_node, _, ok = kernel(cols, False, bank=name == "reduced")
         chunk_stats = _loss_stats(per_node)
         ok &= np.isfinite(chunk_stats).all(axis=0)
         if name == "full":
@@ -945,6 +951,33 @@ class TestSharedStart:
         n_pairs = len(dataset.pairs)
         assert sum(full_columns) == (n_pairs * max(0, epochs - per_variable)
                                      + (0 if epochs < per_variable else n_pairs))
+
+    def test_stored_and_per_pair_chunks_share_the_kernel_end(self, monkeypatch):
+        # epoch 2's stored chunks and epoch 3's per-pair chunks turn their
+        # encodings into losses and gradients through one function: it sees
+        # every pair's full model once with gradients from each, in that
+        # order, and once more without from the final evaluation
+        dataset, ops = self.screen()
+        calls = []
+        real = dagranger.train._loss_and_gradients
+
+        def counting(h, Y, theta, inputs, *args):
+            if h.shape[1] > Y.shape[1]:  # the full model
+                calls.append((sys._getframe(1).f_code.co_name, inputs is not None, Y.shape[1]))
+            return real(h, Y, theta, inputs, *args)
+
+        monkeypatch.setattr(dagranger.train, "_loss_and_gradients", counting)
+        cfg = TrainConfig(n_layers=3, max_epochs=3, seed=4, convergence_numerator=0.0)
+        assert len(train_all(dataset, ops, cfg)) == len(dataset.pairs)
+        widths = {}
+        for caller, grads, width in calls:
+            widths[caller, grads] = widths.get((caller, grads), 0) + width
+        n_pairs = len(dataset.pairs)
+        assert widths == {("stored_chunk", True): n_pairs,
+                          ("_chunk_forward_backward", True): n_pairs,
+                          ("_chunk_forward_backward", False): n_pairs}
+        callers = [caller for caller, _, _ in calls]
+        assert callers == sorted(callers, key=("stored_chunk", "_chunk_forward_backward").index)
 
     def test_one_epoch_encodes_no_column_per_pair(self, monkeypatch):
         # epoch 1 and the final evaluation each encode every used x and y
