@@ -287,8 +287,9 @@ def _var_tests(x_bins: np.ndarray, y_bins: np.ndarray, x_at, y_at, max_lag: int)
     most rows · eps of its squared norm after its projection off the
     intercept and the columns before it. Such a pair keeps the ``lstsq`` fit
     of the restricted and the ridge fit (``_ridge_rss``) of the unrestricted
-    model on the unscaled series, F from the difference of their RSS. One
-    warning counts these pairs.
+    model on the unscaled series, F from the difference of their RSS, or 0
+    where those fits overflow on finite series (x adds nothing to a design
+    this singular). One warning counts these pairs.
     """
     L = int(max_lag)
     if L < 1:
@@ -338,6 +339,9 @@ def _var_tests(x_bins: np.ndarray, y_bins: np.ndarray, x_at, y_at, max_lag: int)
                 rss_u[k] = _ridge_rss(np.hstack([design, _lag_matrix(x, L)]), y[L:])
             # nesting: negative only via ridge noise
             f[at] = np.maximum(rss_r[at] - rss_u[at], 0.0) / L / (rss_u[at] / df2)
+            finite = (np.isfinite(x_bins[:, x_at[at]]).all(axis=0)
+                      & np.isfinite(y_bins[:, y_at[at]]).all(axis=0))
+            f[at[finite & ~np.isfinite(f[at])]] = 0.0
             logger.warning("var_granger: %d of %d pairs have a singular design; ridge fit "
                            "(lambda=%g)", int(ridge.sum()), n_pairs, _RIDGE)
     zero = rss_u <= 0.0

@@ -211,21 +211,25 @@ def _build_dag_for_run(cfg: RunConfig, n_nodes: int, pt):
     edges when the DAG is built from an embedding, otherwise the given edge
     list itself.
     """
-    coords = None
-    if cfg.edges is not None:
-        dag = graph.read_edge_list(cfg.edges, n_nodes=n_nodes)
-        neighbor_edges = dag.edges
-    else:
-        emb_matrix = preprocess.read_matrix(cfg.embedding)
-        if emb_matrix.values.shape[0] != n_nodes:
-            raise DataError(f"{cfg.embedding} has {emb_matrix.values.shape[0]} rows but "
-                            f"the matrices have {n_nodes}")
-        with cited(cfg.embedding):
-            embedding = preprocess.Embedding(coords=emb_matrix.values, pseudotime=pt)
-        neighbor_edges = preprocess.knn_graph(embedding, cfg.k)
-        dag = preprocess.orient_by_pseudotime(neighbor_edges, pt)
-        coords = embedding.coords
-    return dag, neighbor_edges, coords
+    if cfg.edges is None:
+        return _dag_from_embedding(cfg.embedding, pt, cfg.k, f"the matrices have {n_nodes}")
+    dag = graph.read_edge_list(cfg.edges, n_nodes=n_nodes)
+    return dag, dag.edges, None
+
+
+def _dag_from_embedding(path, pt, k: int, rows_wanted: str):
+    """(dag, kNN edges, coords): the embedding in ``path``'s ``k``-NN graph, oriented by ``pt``.
+
+    The embedding must have a row per pseudotime value; ``rows_wanted``
+    ends the error message that says how many it has instead.
+    """
+    coords = preprocess.read_matrix(path).values
+    if coords.shape[0] != pt.shape[0]:
+        raise DataError(f"{path} has {coords.shape[0]} rows but {rows_wanted}")
+    with cited(path):
+        embedding = preprocess.Embedding(coords=coords, pseudotime=pt)
+    edges = preprocess.knn_graph(embedding, k)
+    return preprocess.orient_by_pseudotime(edges, pt), edges, embedding.coords
 
 
 def _record_counts(columns, n_pairs: int) -> dict:
@@ -298,15 +302,9 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_build_dag(args) -> int:
-    emb_matrix = preprocess.read_matrix(args.embedding)
     pt = preprocess.read_pseudotime(args.pseudotime)
-    if emb_matrix.values.shape[0] != pt.shape[0]:
-        raise DataError(f"{args.embedding} has {emb_matrix.values.shape[0]} rows but "
-                        f"{args.pseudotime} has {pt.shape[0]} values")
-    with cited(args.embedding):
-        embedding = preprocess.Embedding(coords=emb_matrix.values, pseudotime=pt)
-    edges = preprocess.knn_graph(embedding, args.k)
-    dag = preprocess.orient_by_pseudotime(edges, pt)
+    dag, _, _ = _dag_from_embedding(args.embedding, pt, args.k,
+                                    f"{args.pseudotime} has {pt.shape[0]} values")
     if dag.n_edges == 0:
         logger.warning("orientation kept no edges (constant pseudotime?)")
     graph.write_edge_list(args.out_edges, dag)

@@ -29,37 +29,30 @@ there when both banks trained in epoch 1, and the final evaluation after 0
 epochs, or 1 when both banks train: their pair chunks gather the encodings
 (and, in epoch 2, each layer's input for the backward pass) and run the
 kernel's own end on them, ``_loss_and_gradients``, as a per-pair chunk does
-once its encoders have run. So every bit is the same. The three
-share one loop (``shared_pass``) over tiles of one bank of y by one block of
-the x their pairs use, whose per-variable arrays live in a store at the
-start of the workspace, one tile at a time; as many variables as fit, a
-third of them x. Later epochs, and the final evaluation after them, run the
-per-pair kernel.
+once its encoders have run. So every bit is the same. The three share one
+loop (``shared_pass``) over tiles of one bank of y by one block of the x
+their pairs use, whose per-variable arrays live in a store at the start of
+the workspace, one tile at a time; as many variables as fit, a third of them
+x. Any other epoch, and the final evaluation after it, runs the kernel per
+pair; ``run_pass`` chooses the pass.
 
 The kernel does each sparse product once. A chunk gathers its y columns
 and, for the full model, its x columns beside them into a workspace row and
 computes layer 1's product ``a.T @ [y | x]`` from it; each product column
-has the bits of its variable's own product. The forward pass keeps each
-later layer's input ``M.T h`` and the backward pass recomputes the layer
-output from it rather than repeating the product. No array of ``train_all``
-has a column per used variable: its memory bound is the workspace, whose
-size depends on the variable counts only up to one tile.
+has the bits of its variable's own product. From there ``_encode`` runs
+the encoders, y's columns then x's in one batch for the full model; it
+keeps each later layer's input ``M.T h``, and the backward pass recomputes
+the layer output from it rather than repeating the product.
 
-A chunk allocates no (n, ·) array. The full model's two encoders run as one
-batch, y's columns then x's, and every array of a chunk (the layer inputs,
-the encodings, the layer output, dz and g of the backward pass, Y, y_hat,
-the residual, d and the per-node losses) is a row or a part of a row of one
-workspace (``_layout``) that ``train_all`` makes once, one segment per
-worker; the sparse products write into it (``graph.transpose_apply_batch``,
-``apply_batch``). A segment holds L + 3 rows of n * 2 * ``_CHUNK`` /
-workers floats, the per-pair kernel with gradients, and every other chunk
-fits in it: the reduced bank, the x encodings and the pair chunks of the
-shared passes. A shared pass takes the workspace from its start (which is
-larger than the segments where a tile of ``_CHUNK`` y by ``_X_BLOCK`` x
-needs it, as at small L), so the passes after it reuse its pages instead of
-freeing buffers and faulting in new ones. A chunk that runs an encoder
-holds ``_CHUNK`` = 32 pairs; the pair chunks of epoch 1 and of the shared
-final evaluation run no encoder and hold ``_WIDE_CHUNK`` = 64.
+A chunk allocates no (n, ·) array: each of its arrays is a row, or part of
+a row, of one workspace that ``train_all`` makes once, placed by
+``_layout``, and the sparse products write into it. A segment per worker
+fits the per-pair kernel with gradients on ``_CHUNK`` = 32 pairs and a
+chunk of ``_WIDE_CHUNK`` = 64 pairs that runs no encoder; a shared pass
+takes the workspace from its start, which grows past the segments only
+where a tile of ``_CHUNK`` y by ``_X_BLOCK`` x needs it. So the memory
+bound is the workspace, whose size depends on the variable counts only up
+to one tile.
 
 Numerics are independent of chunk width and worker count: pairs are
 processed in fixed-size column chunks, every operation in the kernel treats
@@ -317,37 +310,34 @@ def _n_inputs(L: int, keep: bool) -> int:
     return L if keep else min(L, 2)
 
 
-def _layout(workspace: np.ndarray, n: int, k: int, m: int, n_in: int, want_grads: bool):
+def _layout(workspace, n: int, k: int, m: int, n_in: int, want_grads: bool):
     """Where a kernel call on k encoder columns and m outputs keeps its arrays.
 
     Returns (inputs, acc, (dh, dz, g), temps), views of the flat
-    ``workspace``. Rows of n * k floats follow each other: the ``n_in``
-    layer inputs, the encodings ``acc``, dz (each layer output in the
-    forward pass) and with ``want_grads`` g. ``temps`` are the three (n, m)
-    arrays of ``_loss_and_gradients``, one after the other from the end of
-    ``acc``; the backward pass overwrites those in the dz and g rows. With
+    ``workspace``, or with ``workspace`` None the floats they take. Rows of
+    n * k floats follow each other: the ``n_in`` layer inputs, the
+    encodings ``acc``, dz (each layer output in the forward pass) and with
+    ``want_grads`` g. ``temps`` are the three (n, m) arrays of
+    ``_loss_and_gradients``, one after the other from the end of ``acc``;
+    the backward pass overwrites those in the dz and g rows. With
     ``want_grads``, dh / L of the backward pass is ``acc`` for the full
     model (k = 2m), whose encodings are spent once dh is formed; for the
-    reduced model it lies past the temporaries, so that the third of them,
-    d, and the encodings outlive the call. dh and g are None without
-    ``want_grads``.
+    reduced model it is a last row past the temporaries, so that the third
+    of them, d, and the encodings outlive the call. dh and g are None
+    without ``want_grads``.
     """
+    acc_end = (n_in + 1) * n * k
+    own_dh = want_grads and k != 2 * m
+    if workspace is None:
+        return acc_end + (3 * n * m + n * k if own_dh
+                          else max((1 + int(want_grads)) * n * k, 3 * n * m))
     rows = _buffers(workspace, n, k, n_in + 2 + int(want_grads))
-    temps = _buffers(workspace, n, m, 3, (n_in + 1) * n * k)
+    temps = _buffers(workspace, n, m, 3, acc_end)
     dh = None
     if want_grads:
-        dh = rows[n_in] if k == 2 * m else _buffers(workspace, n, k, 1,
-                                                     (n_in + 1) * n * k + 3 * n * m)[0]
+        dh = _buffers(workspace, n, k, 1, acc_end + 3 * n * m)[0] if own_dh else rows[n_in]
     return (rows[:n_in], rows[n_in],
             (dh, rows[n_in + 1], rows[n_in + 2] if want_grads else None), temps)
-
-
-def _layout_size(n: int, k: int, m: int, n_in: int, want_grads: bool) -> int:
-    """The floats of a ``_layout``."""
-    acc_end = (n_in + 1) * n * k
-    if want_grads and k != 2 * m:
-        return acc_end + 3 * n * m + n * k
-    return acc_end + max((1 + int(want_grads)) * n * k, 3 * n * m)
 
 
 def _encoder_params(theta: np.ndarray, full: bool):
@@ -445,6 +435,21 @@ def _loss_and_gradients(h, Y, theta, inputs, ops, lag_hops, link, backward, temp
     return rss, None, grads, ok
 
 
+def _encode(lagged, theta, ops, lag_hops, keep, layout):
+    """``encode_history_batch`` of ``lagged`` (lagged=True) in the rows of a ``_layout``.
+
+    ``lagged`` is (n, 2m), y's columns then x's, for the full model's
+    (4L+1, m) ``theta``, else (n, m) for one encoder's [w, b] per column,
+    (2L, m). The encodings go into ``acc``, each layer output into dz and
+    the later layer inputs into the layer-input rows.
+    """
+    inputs, acc, (_, dz, _), _ = layout
+    w, b, _ = _encoder_params(theta, lagged.shape[1] == 2 * theta.shape[1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        return encode_history_batch(lagged, ops, w, b, lag_hops, keep, lagged=True,
+                                    buffers=[dz, *inputs[1:]], out=acc)
+
+
 def _chunk_forward_backward(lagged, Y, theta, ops, lag_hops, link, want_grads, workspace=None):
     """Losses (and optionally gradients) of one model for a chunk of m columns.
 
@@ -452,25 +457,22 @@ def _chunk_forward_backward(lagged, Y, theta, ops, lag_hops, link, want_grads, w
     y columns, (n, m). With ``lagged`` (n, 2m), y's columns then x's, the
     model is the full one and ``theta`` (4L+1, m), one full column per
     pair; with ``lagged`` (n, m) it is the reduced one and ``theta`` (2L, m),
-    one reduced column per y. The encoders run as one batch (every operation
-    treats each column on its own), and ``_loss_and_gradients`` turns their
-    encodings into (rss, per_node, grads, ok). Every (n, ·) array of the
-    call is in ``workspace`` (``_layout``, made for this call when None):
-    ``lagged`` may be its first layer input and Y its last temporary, and
-    per_node is its view, valid until its next use.
+    one reduced column per y. ``_encode`` runs the encoders as one batch,
+    and ``_loss_and_gradients`` turns their encodings into (rss, per_node,
+    grads, ok). Every (n, ·) array of the call is in ``workspace``
+    (``_layout``, made for this call when None): ``lagged`` may be its first
+    layer input and Y its last temporary, and per_node is its view.
     """
     n, m = Y.shape
     k = lagged.shape[1]
-    w, b, L = _encoder_params(theta, k == 2 * m)
-    n_in = _n_inputs(L, want_grads)
+    L = theta.shape[0] // (4 if k == 2 * m else 2)  # of 4L+1 or 2L rows
+    shape = n, k, m, _n_inputs(L, want_grads), want_grads
     if workspace is None:
-        workspace = _workspace(_layout_size(n, k, m, n_in, want_grads))
-    inputs, acc, backward, temps = _layout(workspace, n, k, m, n_in, want_grads)
-    with np.errstate(invalid="ignore", over="ignore"):
-        h, kept = encode_history_batch(lagged, ops, w, b, lag_hops, want_grads, lagged=True,
-                                       buffers=[backward[1], *inputs[1:]], out=acc)
+        workspace = _workspace(_layout(None, *shape))
+    layout = _layout(workspace, *shape)
+    h, kept = _encode(lagged, theta, ops, lag_hops, want_grads, layout)
     return _loss_and_gradients(h, Y, theta, kept.__getitem__ if want_grads else None, ops,
-                               lag_hops, link, backward, temps)
+                               lag_hops, link, *layout[2:])
 
 
 # --- batched training ---------------------------------------------------------
@@ -530,27 +532,26 @@ def train_all(
 
     # One workspace holds every (n, ·) array of every pass, one segment per
     # worker. A segment fits the per-pair kernel with gradients on ``width``
-    # pairs, L + 3 rows of n * 2 * width floats, and a chunk of ``wide``
-    # pairs that runs no encoder, and with them every other chunk
-    # (``_layout``). A pass from the shared encoders (``shared_pass``) takes
-    # the workspace from its start: the store of its tile, then its bank
-    # passes of ``half`` y and x passes of ``_X_BLOCK`` x or the pair chunks
-    # of every worker. The workspace fits a tile of at least ``_CHUNK`` y by
-    # ``_X_BLOCK`` x in each kind of pass.
+    # pairs and a chunk of ``wide`` pairs that runs no encoder, and with them
+    # every other chunk (``_layout`` states their sizes). A pass from the
+    # shared encoders (``shared_pass``) takes the workspace from its start:
+    # the store of its tile, then its bank passes of ``half`` y and x passes
+    # of ``_X_BLOCK`` x or the pair chunks of every worker. The workspace
+    # fits a tile of at least ``_CHUNK`` y by ``_X_BLOCK`` x in each pass.
     width = max(1, _CHUNK // workers)
     wide = max(1, _WIDE_CHUNK // workers)
     half = max(1, _CHUNK // 2)
     n_x = np.unique(x_cols).size
     bank_width, x_width = min(half, n_y), min(_X_BLOCK, n_x)
-    segment = max(_layout_size(n, 2 * width, width, L, True),
-                  _layout_size(n, 2 * wide, wide, 0, False))
+    segment = max(_layout(None, n, 2 * width, width, L, True),
+                  _layout(None, n, 2 * wide, wide, 0, False))
 
     def past_store(stored):
         """Floats a tile's bank and x passes or its pair chunks need after its store."""
-        pairs = (_layout_size(n, 2 * width, width, 1, True) if stored
-                 else _layout_size(n, 2 * wide, wide, 0, False))
-        return max(_layout_size(n, bank_width, bank_width, L, True),
-                   _layout_size(n, x_width, x_width, L, False), workers * pairs)
+        pairs = (_layout(None, n, 2 * width, width, 1, True) if stored
+                 else _layout(None, n, 2 * wide, wide, 0, False))
+        return max(_layout(None, n, bank_width, bank_width, L, True),
+                   _layout(None, n, x_width, x_width, L, False), workers * pairs)
 
     least = min(_CHUNK, n_y) + x_width
     arena = _workspace(max(workers * segment, (L + 1) * n * least + past_store(True),
@@ -639,20 +640,16 @@ def train_all(
         Every full column starts from the x-encoder of ``init_full`` and
         keeps it while its x-encoder gradient is 0, so while it holds that
         encoder each x needs one encoding, whichever pairs use it. It runs in
-        ``workspace`` as a kernel's forward pass (``_layout``), from layer
+        ``workspace`` as a kernel's forward pass (``_encode``), from layer
         1's product of the x columns, which the first layer input holds
         after the call; the inputs of all L layers are kept with ``keep``
         only.
         """
-        w, b = (np.repeat(init_full[i * L : (i + 1) * L, None], cols.size, axis=1)
-                for i in (2, 3))
-        inputs, acc, (_, h, _), _ = _layout(workspace, n, cols.size, cols.size,
-                                            _n_inputs(L, keep), False)
+        inputs, acc, _, _ = layout = _layout(workspace, n, cols.size, cols.size,
+                                             _n_inputs(L, keep), False)
         lagged = strict_lag(take(dataset.x_values, cols, acc), ops, out=inputs[0])
-        with np.errstate(invalid="ignore", over="ignore"):
-            enc, _ = encode_history_batch(lagged, ops, w, b, config.lag_hops, keep,
-                                          lagged=True, buffers=[h, *inputs[1:]], out=acc)
-        return enc, inputs
+        theta = np.repeat(init_full[2 * L : 4 * L, None], cols.size, axis=1)
+        return _encode(lagged, theta, ops, config.lag_hops, keep, layout)[0], inputs
 
     def holds_shared_encoders(ids):
         """Whether every pair in ``ids`` still holds the shared encoders, bit for bit.
@@ -787,14 +784,20 @@ def train_all(
                 yield from run_chunks(kernel, pairs, train_full and kind != "final",
                                       wide_chunks=not stored, spaces=spaces)
 
-    def per_pair_pass(ids, bank_grads, pair_grads, on_bank):
-        """(cols, kernel result) of each pair chunk of a pass that runs the kernel per pair.
+    def run_pass(ids, epoch, on_bank):
+        """(cols, kernel result) of each pair chunk of 0-based ``epoch`` or the final evaluation.
 
-        The bank pass runs first, each chunk's result going to ``on_bank``.
+        The final evaluation (``epoch`` None) trains nothing. Each bank
+        chunk's result goes to ``on_bank`` before the pairs of its y.
         """
-        for cols, result in run_chunks(bank_chunk, np.unique(y_at[ids]), bank_grads):
+        if epoch == 0 or holds_shared_encoders(ids):
+            kind = "start" if epoch == 0 else "final" if epoch is None else "stored"
+            yield from shared_pass(ids, kind, on_bank)
+            return
+        trains = epoch is not None
+        for cols, result in run_chunks(bank_chunk, np.unique(y_at[ids]), trains and train_reduced):
             on_bank(cols, result)
-        return run_chunks(pair_chunk, ids, pair_grads)
+        yield from run_chunks(pair_chunk, ids, trains and train_full)
 
     prev_loss = None
     for epoch in range(config.max_epochs):
@@ -812,13 +815,7 @@ def train_all(
             if train_reduced and ok.any():
                 step(reduced, reduced_adam, cols[ok], grads[:, ok], t)
 
-        if epoch == 0:
-            results = shared_pass(ids, "start", train_bank)
-        elif holds_shared_encoders(ids):
-            results = shared_pass(ids, "stored", train_bank)
-        else:
-            results = per_pair_pass(ids, train_reduced, train_full, train_bank)
-
+        results = run_pass(ids, epoch, train_bank)
         # Each kept pair's full and reduced loss, by pair id; the epoch's
         # total is their exactly rounded sum, whatever the chunks were.
         losses = np.zeros((2, n_pairs))
@@ -860,10 +857,7 @@ def train_all(
         ok &= np.isfinite(stats).all(axis=0)
         stats_reduced[:, cols[ok]] = stats[:, ok]
 
-    if holds_shared_encoders(ids):
-        results = shared_pass(ids, "final", evaluate_bank)
-    else:
-        results = per_pair_pass(ids, False, False, evaluate_bank)
+    results = run_pass(ids, None, evaluate_bank)
     stats_full = np.full((3, n_pairs), np.nan)
     for cols, (_, stats, _, ok) in results:
         ok &= np.isfinite(stats).all(axis=0) & ~np.isnan(stats_reduced[0, y_at[cols]])

@@ -381,6 +381,24 @@ class TestVarAccuracy:
             "var_granger: 1 of 1 pairs have a singular design; ridge fit (lambda=1e-08)"]
         assert (f, p) == lstsq_var_granger(x, y, L)
 
+    @pytest.mark.parametrize("which", ["constant x", "constant y"])
+    def test_overflowing_ridge_fit_gives_f_0(self, which, caplog):
+        # a constant series collides with the intercept, so the design is
+        # singular and x adds nothing; with y times 1e200 the ridge fit
+        # on the unscaled series overflows, and the pair gets F = 0, p = 1
+        # in place of NaN, still counted by the one ridge warning. At scale
+        # 1 the same pair gives F near 0 and p near 1.
+        rng = np.random.default_rng(0)
+        x, y = ((np.ones(60), rng.normal(size=60)) if which == "constant x"
+                else (rng.normal(size=60), np.ones(60)))
+        f, p = var_granger(x, y, max_lag=1)
+        assert f < 1e-12 and p > 1.0 - 1e-6
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="dagranger.baselines"):
+            assert var_granger(x, 1e200 * y, max_lag=1) == (0.0, 1.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "var_granger: 1 of 1 pairs have a singular design; ridge fit (lambda=1e-08)"]
+
     def test_scale_free(self):
         # column 0 of x and of y times 1e200: F does not depend on the scale
         # of a series, and no sum of squares may overflow

@@ -18,6 +18,7 @@ from dagranger.synth import SynthSpec, generate
 from dagranger.train import (
     AdamState,
     _chunk_forward_backward,
+    _layout,
     _loss_stats,
     Dataset,
     TrainConfig,
@@ -248,6 +249,37 @@ class TestChunkKernel:
             assert results.mean_reduced[j] == direct.per_node_reduced.mean()
             assert results.var_reduced[j] == direct.per_node_reduced.var(ddof=1)
 
+
+    @pytest.mark.parametrize("want_grads", [False, True])
+    @pytest.mark.parametrize("n_in", [0, 1, 2, 4])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_layout_ends_at_its_size(self, full, n_in, want_grads):
+        # the shapes of train_all's kernel calls (k = m or 2m encoder columns,
+        # 0, 1, 2 or L = 4 layer inputs, with and without gradients): the
+        # views end exactly at the size _layout states for them, the layer
+        # inputs, acc and the temporaries are pairwise disjoint, and the
+        # reduced model's dh overlaps neither acc nor the temporaries
+        n, m = 7, 3
+        k = 2 * m if full else m
+        size = _layout(None, n, k, m, n_in, want_grads)
+        workspace = np.empty(size + 5 * n * k)  # room for a view that overruns
+        inputs, acc, (dh, dz, g), temps = _layout(workspace, n, k, m, n_in, want_grads)
+        views = [*inputs, acc, dz, *temps] + ([dh, g] if want_grads else [])
+        base = workspace.__array_interface__["data"][0]
+        ends = [(v.__array_interface__["data"][0] - base) // 8 + v.size for v in views]
+        assert max(ends) == size
+        assert [v.shape for v in (*inputs, acc, dz)] == [(n, k)] * (n_in + 2)
+        assert [t.shape for t in temps] == [(n, m)] * 3
+        disjoint = [*inputs, acc, *temps]
+        for i, a in enumerate(disjoint):
+            for b in disjoint[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        if not want_grads:
+            assert dh is None and g is None
+        elif full:
+            assert dh is acc
+        else:
+            assert not any(np.shares_memory(dh, v) for v in (acc, *temps))
 
     def test_loss_stats_have_the_bits_of_each_column_alone(self, rng):
         # the final evaluation's statistics must equal the 1-D sum, mean and
