@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__, baselines, evaluate, graph, model, preprocess, score, synth, train
 from .errors import ConfigError, DataError, ParseError
-from .textio import cited, numbered_lines
+from .textio import cited, numbered_lines, text_file
 
 logger = logging.getLogger(__name__)
 
@@ -163,7 +163,7 @@ def _read_pairs_file(path, x_names, y_names) -> np.ndarray:
     """
     x_index = {name: i for i, name in enumerate(x_names)}
     y_index = {name: j for j, name in enumerate(y_names)}
-    with open(path, "r", encoding="utf-8") as fh:
+    with text_file(path) as fh:
         text = fh.read()
     words = text.split()
     xs, ys = words[::2], words[1::2]
@@ -373,18 +373,17 @@ def cmd_eval(args) -> int:
         first[pair] = i
     method = records[0].get("method", "unknown")
     reference = evaluate.read_reference(args.reference)
-    candidates = [(r["x_name"], r["y_name"]) for r in records]
     keyed = {(r["x_name"], r["y_name"]): r["score"] for r in records}
     with cited(f"{args.scores} against {args.reference}"):
-        labeled = evaluate.label_from_reference(
-            candidates, reference, args.true_threshold, args.false_threshold)
-        pairs = sorted(labeled.labels)
-        scores_vec = [keyed[p] for p in pairs]
-        labels_vec = [labeled.labels[p] for p in pairs]
+        labels = evaluate.label_from_reference(
+            keyed, reference, args.true_threshold, args.false_threshold)
+        scores_vec = [keyed[p] for p in labels]
+        labels_vec = list(labels.values())
         auprc_value = evaluate.auprc(scores_vec, labels_vec)
         auroc_value = evaluate.auroc(scores_vec, labels_vec)
+    n_true = sum(labels_vec)
     evaluate.write_metric_report(
-        args.out, method, auprc_value, auroc_value, labeled.n_true, labeled.n_false)
+        args.out, method, auprc_value, auroc_value, n_true, len(labels_vec) - n_true)
     print(json.dumps({"method": method, "auprc": auprc_value, "auroc": auroc_value}))
     return 0
 
@@ -495,7 +494,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         logger.error("configuration error: %s", exc)
         return 2
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError, IsADirectoryError) as exc:
         logger.error("data error: %s", exc)
         return 3
     except Exception as exc:

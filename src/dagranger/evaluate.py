@@ -1,15 +1,17 @@
 """Ranking metrics against labeled reference pairs: AUROC and AUPRC.
 
-AUROC uses the Mann-Whitney formulation P(score_pos > score_neg) + half the
-tie probability, computed from integer win/tie counts so that equal inputs
-give exactly equal outputs. AUPRC is average precision with tied scores
-processed as one block: each block contributes (its true count) times the
-precision at the end of the block.
+Both metrics come from one sweep down the scores: a stable sort in
+descending order, cut into blocks of tied scores, gives each block's count
+of true and of false pairs. AUROC is the Mann-Whitney P(score_pos >
+score_neg) plus half the tie probability, from integer win and tie counts,
+so that equal inputs give exactly equal outputs. AUPRC is average precision
+with each tie block taken whole: the block contributes its true count times
+the precision at its end, summed from the top block down. Neither depends
+on the order of the input pairs.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +19,6 @@ from .errors import NoLabeledPairs, OneClassOnly, ParseError
 from .textio import numbered_lines
 
 __all__ = [
-    "LabeledPairs",
     "label_from_reference",
     "auroc",
     "auprc",
@@ -26,32 +27,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LabeledPairs:
-    """Binary labels keyed by pair."""
-
-    labels: dict
-
-    def __post_init__(self):
-        if not self.labels:
-            raise NoLabeledPairs("no labeled pairs")
-
-    @property
-    def n_true(self) -> int:
-        return sum(1 for v in self.labels.values() if v)
-
-    @property
-    def n_false(self) -> int:
-        return sum(1 for v in self.labels.values() if not v)
-
-
 def label_from_reference(
     candidates,
     reference,
     true_threshold: float,
     false_threshold: float,
-) -> LabeledPairs:
-    """Label candidate pairs from (pair, value) reference entries.
+) -> dict:
+    """Binary labels keyed by pair, for candidate pairs from (pair, value) reference entries.
 
     value < true_threshold -> true; value > false_threshold -> false; values
     between the thresholds are discarded, as are reference entries for pairs
@@ -70,67 +52,45 @@ def label_from_reference(
         raise NoLabeledPairs(
             "no candidate pair fell below the true threshold or above the false threshold"
         )
-    return LabeledPairs(labels=labels)
+    return labels
 
 
-def _score_blocks(scores, labels):
-    """Descending blocks of tied scores as (n_true, n_false) per block."""
+def _score_blocks(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The true and the false count of each block of tied scores, top block first."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
     if np.isnan(scores).any():
         raise ValueError("scores must not be NaN")
+    if labels.all() or not labels.any():  # empty input too
+        raise OneClassOnly("need at least one true and one false label")
     order = np.argsort(-scores, kind="stable")
-    blocks: list[tuple[int, int]] = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and scores[order[j]] == scores[order[i]]:
-            j += 1
-        idx = order[i:j]
-        t = int(labels[idx].sum())
-        blocks.append((t, len(idx) - t))
-        i = j
-    return blocks
+    ranked = scores[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    n_true = np.add.reduceat(labels[order], starts, dtype=np.int64)
+    return n_true, np.diff(np.r_[starts, len(ranked)]) - n_true
 
 
 def auroc(scores, labels) -> float:
     """Probability a true pair outranks a false one, ties counting half."""
-    blocks = _score_blocks(scores, labels)
-    n_true = sum(t for t, _ in blocks)
-    n_false = sum(f for _, f in blocks)
-    if n_true == 0 or n_false == 0:
-        raise OneClassOnly("need at least one true and one false label")
-    wins = 0
-    ties = 0
-    falses_below = n_false
-    for t, f in blocks:
-        falses_below -= f
-        wins += t * falses_below
-        ties += t * f
-    return (2 * wins + ties) / (2 * n_true * n_false)
+    t, f = _score_blocks(scores, labels)
+    wins = int(t @ (f.sum() - np.cumsum(f)))  # each true against the falses below its block
+    ties = int(t @ f)
+    return (2 * wins + ties) / (2 * int(t.sum()) * int(f.sum()))
 
 
 def auprc(scores, labels) -> float:
     """Average precision over the descending-score sweep, tie blocks whole.
 
     Each block of equal scores contributes (trues in block) * (precision at
-    the end of the block); the sum is normalized by the total true count.
+    the end of the block); the sum, taken from the top block down, is
+    normalized by the total true count.
     """
-    blocks = _score_blocks(scores, labels)
-    n_true = sum(t for t, _ in blocks)
-    n_false = sum(f for _, f in blocks)
-    if n_true == 0 or n_false == 0:
-        raise OneClassOnly("need at least one true and one false label")
-    ap = 0.0
-    cum_true = 0
-    cum_all = 0
-    for t, f in blocks:
-        cum_true += t
-        cum_all += t + f
-        ap += t * (cum_true / cum_all)
-    return ap / n_true
+    t, f = _score_blocks(scores, labels)
+    cum_true = np.cumsum(t)
+    terms = t * (cum_true / np.cumsum(t + f))
+    return float(np.cumsum(terms)[-1] / cum_true[-1])
 
 
 def read_reference(path) -> list[tuple[tuple[str, str], float]]:

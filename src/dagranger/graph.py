@@ -47,7 +47,7 @@ from .errors import (
     ParseError,
     SelfLoop,
 )
-from .textio import numbered_lines, read_table
+from .textio import numbered_lines, read_table, text_file
 
 __all__ = [
     "Dag",
@@ -145,7 +145,7 @@ def build_dag(n_nodes: int, edges) -> Dag:
     remaining = in_degree.copy()
     level = np.zeros(n_nodes, dtype=np.int64)
     left, depth_of, child = memoryview(remaining), memoryview(level), memoryview(children)
-    first = fanout = None  # start and out_degree as lists, made for the first small frontier
+    first, fanout = memoryview(start), memoryview(out_degree)
 
     def listed(nodes):
         """A frontier of few nodes as a list, to be peeled item by item if its edges are few."""
@@ -154,8 +154,6 @@ def build_dag(n_nodes: int, edges) -> Dag:
     frontier = listed(np.flatnonzero(in_degree == 0))
     depth = 0
     while len(frontier):
-        if isinstance(frontier, list) and first is None:
-            first, fanout = start.tolist(), out_degree.tolist()
         if isinstance(frontier, list) and sum(map(fanout.__getitem__, frontier)) <= _FEW_EDGES:
             peeled = []
             for node in frontier:
@@ -261,7 +259,7 @@ def read_edge_list(path, n_nodes: int | None = None) -> Dag:
     supplied it is inferred as max node id + 1. A rejected edge is reported
     with the file and line it came from; a cycle with the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with text_file(path) as fh:
         edges = read_table(fh, np.int64, comment_lines=True)
     if edges is None or edges.shape[1] != 2:
         edges = _read_edge_lines(path)[0]

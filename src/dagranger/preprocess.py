@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from .errors import DataError, KTooLarge, NonFiniteInput, ParseError
 from .graph import Dag, build_dag
-from .textio import cited, numbered_lines, read_table
+from .textio import cited, numbered_lines, read_table, text_file
 
 __all__ = [
     "ValueMatrix",
@@ -265,7 +265,7 @@ def read_matrix(path) -> ValueMatrix:
         with cited(path):
             return ValueMatrix(values=values, var_names=names)
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with text_file(path) as fh:
         header = fh.readline()
         if not header.strip():
             raise ParseError(f"{path}:1: empty header row")
@@ -320,7 +320,7 @@ def read_pseudotime(path) -> np.ndarray:
     Blank lines and ``#`` comment lines are skipped. A line that is not one
     number, and a NaN or infinite value, are rejected with the file and line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with text_file(path) as fh:
         values = read_table(fh, np.float64, comment_lines=True)
     if values is None or values.shape[1] != 1 or not np.isfinite(values).all():
         return _read_pseudotime_lines(path)

@@ -1,8 +1,10 @@
 """The one reading policy of every text input, and numeric tables read by numpy's C reader.
 
-Every text file is UTF-8. ``numbered_lines`` yields its lines stripped and
-numbered from 1, without blank lines and, unless told otherwise, without
-``#`` lines; a reader that rejects a line starts its message with
+Every text file is UTF-8 and is opened with ``text_file``: text that does
+not decode raises ``ParseError`` naming the file, wherever the reading
+meets it. ``numbered_lines`` yields a file's lines stripped and numbered
+from 1, without blank lines and, unless told otherwise, without ``#``
+lines; a reader that rejects a line starts its message with
 ``path:line:``. ``cited`` puts a file's name in front of the message of a
 ``DataError`` raised while its contents are checked.
 
@@ -22,9 +24,19 @@ import itertools
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ParseError
 
-__all__ = ["numbered_lines", "cited", "read_table"]
+__all__ = ["text_file", "numbered_lines", "cited", "read_table"]
+
+
+@contextlib.contextmanager
+def text_file(path):
+    """The UTF-8 file ``path`` open for reading; text that does not decode raises ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def numbered_lines(path, comments=True):
@@ -33,7 +45,7 @@ def numbered_lines(path, comments=True):
     Blank lines are skipped, and so are lines whose first non-blank
     character is ``#`` unless ``comments`` is False.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with text_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line and not (comments and line.startswith("#")):
@@ -57,8 +69,9 @@ def read_table(fh, dtype, delimiter=None, comment_lines=False) -> np.ndarray | N
     ``comment_lines`` so are the blank and ``#`` lines before the first data
     line; any other ``#`` is data, which numpy refuses. Rows of unequal
     length, a field that does not convert or overflows, and a body with no
-    data line give None. The first data line is not blank, so numpy reads
-    at least one row and never warns of an empty input.
+    data line give None. Text that does not decode raises, for
+    ``text_file`` to name the file. The first data line is not blank, so
+    numpy reads at least one row and never warns of an empty input.
     """
     line = fh.readline()
     while line and (not line.strip() or comment_lines and line.lstrip().startswith("#")):
@@ -68,5 +81,7 @@ def read_table(fh, dtype, delimiter=None, comment_lines=False) -> np.ndarray | N
     try:
         return np.loadtxt(itertools.chain([line], fh), dtype=dtype, delimiter=delimiter,
                           comments=None, ndmin=2)
+    except UnicodeDecodeError:
+        raise
     except ValueError:
         return None

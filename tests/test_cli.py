@@ -682,6 +682,30 @@ class TestExits:
         "one-class reference": (
             {"scores.jsonl": SCORES, "ref.tsv": "a\tb\t0.0\na\tc\t0.0\n"}, EVAL, 3,
             f"data error: {LABELS} need at least one true and one false label"),
+        "matrix that is not UTF-8": (
+            {"x.csv": b"a,b\n\xff\xfe,1\n"},
+            RUN[:2] + ["{d}/x.csv"] + RUN[3:] + ["--edges", "{edges}"], 3,
+            "data error: {d}/x.csv: not UTF-8 text (invalid start byte)"),
+        "directory as the x matrix": (
+            {}, RUN[:2] + ["{d}"] + RUN[3:] + ["--edges", "{edges}"], 3,
+            "data error: [Errno 21] Is a directory: '{d}'"),
+        "pairs file that is not UTF-8": (
+            {"pairs.tsv": b"x0\ty0\n\xff\n"},
+            RUN[:6] + ["{d}/pairs.tsv"] + RUN[7:] + ["--edges", "{edges}"], 3,
+            "data error: {d}/pairs.tsv: not UTF-8 text (invalid start byte)"),
+        "edge file that is not UTF-8": (
+            {"e.tsv": b"0\t1\n\xff\n"}, RUN + ["--edges", "{d}/e.tsv"], 3,
+            "data error: {d}/e.tsv: not UTF-8 text (invalid start byte)"),
+        "pseudotime that is not UTF-8": (
+            {"pt.txt": b"# c\n\xff\n"},
+            RUN + ["--edges", "{edges}", "--pseudotime", "{d}/pt.txt", "--method", "all"], 3,
+            "data error: {d}/pt.txt: not UTF-8 text (invalid start byte)"),
+        "config file that is not UTF-8": (
+            {"run.cfg": b"seed=\xff\n"}, RUN_CFG, 3,
+            "data error: {d}/run.cfg: not UTF-8 text (invalid start byte)"),
+        "score file that is not UTF-8": (
+            {"scores.jsonl": SCORES.encode() + b"\xff\n", "ref.tsv": "a\tb\t0\na\tc\t1\n"},
+            EVAL, 3, "data error: {d}/scores.jsonl: not UTF-8 text (invalid start byte)"),
         "blank lines in a score file": (
             {"scores.jsonl": "\n" + SCORES.replace("\n", "\n  \n"),
              "ref.tsv": "a\tb\t0\na\tc\t1\n"}, EVAL, 0, None),
@@ -692,7 +716,10 @@ class TestExits:
         files, argv, code, start = self.CASES[case]
         fill = {**bundle[1], "d": tmp_path}
         for name, text in files.items():
-            (tmp_path / name).write_text(text)
+            if isinstance(text, bytes):
+                (tmp_path / name).write_bytes(text)
+            else:
+                (tmp_path / name).write_text(text)
         assert main([a.format(**fill) for a in argv]) == code
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         if start is None:
@@ -761,6 +788,29 @@ class TestScoreFiles:
         assert {method: hashlib.sha256(
                     (tmp_path / f"scores_{method}.jsonl").read_bytes()).hexdigest()
                 for method in pinned} == pinned
+
+    # what eval reports, (auprc, auroc, n_true, n_false), for each file of the
+    # runs above, as exact floats: the metrics' arithmetic must keep every bit
+    PINNED_EVAL = {
+        "f": {"dagranger": (0.2386904761904762, 0.5763888888888888, 4, 36),
+              "pearson": (0.328125, 0.6944444444444444, 4, 36),
+              "pseudocell": (0.2886363636363636, 0.6875, 4, 36),
+              "var_granger": (0.0909112959112959, 0.2986111111111111, 4, 36)},
+        "welch": {"dagranger": (0.1734126984126984, 0.5416666666666666, 4, 36)},
+    }
+
+    @pytest.mark.parametrize("rank_mode", ["f", "welch"])
+    def test_eval_reports_the_pinned_metrics(self, pinned_bundle, tmp_path, rank_mode):
+        assert self._run_all(pinned_bundle, tmp_path, "--rank-mode", rank_mode) == 0
+        pinned = {**self.PINNED_EVAL["f"], **self.PINNED_EVAL[rank_mode]}
+        reported = {}
+        for method in pinned:
+            out = tmp_path / f"metrics_{method}.json"
+            assert run_cli("eval", "--scores", tmp_path / f"scores_{method}.jsonl",
+                           "--reference", pinned_bundle["reference"], "--out", out) == 0
+            report = json.loads(out.read_text())
+            reported[method] = tuple(report[k] for k in ("auprc", "auroc", "n_true", "n_false"))
+        assert reported == pinned
 
     @pytest.mark.parametrize("max_epochs, rank_mode", sorted(PINNED_SHORT))
     def test_short_runs_equal_the_pinned_digests(self, pinned_bundle, tmp_path, max_epochs,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dagranger.errors import NoLabeledPairs, OneClassOnly
@@ -47,6 +47,10 @@ class TestAuroc:
     def test_one_class_only(self):
         with pytest.raises(OneClassOnly):
             auroc([1, 2], [True, True])
+
+    def test_empty_input_is_one_class_only(self):
+        with pytest.raises(OneClassOnly):
+            auroc([], [])
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -123,10 +127,29 @@ class TestAuprc:
             labels[0], labels[1] = True, False
         assert auprc(scores, labels) == auprc(3.0 * np.asarray(scores) + 7.0, labels)
 
+    def test_empty_input_is_one_class_only(self):
+        with pytest.raises(OneClassOnly):
+            auprc([], [])
+
     def test_nan_score_rejected(self):
         # a NaN ties with nothing, not even itself; the tie sweep used to spin
         with pytest.raises(ValueError):
             auprc([0.5, float("nan"), 0.1], [True, False, False])
+
+
+class TestInputOrder:
+    # eval passes the labeled pairs in the order of its reference file
+    SCORE = st.one_of(st.sampled_from([0.0, -0.0, 1 / 3, 2.5]), st.floats(allow_nan=False))
+
+    @given(st.lists(st.tuples(SCORE, st.booleans()), min_size=2, max_size=60).flatmap(
+        lambda pairs: st.tuples(st.just(pairs), st.permutations(pairs))))
+    @settings(max_examples=100, deadline=None)
+    def test_permuting_the_pairs_changes_no_bit(self, pairs_and_permuted):
+        pairs, permuted = pairs_and_permuted
+        labels = [label for _, label in pairs]
+        assume(any(labels) and not all(labels))
+        for metric in (auroc, auprc):
+            assert metric(*zip(*permuted)) == metric(*zip(*pairs))
 
 
 class TestLabelFromReference:
@@ -134,7 +157,7 @@ class TestLabelFromReference:
         candidates = ["a", "b", "c"]
         reference = [("a", 1e-12), ("b", 0.95), ("c", 0.5)]
         labeled = label_from_reference(candidates, reference, 1e-10, 0.9)
-        assert labeled.labels == {"a": True, "b": False}
+        assert labeled == {"a": True, "b": False}
 
     def test_empty_reference(self):
         with pytest.raises(NoLabeledPairs):
@@ -146,7 +169,7 @@ class TestLabelFromReference:
 
     def test_non_candidates_dropped(self):
         labeled = label_from_reference(["a"], [("a", 0.0), ("z", 0.0)], 0.5, 0.5)
-        assert set(labeled.labels) == {"a"}
+        assert set(labeled) == {"a"}
 
 
 class TestReferenceIo:

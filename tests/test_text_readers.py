@@ -4,7 +4,9 @@
 body with numpy's C reader and fall back to a line loop for what it refuses.
 The loops below are the readers as they were before that, kept as oracles:
 on every input a reader must return the oracle's bits, or raise the same
-exception class with the same message.
+exception class with the same message. Text that does not decode is the
+one exception: the oracle's ``UnicodeDecodeError`` is the reader's
+``ParseError`` naming the file.
 """
 import tracemalloc
 
@@ -197,7 +199,13 @@ def test_reader_matches_the_line_loop_on_edge_cases(tmp_path, kind, text):
                                         ("pseudotime", b"0.5\n" * 5000),
                                         ("edges", b"0\t1\n" * 5000)])
 def test_undecodable_bytes_raise_as_before(tmp_path, kind, text):
-    assert_same_outcome(kind, tmp_path / "in.txt", text + b"\xff\n")
+    # where the line loop meets text that does not decode, the reader raises
+    # a ParseError that names the file
+    path = tmp_path / "in.txt"
+    path.write_bytes(text + b"\xff\n")
+    reader, oracle = READERS[kind]
+    assert outcome(oracle, path)[0] is UnicodeDecodeError
+    assert outcome(reader, path) == (ParseError, f"{path}: not UTF-8 text (invalid start byte)")
 
 
 # numbers of every magnitude and digit count, to compare bits
