@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import AllOneBin, DegenerateSampleSize
+from .errors import DataError
 
 __all__ = [
     "BinnedSeries",
@@ -191,7 +191,7 @@ def _bin_index(pseudotime, n_bins: int) -> np.ndarray:
     lo, hi = float(pt.min()), float(pt.max())
     if lo == hi:
         if pt.shape[0] > 1:
-            raise AllOneBin("constant pseudotime: all nodes fall in a single bin")
+            raise DataError("constant pseudotime: all nodes fall in a single bin")
         return np.zeros(1, dtype=np.int64)  # a single node occupies one bin
     width = (hi - lo) / n_bins
     return np.minimum(((pt - lo) / width).astype(np.int64), n_bins - 1)
@@ -296,11 +296,11 @@ def _var_tests(x_bins: np.ndarray, y_bins: np.ndarray, x_at, y_at, max_lag: int)
         raise ValueError("max_lag must be >= 1")
     T = x_bins.shape[0]
     if T <= 3 * L:
-        raise DegenerateSampleSize(f"need series length > {3 * L} for max_lag={L}, got {T}")
+        raise DataError(f"need series length > {3 * L} for max_lag={L}, got {T}")
     rows = T - L
     df2 = rows - 2 * L - 1
     if df2 <= 0:
-        raise DegenerateSampleSize(f"too few usable bins ({rows}) for max_lag={L}")
+        raise DataError(f"too few usable bins ({rows}) for max_lag={L}")
     n_pairs = len(x_at)
     tol = rows * np.finfo(np.float64).eps
     explained = np.zeros(n_pairs)

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baselines, evaluate, graph, model, preprocess, score, synth, train
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError
 from .textio import cited, numbered_lines, text_file
 
 logger = logging.getLogger(__name__)
@@ -137,8 +137,12 @@ class _Manifest:
 
 
 def _read_config_file(path, keys) -> dict[str, str]:
-    """Flat ``key=value`` lines, each key one of ``keys``; ``#`` comments and blanks ignored."""
+    """Flat ``key=value`` lines, each key one of ``keys`` and given once.
+
+    ``#`` comments and blank lines are ignored.
+    """
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in numbered_lines(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
@@ -146,6 +150,10 @@ def _read_config_file(path, keys) -> dict[str, str]:
         key = key.strip()
         if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
+                              f"(first on line {first_line[key]})")
+        first_line[key] = lineno
         out[key] = value.strip()
     return out
 
@@ -187,7 +195,7 @@ def _read_pairs_lines(path, x_index, y_index, n_y) -> np.ndarray:
     for lineno, line in numbered_lines(path):
         parts = line.split("\t")
         if len(parts) < 2:
-            raise ParseError(f"{path}:{lineno}: expected x_name<TAB>y_name")
+            raise DataError(f"{path}:{lineno}: expected x_name<TAB>y_name")
         xn, yn = parts[0], parts[1]
         if xn not in x_index:
             raise DataError(f"{path}:{lineno}: unknown x variable {xn!r}")
@@ -329,11 +337,11 @@ def _read_positions(path) -> dict[str, tuple[str, float]]:
     for lineno, line in numbered_lines(path):
         parts = line.split("\t")
         if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected name, key, position")
+            raise DataError(f"{path}:{lineno}: expected name, key, position")
         try:
             out[parts[0]] = (parts[1], float(parts[2]))
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric position") from exc
+            raise DataError(f"{path}:{lineno}: non-numeric position") from exc
     return out
 
 
@@ -355,6 +363,10 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    t_true, t_false = args.true_threshold, args.false_threshold
+    if not (math.isfinite(t_true) and math.isfinite(t_false) and t_true <= t_false):
+        raise ConfigError(f"--true-threshold ({t_true}) and --false-threshold ({t_false}) "
+                          "must be finite, the first not above the second")
     records = score.read_score_records(args.scores)
     if not records:
         raise DataError(f"{args.scores}: no score records")

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .errors import NoLabeledPairs, OneClassOnly, ParseError
+from .errors import DataError
 from .textio import numbered_lines
 
 __all__ = [
@@ -49,9 +49,8 @@ def label_from_reference(
         elif value > false_threshold:
             labels[pair] = False
     if not labels:
-        raise NoLabeledPairs(
-            "no candidate pair fell below the true threshold or above the false threshold"
-        )
+        raise DataError("no candidate pair fell below the true threshold or above the false "
+                        "threshold")
     return labels
 
 
@@ -64,7 +63,7 @@ def _score_blocks(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     if np.isnan(scores).any():
         raise ValueError("scores must not be NaN")
     if labels.all() or not labels.any():  # empty input too
-        raise OneClassOnly("need at least one true and one false label")
+        raise DataError("need at least one true and one false label")
     order = np.argsort(-scores, kind="stable")
     ranked = scores[order]
     starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
@@ -99,11 +98,11 @@ def read_reference(path) -> list[tuple[tuple[str, str], float]]:
     for lineno, line in numbered_lines(path):
         parts = line.split("\t")
         if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated columns")
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns")
         try:
             value = float(parts[2])
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric value") from exc
+            raise DataError(f"{path}:{lineno}: non-numeric value") from exc
         out.append(((parts[0], parts[1]), value))
     return out
 

@@ -38,15 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .errors import (
-    CycleDetected,
-    DataError,
-    DimensionMismatch,
-    DuplicateEdge,
-    NodeIdOutOfRange,
-    ParseError,
-    SelfLoop,
-)
+from .errors import DataError
 from .textio import numbered_lines, read_table, text_file
 
 __all__ = [
@@ -97,15 +89,15 @@ class LaggedOperators:
 def build_dag(n_nodes: int, edges) -> Dag:
     """Validate an (E, 2) array (or sequence of pairs) of edges and return a Dag.
 
-    Raises NodeIdOutOfRange (for an id outside [0, n_nodes) or not an
-    integer), SelfLoop, DuplicateEdge or CycleDetected. An edge defect is
-    reported for the first defective edge in input order, and the exception
-    carries that edge's position as ``edge_index``. Acyclicity is established
-    by Kahn's algorithm, which also gives each node's level: if the peeling
-    order does not consume every node, the remainder contains a cycle.
+    Raises DataError for a node id outside [0, n_nodes) or not an integer, a
+    self-loop, a duplicate edge or a cycle. An edge defect is reported for
+    the first defective edge in input order, and the exception carries that
+    edge's position as ``edge_index``. Acyclicity is established by Kahn's
+    algorithm, which also gives each node's level: if the peeling order does
+    not consume every node, the remainder contains a cycle.
     """
     if n_nodes < 0:
-        raise NodeIdOutOfRange(f"n_nodes must be nonnegative, got {n_nodes}")
+        raise DataError(f"n_nodes must be nonnegative, got {n_nodes}")
     given = np.asarray(edges).reshape(-1, 2)
     with np.errstate(invalid="ignore"):
         ends = given.astype(np.int64)
@@ -122,13 +114,14 @@ def build_dag(n_nodes: int, edges) -> Dag:
         i = int(bad.argmax())
         a, b = given[i]
         if non_integer[i]:
-            exc = NodeIdOutOfRange(f"edge ({a}, {b}) has a non-integer node id")
+            message = f"edge ({a}, {b}) has a non-integer node id"
         elif outside[i]:
-            exc = NodeIdOutOfRange(f"edge ({a}, {b}) outside [0, {n_nodes})")
+            message = f"edge ({a}, {b}) outside [0, {n_nodes})"
         elif a == b:
-            exc = SelfLoop(f"self-loop at node {a}")
+            message = f"self-loop at node {a}"
         else:
-            exc = DuplicateEdge(f"edge ({a}, {b}) appears more than once")
+            message = f"edge ({a}, {b}) appears more than once"
+        exc = DataError(message)
         exc.edge_index = i
         raise exc
 
@@ -174,7 +167,7 @@ def build_dag(n_nodes: int, edges) -> Dag:
         depth += 1
     cyclic = np.flatnonzero(remaining)
     if cyclic.size:
-        raise CycleDetected(f"cycle through nodes {cyclic[:10].tolist()}")
+        raise DataError(f"cycle through nodes {cyclic[:10].tolist()}")
 
     ends.setflags(write=False)
     return Dag(n_nodes=n_nodes, edges=ends, in_degree=in_degree, level=level)
@@ -238,12 +231,12 @@ def _matvecs(fmt: str, shape, op: sp.spmatrix, values, out) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     rows, cols = shape
     if values.ndim != 2 or values.shape[0] != cols:
-        raise DimensionMismatch(f"operator is {op.shape}, batch has shape {values.shape}")
+        raise DataError(f"operator is {op.shape}, batch has shape {values.shape}")
     m = values.shape[1]
     if out is None:
         out = np.zeros((rows, m))
     elif out.shape != (rows, m) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise DimensionMismatch(f"out must be a C-ordered float64 array of shape {(rows, m)}")
+        raise DataError(f"out must be a C-ordered float64 array of shape {(rows, m)}")
     else:
         out.fill(0.0)
     getattr(_sparsetools, fmt + "_matvecs")(rows, cols, m, op.indptr, op.indices, op.data,
@@ -267,13 +260,13 @@ def read_edge_list(path, n_nodes: int | None = None) -> Dag:
         n_nodes = int(edges.max(initial=-1)) + 1
         if n_nodes > np.iinfo(np.int64).max:  # 2**63 nodes: one more than int64 counts
             line = _read_edge_lines(path)[1][int(edges.max(axis=1).argmax())]
-            raise NodeIdOutOfRange(f"{path}:{line}: node id {n_nodes - 1} is out of range")
+            raise DataError(f"{path}:{line}: node id {n_nodes - 1} is out of range")
     try:
         return build_dag(n_nodes, edges)
     except DataError as exc:
         i = getattr(exc, "edge_index", None)
         where = path if i is None else f"{path}:{_read_edge_lines(path)[1][i]}"
-        raise type(exc)(f"{where}: {exc}") from exc
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def _read_edge_lines(path) -> tuple[np.ndarray, list[int]]:
@@ -287,18 +280,17 @@ def _read_edge_lines(path) -> tuple[np.ndarray, list[int]]:
     for lineno, line in numbered_lines(path):
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
+            raise DataError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
         try:
             ids += (int(parts[0]), int(parts[1]))
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-integer node id") from exc
+            raise DataError(f"{path}:{lineno}: non-integer node id") from exc
         linenos.append(lineno)
     try:
         edges = np.array(ids, dtype=np.int64).reshape(-1, 2)
     except OverflowError as exc:
         i = next(i for i, x in enumerate(ids) if x.bit_length() > 63)
-        raise NodeIdOutOfRange(f"{path}:{linenos[i // 2]}: node id {ids[i]} is out of "
-                               f"range") from exc
+        raise DataError(f"{path}:{linenos[i // 2]}: node id {ids[i]} is out of range") from exc
     return edges, linenos
 
 

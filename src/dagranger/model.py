@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DataError
 from .graph import LaggedOperators, transpose_apply_batch
 
 __all__ = [
@@ -99,12 +99,12 @@ def encode_history_batch(
     w = np.asarray(w, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != ops.n:
-        raise DimensionMismatch(f"expected (n={ops.n}, m) batch, got shape {values.shape}")
+        raise DataError(f"expected (n={ops.n}, m) batch, got shape {values.shape}")
     if w.shape != b.shape or w.ndim != 2 or w.shape[1] != values.shape[1]:
-        raise DimensionMismatch("parameter arrays must be (L, m) matching the batch width")
+        raise DataError("parameter arrays must be (L, m) matching the batch width")
     L = w.shape[0]
     if not 1 <= lag_hops <= L:
-        raise DimensionMismatch(f"lag_hops must be in [1, {L}], got {lag_hops}")
+        raise DataError(f"lag_hops must be in [1, {L}], got {lag_hops}")
 
     u = values if lagged else strict_lag(values, ops)
     h = np.empty_like(values) if buffers is None else buffers[0]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, KTooLarge, NonFiniteInput, ParseError
+from .errors import ConfigError, DataError
 from .graph import Dag, build_dag
 from .textio import cited, numbered_lines, read_table, text_file
 
@@ -77,7 +77,7 @@ class ValueMatrix:
         if len(self.var_names) != values.shape[1]:
             raise DataError("one variable name per column required")
         if not np.isfinite(values).all():
-            raise NonFiniteInput("matrix contains NaN or infinity")
+            raise DataError("matrix contains NaN or infinity")
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,15 @@ class Embedding:
         if pt.shape != (coords.shape[0],):
             raise DataError("pseudotime length must match the number of nodes")
         if not np.isfinite(coords).all():
-            raise NonFiniteInput("coords contain NaN or infinity")
+            raise DataError("coords contain NaN or infinity")
         # knn_graph orders squared distances, so they must stay finite; the
         # factor 2 leaves room for rounding in the order of summation.
         with np.errstate(over="ignore"):
             widest = 2.0 * np.square(np.ptp(coords, axis=0)).sum() if coords.size else 0.0
         if not np.isfinite(widest):
-            raise NonFiniteInput("coords span too wide: squared distances overflow")
+            raise DataError("coords span too wide: squared distances overflow")
         if not np.isfinite(pt).all():
-            raise NonFiniteInput("pseudotime contains NaN or infinity")
+            raise DataError("pseudotime contains NaN or infinity")
 
     @property
     def n_nodes(self) -> int:
@@ -142,7 +142,7 @@ def knn_graph(embedding: Embedding, k: int) -> np.ndarray:
     """
     n = embedding.n_nodes
     if not 1 <= k < n:
-        raise KTooLarge(f"k must satisfy 1 <= k < n_nodes ({n}), got {k}")
+        raise ConfigError(f"k must satisfy 1 <= k < n_nodes ({n}), got {k}")
     nbrs = _nearest_neighbors(embedding.coords, k)
     return np.column_stack((np.repeat(np.arange(n, dtype=np.int64), k), nbrs.ravel()))
 
@@ -230,7 +230,7 @@ def orient_by_pseudotime(edges: np.ndarray, pseudotime: np.ndarray) -> Dag:
     """
     pt = np.asarray(pseudotime, dtype=np.float64)
     if not np.isfinite(pt).all():
-        raise NonFiniteInput("pseudotime contains NaN or infinity")
+        raise DataError("pseudotime contains NaN or infinity")
     return build_dag(pt.shape[0], edges[pt[edges[:, 0]] < pt[edges[:, 1]]])
 
 
@@ -255,9 +255,9 @@ def read_matrix(path) -> ValueMatrix:
         try:
             mat = scipy.io.mmread(path)
         except ValueError as exc:
-            raise ParseError(f"{path}: not a MatrixMarket file ({exc})") from exc
+            raise DataError(f"{path}: not a MatrixMarket file ({exc})") from exc
         if np.iscomplexobj(mat):
-            raise ParseError(f"{path}: complex MatrixMarket values are not supported")
+            raise DataError(f"{path}: complex MatrixMarket values are not supported")
         if sp.issparse(mat):
             mat = mat.toarray()
         values = np.asarray(mat, dtype=np.float64)
@@ -268,13 +268,15 @@ def read_matrix(path) -> ValueMatrix:
     with text_file(path) as fh:
         header = fh.readline()
         if not header.strip():
-            raise ParseError(f"{path}:1: empty header row")
+            raise DataError(f"{path}:1: empty header row")
         delim = "," if "," in header else None
         names = tuple(h.strip() for h in (header.split(delim)))
         seen: set[str] = set()
-        for name in names:
+        for name in names:  # a pair file line is x_name<TAB>y_name
+            if not name or "\t" in name:
+                raise DataError(f"{path}:1: variable name {name!r} is empty or holds a tab")
             if name in seen:
-                raise ParseError(f"{path}:1: duplicate variable name {name!r}")
+                raise DataError(f"{path}:1: duplicate variable name {name!r}")
             seen.add(name)
         values = read_table(fh, np.float64, delim)
     if values is None or values.shape[1] != len(names):
@@ -295,13 +297,13 @@ def _read_matrix_lines(path, delim, n_cols: int) -> np.ndarray:
     for lineno, line in lines:
         parts = line.split(delim)
         if len(parts) != n_cols:
-            raise ParseError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
+            raise DataError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
         try:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric entry") from exc
+            raise DataError(f"{path}:{lineno}: non-numeric entry") from exc
     if not rows:
-        raise ParseError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)
 
 
@@ -338,12 +340,12 @@ def _read_pseudotime_lines(path) -> np.ndarray:
         try:
             value = float(line)
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric pseudotime") from exc
+            raise DataError(f"{path}:{lineno}: non-numeric pseudotime") from exc
         if not np.isfinite(value):
-            raise NonFiniteInput(f"{path}:{lineno}: pseudotime is NaN or infinite")
+            raise DataError(f"{path}:{lineno}: pseudotime is NaN or infinite")
         out.append(value)
     if not out:
-        raise ParseError(f"{path}: no pseudotime values")
+        raise DataError(f"{path}: no pseudotime values")
     return np.array(out, dtype=np.float64)
 
 

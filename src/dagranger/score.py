@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special
 
 from . import baselines, train
-from .errors import ConfigError, DegenerateSampleSize, DomainError, ParseError
+from .errors import ConfigError, DataError
 from .textio import numbered_lines
 
 __all__ = [
@@ -60,9 +60,7 @@ def _f_dof(n: int, L: int) -> tuple[int, int]:
     """The F-test's (df1, df2) = (2L+1, n-4L-1); raises when df2 <= 0."""
     df2 = n - 4 * L - 1
     if df2 <= 0:
-        raise DegenerateSampleSize(
-            f"need n > 4L+1 = {4 * L + 1} observations, got n = {n}"
-        )
+        raise DataError(f"need n > 4L+1 = {4 * L + 1} observations, got n = {n}")
     return 2 * L + 1, df2
 
 
@@ -70,7 +68,7 @@ def _f_tests(rss_reduced: np.ndarray, rss_full: np.ndarray, n: int, L: int):
     """``f_test`` on arrays of residual sums: (f, p) arrays."""
     df1, df2 = _f_dof(n, L)
     if (rss_full < 0).any() or (rss_reduced < 0).any():
-        raise DomainError("residual sums of squares must be nonnegative")
+        raise DataError("residual sums of squares must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
         numerator = (rss_reduced - rss_full) / df1
         f = numerator / (rss_full / df2)
@@ -99,7 +97,7 @@ def _moments(losses):
     """(n, mean, sample variance) of one sample of per-node losses, the last two at width one."""
     a = np.asarray(losses, dtype=np.float64)
     if a.shape[0] < 2:
-        raise DegenerateSampleSize("Welch's t-test needs at least 2 observations per sample")
+        raise DataError("Welch's t-test needs at least 2 observations per sample")
     return a.shape[0], np.array([a.mean()]), np.array([a.var(ddof=1)])
 
 
@@ -315,14 +313,14 @@ def write_score_records(path, columns: dict[str, np.ndarray]) -> None:
 
 
 def read_score_records(path) -> list[dict]:
-    """The records of a score file; a line that is not a JSON object raises ParseError."""
+    """The records of a score file; a line that is not a JSON object raises DataError."""
     records = []
     for lineno, line in numbered_lines(path, comments=False):
         try:
             rec = json.loads(line)
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: not a JSON record ({exc})") from exc
+            raise DataError(f"{path}:{lineno}: not a JSON record ({exc})") from exc
         if not isinstance(rec, dict):
-            raise ParseError(f"{path}:{lineno}: not a JSON object")
+            raise DataError(f"{path}:{lineno}: not a JSON object")
         records.append(rec)
     return records

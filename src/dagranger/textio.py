@@ -1,7 +1,7 @@
 """The one reading policy of every text input, and numeric tables read by numpy's C reader.
 
 Every text file is UTF-8 and is opened with ``text_file``: text that does
-not decode raises ``ParseError`` naming the file, wherever the reading
+not decode raises a ``DataError`` naming the file, wherever the reading
 meets it. ``numbered_lines`` yields a file's lines stripped and numbered
 from 1, without blank lines and, unless told otherwise, without ``#``
 lines; a reader that rejects a line starts its message with
@@ -24,19 +24,19 @@ import itertools
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError
 
 __all__ = ["text_file", "numbered_lines", "cited", "read_table"]
 
 
 @contextlib.contextmanager
 def text_file(path):
-    """The UTF-8 file ``path`` open for reading; text that does not decode raises ParseError."""
+    """The UTF-8 file ``path`` open for reading; text that does not decode raises DataError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def numbered_lines(path, comments=True):
@@ -54,11 +54,11 @@ def numbered_lines(path, comments=True):
 
 @contextlib.contextmanager
 def cited(where):
-    """Re-raises a ``DataError`` of the block as its own class, with ``where: `` in front."""
+    """Re-raises a ``DataError`` of the block with ``where: `` in front of its message."""
     try:
         yield
     except DataError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def read_table(fh, dtype, delimiter=None, comment_lines=False) -> np.ndarray | None:

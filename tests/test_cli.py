@@ -232,6 +232,31 @@ class TestCandidatesCommand:
         assert (tmp_path / "pairs.tsv").read_text() == "p1\tg1\n"
 
 
+    @pytest.mark.parametrize("header, bad_name", [("a,,b", ""), ("a\tb,c", "a\tb"),
+                                                  ("a b, c ,d", None)])
+    def test_run_reads_the_pairs_file_candidates_writes(self, bundle, tmp_path, caplog,
+                                                        header, bad_name):
+        # a pair line is x_name<TAB>y_name, so a name that is empty or holds
+        # a tab is refused where the matrix is read, before any pair is written
+        ds, paths, _ = bundle
+        x = tmp_path / "x.csv"
+        rows = np.random.default_rng(0).normal(size=(ds.x_matrix.shape[0], 3)).tolist()
+        x.write_text(header + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+        code = run_cli("candidates", "--x-matrix", x, "--y-matrix", paths["y_matrix"],
+                       "--out-pairs", tmp_path / "pairs.tsv")
+        if bad_name is not None:
+            assert code == 3 and not (tmp_path / "pairs.tsv").exists()
+            assert [r.getMessage() for r in caplog.records] == [
+                f"data error: {x}:1: variable name {bad_name!r} is empty or holds a tab"]
+            return
+        assert code == 0
+        assert run_cli("run", "--x-matrix", x, "--y-matrix", paths["y_matrix"],
+                       "--pairs", tmp_path / "pairs.tsv", "--edges", paths["edges"],
+                       "--method", "pearson", "--outdir", tmp_path / "o") == 0
+        records = (tmp_path / "o" / "scores_pearson.jsonl").read_text().splitlines()
+        assert len(records) == 3 * len(ds.y_names)
+
+
 class TestRunCommand:
     def test_pearson_bypasses_training(self, bundle, tmp_path):
         ds, paths, _ = bundle
@@ -706,6 +731,25 @@ class TestExits:
         "score file that is not UTF-8": (
             {"scores.jsonl": SCORES.encode() + b"\xff\n", "ref.tsv": "a\tb\t0\na\tc\t1\n"},
             EVAL, 3, "data error: {d}/scores.jsonl: not UTF-8 text (invalid start byte)"),
+        "matrix header with an empty name": (
+            {"x.csv": "a,,b\n1,2,3\n"},
+            RUN[:2] + ["{d}/x.csv"] + RUN[3:] + ["--edges", "{edges}"], 3,
+            "data error: {d}/x.csv:1: variable name '' is empty or holds a tab"),
+        "matrix header name holding a tab": (
+            {"x.csv": "a\tb,c\n1,2\n"},
+            RUN[:2] + ["{d}/x.csv"] + RUN[3:] + ["--edges", "{edges}"], 3,
+            "data error: {d}/x.csv:1: variable name 'a\\tb' is empty or holds a tab"),
+        "config key given twice": (
+            {"run.cfg": "workers=1\n# again\nworkers=2\n"}, RUN_CFG, 2,
+            "configuration error: {d}/run.cfg:3: duplicate key 'workers' (first on line 1)"),
+        "eval true threshold above the false one": (
+            {}, EVAL + ["--true-threshold", "0.95", "--false-threshold", "0.9"], 2,
+            "configuration error: --true-threshold (0.95) and --false-threshold (0.9) must be "
+            "finite, the first not above the second"),
+        "eval threshold that is NaN": (
+            {}, EVAL + ["--true-threshold", "nan"], 2,
+            "configuration error: --true-threshold (nan) and --false-threshold (0.9) must be "
+            "finite, the first not above the second"),
         "blank lines in a score file": (
             {"scores.jsonl": "\n" + SCORES.replace("\n", "\n  \n"),
              "ref.tsv": "a\tb\t0\na\tc\t1\n"}, EVAL, 0, None),

@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dagranger.graph
-from dagranger.errors import (
-    CycleDetected,
-    DataError,
-    DimensionMismatch,
-    DuplicateEdge,
-    NodeIdOutOfRange,
-    SelfLoop,
-)
+from dagranger.errors import DataError
 from dagranger.graph import (
     apply_batch,
     build_dag,
@@ -32,7 +25,7 @@ def reference_build_dag(n_nodes, edges):
     Returns the edges as tuples and the in-degrees, or raises as ``build_dag`` does.
     """
     if n_nodes < 0:
-        raise NodeIdOutOfRange(f"n_nodes must be nonnegative, got {n_nodes}")
+        raise DataError(f"n_nodes must be nonnegative, got {n_nodes}")
     edge_tuples = []
     seen = set()
     in_degree = np.zeros(n_nodes, dtype=np.int64)
@@ -40,11 +33,11 @@ def reference_build_dag(n_nodes, edges):
     for e in edges:
         u, v = int(e[0]), int(e[1])
         if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-            raise NodeIdOutOfRange(f"edge ({u}, {v}) outside [0, {n_nodes})")
+            raise DataError(f"edge ({u}, {v}) outside [0, {n_nodes})")
         if u == v:
-            raise SelfLoop(f"self-loop at node {u}")
+            raise DataError(f"self-loop at node {u}")
         if (u, v) in seen:
-            raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
+            raise DataError(f"edge ({u}, {v}) appears more than once")
         seen.add((u, v))
         edge_tuples.append((u, v))
         in_degree[v] += 1
@@ -61,7 +54,7 @@ def reference_build_dag(n_nodes, edges):
                 stack.append(v)
     if seen_count != n_nodes:
         cyclic = [v for v in range(n_nodes) if remaining[v] > 0]
-        raise CycleDetected(f"cycle through nodes {cyclic[:10]}")
+        raise DataError(f"cycle through nodes {cyclic[:10]}")
     return tuple(edge_tuples), in_degree
 
 
@@ -145,7 +138,7 @@ class TestBuildDag:
         assert dag.edges.dtype == np.int64 and not dag.edges.flags.writeable
 
     def test_cycle_rejected(self):
-        with pytest.raises(CycleDetected):
+        with pytest.raises(DataError, match=r"^cycle through nodes \[0, 1, 2\]$"):
             build_dag(3, [(0, 1), (1, 2), (2, 0)])
 
     def test_merge_node(self):
@@ -153,25 +146,25 @@ class TestBuildDag:
         assert list(dag.in_degree) == [0, 0, 2, 1]
 
     def test_self_loop(self):
-        with pytest.raises(SelfLoop):
+        with pytest.raises(DataError, match=r"^self-loop at node 1$"):
             build_dag(2, [(1, 1)])
 
     def test_duplicate_edge(self):
-        with pytest.raises(DuplicateEdge):
+        with pytest.raises(DataError, match=r"^edge \(0, 1\) appears more than once$"):
             build_dag(2, [(0, 1), (0, 1)])
 
     def test_out_of_range(self):
-        with pytest.raises(NodeIdOutOfRange):
+        with pytest.raises(DataError, match=r"^edge \(0, 2\) outside \[0, 2\)$"):
             build_dag(2, [(0, 2)])
 
     def test_non_integer_id_rejected(self):
-        with pytest.raises(NodeIdOutOfRange, match="non-integer"):
+        with pytest.raises(DataError, match=r"^edge \(0\.0, 1\.7\) has a non-integer node id$"):
             build_dag(3, [(0, 1.7)])
-        with pytest.raises(NodeIdOutOfRange, match="non-integer"):
+        with pytest.raises(DataError, match=r"^edge \(1\.0, nan\) has a non-integer node id$"):
             build_dag(3, np.array([(0.0, 1.0), (1.0, np.nan)]))
 
     def test_first_bad_edge_in_input_order(self):
-        with pytest.raises(SelfLoop) as exc:
+        with pytest.raises(DataError, match=r"^self-loop at node 2$") as exc:
             build_dag(3, [(0, 1), (2, 2), (0, 1), (0, 5)])
         assert exc.value.edge_index == 1
 
@@ -204,7 +197,7 @@ class TestBuildDag:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(dagranger.graph, "_FEW_EDGES", few_edges)
                 if cyclic:
-                    with pytest.raises(CycleDetected) as got:
+                    with pytest.raises(DataError) as got:
                         build_dag(n, edges)
                     assert str(got.value) == f"cycle through nodes {cyclic[:10]}"
                 else:
@@ -282,9 +275,9 @@ class TestTransposeApply:
         assert np.array_equal(apply_to(ops.a, np.zeros(20)), np.zeros(20))
 
     def test_dimension_mismatch(self, chain3_ops):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=r"^operator is \(3, 3\), batch has shape \(5, 1\)$"):
             transpose_apply_batch(chain3_ops.a, np.zeros((5, 1)))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=r"^operator is \(3, 3\), batch has shape \(3,\)$"):
             transpose_apply_batch(chain3_ops.a, np.zeros(3))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -350,7 +343,8 @@ class TestTransposeApply:
 
     def test_out_must_fit(self, chain3_ops):
         for out in (np.empty((3, 2)), np.empty((2, 3)).T, np.empty((3, 3), dtype=np.float32)):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(DataError, match=r"^out must be a C-ordered float64 array of "
+                                                r"shape \(3, 3\)$"):
                 apply_batch(chain3_ops.a, np.zeros((3, 3)), out=out)
 
 
@@ -375,17 +369,17 @@ class TestEdgeListIo:
         # the inferred node count, 2**63, is one more than int64 holds
         path = tmp_path / "e.tsv"
         path.write_text("9223372036854775807\t0\n")
-        with pytest.raises(NodeIdOutOfRange) as exc:
+        with pytest.raises(DataError) as exc:
             read_edge_list(path)
         assert str(exc.value) == f"{path}:1: node id 9223372036854775807 is out of range"
 
-    @pytest.mark.parametrize("text, error, where", [
-        ("0\t1\n# c\n\n1\t1\n", SelfLoop, "e.tsv:4: self-loop at node 1"),
-        ("0\t99999999999999999999\n", NodeIdOutOfRange, "e.tsv:1: node id 9999"),
+    @pytest.mark.parametrize("text, where", [
+        ("0\t1\n# c\n\n1\t1\n", "e.tsv:4: self-loop at node 1"),
+        ("0\t99999999999999999999\n", "e.tsv:1: node id 9999"),
     ])
-    def test_defects_name_the_file_and_line(self, tmp_path, text, error, where):
+    def test_defects_name_the_file_and_line(self, tmp_path, text, where):
         path = tmp_path / "e.tsv"
         path.write_text(text)
-        with pytest.raises(error) as exc:
+        with pytest.raises(DataError) as exc:
             read_edge_list(path, n_nodes=3)
         assert str(exc.value).startswith(str(tmp_path / where))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagranger.errors import DimensionMismatch
+from dagranger.errors import DataError
 from dagranger.graph import lagged_operators
 from dagranger.model import encode_history_batch, layer_output
 
@@ -192,6 +192,7 @@ class TestEncodeHistoryBatch:
             assert np.abs(ht[:, j] - single).max() <= 1e-12
 
     def test_shape_validation(self, chain3_ops):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=r"^parameter arrays must be \(L, m\) matching the "
+                                            r"batch width$"):
             encode_history_batch(np.zeros((3, 2)), chain3_ops, np.zeros((2, 3)), np.zeros((2, 3)),
                                  1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagranger.errors import ConfigError, DegenerateSampleSize
+from dagranger.errors import ConfigError, DataError
 from dagranger.graph import lagged_operators
 from dagranger.score import (
     FLAGS,
@@ -75,7 +75,7 @@ class TestFTest:
         assert math.isinf(f) and p == 0.0
 
     def test_degenerate_sample_size(self):
-        with pytest.raises(DegenerateSampleSize):
+        with pytest.raises(DataError, match=r"^need n > 4L\+1 = 41 observations, got n = 41$"):
             f_test(2.0, 1.0, n=41, L=10)
 
     @given(st.floats(min_value=1.0, max_value=100.0))
@@ -143,7 +143,8 @@ class TestWelchT:
         assert welch_t(np.full(5, 2.0), np.ones(5)) == (math.inf, 1.0)
 
     def test_too_small(self):
-        with pytest.raises(DegenerateSampleSize):
+        with pytest.raises(DataError, match=r"^Welch's t-test needs at least 2 observations per "
+                                            r"sample$"):
             welch_t(np.ones(1), np.ones(5))
 
     @pytest.mark.parametrize("t_target", [4.527e-7, -4.527e-7, 1e-9, -0.3, 2.0, -6.0])

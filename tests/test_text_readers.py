@@ -6,7 +6,7 @@ The loops below are the readers as they were before that, kept as oracles:
 on every input a reader must return the oracle's bits, or raise the same
 exception class with the same message. Text that does not decode is the
 one exception: the oracle's ``UnicodeDecodeError`` is the reader's
-``ParseError`` naming the file.
+``DataError`` naming the file.
 """
 import tracemalloc
 
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dagranger.errors import DataError, NodeIdOutOfRange, NonFiniteInput, ParseError
+from dagranger.errors import DataError
 from dagranger.graph import build_dag, read_edge_list
 from dagranger.preprocess import ValueMatrix, read_matrix, read_pseudotime, write_matrix
 from test_cli_fuzz import JUNK, NUMBER, edge_text, matrix_text, pseudotime_text
@@ -27,13 +27,15 @@ def line_loop_read_matrix(path) -> ValueMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.strip():
-            raise ParseError(f"{path}:1: empty header row")
+            raise DataError(f"{path}:1: empty header row")
         delim = "," if "," in header else None
         names = tuple(h.strip() for h in (header.split(delim)))
         seen: set[str] = set()
         for name in names:
+            if not name or "\t" in name:
+                raise DataError(f"{path}:1: variable name {name!r} is empty or holds a tab")
             if name in seen:
-                raise ParseError(f"{path}:1: duplicate variable name {name!r}")
+                raise DataError(f"{path}:1: duplicate variable name {name!r}")
             seen.add(name)
         rows: list[list[float]] = []
         for lineno, line in enumerate(fh, start=2):
@@ -42,19 +44,19 @@ def line_loop_read_matrix(path) -> ValueMatrix:
                 continue
             parts = line.split(delim)
             if len(parts) != len(names):
-                raise ParseError(
+                raise DataError(
                     f"{path}:{lineno}: expected {len(names)} columns, got {len(parts)}"
                 )
             try:
                 rows.append([float(p) for p in parts])
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric entry") from exc
+                raise DataError(f"{path}:{lineno}: non-numeric entry") from exc
     if not rows:
-        raise ParseError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     try:
         return ValueMatrix(values=np.array(rows, dtype=np.float64), var_names=names)
     except DataError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def line_loop_read_pseudotime(path) -> np.ndarray:
@@ -68,12 +70,12 @@ def line_loop_read_pseudotime(path) -> np.ndarray:
             try:
                 value = float(line)
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric pseudotime") from exc
+                raise DataError(f"{path}:{lineno}: non-numeric pseudotime") from exc
             if not np.isfinite(value):
-                raise NonFiniteInput(f"{path}:{lineno}: pseudotime is NaN or infinite")
+                raise DataError(f"{path}:{lineno}: pseudotime is NaN or infinite")
             out.append(value)
     if not out:
-        raise ParseError(f"{path}: no pseudotime values")
+        raise DataError(f"{path}: no pseudotime values")
     return np.array(out, dtype=np.float64)
 
 
@@ -88,18 +90,17 @@ def line_loop_read_edge_list(path, n_nodes=None):
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
+                raise DataError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
             try:
                 ids += (int(parts[0]), int(parts[1]))
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer node id") from exc
+                raise DataError(f"{path}:{lineno}: non-integer node id") from exc
             linenos.append(lineno)
     try:
         edges = np.array(ids, dtype=np.int64).reshape(-1, 2)
     except OverflowError as exc:
         i = next(i for i, x in enumerate(ids) if x.bit_length() > 63)
-        raise NodeIdOutOfRange(f"{path}:{linenos[i // 2]}: node id {ids[i]} is out of "
-                               f"range") from exc
+        raise DataError(f"{path}:{linenos[i // 2]}: node id {ids[i]} is out of range") from exc
     if n_nodes is None:
         n_nodes = int(edges.max(initial=-1)) + 1
     try:
@@ -107,7 +108,7 @@ def line_loop_read_edge_list(path, n_nodes=None):
     except DataError as exc:
         i = getattr(exc, "edge_index", None)
         where = path if i is None else f"{path}:{linenos[i]}"
-        raise type(exc)(f"{where}: {exc}") from exc
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def outcome(read, path):
@@ -200,12 +201,12 @@ def test_reader_matches_the_line_loop_on_edge_cases(tmp_path, kind, text):
                                         ("edges", b"0\t1\n" * 5000)])
 def test_undecodable_bytes_raise_as_before(tmp_path, kind, text):
     # where the line loop meets text that does not decode, the reader raises
-    # a ParseError that names the file
+    # a DataError that names the file
     path = tmp_path / "in.txt"
     path.write_bytes(text + b"\xff\n")
     reader, oracle = READERS[kind]
     assert outcome(oracle, path)[0] is UnicodeDecodeError
-    assert outcome(reader, path) == (ParseError, f"{path}: not UTF-8 text (invalid start byte)")
+    assert outcome(reader, path) == (DataError, f"{path}: not UTF-8 text (invalid start byte)")
 
 
 # numbers of every magnitude and digit count, to compare bits
